@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .gf import FieldSpec
 
 
@@ -121,6 +123,33 @@ def rank_bits(rows, n) -> int:
         rows = [r for r in rows if r]
         rank += 1
     return rank
+
+
+@lru_cache(maxsize=None)
+def _leading_bit_table(ncols):
+    lead = np.zeros(1 << ncols, dtype=np.uint64)
+    for b in range(ncols):
+        lead[1 << b:2 << b] = 1 << b
+    return lead
+
+
+def rank_bits_batch(rows, ncols):
+    """Ranks of B bit-packed GF(2) matrices given as a (B, a) uint64 array.
+
+    Agrees with rank_bits matrix by matrix.  Row j, once reduced by the rows
+    above it, clears its leading bit from the rows below; the matrix rank
+    counts the rows that are nonzero at their turn.  The leading-bit table
+    has 2**ncols entries, no more than the words of any code that has
+    ncols-bit rows and is scanned this way."""
+    work = np.array(rows, dtype=np.uint64).T  # (a, B) copy, one row at a time
+    lead_of = _leading_bit_table(ncols)
+    ranks = np.zeros(work.shape[1], dtype=np.int64)
+    for j in range(work.shape[0]):
+        row = work[j]
+        ranks += row != 0
+        below = work[j + 1:]
+        below ^= np.where((below & lead_of[row]) != 0, row, 0)
+    return ranks
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,16 @@ partitions translate a nested subcode by the complementary coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import product
+from operator import xor
+
+import numpy as np
 
 from .gf import ExtFieldSpec, FieldSpec, ext_field, field_new
-from .linalg import MatrixGF, gaussian_binomial, rank_rows
+from .linalg import MatrixGF, gaussian_binomial, rank_bits_batch, rank_rows
+
+TABLE_BITS = 12  # index bits per XOR table; the lowest table is one block
 
 
 class RankCodeError(ValueError):
@@ -92,6 +99,14 @@ def _transpose_packed(rows, ncols):
     return out
 
 
+def _transpose_block(block, ncols):
+    """(B, a) packed a x ncols matrices -> (B, ncols) packed transposes."""
+    a = block.shape[1]
+    bits = (block[:, :, None] >> np.arange(ncols - 1, -1, -1, dtype=np.uint64)) & 1
+    return (bits.transpose(0, 2, 1) << np.arange(a - 1, -1, -1, dtype=np.uint64)) \
+        .sum(axis=2, dtype=np.uint64)
+
+
 class RankCodeHandle:
     """Deterministic enumerable rank-metric code of m x n matrices."""
 
@@ -119,9 +134,16 @@ class RankCodeHandle:
     def at(self, i) -> MatrixGF:
         return MatrixGF(base_field(self.q), self.rows_at(i), ncols=self.n)
 
+    def iter_blocks(self):  # pragma: no cover - abstract
+        """(B, min(m,n)) uint64 arrays of internal rows, in index order."""
+        raise NotImplementedError
+
     def iter_packed(self):
-        for i in range(self.size):
-            yield self.packed_at(i)
+        # internal rows are the transpose of packed_at's rows when m > n
+        for block in self.iter_blocks():
+            if self.m > self.n:
+                block = _transpose_block(block, self.m)
+            yield from block.tolist()
 
     def iter_rows(self):
         for i in range(self.size):
@@ -168,6 +190,8 @@ class GabidulinHandle(RankCodeHandle):
         self._bit_basis = None
         if q == 2:
             self._bit_basis = self._build_bit_basis()
+        self._tables = None  # XOR tables, built on first packed use
+        self._table_words = None
 
     def _build_bit_basis(self):
         # GF(2)-basis matrices: one per bit of the enumeration index
@@ -211,19 +235,44 @@ class GabidulinHandle(RankCodeHandle):
         b = self.b
         return [sum(v << (b - 1 - j) for j, v in enumerate(r)) for r in rows]
 
+    def _index_bit_groups(self):
+        """Bit-basis matrices in groups of at most TABLE_BITS index bits,
+        lowest group first and as large as possible."""
+        if self._bit_basis is None:
+            raise RankCodeError("packed access requires q = 2")
+        basis = self._bit_basis
+        return [basis[lo:lo + TABLE_BITS] for lo in range(0, len(basis), TABLE_BITS)]
+
+    def _xor_tables(self):
+        """One (2^g, a) uint64 table per index-bit group; row x of a table is
+        the XOR of the group's bit-basis matrices selected by the bits of x."""
+        if self._tables is None:
+            self._tables = []
+            for group in self._index_bit_groups():
+                table = np.zeros((1, self.a), dtype=np.uint64)
+                for mat in group:
+                    table = np.concatenate([table, table ^ np.array(mat, dtype=np.uint64)])
+                self._tables.append(table)
+        return self._tables
+
     def internal_packed_at(self, i):
-        if self._bit_basis is not None:
-            rows = [0] * self.a
-            u = 0
-            while i:
-                if i & 1:
-                    mat = self._bit_basis[u]
-                    for r in range(self.a):
-                        rows[r] ^= mat[r]
-                i >>= 1
-                u += 1
-            return rows
-        raise RankCodeError("packed access requires q = 2")
+        if not 0 <= i < self.size:
+            raise IndexError(i)
+        if self._table_words is None:
+            # the same tables as lists of ints, internal row r at bits r*b
+            self._table_words = []
+            for group in self._index_bit_groups():
+                table = [0]
+                for mat in group:
+                    vec = sum(x << (r * self.b) for r, x in enumerate(mat))
+                    table += [w ^ vec for w in table]
+                self._table_words.append(table)
+        word = 0
+        for table in self._table_words:
+            word ^= table[i & (len(table) - 1)]
+            i >>= TABLE_BITS
+        mask = (1 << self.b) - 1
+        return [(word >> (r * self.b)) & mask for r in range(self.a)]
 
     def packed_at(self, i):
         rows = self.internal_packed_at(i)
@@ -237,32 +286,12 @@ class GabidulinHandle(RankCodeHandle):
             rows = [tuple(col) for col in zip(*rows)]
         return [tuple(r) for r in rows]
 
-    def iter_internal_packed(self):
-        """Incremental enumeration in index order (q = 2 only)."""
-        if self._bit_basis is None:
-            raise RankCodeError("packed iteration requires q = 2")
-        cur = [0] * self.a
-        yield cur
-        basis = self._bit_basis
-        for i in range(1, self.size):
-            delta = i ^ (i - 1)
-            u = 0
-            while delta:
-                if delta & 1:
-                    mat = basis[u]
-                    for r in range(self.a):
-                        cur[r] ^= mat[r]
-                delta >>= 1
-                u += 1
-            yield cur
-
-    def iter_packed(self):
-        if self.transposed:
-            for rows in self.iter_internal_packed():
-                yield _transpose_packed(rows, self.b)
-        else:
-            for rows in self.iter_internal_packed():
-                yield list(rows)
+    def iter_blocks(self):
+        """Blocks of at most 2^TABLE_BITS words: the lowest table XOR the
+        XOR of one row from each higher table."""
+        low, *high = self._xor_tables()
+        for parts in product(*reversed(high)):
+            yield low ^ reduce(xor, parts, 0)
 
     def poly_at(self, i) -> LinearizedPoly:
         return LinearizedPoly(self.ext, self.coefficients_at(i))
@@ -333,7 +362,10 @@ class CosetHandle(RankCodeHandle):
         parent = sub.parent
         self.field = sub.field
         self._rep_rows = parent.rows_at(rep_index)
-        self._rep_packed = parent.packed_at(rep_index) if sub.q == 2 else None
+        if sub.q == 2:
+            self._rep_packed = parent.packed_at(rep_index)
+            self._rep_internal = np.array(parent.internal_packed_at(rep_index),
+                                          dtype=np.uint64)
 
     def packed_at(self, i):
         base = self.sub.packed_at(i)
@@ -345,10 +377,9 @@ class CosetHandle(RankCodeHandle):
         return [tuple(f.add(a, b) for a, b in zip(ra, rb))
                 for ra, rb in zip(base, self._rep_rows)]
 
-    def iter_packed(self):
-        rep = self._rep_packed
-        for rows in self.sub.iter_packed():
-            yield [a ^ b for a, b in zip(rows, rep)]
+    def iter_blocks(self):
+        for block in self.sub.iter_blocks():
+            yield block ^ self._rep_internal
 
 
 class RankFilteredHandle(RankCodeHandle):
@@ -357,49 +388,48 @@ class RankFilteredHandle(RankCodeHandle):
     def __init__(self, parent: RankCodeHandle, cap: int):
         if not 0 <= cap <= min(parent.m, parent.n):
             raise RankCodeError(f"rank cap {cap} out of range")
-        if isinstance(parent, GabidulinHandle) and parent.kind in ("mrd", "nested_subcode"):
-            size = 1
-            for r in range(parent.d_r, cap + 1):
-                size += rank_distribution(parent.q, parent.m, parent.n, parent.d_r, r)
-        else:
-            size = sum(1 for _ in self._scan_indices(parent, cap))
-        super().__init__(parent.q, parent.m, parent.n, parent.d_r, "rank_filtered", size)
+        super().__init__(parent.q, parent.m, parent.n, parent.d_r, "rank_filtered", None)
         self.parent = parent
         self.cap = cap
         self._indices = None
+        if isinstance(parent, GabidulinHandle) and parent.kind in ("mrd", "nested_subcode"):
+            self.size = 1 + sum(rank_distribution(parent.q, parent.m, parent.n, parent.d_r, r)
+                                for r in range(parent.d_r, cap + 1))
+        else:  # no formula: the one scan sets the size
+            self.size = len(self.indices())
 
-    @staticmethod
-    def _scan_indices(parent, cap):
-        field = base_field(parent.q)
-        if field.q == 2:
-            from .linalg import rank_bits
-            for i, rows in enumerate(parent.iter_packed()):
-                if rank_bits(rows, parent.n) <= cap:
-                    yield i
-        else:
-            for i, rows in enumerate(parent.iter_rows()):
-                if rank_rows(field, rows, parent.n) <= cap:
-                    yield i
+    def _masked_blocks(self):
+        # rank is invariant under transposition, so internal rows suffice
+        ncols = max(self.m, self.n)
+        for block in self.parent.iter_blocks():
+            yield block, rank_bits_batch(block, ncols) <= self.cap
 
     def indices(self):
+        """Parent indices of the kept words, as an int64 array."""
         if self._indices is None:
-            self._indices = list(self._scan_indices(self.parent, self.cap))
-            if len(self._indices) != self.size:
+            if self.q == 2:
+                keep = np.concatenate([mask for _, mask in self._masked_blocks()])
+                indices = np.flatnonzero(keep).astype(np.int64, copy=False)
+            else:
+                field = base_field(self.q)
+                indices = np.array([i for i, rows in enumerate(self.parent.iter_rows())
+                                    if rank_rows(field, rows, self.n) <= self.cap],
+                                   dtype=np.int64)
+            if self.size is not None and len(indices) != self.size:
                 raise RankCodeError(
-                    f"rank filter count {len(self._indices)} != formula size {self.size}")
+                    f"rank filter count {len(indices)} != formula size {self.size}")
+            self._indices = indices
         return self._indices
 
     def packed_at(self, i):
-        return self.parent.packed_at(self.indices()[i])
+        return self.parent.packed_at(int(self.indices()[i]))
 
     def rows_at(self, i):
-        return self.parent.rows_at(self.indices()[i])
+        return self.parent.rows_at(int(self.indices()[i]))
 
-    def iter_packed(self):
-        from .linalg import rank_bits
-        for rows in self.parent.iter_packed():
-            if rank_bits(rows, self.n) <= self.cap:
-                yield rows
+    def iter_blocks(self):
+        for block, mask in self._masked_blocks():
+            yield block[mask]
 
     def iter_rows(self):
         field = base_field(self.q)

@@ -3,7 +3,7 @@ enumeration, pairwise rank distance, nested subcodes and coset partitions."""
 
 import pytest
 
-from cdckit.linalg import MatrixGF, rank
+from cdckit.linalg import MatrixGF, rank, rank_bits
 from cdckit.rankmetric import (base_field, coset_partition, gabidulin_mrd,
                                mrd_size, nested_subcode, rank_distribution,
                                rank_filtered)
@@ -90,6 +90,50 @@ def test_rank_filtered_counts():
         M = MatrixGF(base_field(2), [[(r >> (3 - c)) & 1 for c in range(4)]
                                      for r in rows], ncols=4)
         assert rank(M) <= 2
+
+
+def _handle(kind):
+    if kind == "square":
+        return gabidulin_mrd(2, 4, 4, 2)
+    if kind == "wide":
+        return gabidulin_mrd(2, 3, 5, 2)
+    if kind == "transposed":
+        return gabidulin_mrd(2, 5, 3, 2)
+    if kind == "nested":
+        return nested_subcode(gabidulin_mrd(2, 4, 4, 1), 2)
+    big = gabidulin_mrd(2, 5, 3, 1)  # "coset": a transposed translate
+    return coset_partition(big, nested_subcode(big, 2))[5]
+
+
+@pytest.mark.parametrize("kind", ["square", "wide", "transposed", "nested", "coset"])
+def test_enumeration_and_rank_filter_match_random_access(kind):
+    h = _handle(kind)
+    words = list(h.iter_packed())
+    assert words == [h.packed_at(i) for i in range(h.size)]
+    assert len(set(map(tuple, words))) == h.size
+    for cap in (1, 2):
+        filt = rank_filtered(h, cap)
+        oracle = [i for i in range(h.size) if rank_bits(h.packed_at(i), h.n) <= cap]
+        assert filt.size == len(oracle)
+        assert filt.indices().tolist() == oracle
+        assert list(filt.iter_packed()) == [words[i] for i in oracle]
+        handed = []
+        parent_packed_at = h.packed_at
+        h.packed_at = lambda i: handed.append(i) or parent_packed_at(i)
+        assert [filt.packed_at(j) for j in range(filt.size)] == [words[i] for i in oracle]
+        del h.packed_at
+        assert handed == oracle and all(type(i) is int for i in handed)
+
+
+def test_rank_filter_without_formula_scans_once():
+    h = _handle("coset")
+    scans = []
+    parent_blocks = h.iter_blocks
+    h.iter_blocks = lambda: scans.append(1) or parent_blocks()
+    filt = rank_filtered(h, 2)
+    filt.indices()
+    filt.packed_at(filt.size - 1)
+    assert len(scans) == 1
 
 
 def test_linearity_q2():
