@@ -7,7 +7,7 @@ chain so tables stay auditable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .linalg import gaussian_binomial
 

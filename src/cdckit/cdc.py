@@ -7,13 +7,11 @@ deterministic stream with exact size and random access by index.
 
 from __future__ import annotations
 
-from itertools import combinations
-
-from .gf import FieldSpec, ext_field, field_new
-from .linalg import MatrixGF, matmul, pack_row, rank_rows, unpack_row
+from .gf import FieldSpec, ext_field
+from .linalg import MatrixGF, matmul, pack_row
 from .rankmetric import (GabidulinHandle, RankCodeHandle, base_field,
-                         gabidulin_mrd, mrd_size, nested_subcode)
-from .subspace import Subspace, distance, intersection_dim
+                         gabidulin_mrd, nested_subcode)
+from .subspace import Subspace, intersection_dim
 
 MATERIALIZE_CAP = 10 ** 5
 
@@ -161,9 +159,8 @@ class Cdc:
 class SpreadFamily:
     """Pairwise-disjoint spreads (e.g. the classes of a parallelism)."""
 
-    def __init__(self, members, disjoint=True):
+    def __init__(self, members):
         self.members = list(members)
-        self.disjoint = disjoint
 
     def __len__(self):
         return len(self.members)
@@ -189,12 +186,11 @@ def lifted_mrd(q: int, n: int, k: int, d: int) -> Cdc:
     return c
 
 
-def verify_min_distance(c: Cdc, mode="full", pairs=0, seed=0, cap=MATERIALIZE_CAP,
-                        jobs=1):
+def verify_min_distance(c: Cdc, mode="full", pairs=0, seed=0, cap=MATERIALIZE_CAP):
     """Exact or sampled minimum-distance report; sets c.verified."""
     from . import verify as _verify
     if mode == "full":
-        report = _verify.full_pairwise_check(c, cap=cap, jobs=jobs)
+        report = _verify.full_pairwise_check(c, cap=cap)
     elif mode == "sampled":
         report = _verify.sampled_check(c, pairs, seed)
     else:
@@ -293,7 +289,7 @@ def parallelism_2_of_F_q4(q: int, imported: SpreadFamily | None = None) -> Sprea
         return imported
     if q not in (2, 3):
         raise CdcError(f"no built-in search for q={q}; supply an imported parallelism")
-    field = field_new(q, 1) if q in (2, 3) else base_field(q)
+    field = base_field(q)
     from .verify import enumerate_subspaces
     lines = list(enumerate_subspaces(q, 4, 2))
     npoints = (q ** 4 - 1) // (q - 1)

@@ -119,7 +119,7 @@ def cmd_verify(args):
     code = _import_or_fail(args.file)
     try:
         if args.mode == "full":
-            report = verify.full_pairwise_check(code, cap=args.cap, jobs=args.jobs)
+            report = verify.full_pairwise_check(code, cap=args.cap)
         else:
             report = verify.sampled_check(code, args.pairs, seed=args.seed)
     except verify.CapExceeded as exc:
@@ -242,7 +242,6 @@ def build_parser():
                    metavar="SLOT=PATH")
     c.add_argument("--out")
     c.add_argument("--materialize", action="store_true")
-    c.add_argument("--seed", type=int, default=0)
     c.set_defaults(fn=cmd_construct)
 
     v = sub.add_parser("verify", help="check a code file's minimum distance")
@@ -251,7 +250,6 @@ def build_parser():
     v.add_argument("--pairs", type=int, default=10 ** 5)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--cap", type=int, default=verify.FULL_CHECK_CAP)
-    v.add_argument("--jobs", type=int, default=1)
     v.set_defaults(fn=cmd_verify)
 
     b = sub.add_parser("bound", help="print all applicable bounds")

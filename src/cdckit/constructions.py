@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .cdc import (Cdc, CdcError, ListSource, MATERIALIZE_CAP, StreamSource,
+from .cdc import (Cdc, ListSource, MATERIALIZE_CAP, StreamSource,
                   lifted_mrd, parallelism_2_of_F_q4, partial_spread_subcode,
                   spread)
 from .linalg import (MatrixGF, inverse, matmul, pack_row, rank_bits,

@@ -1,9 +1,11 @@
 """Exact arithmetic in GF(p^e) and in extensions GF(q^M).
 
-Elements are plain integers: the base-p (resp. base-q) digits of the index
-are the polynomial coefficients, constant term in the least significant
-digit.  For p = 2 this makes addition a single XOR.  Multiplication uses
-log/antilog tables whenever the field is small enough to afford them.
+One class does both: GF(p^e) is the degree-e extension of the prime field
+GF(p), and GF(q^M) is the degree-M extension of any such field.  Elements
+are plain integers: the base-q digits of the index are the polynomial
+coefficients, constant term in the least significant digit.  For p = 2
+this makes addition a single XOR.  Multiplication uses log/antilog tables
+whenever the field is small enough to afford them.
 """
 
 from __future__ import annotations
@@ -30,9 +32,39 @@ def is_prime(n: int) -> bool:
     return True
 
 
+class _PrimeField:
+    """GF(p) as the base of a FieldSpec: residues mod p."""
+
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: int):
+        self.p = self.q = p
+
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.p
+
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.p
+
+    def neg(self, a: int) -> int:
+        return -a % self.p
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+
 # ----------------------------------------------------------------------
-# polynomial helpers over GF(p), coefficients as tuples (constant first)
+# polynomial helpers over a base field, coefficients as tuples
+# (constant first)
 # ----------------------------------------------------------------------
+
+def _digits(x: int, base: int, width: int):
+    out = []
+    for _ in range(width):
+        x, r = divmod(x, base)
+        out.append(r)
+    return tuple(out)
+
 
 def _poly_trim(a):
     i = len(a)
@@ -41,253 +73,7 @@ def _poly_trim(a):
     return a[:i]
 
 
-def _poly_mul_p(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(tuple(out))
-
-
-def _poly_mod_p(a, m, p):
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) > dm:
-        c = a[-1]
-        if c:
-            shift = len(a) - 1 - dm
-            for j in range(dm + 1):
-                a[shift + j] = (a[shift + j] - c * m[j]) % p
-        a.pop()
-    return _poly_trim(tuple(a))
-
-
-def _index_to_poly(x: int, p: int):
-    digits = []
-    while x:
-        x, r = divmod(x, p)
-        digits.append(r)
-    return tuple(digits)
-
-
-def _poly_to_index(a, p: int) -> int:
-    x = 0
-    for c in reversed(a):
-        x = x * p + c
-    return x
-
-
-def _is_irreducible_p(m, p) -> bool:
-    """Trial division by all monic polynomials of degree <= deg(m)/2."""
-    deg = len(m) - 1
-    if deg <= 0:
-        return False
-    if deg == 1:
-        return True
-    if m[0] == 0:  # divisible by x
-        return False
-    for d in range(1, deg // 2 + 1):
-        for idx in range(p ** d):
-            cand = _index_to_poly(idx, p) + (0,) * (d - len(_index_to_poly(idx, p))) + (1,)
-            if len(_poly_mod_p(m, cand, p)) == 0:
-                return False
-    return True
-
-
-def _smallest_irreducible_p(p: int, e: int):
-    """Lexicographically smallest monic irreducible of degree e over GF(p).
-
-    Candidates are ordered by the integer whose base-p digits are
-    (c_0, ..., c_{e-1}), constant term least significant.
-    """
-    for idx in range(p ** e):
-        low = _index_to_poly(idx, p)
-        cand = low + (0,) * (e - len(low)) + (1,)
-        if _is_irreducible_p(cand, p):
-            return cand
-    raise FieldError(f"no irreducible polynomial of degree {e} over GF({p})")
-
-
-class FieldSpec:
-    """GF(p^e) with a fixed monic irreducible modulus of degree e."""
-
-    __slots__ = ("p", "e", "q", "modulus", "_log", "_antilog", "_add")
-
-    def __init__(self, p: int, e: int, modulus: Sequence[int] | None = None):
-        if not is_prime(p):
-            raise FieldError(f"p={p} is not prime")
-        if e < 1:
-            raise FieldError(f"extension degree must be >= 1, got {e}")
-        q = p ** e
-        if q > _ORDER_LIMIT:
-            raise FieldError(f"field order {q} exceeds the supported word size")
-        if modulus is None:
-            modulus = _smallest_irreducible_p(p, e) if e > 1 else (0, 1)
-        else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != e + 1 or modulus[-1] != 1:
-                raise FieldError("modulus must be monic of degree e")
-            if e > 1 and not _is_irreducible_p(modulus, p):
-                raise FieldError("modulus is reducible")
-        self.p = p
-        self.e = e
-        self.q = q
-        self.modulus = tuple(modulus)
-        self._log = None
-        self._antilog = None
-        self._add = None
-        if q <= _TABLE_LIMIT and q > 2:
-            self._build_tables()
-
-    # -- representation ------------------------------------------------
-
-    def __repr__(self):
-        return f"FieldSpec(p={self.p}, e={self.e})"
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldSpec)
-                and (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus))
-
-    def __hash__(self):
-        return hash((self.p, self.e, self.modulus))
-
-    def serialize(self) -> str:
-        mod = ",".join(str(c) for c in self.modulus)
-        return f"GF p={self.p} e={self.e} mod={mod}"
-
-    @staticmethod
-    def parse(line: str) -> "FieldSpec":
-        parts = line.split()
-        if len(parts) != 4 or parts[0] != "GF":
-            raise FieldError(f"bad field line: {line!r}")
-        kv = dict(part.split("=", 1) for part in parts[1:])
-        mod = tuple(int(c) for c in kv["mod"].split(","))
-        return FieldSpec(int(kv["p"]), int(kv["e"]), mod)
-
-    # -- arithmetic ----------------------------------------------------
-
-    def element_to_poly(self, x: int):
-        digits = []
-        for _ in range(self.e):
-            x, r = divmod(x, self.p)
-            digits.append(r)
-        return tuple(digits)
-
-    def poly_to_element(self, a) -> int:
-        return _poly_to_index(a[: self.e], self.p)
-
-    def _mul_generic(self, a: int, b: int) -> int:
-        prod = _poly_mul_p(_index_to_poly(a, self.p), _index_to_poly(b, self.p), self.p)
-        return _poly_to_index(_poly_mod_p(prod, self.modulus, self.p), self.p)
-
-    def _add_generic(self, a: int, b: int) -> int:
-        out = 0
-        mult = 1
-        for _ in range(self.e):
-            a, ra = divmod(a, self.p)
-            b, rb = divmod(b, self.p)
-            out += ((ra + rb) % self.p) * mult
-            mult *= self.p
-        return out
-
-    def _build_tables(self):
-        q = self.q
-        # find a primitive element
-        target = q - 1
-        for g in range(2, q):
-            x, order = g, 1
-            while x != 1:
-                x = self._mul_generic(x, g)
-                order += 1
-                if order > target:
-                    break
-            if order == target:
-                break
-        else:  # pragma: no cover - every finite field has a generator
-            raise FieldError("no primitive element found")
-        antilog = [1] * (2 * target)
-        log = [0] * q
-        x = 1
-        for i in range(target):
-            antilog[i] = x
-            log[x] = i
-            x = self._mul_generic(x, g)
-        for i in range(target, 2 * target):
-            antilog[i] = antilog[i - target]
-        self._antilog = antilog
-        self._log = log
-        if self.p != 2:
-            self._add = [[self._add_generic(a, b) for b in range(q)] for a in range(q)]
-
-    def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self._add is not None:
-            return self._add[a][b]
-        return self._add_generic(a, b)
-
-    def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        out = 0
-        mult = 1
-        for _ in range(self.e):
-            a, r = divmod(a, self.p)
-            out += ((-r) % self.p) * mult
-            mult *= self.p
-        return out
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self.q == 2:
-            return a & b
-        if self._log is not None:
-            return self._antilog[self._log[a] + self._log[b]]
-        return self._mul_generic(a, b)
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in a finite field")
-        if self.q == 2:
-            return 1
-        if self._log is not None:
-            return self._antilog[self.q - 1 - self._log[a]]
-        return self.pow(a, self.q - 2)
-
-    def pow(self, a: int, n: int) -> int:
-        if n < 0:
-            a, n = self.inv(a), -n
-        out = 1
-        while n:
-            if n & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return out
-
-    def elements(self):
-        return range(self.q)
-
-
-@lru_cache(maxsize=None)
-def field_new(p: int, e: int) -> FieldSpec:
-    """GF(p^e) with the lexicographically smallest monic irreducible modulus."""
-    return FieldSpec(p, e)
-
-
-# ----------------------------------------------------------------------
-# extensions GF(q^M) over an arbitrary base field GF(q)
-# ----------------------------------------------------------------------
-
-def _poly_mul_f(a, b, f: FieldSpec):
+def _poly_mul(a, b, f):
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
@@ -298,7 +84,8 @@ def _poly_mul_f(a, b, f: FieldSpec):
     return _poly_trim(tuple(out))
 
 
-def _poly_mod_f(a, m, f: FieldSpec):
+def _poly_mod(a, m, f):
+    # m monic
     a = list(a)
     dm = len(m) - 1
     while len(a) > dm:
@@ -311,71 +98,70 @@ def _poly_mod_f(a, m, f: FieldSpec):
     return _poly_trim(tuple(a))
 
 
-def _is_irreducible_f(m, f: FieldSpec) -> bool:
+def _is_irreducible(m, f) -> bool:
+    """Trial division by all monic polynomials of degree <= deg(m)/2."""
     deg = len(m) - 1
     if deg <= 0:
         return False
     if deg == 1:
         return True
-    if m[0] == 0:
+    if m[0] == 0:  # divisible by x
         return False
     for d in range(1, deg // 2 + 1):
         for idx in range(f.q ** d):
-            low = _digits(idx, f.q, d)
-            cand = low + (1,)
-            if len(_poly_mod_f(m, cand, f)) == 0:
+            if len(_poly_mod(m, _digits(idx, f.q, d) + (1,), f)) == 0:
                 return False
     return True
 
 
-def _digits(x: int, base: int, width: int):
-    out = []
-    for _ in range(width):
-        x, r = divmod(x, base)
-        out.append(r)
-    return tuple(out)
+def _smallest_irreducible(f, degree: int):
+    """Lexicographically smallest monic irreducible of the given degree.
+
+    Candidates are ordered by the integer whose base-q digits are
+    (c_0, ..., c_{degree-1}), constant term least significant.
+    """
+    if degree == 1:
+        return (0, 1)
+    for idx in range(f.q ** degree):
+        cand = _digits(idx, f.q, degree) + (1,)
+        if _is_irreducible(cand, f):
+            return cand
+    raise FieldError(f"no irreducible polynomial of degree {degree} over GF({f.q})")
 
 
 class ExtFieldSpec:
-    """GF(q^M) as polynomials over a base FieldSpec of order q.
+    """GF(q^M) as polynomials over a base field of order q.
 
     The basis is the power basis 1, alpha, ..., alpha^(M-1) of a root alpha
     of the extension modulus; element index = base-q digits of the
     coordinate vector, constant term least significant.
     """
 
-    __slots__ = ("base", "degree", "order", "modulus", "_log", "_antilog")
+    __slots__ = ("base", "degree", "order", "modulus", "p", "_log", "_antilog")
 
-    def __init__(self, base: FieldSpec, degree: int, modulus=None):
+    def __init__(self, base, degree: int, modulus=None):
         if degree < 1:
-            raise FieldError("extension degree must be >= 1")
+            raise FieldError(f"extension degree must be >= 1, got {degree}")
         order = base.q ** degree
         if order > _ORDER_LIMIT:
-            raise FieldError(f"extension order {order} exceeds the supported word size")
+            raise FieldError(f"field order {order} exceeds the supported word size")
         if modulus is None:
-            modulus = self._smallest_irreducible(base, degree)
+            modulus = _smallest_irreducible(base, degree)
         else:
             modulus = tuple(modulus)
             if len(modulus) != degree + 1 or modulus[-1] != 1:
-                raise FieldError("modulus must be monic of degree M")
+                raise FieldError("modulus must be monic of the extension degree")
+            if not _is_irreducible(modulus, base):
+                raise FieldError("modulus is reducible")
         self.base = base
         self.degree = degree
         self.order = order
         self.modulus = modulus
+        self.p = base.p
         self._log = None
         self._antilog = None
-        if 2 < order <= _TABLE_LIMIT:
+        if order <= _TABLE_LIMIT:
             self._build_tables()
-
-    @staticmethod
-    def _smallest_irreducible(base: FieldSpec, degree: int):
-        if degree == 1:
-            return (0, 1)
-        for idx in range(base.q ** degree):
-            cand = _digits(idx, base.q, degree) + (1,)
-            if _is_irreducible_f(cand, base):
-                return cand
-        raise FieldError("no irreducible polynomial found")
 
     def __repr__(self):
         return f"ExtFieldSpec(q={self.base.q}, M={self.degree})"
@@ -384,6 +170,9 @@ class ExtFieldSpec:
     def basis(self):
         """Power basis as element indices: alpha^i <-> q^i."""
         return tuple(self.base.q ** i for i in range(self.degree))
+
+    def elements(self):
+        return range(self.order)
 
     def element_to_vector(self, x: int):
         return _digits(x, self.base.q, self.degree)
@@ -398,17 +187,14 @@ class ExtFieldSpec:
         q = self.base.q
         pa = _poly_trim(_digits(a, q, self.degree))
         pb = _poly_trim(_digits(b, q, self.degree))
-        prod = _poly_mul_f(pa, pb, self.base)
-        red = _poly_mod_f(prod, self.modulus, self.base)
-        out = 0
-        for c in reversed(red):
-            out = out * q + c
-        return out
+        red = _poly_mod(_poly_mul(pa, pb, self.base), self.modulus, self.base)
+        return self.vector_to_element(red)
 
     def _build_tables(self):
         n = self.order
         target = n - 1
-        for g in range(2, n):
+        # find a primitive element (g = 1 generates GF(2))
+        for g in range(1, n):
             x, order = g, 1
             while x != 1:
                 x = self._mul_generic(x, g)
@@ -417,7 +203,7 @@ class ExtFieldSpec:
                     break
             if order == target:
                 break
-        else:  # pragma: no cover
+        else:  # pragma: no cover - every finite field has a generator
             raise FieldError("no primitive element found")
         antilog = [1] * (2 * target)
         log = [0] * n
@@ -432,27 +218,29 @@ class ExtFieldSpec:
         self._log = log
 
     def add(self, a: int, b: int) -> int:
-        if self.base.p == 2:
+        if self.p == 2:
             return a ^ b
-        q = self.base.q
+        base = self.base
+        q = base.q
         out = 0
         mult = 1
         for _ in range(self.degree):
             a, ra = divmod(a, q)
             b, rb = divmod(b, q)
-            out += self.base.add(ra, rb) * mult
+            out += base.add(ra, rb) * mult
             mult *= q
         return out
 
     def neg(self, a: int) -> int:
-        if self.base.p == 2:
+        if self.p == 2:
             return a
-        q = self.base.q
+        base = self.base
+        q = base.q
         out = 0
         mult = 1
         for _ in range(self.degree):
             a, r = divmod(a, q)
-            out += self.base.neg(r) * mult
+            out += base.neg(r) * mult
             mult *= q
         return out
 
@@ -489,6 +277,50 @@ class ExtFieldSpec:
         return self.pow(a, self.base.q)
 
 
-def ext_field(base: FieldSpec, degree: int) -> ExtFieldSpec:
+class FieldSpec(ExtFieldSpec):
+    """GF(p^e): the degree-e extension of GF(p) by a monic irreducible modulus."""
+
+    __slots__ = ("e", "q")
+
+    def __init__(self, p: int, e: int, modulus: Sequence[int] | None = None):
+        if not is_prime(p):
+            raise FieldError(f"p={p} is not prime")
+        if modulus is not None:
+            modulus = tuple(int(c) % p for c in modulus)
+        super().__init__(_PrimeField(p), e, modulus)
+        self.e = e
+        self.q = self.order
+
+    def __repr__(self):
+        return f"FieldSpec(p={self.p}, e={self.e})"
+
+    def __eq__(self, other):
+        return (isinstance(other, FieldSpec)
+                and (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus))
+
+    def __hash__(self):
+        return hash((self.p, self.e, self.modulus))
+
+    def serialize(self) -> str:
+        mod = ",".join(str(c) for c in self.modulus)
+        return f"GF p={self.p} e={self.e} mod={mod}"
+
+    @staticmethod
+    def parse(line: str) -> "FieldSpec":
+        parts = line.split()
+        if len(parts) != 4 or parts[0] != "GF":
+            raise FieldError(f"bad field line: {line!r}")
+        kv = dict(part.split("=", 1) for part in parts[1:])
+        mod = tuple(int(c) for c in kv["mod"].split(","))
+        return FieldSpec(int(kv["p"]), int(kv["e"]), mod)
+
+
+@lru_cache(maxsize=None)
+def field_new(p: int, e: int) -> FieldSpec:
+    """GF(p^e) with the lexicographically smallest monic irreducible modulus."""
+    return FieldSpec(p, e)
+
+
+def ext_field(base: ExtFieldSpec, degree: int) -> ExtFieldSpec:
     """Extension GF(q^M) with deterministic modulus and power basis."""
     return ExtFieldSpec(base, degree)

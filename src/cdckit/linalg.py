@@ -50,10 +50,6 @@ class MatrixGF:
         self.rows = rows
 
     @staticmethod
-    def zeros(field, r, c):
-        return MatrixGF(field, [(0,) * c for _ in range(r)], c)
-
-    @staticmethod
     def identity(field, n):
         return MatrixGF(field, [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)])
 
@@ -66,10 +62,6 @@ class MatrixGF:
 
     def __repr__(self):
         return f"MatrixGF({self.nrows}x{self.ncols} over GF({self.field.q}))"
-
-    def transpose(self) -> "MatrixGF":
-        return MatrixGF(self.field, list(zip(*self.rows)) if self.rows else [],
-                        ncols=self.nrows)
 
 
 # ----------------------------------------------------------------------
@@ -203,9 +195,7 @@ def rref(M: MatrixGF) -> RrefResult:
 
 
 def rank(M: MatrixGF) -> int:
-    if M.field.q == 2:
-        return rank_bits([pack_row(r) for r in M.rows], M.ncols)
-    return len(_rref_rows(M.field, M.rows, M.ncols)[0])
+    return rank_rows(M.field, M.rows, M.ncols)
 
 
 def rank_rows(field: FieldSpec, rows, ncols: int) -> int:
@@ -250,16 +240,12 @@ def inverse(M: MatrixGF) -> MatrixGF:
     if M.nrows != M.ncols:
         raise DimensionError("inverse of a non-square matrix")
     n = M.nrows
-    f = M.field
     aug = [row + tuple(1 if i == j else 0 for j in range(n))
            for i, row in enumerate(M.rows)]
-    rows, pivots = _rref_rows(f, aug, 2 * n) if f.q != 2 else (None, None)
-    if f.q == 2:
-        packed, pivots = rref_bits([pack_row(r) for r in aug], 2 * n)
-        rows = [unpack_row(r, 2 * n) for r in packed]
-    if len(rows) < n or pivots[:n] != list(range(n)):
+    res = rref(MatrixGF(M.field, aug, ncols=2 * n))
+    if res.pivots.bits[:n] != (1,) * n:
         raise DimensionError("matrix is singular")
-    return MatrixGF(f, [r[n:] for r in rows], ncols=n)
+    return MatrixGF(M.field, [r[n:] for r in res.matrix.rows], ncols=n)
 
 
 @lru_cache(maxsize=None)

@@ -9,15 +9,14 @@ partitions translate a nested subcode by the complementary coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from operator import xor
 
 import numpy as np
 
-from .gf import ExtFieldSpec, FieldSpec, ext_field, field_new
-from .linalg import MatrixGF, gaussian_binomial, rank_bits_batch, rank_rows
+from .gf import FieldSpec, ext_field, field_new
+from .linalg import gaussian_binomial, rank_bits_batch, rank_rows
 
 TABLE_BITS = 12  # index bits per XOR table; the lowest table is one block
 
@@ -69,27 +68,8 @@ def rank_distribution(q: int, m: int, n: int, d_r: int, r: int) -> int:
     return gaussian_binomial(lo, r, q) * total
 
 
-@dataclass(frozen=True)
-class LinearizedPoly:
-    """Coefficients attached to x^(q^0), ..., x^(q^(t-1)) over GF(q^M)."""
-    ext: ExtFieldSpec
-    coefficients: tuple
-
-    def evaluate(self, x: int) -> int:
-        ext = self.ext
-        q = ext.base.q
-        acc = 0
-        xp = x
-        for c in self.coefficients:
-            if c:
-                acc = ext.add(acc, ext.mul(c, xp))
-            xp = ext.pow(xp, q)
-        return acc
-
-
 def _transpose_packed(rows, ncols):
     out = []
-    nr = len(rows)
     for j in range(ncols):
         bit = 1 << (ncols - 1 - j)
         x = 0
@@ -131,9 +111,6 @@ class RankCodeHandle:
     def rows_at(self, i):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def at(self, i) -> MatrixGF:
-        return MatrixGF(base_field(self.q), self.rows_at(i), ncols=self.n)
-
     def iter_blocks(self):  # pragma: no cover - abstract
         """(B, min(m,n)) uint64 arrays of internal rows, in index order."""
         raise NotImplementedError
@@ -148,10 +125,6 @@ class RankCodeHandle:
     def iter_rows(self):
         for i in range(self.size):
             yield self.rows_at(i)
-
-    def __iter__(self):
-        for i in range(self.size):
-            yield self.at(i)
 
     def rank_of(self, i) -> int:
         field = base_field(self.q)
@@ -211,12 +184,6 @@ class GabidulinHandle(RankCodeHandle):
             i, r = divmod(i, self.Q)
             digits.append(r)
         return tuple(reversed(digits))  # c_0 first
-
-    def index_of_coefficients(self, coeffs) -> int:
-        i = 0
-        for c in coeffs:
-            i = i * self.Q + c
-        return i
 
     def _internal_rows(self, coeffs):
         ext = self.ext
@@ -292,48 +259,6 @@ class GabidulinHandle(RankCodeHandle):
         low, *high = self._xor_tables()
         for parts in product(*reversed(high)):
             yield low ^ reduce(xor, parts, 0)
-
-    def poly_at(self, i) -> LinearizedPoly:
-        return LinearizedPoly(self.ext, self.coefficients_at(i))
-
-    def index_of(self, M: MatrixGF):
-        """Index of a codeword matrix, or None if not in the code."""
-        rows = M.rows
-        if self.transposed:
-            rows = list(zip(*rows))
-        ext = self.ext
-        targets = [ext.vector_to_element(r) for r in rows]
-        # solve gpow . c = targets for c (a equations, t unknowns over GF(Q))
-        aug = [[self.gpow[j][s] for s in range(self.t)] + [targets[j]]
-               for j in range(self.a)]
-        ncols = self.t + 1
-        pivots = []
-        r = 0
-        for col in range(self.t):
-            piv = next((i2 for i2 in range(r, self.a) if aug[i2][col]), None)
-            if piv is None:
-                continue
-            aug[r], aug[piv] = aug[piv], aug[r]
-            scale = ext.inv(aug[r][col])
-            aug[r] = [ext.mul(scale, v) for v in aug[r]]
-            for i2 in range(self.a):
-                if i2 != r and aug[i2][col]:
-                    c = aug[i2][col]
-                    aug[i2] = [ext.sub(v, ext.mul(c, w)) for v, w in zip(aug[i2], aug[r])]
-            pivots.append(col)
-            r += 1
-        # consistency of the remaining equations
-        for i2 in range(r, self.a):
-            if aug[i2][self.t]:
-                return None
-        if len(pivots) < self.t:
-            return None
-        coeffs = [0] * self.t
-        for row_idx, col in enumerate(pivots):
-            coeffs[col] = aug[row_idx][self.t]
-        if self.rows_at(self.index_of_coefficients(coeffs)) != [tuple(r) for r in M.rows]:
-            return None
-        return self.index_of_coefficients(coeffs)
 
 
 class NestedSubcodeHandle(GabidulinHandle):

@@ -7,8 +7,7 @@ so equality, hashing, and file ordering are all structural.
 from __future__ import annotations
 
 from .gf import FieldSpec
-from .linalg import (DimensionError, MatrixGF, PivotVector, pack_row, rank_rows,
-                     rref, rref_bits, unpack_row)
+from .linalg import DimensionError, MatrixGF, PivotVector, pack_row, rank_rows, rref
 
 
 class EmptySubspaceError(ValueError):
@@ -39,11 +38,6 @@ class Subspace:
     def from_rows(field: FieldSpec, rows, n: int) -> "Subspace":
         return Subspace.from_matrix(MatrixGF(field, rows, ncols=n))
 
-    @staticmethod
-    def from_packed(field: FieldSpec, packed_rows, n: int) -> "Subspace":
-        """q = 2 only: rows already in canonical RREF, bit-packed."""
-        return Subspace(field, n, [unpack_row(r, n) for r in packed_rows])
-
     # -- identity ------------------------------------------------------
 
     def __eq__(self, other):
@@ -64,15 +58,6 @@ class Subspace:
 
     def packed_rows(self):
         return [pack_row(r) for r in self.gen.rows]
-
-    def key(self) -> int:
-        """Canonical integer key: generator entries in row-major base-q order."""
-        q = self.field.q
-        x = self.k
-        for row in self.gen.rows:
-            for v in row:
-                x = x * q + v
-        return x
 
     # -- serialization -------------------------------------------------
 
@@ -143,30 +128,16 @@ def orthogonal_complement(U: Subspace) -> Subspace:
     """Complement under the standard bilinear form sum(u_i v_i)."""
     f = U.field
     n = U.n
-    if f.q == 2:
-        # nullspace of gen: solve x . row = 0 for all rows
-        rows = [pack_row(r) for r in U.gen.rows]
-        red, pivots = rref_bits(rows, n)
-        free = [j for j in range(n) if j not in pivots]
-        basis = []
-        for j in free:
-            vec = [0] * n
-            vec[j] = 1
-            for r, p in zip(red, pivots):
-                if (r >> (n - 1 - j)) & 1:
-                    vec[p] = 1
-            basis.append(tuple(vec))
-        if not basis:
-            return Subspace(f, n, [])
-        return Subspace.from_rows(f, basis, n)
-    from .linalg import _rref_rows
-    red, pivots = _rref_rows(f, U.gen.rows, n)
-    free = [j for j in range(n) if j not in pivots]
+    res = rref(U.gen)
+    pivots = [j for j in range(n) if res.pivots.bits[j]]
     basis = []
-    for j in free:
+    for j in range(n):
+        if res.pivots.bits[j]:
+            continue
+        # free column j: x_j = 1, each pivot variable solves its row's equation
         vec = [0] * n
         vec[j] = 1
-        for r, p in zip(red, pivots):
+        for r, p in zip(res.matrix.rows, pivots):
             vec[p] = f.neg(r[j])
         basis.append(tuple(vec))
     if not basis:

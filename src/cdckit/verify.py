@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import gaussian_binomial, pack_row, rank_bits, rank_rows, unpack_row
+from .linalg import gaussian_binomial, rank_bits, rank_rows
 from .rankmetric import base_field
 from .subspace import Subspace
 
@@ -108,7 +108,7 @@ def _pair_rows_report(code, i, j):
     return [code.at(i).serialize(), code.at(j).serialize()]
 
 
-def full_pairwise_check(code, cap: int = FULL_CHECK_CAP, jobs: int = 1) -> VerificationReport:
+def full_pairwise_check(code, cap: int = FULL_CHECK_CAP) -> VerificationReport:
     """Exact minimum distance over all pairs; q = 2 uses a vectorized
     intersection-size kernel over vector-set bitmasks."""
     start = time.monotonic()
@@ -123,37 +123,21 @@ def full_pairwise_check(code, cap: int = FULL_CHECK_CAP, jobs: int = 1) -> Verif
     if code.field.q == 2 and code.n <= 20:
         masks = _subspace_masks(code, code.n)
         k = code.k
-
-        def shard(lo, hi):
-            best = 0  # max intersection size over the shard
-            bad = []
-            for i in range(lo, hi):
-                if i + 1 >= N:
-                    continue
-                inter = np.bitwise_count(masks[i + 1:] & masks[i]).sum(axis=1)
-                m = int(inter.max())
-                if m > best:
-                    best = m
-                dim_bad = k - (code.d_claim // 2)  # dim cap for distance >= d
-                thresh = 1 << (dim_bad + 1)
-                if m >= thresh:
-                    for off in np.nonzero(inter >= thresh)[0]:
-                        bad.append((i, i + 1 + int(off)))
-            return best, bad
-
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(lambda b: shard(b[0], b[1]),
-                                        [(N * t // jobs, N * (t + 1) // jobs)
-                                         for t in range(jobs)]))
-            best = max(r[0] for r in results)
-            pairs_bad = [p for r in results for p in r[1]]
-        else:
-            best, pairs_bad = shard(0, N)
+        dim_bad = k - (code.d_claim // 2)  # dim cap for distance >= d
+        thresh = 1 << (dim_bad + 1)
+        best = 0  # max intersection size over all pairs
+        pairs_bad = []
+        for i in range(N - 1):
+            inter = np.bitwise_count(masks[i + 1:] & masks[i]).sum(axis=1)
+            m = int(inter.max())
+            if m > best:
+                best = m
+            if m >= thresh:
+                for off in np.nonzero(inter >= thresh)[0]:
+                    pairs_bad.append((i, i + 1 + int(off)))
         max_inter_dim = best.bit_length() - 1  # |U ∩ W| = 2^dim
         min_dist = 2 * k - 2 * max_inter_dim
-        for (i, j) in sorted(pairs_bad):
+        for (i, j) in pairs_bad:
             d = 2 * k - 2 * (int(np.bitwise_count(masks[i] & masks[j]).sum()).bit_length() - 1)
             violations.append({"pair": _pair_rows_report(code, i, j), "distance": d})
     else:

@@ -20,6 +20,15 @@ def test_construct_unknown_recipe_is_usage_error(capsys):
     assert main(["construct", "--recipe", "nope", "--q", "2"]) == 2
 
 
+def test_removed_options_are_usage_errors(tmp_path, capsys):
+    out = tmp_path / "lm.cdc"
+    from cdckit.cdc import lifted_mrd
+    from cdckit.codefile import export
+    export(lifted_mrd(2, 6, 3, 4), out)
+    assert main(["verify", "--file", str(out), "--jobs", "2"]) == 2
+    assert main(["construct", "--recipe", "8_4_4", "--q", "2", "--seed", "0"]) == 2
+
+
 def test_construct_missing_import_is_precondition(capsys):
     assert main(["construct", "--recipe", "9_4_3", "--q", "2"]) == 4
 

@@ -1,7 +1,9 @@
 """Code file format: round-trips, golden-file byte stability, distinct
 error types, and subcode imports."""
 
+import hashlib
 import pathlib
+import time
 
 import pytest
 
@@ -30,6 +32,17 @@ def test_golden_file_byte_stability():
     assert dumps(c).encode("ascii") == golden
 
 
+# SHA-256 of q > 2 code files; they must not change with the field code
+@pytest.mark.parametrize("build,args,digest", [
+    (lifted_mrd, (3, 4, 2, 2), "4940f891e0546c7f1d0c95f8f82c76fa0a56d9b577b069677bc9ceeced3c3fce"),
+    (lifted_mrd, (4, 4, 2, 2), "78b56d7a8d61a2b6ba196667935e85c7704221c64477aa4824950af4537dd06f"),
+    (lifted_mrd, (9, 4, 2, 2), "41550c2fcd5356dde73efcbc7409ef598e8411bf7005bd1a78662450dba3c5e6"),
+    (spread, (9, 4, 2), "db1d63a4a8356e96447a24cd3c57d6d2975f5dd0daa041edf2fce4135e57f830"),
+])
+def test_golden_sha256_q_above_2(build, args, digest):
+    assert hashlib.sha256(dumps(build(*args)).encode("ascii")).hexdigest() == digest
+
+
 @pytest.mark.parametrize("q,pe", [(2, (2, 1)), (3, (3, 1)), (4, (2, 2)),
                                   (8, (2, 3)), (9, (3, 2))])
 def test_header_roundtrip_across_fields(q, pe):
@@ -44,6 +57,15 @@ def test_empty_code_roundtrip():
     c = Cdc(f, 4, 2, 4, words=[])
     c2 = loads(dumps(c))
     assert c2.size == 0
+
+
+def test_empty_code_roundtrip_gf_3_8():
+    # the header's field must not cost a q x q table (GF(3^8): 6561^2 entries)
+    start = time.monotonic()
+    c = Cdc(field_new(3, 8), 4, 2, 4, words=[])
+    c2 = loads(dumps(c))
+    assert time.monotonic() - start < 5
+    assert c2.size == 0 and c2.field == c.field
 
 
 def test_error_types_are_distinct():

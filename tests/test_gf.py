@@ -1,6 +1,9 @@
 """Field arithmetic: exhaustive axiom checks for every prime power up
 to 16, plus extension-field structure."""
 
+import random
+import time
+
 import pytest
 
 from cdckit.gf import FieldError, FieldSpec, ExtFieldSpec, ext_field, field_new, is_prime
@@ -57,6 +60,25 @@ def test_pow_matches_repeated_mul(q):
     for a in f.elements():
         if a:
             assert f.pow(a, q - 1) == 1
+
+
+def test_gf_3_8_builds_fast_and_satisfies_axioms():
+    # odd characteristic must not cost a q x q addition table (6561^2 here)
+    start = time.monotonic()
+    f = FieldSpec(3, 8)
+    assert time.monotonic() - start < 5
+    assert f.q == 6561
+    rng = random.Random(38)
+    for _ in range(200):
+        a, b, c = (rng.randrange(f.q) for _ in range(3))
+        assert f.add(a, b) == f.add(b, a)
+        assert f.mul(a, b) == f.mul(b, a)
+        assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
+        assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+        assert f.add(a, f.neg(a)) == 0 and f.sub(f.add(a, b), b) == a
+        if a:
+            assert f.mul(a, f.inv(a)) == 1
 
 
 def test_is_prime():
