@@ -7,8 +7,11 @@ deterministic stream with exact size and random access by index.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import or_
+
 from .gf import FieldSpec, ext_field
-from .linalg import MatrixGF, matmul, pack_row
+from .linalg import MatrixGF, matmul, rref_bits, rref_rows, unpack_row
 from .rankmetric import (GabidulinHandle, RankCodeHandle, base_field,
                          gabidulin_mrd, nested_subcode)
 from .subspace import Subspace, intersection_dim
@@ -21,61 +24,114 @@ class CdcError(ValueError):
 
 
 class StreamSource:
-    """Deterministic random-access codeword stream (canonical RREF rows)."""
+    """Deterministic random-access codeword stream (canonical RREF rows).
+
+    q = 2 sources yield bit-packed words; their rows are unpacked from
+    those here.  Sources over larger fields override rows_at."""
 
     size = 0
 
-    def packed_at(self, i):  # q = 2 fast path
-        return tuple(pack_row(r) for r in self.rows_at(i))
-
-    def rows_at(self, i):  # pragma: no cover - abstract
+    def packed_at(self, i):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def iter_packed(self):
-        for i in range(self.size):
-            yield self.packed_at(i)
+    def rows_at(self, i):
+        return tuple(unpack_row(r, self.n) for r in self.packed_at(i))
 
     def iter_rows(self):
-        for i in range(self.size):
-            yield self.rows_at(i)
+        if self.field.q != 2:
+            for i in range(self.size):
+                yield self.rows_at(i)
+            return
+        n = self.n
+        for word in self.iter_packed():
+            yield tuple(unpack_row(r, n) for r in word)
 
 
 class ListSource(StreamSource):
+    """Materialized codewords; over GF(2) they are packed once, here."""
+
     def __init__(self, subspaces):
         self.words = list(subspaces)
         self.size = len(self.words)
+        over_gf2 = not self.words or self.words[0].field.q == 2
+        self.packed = [tuple(w.packed_rows()) for w in self.words] if over_gf2 else None
+
+    def packed_at(self, i):
+        return self.packed[i]
 
     def rows_at(self, i):
         return self.words[i].gen.rows
 
+    def iter_packed(self):
+        return iter(self.packed)
+
+    def iter_rows(self):
+        for w in self.words:
+            yield w.gen.rows
+
+
+class ProductSource(StreamSource):
+    """Word i puts one word of each factor (a rank-metric handle or a stream
+    source) in that factor's columns, factor indices in mixed-radix order
+    with the last factor fastest; with `reduce` (a leading block other than
+    the pivot block) the word is brought to RREF.  This is the lifting
+    R(tau(U) | M) and, over several blocks, the linkage construction."""
+
+    def __init__(self, field, factors, widths, reduce=False):
+        self.field = field
+        self.factors = list(factors)
+        self.n = sum(widths)
+        self.reduce = reduce
+        self.size = 1
+        for f in self.factors:
+            self.size *= f.size
+        self.last = self.factors[-1]  # in the lowest columns: no shift
+        # (factor, column shift, radix) of the other factors, right to left
+        self._head = [(f, sum(widths[j + 1:]), f.size)
+                      for j, f in reversed(list(enumerate(self.factors[:-1])))]
+
+    def _join(self, i, rows):
+        """rows OR the words of all factors but the last at their digits of
+        the mixed-radix index i, each in its columns."""
+        for f, sh, size in self._head:
+            i, j = divmod(i, size)
+            rows = [r | (x << sh) for r, x in zip(rows, f.packed_at(j))]
+        return rows
+
     def packed_at(self, i):
-        return tuple(self.words[i].packed_rows())
-
-
-class LiftedMrdSource(StreamSource):
-    """Codewords R(I_k | M) for M in a k x (n-k) rank-metric handle."""
-
-    def __init__(self, handle: RankCodeHandle):
-        self.handle = handle
-        self.k = handle.m
-        self.n = handle.m + handle.n
-        self.size = handle.size
-        self._unit = [1 << (self.n - 1 - j) for j in range(self.k)]
-
-    def packed_at(self, i):
-        rows = self.handle.packed_at(i)
-        return tuple(u | r for u, r in zip(self._unit, rows))
+        if not 0 <= i < self.size:
+            raise IndexError(i)
+        i, j = divmod(i, self.last.size)
+        rows = self._join(i, self.last.packed_at(j))
+        return tuple(rref_bits(rows, self.n)[0] if self.reduce else rows)
 
     def rows_at(self, i):
-        k = self.k
-        rows = self.handle.rows_at(i)
-        return tuple(tuple(1 if c == j else 0 for c in range(k)) + tuple(r)
-                     for j, r in enumerate(rows))
+        if self.field.q == 2:
+            return super().rows_at(i)
+        if not 0 <= i < self.size:
+            raise IndexError(i)
+        i, j = divmod(i, self.last.size)
+        parts = [self.last.rows_at(j)]
+        for f, _, size in self._head:
+            i, j = divmod(i, size)
+            parts.append(f.rows_at(j))
+        rows = [sum(map(tuple, row), ()) for row in zip(*reversed(parts))]
+        return tuple(rref_rows(self.field, rows, self.n)[0] if self.reduce else rows)
 
     def iter_packed(self):
-        unit = self._unit
-        for rows in self.handle.iter_packed():
-            yield tuple(u | r for u, r in zip(unit, rows))
+        """The last factor's stream (already in the lowest columns) under
+        each index prefix of the other factors."""
+        if not self.size:
+            return
+        last, n = self.last, self.n
+        for prefix in range(self.size // last.size):
+            base = self._join(prefix, repeat(0))  # narrows to the factors' row count
+            if self.reduce:
+                for word in last.iter_packed():
+                    yield tuple(rref_bits(map(or_, base, word), n)[0])
+            else:
+                for word in last.iter_packed():
+                    yield tuple(map(or_, base, word))
 
 
 class Cdc:
@@ -119,30 +175,32 @@ class Cdc:
     def __repr__(self):
         return f"Cdc(n={self.n}, k={self.k}, d>={self.d_claim}, q={self.field.q}, size={self.size})"
 
+    @property
+    def source(self) -> StreamSource:
+        """The codeword stream; a materialized code is listed once."""
+        if self._stream is None:
+            self._stream = ListSource(self._words)
+        return self._stream
+
     def at(self, i) -> Subspace:
         if self._words is not None:
             return self._words[i]
-        return Subspace(self.field, self.n,
-                        [tuple(r) for r in self._stream.rows_at(i)])
+        return Subspace(self.field, self.n, self._stream.rows_at(i))
 
     def packed_at(self, i):
-        if self._words is not None:
+        if self._stream is None:  # random access packs one word, not the list
             return tuple(self._words[i].packed_rows())
-        return tuple(self._stream.packed_at(i))
+        return self._stream.packed_at(i)
 
     def iter_packed(self):
-        if self._words is not None:
-            for w in self._words:
-                yield tuple(w.packed_rows())
-        else:
-            yield from self._stream.iter_packed()
+        yield from self.source.iter_packed()
 
     def __iter__(self):
         if self._words is not None:
             yield from self._words
         else:
             for rows in self._stream.iter_rows():
-                yield Subspace(self.field, self.n, [tuple(r) for r in rows])
+                yield Subspace(self.field, self.n, rows)
 
     def words(self, cap: int = MATERIALIZE_CAP):
         """Materialize the codeword list (checks the duplicate invariant)."""
@@ -172,13 +230,25 @@ class SpreadFamily:
         return self.members[i]
 
 
+def _single_full(q, n):
+    field = base_field(q)
+    return Cdc(field, n, n, 2 * n,
+               words=[Subspace(field, n, MatrixGF.identity(field, n).rows)],
+               provenance={"kind": "single_full"})
+
+
+def _lifted(q, handle: RankCodeHandle) -> ProductSource:
+    """Codewords R(I_k | M) for M in a k x m rank-metric handle."""
+    return ProductSource(base_field(q), [_single_full(q, handle.m).source, handle],
+                         (handle.m, handle.n))
+
+
 def lifted_mrd(q: int, n: int, k: int, d: int) -> Cdc:
     """The CDC {R(I_k | M)} over a (k x (n-k), d/2)_q MRD code."""
     if d % 2 or d // 2 > k or k >= n:
         raise CdcError(f"bad lifted-MRD parameters (n={n}, k={k}, d={d})")
     handle = gabidulin_mrd(q, k, n - k, d // 2)
-    src = LiftedMrdSource(handle)
-    c = Cdc(base_field(q), n, k, d, stream=src,
+    c = Cdc(base_field(q), n, k, d, stream=_lifted(q, handle),
             provenance={"kind": "lifted_mrd", "q": q, "n": n, "k": k, "d": d})
     c.lmrd_handle = handle
     if c.size <= MATERIALIZE_CAP:
@@ -210,8 +280,7 @@ def spread(q: int, n: int, k: int) -> Cdc:
     field = base_field(q)
     t = n // k
     if t == 1:
-        full = Subspace(field, n, MatrixGF.identity(field, n).rows)
-        return Cdc(field, n, k, 2 * k, words=[full],
+        return Cdc(field, n, k, 2 * k, words=_single_full(q, n).words(),
                    provenance={"kind": "spread", "q": q, "n": n, "k": k})
     ext = ext_field(field, k)
     words = []
@@ -363,9 +432,7 @@ def partial_spread_subcode(c: Cdc, strategy: str = "lmrd_nested") -> Cdc:
         if handle is None or not isinstance(handle, GabidulinHandle):
             raise CdcError("no lifted-MRD provenance on this code")
         sub = handle if handle.d_r == k else nested_subcode(handle, k)
-        src = LiftedMrdSource(sub)
-        chosen = [Subspace(c.field, c.n, [tuple(r) for r in src.rows_at(i)])
-                  for i in range(src.size)]
+        chosen = [Subspace(c.field, c.n, rows) for rows in _lifted(c.field.q, sub).iter_rows()]
         # complete greedily with disjoint codewords from the rest of the code
         if c.materialized or c.size <= MATERIALIZE_CAP:
             have = set(w.gen.rows for w in chosen)

@@ -111,7 +111,7 @@ def _parse_header(fh):
         mod = tuple(int(v) for v in header["MOD"].split(","))
     except ValueError as exc:
         raise HeaderError(f"non-numeric header field: {exc}") from None
-    if q != p ** e:
+    if not 1 <= e <= 62 or q != p ** e:  # orders stop at 2^62; no huge power
         raise HeaderError(f"Q={q} is not P^E={p}^{e}")
     if count < 0 or n <= 0 or k < 0 or k > n:
         raise HeaderError(f"inconsistent parameters n={n}, k={k}, count={count}")

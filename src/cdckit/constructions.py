@@ -10,11 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .cdc import (Cdc, ListSource, MATERIALIZE_CAP, StreamSource,
-                  lifted_mrd, parallelism_2_of_F_q4, partial_spread_subcode,
-                  spread)
-from .linalg import (MatrixGF, inverse, matmul, pack_row, rank_bits,
-                     rank_rows, rref_bits, unpack_row)
+from .cdc import (Cdc, ListSource, MATERIALIZE_CAP, ProductSource, StreamSource,
+                  _single_full, lifted_mrd, parallelism_2_of_F_q4,
+                  partial_spread_subcode, spread)
+from .linalg import MatrixGF, inverse, matmul, pack_row, rank_bits, rank_rows, rref_bits
 from .rankmetric import (GabidulinHandle, base_field, coset_partition,
                          gabidulin_mrd, mrd_size, nested_subcode,
                          rank_distribution, rank_filtered)
@@ -159,13 +158,21 @@ class NdkSequence:
             return False
         if code.provenance.get("kind") != "lifted_mrd":
             return False
-        k, n = code.k, code.n
-        unit = Subspace(code.field, n,
-                        [tuple(1 if c == j else 0 for c in range(n)) for j in range(k)])
-        hole = Subspace(code.field, n,
-                        [tuple(1 if c == k + j else 0 for c in range(n))
-                         for j in range(n - k)])
-        return e.witness_u == unit and e.witness_s == hole
+        ref = _lmrd_entry(code)
+        return e.witness_u == ref.witness_u and e.witness_s == ref.witness_s
+
+
+def _coordinate_subspace(field, n, lo, hi):
+    """The span of the unit vectors e_lo, ..., e_(hi-1) of F^n."""
+    return Subspace(field, n, [tuple(1 if c == j else 0 for c in range(n))
+                               for j in range(lo, hi)])
+
+
+def _lmrd_entry(lm: Cdc) -> SeqEntry:
+    """A lifted MRD code with the unit codeword R(I | 0) as witness codeword
+    and the lifting hole (the last n-k coordinates) as witness subspace."""
+    return SeqEntry(lm, _coordinate_subspace(lm.field, lm.n, 0, lm.k),
+                    _coordinate_subspace(lm.field, lm.n, lm.k, lm.n))
 
 
 # ----------------------------------------------------------------------
@@ -187,145 +194,6 @@ class _DropFirst:
         return self.view.rows_at(i + 1)
 
 
-class LinkageSource(StreamSource):
-    """Block i concatenates low-rank prefixes, tau(U_i), and free MRD words."""
-
-    def __init__(self, profile: CompositionProfile, C, M, left):
-        self.profile = profile
-        self.q = profile.q
-        self.C = C
-        self.M = M
-        self.left = left  # restricted prefix views, one per block
-        self.n = profile.n
-        self.k = profile.k
-        offs = profile.offsets()
-        self.offs = offs
-        self.shifts = [self.n - offs[j + 1] for j in range(profile.l)]
-        self.block_factors = []
-        self.block_sizes = []
-        l = profile.l
-        for i in range(l):
-            factors = [("left", j) for j in range(i)] + [("C", i)] \
-                + [("M", j) for j in range(i + 1, l)]
-            sizes = [self._factor_size(f) for f in factors]
-            total = 1
-            for s in sizes:
-                total *= s
-            self.block_factors.append((factors, sizes))
-            self.block_sizes.append(total)
-        self.size = sum(self.block_sizes)
-
-    def _factor_size(self, f):
-        kind, j = f
-        if kind == "left":
-            return self.left[j].size
-        if kind == "C":
-            return self.C[j].size
-        return self.M[j].size
-
-    def _factor_packed(self, f, idx):
-        kind, j = f
-        if kind == "left":
-            return self.left[j].packed_at(idx)
-        if kind == "C":
-            return self.C[j].packed_at(idx)
-        return self.M[j].packed_at(idx)
-
-    def _factor_rows(self, f, idx):
-        kind, j = f
-        if kind == "left":
-            return self.left[j].rows_at(idx)
-        if kind == "C":
-            return self.C[j].at(idx).gen.rows
-        return self.M[j].rows_at(idx)
-
-    def _decompose(self, i):
-        for b, sz in enumerate(self.block_sizes):
-            if i < sz:
-                break
-            i -= sz
-        else:
-            raise IndexError(i)
-        factors, sizes = self.block_factors[b]
-        idxs = [0] * len(factors)
-        rem = i
-        for pos in range(len(factors) - 1, -1, -1):
-            rem, idxs[pos] = divmod(rem, sizes[pos])
-        return b, factors, idxs
-
-    def _assemble(self, block, cols):
-        rows = [0] * self.k
-        for j, mat in cols.items():
-            sh = self.shifts[j]
-            for r in range(self.k):
-                rows[r] |= mat[r] << sh
-        if block == 0:
-            return tuple(rows)  # tau(U_1) leads: already canonical
-        red, _ = rref_bits(rows, self.n)
-        return tuple(red)
-
-    def packed_at(self, i):
-        b, factors, idxs = self._decompose(i)
-        cols = {f[1]: self._factor_packed(f, idx) for f, idx in zip(factors, idxs)}
-        return self._assemble(b, cols)
-
-    def rows_at(self, i):
-        if self.q == 2:
-            return tuple(unpack_row(r, self.n) for r in self.packed_at(i))
-        b, factors, idxs = self._decompose(i)
-        cols = {f[1]: self._factor_rows(f, idx) for f, idx in zip(factors, idxs)}
-        rows = []
-        for r in range(self.k):
-            row = []
-            for j in range(self.profile.l):
-                row.extend(cols[j][r])
-            rows.append(tuple(row))
-        if b == 0:
-            return tuple(rows)
-        from .linalg import _rref_rows
-        red, _ = _rref_rows(base_field(self.q), rows, self.n)
-        return tuple(red)
-
-    def iter_packed(self):
-        for b in range(self.profile.l):
-            factors, sizes = self.block_factors[b]
-            if 0 in sizes:
-                continue
-            # fast path: single big trailing MRD factor, everything else fixed
-            last = factors[-1]
-            if last[0] == "M" and all(s == 1 for s in sizes[:-1]):
-                base = [0] * self.k
-                for f in factors[:-1]:
-                    mat = self._factor_packed(f, 0)
-                    sh = self.shifts[f[1]]
-                    for r in range(self.k):
-                        base[r] |= mat[r] << sh
-                sh = self.shifts[last[1]]
-                handle = self.M[last[1]]
-                if b == 0:
-                    for mat in handle.iter_packed():
-                        yield tuple(r | (m << sh) for r, m in zip(base, mat))
-                else:
-                    for mat in handle.iter_packed():
-                        rows = [r | (m << sh) for r, m in zip(base, mat)]
-                        red, _ = rref_bits(rows, self.n)
-                        yield tuple(red)
-                continue
-            for idxs in iproduct(*[range(s) for s in sizes]):
-                cols = {f[1]: self._factor_packed(f, idx)
-                        for f, idx in zip(factors, idxs)}
-                yield self._assemble(b, cols)
-
-    def block_metadata(self):
-        meta = []
-        start = 0
-        for b, sz in enumerate(self.block_sizes):
-            meta.append({"start": start, "count": sz,
-                         "col_start": self.offs[b], "col_end": self.offs[b + 1]})
-            start += sz
-        return meta
-
-
 def multiblock_linkage(profile: CompositionProfile, C, M, left=None) -> Cdc:
     """Union of the l linkage blocks; exact size by the product-sum rule."""
     profile.validate()
@@ -340,10 +208,21 @@ def multiblock_linkage(profile: CompositionProfile, C, M, left=None) -> Cdc:
             raise ConstructionError(f"rank-metric code must be {k}x{ni} with d_r >= {d // 2}")
     if left is None:
         left = [rank_filtered(mi, k - d // 2) for mi in M]
-    src = LinkageSource(profile, C, M, left)
-    c = Cdc(base_field(q), profile.n, k, d, stream=src,
+    field = base_field(q)
+    # block i: low-rank prefixes left of tau(U_i), free MRD words right of it
+    blocks = [ProductSource(field, [*left[:i], C[i].source, *M[i + 1:]], profile.nbar,
+                            reduce=i > 0)
+              for i in range(profile.l)]
+    offs = profile.offsets()
+    meta = []
+    start = 0
+    for i, blk in enumerate(blocks):
+        meta.append({"start": start, "count": blk.size,
+                     "col_start": offs[i], "col_end": offs[i + 1]})
+        start += blk.size
+    c = Cdc(field, profile.n, k, d, stream=UnionSource(blocks),
             provenance={"kind": "multiblock_linkage", "q": q,
-                        "nbar": profile.nbar, "blocks": src.block_metadata()})
+                        "nbar": profile.nbar, "blocks": meta})
     # block 1 is a lifted MRD code when tau(U_1) is the identity
     if profile.l == 2 and C[0].size == 1 and profile.nbar[0] == k \
             and isinstance(M[1], GabidulinHandle):
@@ -546,11 +425,8 @@ def xi_extension(profile: CompositionProfile, addon: Cdc) -> Cdc:
     if (n1 - a1) + a2 != profile.k or (n2 - a2) + a1 != profile.k:
         raise ConstructionError("hole + partner dimensions do not give k")
     holes = []
-    for i, (a, ni) in enumerate(zip(profile.abar, profile.nbar)):
-        lo = offs[i] + a
-        rows = [tuple(1 if c == lo + j else 0 for c in range(n))
-                for j in range(ni - a)]
-        holes.append(Subspace(field, n, rows))
+    for i, a in enumerate(profile.abar):
+        holes.append(_coordinate_subspace(field, n, offs[i] + a, offs[i + 1]))
     embedded_first = []
     for i in range(2):
         pad_l = offs[i]
@@ -578,43 +454,6 @@ def xi_extension(profile: CompositionProfile, addon: Cdc) -> Cdc:
 # pairing construction
 # ----------------------------------------------------------------------
 
-class PairingSource(StreamSource):
-    def __init__(self, n1, n2, k, C0, handle, sums):
-        self.n = n1 + n2
-        self.n2 = n2
-        self.k = k
-        self.C0 = C0
-        self.handle = handle
-        self.sums = sums  # direct-sum Subspace values
-        self.lift_size = C0.size * handle.size
-        self.size = self.lift_size + len(sums)
-
-    def packed_at(self, i):
-        if i < self.lift_size:
-            u, m = divmod(i, self.handle.size)
-            tau = self.C0.packed_at(u)
-            mat = self.handle.packed_at(m)
-            return tuple((t << self.n2) | r for t, r in zip(tau, mat))
-        return tuple(self.sums[i - self.lift_size].packed_rows())
-
-    def rows_at(self, i):
-        if i < self.lift_size:
-            u, m = divmod(i, self.handle.size)
-            tau = self.C0.at(u).gen.rows
-            mat = self.handle.rows_at(m)
-            return tuple(tuple(t) + tuple(r) for t, r in zip(tau, mat))
-        return self.sums[i - self.lift_size].gen.rows
-
-    def iter_packed(self):
-        n2 = self.n2
-        for u in range(self.C0.size):
-            tau = self.C0.packed_at(u)
-            for mat in self.handle.iter_packed():
-                yield tuple((t << n2) | r for t, r in zip(tau, mat))
-        for w in self.sums:
-            yield tuple(w.packed_rows())
-
-
 def pairing_construction(nbar2, abar2, bbar2, C0: Cdc, C1: Cdc, C2: Cdc,
                          d: int) -> Cdc:
     """Lift C0 over the second block and append one-to-one direct sums of
@@ -641,8 +480,8 @@ def pairing_construction(nbar2, abar2, bbar2, C0: Cdc, C1: Cdc, C2: Cdc,
     profile = CompositionProfile(q, k, d, (n1, n2), (a1, a2), (b1, b2))
     sums = [_direct_sum_subspace(profile, C0.field, (u1, u2))
             for u1, u2 in zip(ones, twos)]
-    src = PairingSource(n1, n2, k, C0, handle, sums)
-    return Cdc(C0.field, n1 + n2, k, d, stream=src,
+    lifted = ProductSource(C0.field, [C0.source, handle], (n1, n2))
+    return Cdc(C0.field, n1 + n2, k, d, stream=UnionSource([lifted, ListSource(sums)]),
                provenance={"kind": "pairing", "nbar": (n1, n2),
                            "abar": (a1, a2), "bbar": (b1, b2)})
 
@@ -651,28 +490,19 @@ def pairing_construction(nbar2, abar2, bbar2, C0: Cdc, C1: Cdc, C2: Cdc,
 # duplication
 # ----------------------------------------------------------------------
 
-class DuplicationSource(StreamSource):
-    """Codewords of A inside the added s coordinates, then for each part
-    C_i a re-embedded copy of D_{r-i} inside <U, S> for every U in C_i."""
+class _ReembedSource(StreamSource):
+    """For each frame (the rows of U above the unit rows of the s added
+    coordinates) and each G' (a codeword of D in the (U*, S*) basis), the
+    RREF of G' times the frame."""
 
-    def __init__(self, k, s, t, a_words, blocks):
-        self.n = k + s + t
-        self.k = k
-        self.s = s
-        self.a_words = a_words  # packed rows, width n
-        self.blocks = blocks  # list of (frames, d_descriptor)
-        self.size = len(a_words)
-        self.block_sizes = []
-        for frames, desc in blocks:
-            sz = len(frames) * desc["size"]
-            self.block_sizes.append(sz)
-            self.size += sz
+    def __init__(self, field, n, frames, gprime):
+        self.field = field
+        self.n = n
+        self.frames = frames
+        self.gprime = gprime
+        self.size = len(frames) * len(gprime)
 
-    def _word(self, frame, desc, d_idx):
-        if desc["kind"] == "fast_lmrd":
-            mat = desc["handle"].packed_at(d_idx)
-            return tuple(fr | m for fr, m in zip(frame, mat))
-        gp = desc["gprime"][d_idx]
+    def _word(self, frame, gp):
         width = len(frame)
         rows = []
         for g in gp:
@@ -681,51 +511,32 @@ class DuplicationSource(StreamSource):
                 if (g >> (width - 1 - c)) & 1:
                     acc ^= frame[c]
             rows.append(acc)
-        red, _ = rref_bits(rows, self.n)
-        return tuple(red)
+        return tuple(rref_bits(rows, self.n)[0])
 
     def packed_at(self, i):
-        if i < len(self.a_words):
-            return self.a_words[i]
-        i -= len(self.a_words)
-        for (frames, desc), sz in zip(self.blocks, self.block_sizes):
-            if i < sz:
-                u_idx, d_idx = divmod(i, desc["size"])
-                return self._word(frames[u_idx], desc, d_idx)
-            i -= sz
-        raise IndexError(i)
-
-    def rows_at(self, i):
-        return tuple(unpack_row(r, self.n) for r in self.packed_at(i))
+        u, j = divmod(i, len(self.gprime))
+        return self._word(self.frames[u], self.gprime[j])
 
     def iter_packed(self):
-        yield from self.a_words
-        for frames, desc in self.blocks:
-            if desc["kind"] == "fast_lmrd":
-                handle = desc["handle"]
-                for frame in frames:
-                    for mat in handle.iter_packed():
-                        yield tuple(fr | m for fr, m in zip(frame, mat))
-            else:
-                for frame in frames:
-                    for d_idx in range(desc["size"]):
-                        yield self._word(frame, desc, d_idx)
+        for frame in self.frames:
+            for gp in self.gprime:
+                yield self._word(frame, gp)
 
 
-def _d_descriptor(entry: SeqEntry, k, s):
+def _reembedded(entry: SeqEntry, part, field, k, s, t) -> StreamSource:
+    """A copy of the sequence code D inside <U, S> for every U in the part."""
     code = entry.code
     if NdkSequence._is_lmrd_with_hole(entry):
-        return {"kind": "fast_lmrd", "handle": code.lmrd_handle,
-                "size": code.size}
+        # R(I | M) re-embedded above U is [U | M]
+        return ProductSource(field, [ListSource(part), code.lmrd_handle], (k + t, s))
     # general path: express each codeword in the (U*, S*) basis
     P = MatrixGF(code.field, entry.witness_u.gen.rows + entry.witness_s.gen.rows,
                  ncols=k + s)
     Pinv = inverse(P)
-    gprime = []
-    for w in code.words():
-        G = matmul(w.gen, Pinv)
-        gprime.append(tuple(pack_row(rw) for rw in G.rows))
-    return {"kind": "general", "gprime": gprime, "size": code.size}
+    gprime = [tuple(pack_row(rw) for rw in matmul(w.gen, Pinv).rows) for w in code.words()]
+    frames = [[rw << s for rw in u.packed_rows()] + [1 << (s - 1 - j) for j in range(s)]
+              for u in part]
+    return _ReembedSource(field, k + s + t, frames, gprime)
 
 
 def duplication(partition: DistancePartition, seq: NdkSequence, A: Cdc,
@@ -749,22 +560,16 @@ def duplication(partition: DistancePartition, seq: NdkSequence, A: Cdc,
         seq.validate()
     n = k + s + t
     r = partition.r
-    a_words = [tuple(w.packed_rows()) for w in A.words()]
-    blocks = []
+    pad = (0,) * (k + t)
+    parts = [ListSource(Subspace(C.field, n, [pad + row for row in w.gen.rows])
+                        for w in A.words())]
     expected = A.size
     for i, part in enumerate(partition.parts):
-        if not part:
-            continue
-        entry = seq.entries[r - i]
-        frames = []
-        for u in part:
-            frame = [rw << s for rw in u.packed_rows()] \
-                + [1 << (s - 1 - j) for j in range(s)]
-            frames.append(frame)
-        desc = _d_descriptor(entry, k, s)
-        blocks.append((frames, desc))
-        expected += len(part) * desc["size"]
-    src = DuplicationSource(k, s, t, a_words, blocks)
+        if part:
+            entry = seq.entries[r - i]
+            parts.append(_reembedded(entry, part, C.field, k, s, t))
+            expected += len(part) * entry.code.size
+    src = UnionSource(parts)
     if src.size != expected:
         raise ConstructionError("size bookkeeping mismatch")
     return Cdc(C.field, n, k, C.d_claim, stream=src,
@@ -781,11 +586,12 @@ class UnionSource(StreamSource):
         self.size = sum(p.size for p in parts)
 
     def _locate(self, i):
+        if not 0 <= i < self.size:
+            raise IndexError(i)
         for p in self.parts:
             if i < p.size:
                 return p, i
             i -= p.size
-        raise IndexError(i)
 
     def packed_at(self, i):
         p, j = self._locate(i)
@@ -802,13 +608,6 @@ class UnionSource(StreamSource):
     def iter_rows(self):
         for p in self.parts:
             yield from p.iter_rows()
-
-
-def _single_full(q, n):
-    field = base_field(q)
-    return Cdc(field, n, n, 2 * n,
-               words=[Subspace(field, n, MatrixGF.identity(field, n).rows)],
-               provenance={"kind": "single_full"})
 
 
 def _dual_spread(sp: Cdc) -> Cdc:
@@ -981,13 +780,7 @@ def recipe_12_4_4_thm(q):
     c0_keys = set(w.gen.rows for w in c0.words())
     rest = [w for w in base.words() if w.gen.rows not in c0_keys]
     part = DistancePartition(base, [list(c0.words()), [], rest])
-    lm = lifted_mrd(q, 8, 4, 4)
-    field = base.field
-    unit = Subspace(field, 8, [tuple(1 if c == j else 0 for c in range(8))
-                               for j in range(4)])
-    hole = Subspace(field, 8, [tuple(1 if c == 4 + j else 0 for c in range(8))
-                               for j in range(4)])
-    entry_lmrd = SeqEntry(lm, unit, hole)
+    entry_lmrd = _lmrd_entry(lifted_mrd(q, 8, 4, 4))
     seq = NdkSequence([entry_lmrd, entry_lmrd, _sequence_entry_from_code(base)])
     A = _single_full(q, 4)
     return duplication(part, seq, A), size_12_4_4_thm(q)
@@ -1061,7 +854,6 @@ def recipe_3k_4_k(q, k, base: Cdc | None = None):
 
 def _duplication_from_imported(q, base: Cdc, base_subcode, seq_code: Cdc,
                                c0_target):
-    field = base.field
     if base_subcode is not None:
         c0_words = list(base_subcode.words())
     else:
@@ -1070,12 +862,7 @@ def _duplication_from_imported(q, base: Cdc, base_subcode, seq_code: Cdc,
     c0_keys = set(w.gen.rows for w in c0_words)
     rest = [w for w in base.words() if w.gen.rows not in c0_keys]
     part = DistancePartition(base, [c0_words, rest])
-    lm = lifted_mrd(q, 6, 3, 4)
-    unit = Subspace(field, 6, [tuple(1 if c == j else 0 for c in range(6))
-                               for j in range(3)])
-    hole = Subspace(field, 6, [tuple(1 if c == 3 + j else 0 for c in range(6))
-                               for j in range(3)])
-    seq = NdkSequence([SeqEntry(lm, unit, hole),
+    seq = NdkSequence([_lmrd_entry(lifted_mrd(q, 6, 3, 4)),
                        _sequence_entry_from_code(seq_code)])
     A = _single_full(q, 3)
     return duplication(part, seq, A)

@@ -21,14 +21,30 @@ class FieldError(ValueError):
     pass
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24,
+    which covers every order up to _ORDER_LIMIT."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -51,6 +67,9 @@ class _PrimeField:
 
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
+
+    def inv(self, a: int) -> int:
+        return pow(a, -1, self.p)
 
 
 # ----------------------------------------------------------------------
@@ -98,8 +117,28 @@ def _poly_mod(a, m, f):
     return _poly_trim(tuple(a))
 
 
+def _poly_powmod(a, e, m, f):
+    out = (1,)
+    while e:
+        if e & 1:
+            out = _poly_mod(_poly_mul(out, a, f), m, f)
+        a = _poly_mod(_poly_mul(a, a, f), m, f)
+        e >>= 1
+    return out
+
+
+def _coprime(a, m, f) -> bool:
+    """gcd(a, m) = 1, by Euclid on monic divisors."""
+    while a:
+        scale = f.inv(a[-1])
+        a, m = _poly_mod(m, tuple(f.mul(scale, c) for c in a), f), a
+    return len(m) == 1
+
+
 def _is_irreducible(m, f) -> bool:
-    """Trial division by all monic polynomials of degree <= deg(m)/2."""
+    """Rabin's test over the base field of order q: monic m of degree e is
+    irreducible iff x^(q^e) = x mod m and gcd(x^(q^(e/r)) - x, m) = 1 for
+    every prime r dividing e."""
     deg = len(m) - 1
     if deg <= 0:
         return False
@@ -107,9 +146,17 @@ def _is_irreducible(m, f) -> bool:
         return True
     if m[0] == 0:  # divisible by x
         return False
-    for d in range(1, deg // 2 + 1):
-        for idx in range(f.q ** d):
-            if len(_poly_mod(m, _digits(idx, f.q, d) + (1,), f)) == 0:
+    x = (0, 1)
+    frob = [x]  # frob[j] = x^(q^j) mod m
+    for _ in range(deg):
+        frob.append(_poly_powmod(frob[-1], f.q, m, f))
+    if frob[deg] != x:
+        return False
+    for r in range(2, deg + 1):
+        if deg % r == 0 and all(r % s for s in range(2, r)):
+            h = list(frob[deg // r]) + [0, 0]
+            h[1] = f.sub(h[1], 1)  # x^(q^(e/r)) - x
+            if not _coprime(_poly_trim(tuple(h)), m, f):
                 return False
     return True
 

@@ -155,7 +155,12 @@ class RrefResult:
     rank: int
 
 
-def _rref_rows(field: FieldSpec, rows, n):
+def rref_rows(field: FieldSpec, rows, n):
+    """RREF of raw rows, zero rows dropped; returns (rows, pivot_columns).
+    q = 2 eliminates on bit-packed rows through rref_bits."""
+    if field.q == 2:
+        packed, pivots = rref_bits([pack_row(r) for r in rows], n)
+        return [unpack_row(r, n) for r in packed], pivots
     rows = [list(r) for r in rows]
     pivots = []
     r = 0
@@ -185,13 +190,9 @@ def _rref_rows(field: FieldSpec, rows, n):
 
 def rref(M: MatrixGF) -> RrefResult:
     n = M.ncols
-    if M.field.q == 2:
-        packed, pivots = rref_bits([pack_row(r) for r in M.rows], n)
-        rows = [unpack_row(r, n) for r in packed]
-    else:
-        rows, pivots = _rref_rows(M.field, M.rows, n)
-    R = MatrixGF(M.field, rows, ncols=n)
-    return RrefResult(R, PivotVector.from_columns(pivots, n), len(rows))
+    rows, pivots = rref_rows(M.field, M.rows, n)
+    return RrefResult(MatrixGF(M.field, rows, ncols=n),
+                      PivotVector.from_columns(pivots, n), len(rows))
 
 
 def rank(M: MatrixGF) -> int:
@@ -202,7 +203,7 @@ def rank_rows(field: FieldSpec, rows, ncols: int) -> int:
     """Rank of raw rows without building a MatrixGF."""
     if field.q == 2:
         return rank_bits([pack_row(r) for r in rows], ncols)
-    return len(_rref_rows(field, rows, ncols)[0])
+    return len(rref_rows(field, rows, ncols)[0])
 
 
 def hstack(A: MatrixGF, B: MatrixGF) -> MatrixGF:

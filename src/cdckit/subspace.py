@@ -7,7 +7,8 @@ so equality, hashing, and file ordering are all structural.
 from __future__ import annotations
 
 from .gf import FieldSpec
-from .linalg import DimensionError, MatrixGF, PivotVector, pack_row, rank_rows, rref
+from .linalg import (DimensionError, MatrixGF, PivotVector, pack_row, rank_rows, rref,
+                     rref_rows)
 
 
 class EmptySubspaceError(ValueError):
@@ -27,16 +28,17 @@ class Subspace:
 
     @staticmethod
     def from_matrix(M: MatrixGF) -> "Subspace":
-        res = rref(M)
-        if res.rank == 0:
-            raise EmptySubspaceError("zero matrix spans no subspace")
-        sub = Subspace(M.field, M.ncols, res.matrix.rows)
-        sub._pivots = res.pivots
-        return sub
+        return Subspace.from_rows(M.field, M.rows, M.ncols)
 
     @staticmethod
     def from_rows(field: FieldSpec, rows, n: int) -> "Subspace":
-        return Subspace.from_matrix(MatrixGF(field, rows, ncols=n))
+        rows = list(rows)
+        if any(len(r) != n for r in rows):
+            raise DimensionError(f"rows must have {n} entries")
+        gen, _ = rref_rows(field, rows, n)
+        if not gen:
+            raise EmptySubspaceError("zero matrix spans no subspace")
+        return Subspace(field, n, gen)
 
     # -- identity ------------------------------------------------------
 

@@ -143,8 +143,7 @@ def full_pairwise_check(code, cap: int = FULL_CHECK_CAP) -> VerificationReport:
     else:
         field = code.field
         min_dist = None
-        words = [list(rows) for rows in code.iter_rows()] if not code.materialized \
-            else [list(w.gen.rows) for w in code.words()]
+        words = [list(w.gen.rows) for w in code]
         for i in range(N):
             wi = words[i]
             for j in range(i + 1, N):

@@ -88,3 +88,58 @@ def test_verify_min_distance_dispatch():
     assert rep.ok and rep.min_distance_found == 4
     rep2 = verify_min_distance(c, mode="sampled", pairs=500, seed=3)
     assert rep2.ok and rep2.pairs_checked == 500
+
+
+# ----------------------------------------------------------------------
+# ProductSource: enumeration, random access and rows agree
+# ----------------------------------------------------------------------
+
+def _product_cases():
+    from cdckit.cdc import ListSource, ProductSource, _single_full
+    from cdckit.constructions import _DropFirst
+    from cdckit.rankmetric import gabidulin_mrd, rank_filtered
+    f2 = field_new(2, 1)
+    full = lambda n: _single_full(2, n).source
+    return {
+        "one factor": ProductSource(f2, [gabidulin_mrd(2, 2, 3, 2)], (3,)),
+        "two factors": ProductSource(f2, [full(3), gabidulin_mrd(2, 3, 3, 2)], (3, 3)),
+        "three factors, reduced": ProductSource(
+            f2, [rank_filtered(gabidulin_mrd(2, 2, 2, 1), 1), full(2),
+                 gabidulin_mrd(2, 2, 2, 1)], (2, 2, 2), reduce=True),
+        "rank-filtered head": ProductSource(
+            f2, [_DropFirst(rank_filtered(gabidulin_mrd(2, 3, 3, 2), 2)), full(3)],
+            (3, 3), reduce=True),
+        "empty factor": ProductSource(f2, [ListSource([]), gabidulin_mrd(2, 3, 3, 2)],
+                                      (3, 3)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_product_cases()))
+def test_product_source_stream_matches_random_access(case):
+    from cdckit.linalg import pack_row
+    src = _product_cases()[case]
+    streamed = list(src.iter_packed())
+    assert len(streamed) == src.size
+    assert streamed == [src.packed_at(i) for i in range(src.size)]
+    assert streamed == [tuple(pack_row(r) for r in src.rows_at(i)) for i in range(src.size)]
+    assert list(src.iter_rows()) == [src.rows_at(i) for i in range(src.size)]
+    for i in (-1, src.size):
+        with pytest.raises(IndexError):
+            src.packed_at(i)
+        with pytest.raises(IndexError):
+            src.rows_at(i)
+
+
+def test_product_source_sizes_and_rref():
+    from cdckit.linalg import rref_bits
+    cases = _product_cases()
+    assert cases["one factor"].size == 8
+    assert cases["two factors"].size == 64
+    assert cases["three factors, reduced"].size == 10 * 16
+    assert cases["rank-filtered head"].size == 49
+    assert cases["empty factor"].size == 0
+    for case in ("three factors, reduced", "rank-filtered head"):
+        src = cases[case]
+        words = list(src.iter_packed())
+        assert all(list(w) == rref_bits(w, src.n)[0] for w in words)
+        assert len(set(words)) == len(words)

@@ -68,6 +68,29 @@ def test_empty_code_roundtrip_gf_3_8():
     assert c2.size == 0 and c2.field == c.field
 
 
+def _header(p, e, mod):
+    return (f"#Q={p ** e}\n#P={p}\n#E={e}\n#MOD={mod}\n#N=4\n#K=2\n#D=2\n"
+            "#COUNT=0\n#ORDER=canonical\n#PROV=hostile\n")
+
+
+@pytest.mark.parametrize("p,e,mod", [
+    (2 ** 61 - 1, 1, "0,1"),  # a prime too large for trial division
+    (2, 41, "1,0,0,1" + ",0" * 37 + ",1"),  # x^41 + x^3 + 1
+])
+def test_hostile_field_header_loads_fast(p, e, mod):
+    start = time.monotonic()
+    c = loads(_header(p, e, mod))
+    assert time.monotonic() - start < 2
+    assert c.size == 0 and c.field.q == p ** e
+
+
+def test_huge_extension_degree_rejected_fast():
+    start = time.monotonic()
+    with pytest.raises(HeaderError):
+        loads(_header(3, 1, "0,1").replace("#E=1", "#E=30000000"))
+    assert time.monotonic() - start < 2
+
+
 def test_error_types_are_distinct():
     text = dumps(lifted_mrd(2, 6, 3, 4))
     lines = text.splitlines(keepends=True)

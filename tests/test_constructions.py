@@ -1,9 +1,13 @@
 """Construction machinery: linkage, addons, pairing, duplication, and the
 closed-form size polynomials."""
 
+import hashlib
+import random
+
 import pytest
 
 from cdckit.cdc import Cdc, lifted_mrd, spread
+from cdckit.codefile import dumps
 from cdckit.constructions import (CompositionProfile, ConstructionError,
                                   DistancePartition, FORMULAS,
                                   MissingImportError, NdkSequence, RECIPES,
@@ -70,6 +74,18 @@ def test_linkage_spread_instance():
     assert c.size == 85
     c.words()
     assert coverage_check(c)["ok"]
+
+
+def test_linkage_q3_pinned():
+    # the q > 2 path: scalar rows, RREF of block 1 over GF(3)
+    c = multiblock_linkage(CompositionProfile(3, 2, 2, (2, 2)), [_single_full(3, 2)] * 2,
+                           [gabidulin_mrd(3, 2, 2, 1)] * 2)
+    assert c.size == 114
+    assert [b["count"] for b in c.provenance["blocks"]] == [81, 33]
+    assert full_pairwise_check(c).min_distance_found == 2
+    text = dumps(c, order="generation")
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == \
+        "a1831ea82ce5f07da817d38e18d48710cc3328f264a049f5c0ec3d1e2462f2be"
 
 
 def test_recipe_8_4_4_size_and_substructure():
@@ -211,3 +227,48 @@ def test_recipe_registry_complete():
     assert set(RECIPES) == {"8_4_4", "12_4_4_cor", "12_4_4_thm", "12_6_6",
                             "10_4_5", "4k_2k_2k", "12_8_6", "3k_4_k",
                             "16_4_4", "6k_2k_2k", "9_4_3", "10_4_3"}
+
+
+# ----------------------------------------------------------------------
+# streamed recipes: pinned words, index range
+# ----------------------------------------------------------------------
+
+def _stream_digest(code, prefix=20000, picks=300, seed=7):
+    """SHA-256 over the first `prefix` streamed words, then `picks` seeded
+    random accesses through packed_at and at."""
+    h = hashlib.sha256()
+    for i, word in enumerate(code.iter_packed()):
+        if i == prefix:
+            break
+        h.update(repr(tuple(word)).encode())
+    rng = random.Random(seed)
+    for _ in range(picks):
+        i = rng.randrange(code.size)
+        h.update(repr(tuple(code.packed_at(i))).encode())
+        h.update(code.at(i).serialize().encode())
+    return h.hexdigest()
+
+
+STREAM_DIGESTS = {
+    "10_4_5": "fbb9b086818131b946c01676a55725b11981c0aeb4d2a91248a0a0ada253f5c3",
+    "12_8_6": "ba8d911646c9d7a8296988a9ca666df2c2c802c92163ea3526b78698a8714c24",
+    "12_4_4_thm": "13fa41fb02f3ebf6770b878d2b4b92e0a73950f73b6318469324ac30e994d934",
+    "12_6_6": "36f3f8cf302e100ec49ba207a03c0b12dd776b1c36c24435269665c0f81d2e3f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_DIGESTS))
+def test_streamed_recipe_words_pinned(name):
+    c, _ = RECIPES[name](2)
+    assert not c.materialized
+    assert _stream_digest(c) == STREAM_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_DIGESTS))
+def test_streamed_recipe_index_range(name):
+    c, _ = RECIPES[name](2)
+    for i in (-1, c.size):
+        with pytest.raises(IndexError):
+            c.packed_at(i)
+        with pytest.raises(IndexError):
+            c.at(i)

@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from cdckit.gf import FieldError, FieldSpec, ExtFieldSpec, ext_field, field_new, is_prime
+from cdckit.gf import (FieldError, FieldSpec, ExtFieldSpec, _PrimeField, _digits,
+                       _is_irreducible, _poly_mod, ext_field, field_new, is_prime)
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -85,6 +86,46 @@ def test_is_prime():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
     for n in range(2, 25):
         assert is_prime(n) == (n in primes)
+
+
+def _is_prime_trial(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert all(is_prime(n) == _is_prime_trial(n) for n in range(10 ** 5))
+    assert is_prime(2 ** 61 - 1) and not is_prime(2 ** 61 + 1)
+    # Carmichael numbers, and the smallest strong pseudoprime to the prime bases 2..23
+    for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 3825123056546413051):
+        assert not is_prime(n)
+
+
+def _is_irreducible_trial(m, f):
+    """Trial division by every monic polynomial of degree <= deg(m)/2."""
+    deg = len(m) - 1
+    if deg <= 0:
+        return False
+    for d in range(1, deg // 2 + 1):
+        for idx in range(f.q ** d):
+            if len(_poly_mod(m, _digits(idx, f.q, d) + (1,), f)) == 0:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p,max_deg", [(2, 8), (3, 5)])
+def test_irreducibility_agrees_with_trial_division(p, max_deg):
+    f = _PrimeField(p)
+    for deg in range(max_deg + 1):
+        for idx in range(p ** deg):
+            m = _digits(idx, p, deg) + (1,)
+            assert _is_irreducible(m, f) == _is_irreducible_trial(m, f), m
 
 
 def test_field_spec_serialize_roundtrip():

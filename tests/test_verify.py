@@ -98,3 +98,22 @@ def test_violations_reported_with_distances():
     assert not rep.ok
     assert rep.violations[0]["distance"] == 2
     assert rep.min_distance_found == 2
+
+
+def test_full_check_streamed_equals_materialized():
+    # q = 3 streams take the rank path (no bitmask kernel); so does a
+    # claimed distance the code misses, which reports every close pair
+    from cdckit.constructions import CompositionProfile, _single_full, multiblock_linkage
+    from cdckit.rankmetric import gabidulin_mrd
+    streamed = multiblock_linkage(CompositionProfile(3, 2, 2, (2, 2)), [_single_full(3, 2)] * 2,
+                                  [gabidulin_mrd(3, 2, 2, 1)] * 2)
+    assert not streamed.materialized
+    words = list(streamed)
+    for d_claim in (2, 4):
+        reports = [full_pairwise_check(Cdc(streamed.field, 4, 2, d_claim, **kw))
+                   for kw in ({"stream": streamed.source}, {"words": words})]
+        a, b = (json.loads(r.to_json()) for r in reports)
+        a.pop("wall_time"), b.pop("wall_time")
+        assert a == b
+        assert a["pairs_checked"] == 114 * 113 // 2 and a["min_distance_found"] == 2
+        assert bool(a["violations"]) == (d_claim == 4)
