@@ -1,8 +1,9 @@
 """Constant-dimension codes: containers, lifted MRD codes, spreads,
 2-parallelisms of F_q^4, and partial-spread subcode extraction.
 
-A Cdc either holds a materialized list of Subspace values or wraps a
-deterministic stream with exact size and random access by index.
+A Cdc either holds a materialized list of codewords (Subspace values, or
+packed GF(2) words read from a file) or wraps a deterministic stream with
+exact size and random access by index.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ class StreamSource:
 
 
 class ListSource(StreamSource):
-    """Materialized codewords; over GF(2) they are packed once, here."""
+    """Materialized codewords; over GF(2) they are packed once, here, or
+    come packed (from_packed), in which case no Subspace is held."""
 
     def __init__(self, subspaces):
         self.words = list(subspaces)
@@ -56,18 +58,28 @@ class ListSource(StreamSource):
         over_gf2 = not self.words or self.words[0].field.q == 2
         self.packed = [tuple(w.packed_rows()) for w in self.words] if over_gf2 else None
 
+    @classmethod
+    def from_packed(cls, field, n, packed):
+        """Distinct canonical GF(2) words given as tuples of row ints."""
+        src = cls([])
+        src.field, src.n, src.packed, src.size, src.words = field, n, packed, len(packed), None
+        return src
+
     def packed_at(self, i):
         return self.packed[i]
 
     def rows_at(self, i):
+        if self.words is None:
+            return super().rows_at(i)
         return self.words[i].gen.rows
 
     def iter_packed(self):
         return iter(self.packed)
 
     def iter_rows(self):
-        for w in self.words:
-            yield w.gen.rows
+        if self.words is None:
+            return super().iter_rows()
+        return (w.gen.rows for w in self.words)
 
 
 class ProductSource(StreamSource):
@@ -167,7 +179,8 @@ class Cdc:
 
     @property
     def materialized(self) -> bool:
-        return self._words is not None
+        """Listed codewords, not a computed stream."""
+        return self._words is not None or isinstance(self._stream, ListSource)
 
     def __len__(self):
         return self.size
@@ -203,12 +216,14 @@ class Cdc:
                 yield Subspace(self.field, self.n, rows)
 
     def words(self, cap: int = MATERIALIZE_CAP):
-        """Materialize the codeword list (checks the duplicate invariant)."""
+        """Materialize the codeword list.  A computed stream is capped and
+        checked for duplicates; listed words (read from a file) are not."""
         if self._words is None:
-            if self.size > cap:
+            listed = self.materialized
+            if self.size > cap and not listed:
                 raise CdcError(f"size {self.size} exceeds materialization cap {cap}")
             words = list(self)
-            if len(set(w.gen.rows for w in words)) != len(words):
+            if not listed and len(set(w.gen.rows for w in words)) != len(words):
                 raise CdcError("duplicate codeword in stream")
             self._words = words
         return self._words

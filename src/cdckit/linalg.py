@@ -144,6 +144,29 @@ def rank_bits_batch(rows, ncols):
     return ranks
 
 
+def rref_bits_batch(rows, ncols):
+    """RREF of B bit-packed GF(2) matrices given as a (B, a) uint64 array,
+    ncols <= 64; returns (rows, ranks), zero rows last.
+
+    Agrees with rref_bits matrix by matrix.  One pass per row clears that
+    row's leading bit from every other row, which leaves the nonzero rows
+    with distinct leading bits; sorting each matrix's rows in decreasing
+    order then puts them in pivot order."""
+    work = np.array(rows, dtype=np.uint64).T.copy()  # (a, B): row j is contiguous
+    for j in range(work.shape[0]):
+        row = work[j].copy()
+        lead = row.copy()  # smear the leading bit down, then keep the top one
+        shift = 1
+        while shift < ncols:
+            lead |= lead >> np.uint64(shift)
+            shift *= 2
+        lead ^= lead >> np.uint64(1)
+        work ^= np.where((work & lead) != 0, row, np.uint64(0))
+        work[j] = row
+    out = np.sort(work.T, axis=1)[:, ::-1]
+    return out, np.count_nonzero(out, axis=1)
+
+
 # ----------------------------------------------------------------------
 # generic elimination
 # ----------------------------------------------------------------------

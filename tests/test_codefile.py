@@ -164,3 +164,146 @@ def test_generation_order_header():
     text = dumps(c, order="generation")
     assert "#ORDER=generation" in text
     assert loads(text).size == 64
+
+
+# ----------------------------------------------------------------------
+# the reader's grammar, pinned on the per-line reader and kept by the
+# packed one: what it accepts, and which error the first bad line raises
+# ----------------------------------------------------------------------
+
+FIRST = "100000|010000|001000\n"  # the first body line of the golden file
+
+
+def _golden_text():
+    return (DATA / "lmrd_2_6_3_4.cdc").read_text()
+
+
+@pytest.mark.parametrize("line", [
+    "010000|100000|001000\n",    # rows swapped
+    "100000|110000|001000\n",    # row 1 += row 0
+    "  100000|010000|001000 \t\n",  # surrounding whitespace
+])
+def test_reader_canonicalizes_accepted_lines(line):
+    text = _golden_text()
+    assert dumps(loads(text.replace(FIRST, line))) == text
+
+
+def test_reader_skips_blank_lines():
+    text = _golden_text()
+    body = text.replace(FIRST, "\n" + FIRST + "\n\n") + "\n\n"
+    assert dumps(loads(body)) == text
+
+
+def test_reader_accepts_crlf_file(tmp_path):
+    text = _golden_text()
+    path = tmp_path / "crlf.cdc"
+    path.write_bytes(text.replace("\n", "\r\n").encode("ascii"))
+    assert dumps(import_code(path)) == text
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda t: t.replace(FIRST, "100000|010200|001000\n"),   # bad digit
+    lambda t: t[:-4],                                        # truncated last line
+    lambda t: t.replace(FIRST, "100000|01000|001000\n"),    # ragged row
+    lambda t: t.replace(FIRST, FIRST + "#PROV=late\n"),     # '#' line in the body
+    lambda t: t.replace(FIRST, "100000|010000|110000\n"),   # rank-deficient line
+], ids=["bad-digit", "truncated", "ragged", "hash-in-body", "rank-deficient"])
+def test_reader_rejects_malformed_lines(tmp_path, capsys, mutate):
+    from cdckit.cli import main
+    bad = mutate(_golden_text())
+    with pytest.raises(DimensionMismatchError):
+        loads(bad)
+    path = tmp_path / "bad.cdc"
+    path.write_text(bad)
+    assert main(["verify", "--file", str(path), "--mode", "full"]) == 3
+
+
+def test_reader_rejects_non_rref_duplicate():
+    text = _golden_text()
+    with pytest.raises(DuplicateCodewordError):
+        loads(text + "010000|100000|001000\n")
+
+
+def test_reader_first_offending_line_decides():
+    text = _golden_text()
+    with pytest.raises(DuplicateCodewordError):
+        loads(text + FIRST + "100000|01x000|001000\n")
+    with pytest.raises(DimensionMismatchError):
+        loads(text + "100000|01x000|001000\n" + FIRST)
+    with pytest.raises(DuplicateCodewordError):
+        loads(text + FIRST + "100000|010000|110000\n")
+    with pytest.raises(DimensionMismatchError):
+        loads(text + "100000|010000|110000\n" + FIRST)
+
+
+def test_reader_huge_count_is_not_preallocated():
+    text = _golden_text().replace("#COUNT=64", f"#COUNT={10 ** 18}")
+    start = time.monotonic()
+    with pytest.raises(CountMismatchError):
+        loads(text)
+    assert time.monotonic() - start < 1
+
+
+# SHA-256 of q = 2 exports, taken from the per-line writer
+def test_writer_sha256_pinned():
+    from cdckit.constructions import RECIPES
+    code = RECIPES["8_4_4"](2)[0]
+    assert hashlib.sha256(dumps(code, prov="recipe_8_4_4").encode("ascii")).hexdigest() \
+        == "28d1e6782f784fcb9a4b6934476dcecc21b20dc6545cafee980afdebe7060f09"
+    text = dumps(lifted_mrd(2, 8, 4, 4), order="generation")
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() \
+        == "05054f087952442daaf8c4414586b881d87b9d6aa29caa63ffa09600563bc272"
+
+
+def test_packed_path_builds_no_subspace_per_line(monkeypatch):
+    # q = 2 files are read and written as packed blocks, never line by line
+    from cdckit.subspace import Subspace
+    text = _golden_text()
+
+    def boom(*args, **kwargs):
+        raise AssertionError("per-line path used")
+
+    monkeypatch.setattr(Subspace, "parse", staticmethod(boom))
+    monkeypatch.setattr(Subspace, "serialize", boom)
+    code = loads(text)
+    assert dumps(code) == text
+    # the file is canonical, so its order is also the generation order
+    assert dumps(code, order="generation") == text.replace("=canonical", "=generation")
+    assert code.packed_at(0) == (32, 16, 8) and all(type(v) is int for v in code.packed_at(0))
+
+
+def test_carriage_return_in_provenance_is_replaced(tmp_path):
+    path = tmp_path / "c.cdc"
+    export(lifted_mrd(2, 6, 3, 4), path, prov="made on host\rA")
+    code = import_code(path)
+    assert code.size == 64 and code.provenance["kind"] == "made on host A"
+
+
+def test_imported_code_behaves_as_a_word_list(tmp_path):
+    c = lifted_mrd(2, 6, 3, 4)
+    back = loads(dumps(c, order="generation"))
+    assert back.materialized and back.size == 64
+    assert [w.gen.rows for w in back] == [w.gen.rows for w in c]
+    assert back.at(-1) == c.at(63) and back.words()[5] == c.at(5)
+    assert list(back.iter_packed()) == list(c.iter_packed())
+
+
+def test_reader_gf2_line_needs_exactly_k_rows():
+    # the packed reader takes k rows of n digits per line; the per-line
+    # reader also took a dependent extra row
+    with pytest.raises(DimensionMismatchError):
+        loads(_golden_text().replace(FIRST, "100000|010000|001000|000000\n"))
+
+
+def test_reader_blocks_keep_file_order_and_first_error(monkeypatch):
+    # small blocks: words, duplicates and errors span block boundaries
+    import cdckit.codefile as codefile
+    monkeypatch.setattr(codefile, "_BLOCK", 5)
+    text = _golden_text()
+    assert dumps(loads(text.replace(FIRST, FIRST + "\n" * 12))) == text  # an all-blank block
+    generation = dumps(lifted_mrd(2, 6, 3, 4), order="generation")
+    assert dumps(loads(generation), order="generation") == generation
+    with pytest.raises(DuplicateCodewordError):
+        loads(text + "\n" * 7 + "010000|100000|001000\n" + "100000|01x000|001000\n")
+    with pytest.raises(DimensionMismatchError):
+        loads(text + "100000|010000|110000\n" + "\n" * 7 + FIRST)

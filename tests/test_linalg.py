@@ -10,7 +10,8 @@ import pytest
 from cdckit.gf import field_new
 from cdckit.linalg import (MatrixGF, PivotVector, gaussian_binomial, hstack,
                            inverse, matmul, pack_row, rank, rank_bits,
-                           rank_bits_batch, rank_rows, rref, rref_bits, unpack_row, vstack)
+                           rank_bits_batch, rank_rows, rref, rref_bits, rref_bits_batch,
+                           unpack_row, vstack)
 
 FIELDS = [field_new(2, 1), field_new(3, 1), field_new(2, 2), field_new(5, 1)]
 
@@ -87,6 +88,39 @@ def test_rank_bits_batch_random_batches():
 
 def test_rank_bits_batch_empty():
     assert rank_bits_batch(np.zeros((0, 4), dtype=np.uint64), 4).shape == (0,)
+
+
+def _rref_batch_agrees_with_scalar(rows, ncols):
+    batch = np.array(rows, dtype=np.uint64).reshape(len(rows), -1)
+    got, ranks = rref_bits_batch(batch, ncols)
+    assert got.shape == batch.shape and ranks.shape == (len(rows),)
+    for m, out, r in zip(rows, got.tolist(), ranks.tolist()):
+        want = rref_bits(m, ncols)[0]
+        assert (out[:r], r) == (want, len(want))
+        assert not any(out[r:])  # zero rows last
+
+
+def test_rref_bits_batch_all_binary_4x4():
+    _rref_batch_agrees_with_scalar([list(m) for m in itertools.product(range(16), repeat=4)], 4)
+
+
+def test_rref_bits_batch_random_batches():
+    rng = random.Random(21)
+    for a in range(1, 9):
+        for ncols in (1, 5, 12, 16, 64):
+            rows = []
+            for _ in range(300):
+                m = [rng.getrandbits(ncols) for _ in range(a)]
+                m[rng.randrange(a)] = 0  # a zero row
+                src, dst = rng.randrange(a), rng.randrange(a)
+                m[dst] = m[src]  # a duplicate row
+                rows.append(m)
+            _rref_batch_agrees_with_scalar(rows, ncols)
+
+
+def test_rref_bits_batch_empty():
+    got, ranks = rref_bits_batch(np.zeros((0, 4), dtype=np.uint64), 4)
+    assert got.shape == (0, 4) and ranks.shape == (0,)
 
 
 def test_pack_unpack_roundtrip():
