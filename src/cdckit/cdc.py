@@ -56,7 +56,7 @@ class ListSource(StreamSource):
         self.words = list(subspaces)
         self.size = len(self.words)
         over_gf2 = not self.words or self.words[0].field.q == 2
-        self.packed = [tuple(w.packed_rows()) for w in self.words] if over_gf2 else None
+        self.packed = [w.packed_rows() for w in self.words] if over_gf2 else None
 
     @classmethod
     def from_packed(cls, field, n, packed):
@@ -164,14 +164,16 @@ class Cdc:
         self.verified = None  # set by verification
         if words is not None:
             self._words = list(words)
-            seen = set()
             for w in self._words:
                 if w.n != n or w.k != k or w.field != field:
                     raise CdcError(f"codeword {w!r} does not fit ({n},{k}) over GF({field.q})")
-                key = w.gen.rows
-                if key in seen:
-                    raise CdcError("duplicate codeword")
-                seen.add(key)
+            # listed once, here, so that the first stream, export or random
+            # access of a GF(2) list costs what the next one does; its packed
+            # words are the duplicate keys
+            self._stream = ListSource(self._words)
+            keys = self._stream.packed or [w.gen.rows for w in self._words]
+            if len(set(keys)) != len(keys):
+                raise CdcError("duplicate codeword")
 
     @property
     def size(self) -> int:
@@ -190,9 +192,7 @@ class Cdc:
 
     @property
     def source(self) -> StreamSource:
-        """The codeword stream; a materialized code is listed once."""
-        if self._stream is None:
-            self._stream = ListSource(self._words)
+        """The codeword stream (a ListSource for a code built from words)."""
         return self._stream
 
     def at(self, i) -> Subspace:
@@ -201,16 +201,19 @@ class Cdc:
         return Subspace(self.field, self.n, self._stream.rows_at(i))
 
     def packed_at(self, i):
-        if self._stream is None:  # random access packs one word, not the list
-            return tuple(self._words[i].packed_rows())
         return self._stream.packed_at(i)
 
     def iter_packed(self):
-        yield from self.source.iter_packed()
+        yield from self._stream.iter_packed()
 
     def __iter__(self):
         if self._words is not None:
             yield from self._words
+        elif self.field.q == 2:  # a Cdc built from these words need not pack them again
+            n = self.n
+            for word in self._stream.iter_packed():
+                yield Subspace(self.field, n, tuple(unpack_row(r, n) for r in word),
+                               packed=tuple(word))
         else:
             for rows in self._stream.iter_rows():
                 yield Subspace(self.field, self.n, rows)

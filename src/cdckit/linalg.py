@@ -75,7 +75,11 @@ def pack_row(row) -> int:
     return x
 
 
+@lru_cache(maxsize=1 << 12)
 def unpack_row(x: int, n: int):
+    # rows repeat across the words of a code: the words listed from one
+    # stream share their row tuples, which makes the list cheaper to build
+    # and to free
     return tuple((x >> (n - 1 - j)) & 1 for j in range(n))
 
 

@@ -16,15 +16,17 @@ class EmptySubspaceError(ValueError):
 
 
 class Subspace:
-    __slots__ = ("field", "n", "k", "gen", "_pivots")
+    __slots__ = ("field", "n", "k", "gen", "_pivots", "_packed")
 
-    def __init__(self, field: FieldSpec, n: int, gen_rows, pivots=None):
-        """Internal constructor; gen_rows must already be canonical RREF."""
+    def __init__(self, field: FieldSpec, n: int, gen_rows, pivots=None, packed=None):
+        """Internal constructor; gen_rows must already be canonical RREF,
+        and packed, when given, their GF(2) packed_rows."""
         self.field = field
         self.n = n
         self.gen = MatrixGF(field, gen_rows, ncols=n)
         self.k = self.gen.nrows
         self._pivots = pivots
+        self._packed = packed
 
     @staticmethod
     def from_matrix(M: MatrixGF) -> "Subspace":
@@ -59,7 +61,10 @@ class Subspace:
         return self._pivots
 
     def packed_rows(self):
-        return [pack_row(r) for r in self.gen.rows]
+        """The GF(2) rows as a tuple of bit-packed ints, computed once."""
+        if self._packed is None:
+            self._packed = tuple(pack_row(r) for r in self.gen.rows)
+        return self._packed
 
     # -- serialization -------------------------------------------------
 

@@ -143,3 +143,20 @@ def test_product_source_sizes_and_rref():
         words = list(src.iter_packed())
         assert all(list(w) == rref_bits(w, src.n)[0] for w in words)
         assert len(set(words)) == len(words)
+
+
+def test_word_list_is_packed_at_construction(monkeypatch):
+    # a GF(2) word list is packed in the constructor: streams, random
+    # access and the duplicate check read the same packed words
+    f = field_new(2, 1)
+    words = list(lifted_mrd(2, 6, 3, 4))
+    expected = [w.packed_rows() for w in words]
+    c = Cdc(f, 6, 3, 4, words=words)
+    monkeypatch.setattr(Subspace, "packed_rows", lambda self: pytest.fail("packed again"))
+    assert list(c.iter_packed()) == expected == [c.packed_at(i) for i in range(c.size)]
+    assert c.packed_at(-1) == expected[-1]
+    assert all(type(v) is int for v in c.packed_at(0))
+    twin = Subspace(f, 6, words[0].gen.rows)  # equal rows, nothing packed yet
+    monkeypatch.undo()
+    with pytest.raises(CdcError):
+        Cdc(f, 6, 3, 4, words=words + [twin])

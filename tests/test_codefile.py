@@ -307,3 +307,20 @@ def test_reader_blocks_keep_file_order_and_first_error(monkeypatch):
         loads(text + "\n" * 7 + "010000|100000|001000\n" + "100000|01x000|001000\n")
     with pytest.raises(DimensionMismatchError):
         loads(text + "100000|010000|110000\n" + "\n" * 7 + FIRST)
+
+
+def test_reader_leaves_garbage_collector_as_it_was():
+    # the packed reader pauses the cyclic collector only while it reads
+    import gc
+    text = _golden_text()
+    was = gc.isenabled()
+    try:
+        gc.enable()
+        assert loads(text).size == 64 and gc.isenabled()
+        with pytest.raises(DimensionMismatchError):
+            loads(text.replace(FIRST, "10000x|010000|001000\n"))
+        assert gc.isenabled()
+        gc.disable()
+        assert loads(text).size == 64 and not gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
