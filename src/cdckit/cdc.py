@@ -8,11 +8,13 @@ exact size and random access by index.
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import or_
+from itertools import chain
+
+import numpy as np
 
 from .gf import FieldSpec, ext_field
-from .linalg import MatrixGF, matmul, rref_bits, rref_rows, unpack_row
+from .linalg import (BATCH, MatrixGF, checked_indices, matmul, rref_bits, rref_bits_batch,
+                     rref_rows, unpack_row)
 from .rankmetric import (GabidulinHandle, RankCodeHandle, base_field,
                          gabidulin_mrd, nested_subcode)
 from .subspace import Subspace, intersection_dim
@@ -27,25 +29,24 @@ class CdcError(ValueError):
 class StreamSource:
     """Deterministic random-access codeword stream (canonical RREF rows).
 
-    q = 2 sources yield bit-packed words; their rows are unpacked from
-    those here.  Sources over larger fields override rows_at."""
+    A q = 2 source gives bit-packed words one at a time, packed_at(i) -> k
+    row ints, and batched, packed_at_batch(idx) -> (B, k) uint64 array
+    (n <= 64), which its stream reads in chunks; rows_at unpacks them.
+    Sources over larger fields override rows_at."""
 
     size = 0
 
-    def packed_at(self, i):  # pragma: no cover - abstract
-        raise NotImplementedError
+    def iter_packed(self):
+        chunks = (self.packed_at_batch(np.arange(lo, min(lo + BATCH, self.size)))
+                  for lo in range(0, self.size, BATCH))
+        return chain.from_iterable(map(tuple, block.tolist()) for block in chunks)
 
     def rows_at(self, i):
         return tuple(unpack_row(r, self.n) for r in self.packed_at(i))
 
     def iter_rows(self):
-        if self.field.q != 2:
-            for i in range(self.size):
-                yield self.rows_at(i)
-            return
-        n = self.n
-        for word in self.iter_packed():
-            yield tuple(unpack_row(r, n) for r in word)
+        for i in range(self.size):
+            yield self.rows_at(i)
 
 
 class ListSource(StreamSource):
@@ -68,6 +69,15 @@ class ListSource(StreamSource):
     def packed_at(self, i):
         return self.packed[i]
 
+    def packed_at_batch(self, idx):  # from the tuples: no second copy of the code
+        idx, k = checked_indices(idx, self.size), len(self.packed[0]) if self.size else 0
+        if len(idx) and (np.diff(idx) == 1).all():  # a slice, as streams and writes ask
+            words = self.packed[idx[0]:idx[-1] + 1]
+        else:
+            words = map(self.packed.__getitem__, idx.tolist())
+        rows = np.fromiter(chain.from_iterable(words), np.uint64, count=len(idx) * k)
+        return rows.reshape(len(idx), k)
+
     def rows_at(self, i):
         if self.words is None:
             return super().rows_at(i)
@@ -75,11 +85,6 @@ class ListSource(StreamSource):
 
     def iter_packed(self):
         return iter(self.packed)
-
-    def iter_rows(self):
-        if self.words is None:
-            return super().iter_rows()
-        return (w.gen.rows for w in self.words)
 
 
 class ProductSource(StreamSource):
@@ -102,20 +107,26 @@ class ProductSource(StreamSource):
         self._head = [(f, sum(widths[j + 1:]), f.size)
                       for j, f in reversed(list(enumerate(self.factors[:-1])))]
 
-    def _join(self, i, rows):
-        """rows OR the words of all factors but the last at their digits of
-        the mixed-radix index i, each in its columns."""
-        for f, sh, size in self._head:
-            i, j = divmod(i, size)
-            rows = [r | (x << sh) for r, x in zip(rows, f.packed_at(j))]
-        return rows
-
     def packed_at(self, i):
         if not 0 <= i < self.size:
             raise IndexError(i)
         i, j = divmod(i, self.last.size)
-        rows = self._join(i, self.last.packed_at(j))
+        rows = self.last.packed_at(j)
+        for f, sh, size in self._head:
+            i, j = divmod(i, size)
+            rows = [r | (x << sh) for r, x in zip(rows, f.packed_at(j))]
         return tuple(rref_bits(rows, self.n)[0] if self.reduce else rows)
+
+    def packed_at_batch(self, idx):
+        i, j = np.divmod(checked_indices(idx, self.size), self.last.size)
+        rows = self.last.packed_at_batch(j)
+        for f, sh, size in self._head:
+            i, j = np.divmod(i, size)
+            lo, hi = j.min(initial=0), j.max(initial=-1) + 1  # a stream chunk: few prefixes
+            words = f.packed_at_batch(np.arange(lo, hi))[j - lo] if hi - lo <= len(j) \
+                else f.packed_at_batch(j)
+            rows = rows | (words << np.uint64(sh))
+        return rref_bits_batch(rows, self.n)[0] if self.reduce else rows
 
     def rows_at(self, i):
         if self.field.q == 2:
@@ -129,21 +140,6 @@ class ProductSource(StreamSource):
             parts.append(f.rows_at(j))
         rows = [sum(map(tuple, row), ()) for row in zip(*reversed(parts))]
         return tuple(rref_rows(self.field, rows, self.n)[0] if self.reduce else rows)
-
-    def iter_packed(self):
-        """The last factor's stream (already in the lowest columns) under
-        each index prefix of the other factors."""
-        if not self.size:
-            return
-        last, n = self.last, self.n
-        for prefix in range(self.size // last.size):
-            base = self._join(prefix, repeat(0))  # narrows to the factors' row count
-            if self.reduce:
-                for word in last.iter_packed():
-                    yield tuple(rref_bits(map(or_, base, word), n)[0])
-            else:
-                for word in last.iter_packed():
-                    yield tuple(map(or_, base, word))
 
 
 class Cdc:
@@ -203,8 +199,11 @@ class Cdc:
     def packed_at(self, i):
         return self._stream.packed_at(i)
 
+    def packed_at_batch(self, idx):
+        return self._stream.packed_at_batch(idx)
+
     def iter_packed(self):
-        yield from self._stream.iter_packed()
+        return self._stream.iter_packed()
 
     def __iter__(self):
         if self._words is not None:
@@ -232,20 +231,8 @@ class Cdc:
         return self._words
 
 
-class SpreadFamily:
+class SpreadFamily(list):
     """Pairwise-disjoint spreads (e.g. the classes of a parallelism)."""
-
-    def __init__(self, members):
-        self.members = list(members)
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __getitem__(self, i):
-        return self.members[i]
 
 
 def _single_full(q, n):

@@ -11,7 +11,8 @@ The reader accepts a little more than the writer produces:
 - rows need not be in RREF; every word is canonicalized on read (a GF(2)
   word must still have exactly k rows; other fields also take extra rows
   that span k dimensions);
-- empty lines are skipped, and whitespace around a word is ignored;
+- lines may end in '\r\n'; empty lines are skipped (the zero subspace of
+  a k = 0 code is an empty line), and whitespace around a word is ignored;
 - the first offending line decides the error: a malformed or
   rank-deficient word raises DimensionMismatchError, a word equal to an
   earlier one DuplicateCodewordError; a body of the wrong size then
@@ -33,7 +34,7 @@ import numpy as np
 
 from .cdc import Cdc, ListSource
 from .gf import FieldSpec
-from .linalg import rref_bits_batch
+from .linalg import packable, rref_bits_batch
 from .subspace import Subspace
 
 HEADER_KEYS = ("Q", "P", "E", "MOD", "N", "K", "D", "COUNT", "ORDER", "PROV")
@@ -85,7 +86,7 @@ def write_code(c: Cdc, fh, order: str | None = None, prov: str | None = None):
     for line in _header_lines(c, order, prov):
         fh.write(line + "\n")
     written = 0
-    if _packed(c.field, c.n, c.k):
+    if packable(c.field, c.n, c.k):
         blocks = _word_blocks(c)
         if order == "canonical":  # all lines have one length: text order is row order
             words = np.concatenate([np.zeros((0, c.k), np.uint64), *blocks])
@@ -105,17 +106,11 @@ def write_code(c: Cdc, fh, order: str | None = None, prov: str | None = None):
     return written
 
 
-def _packed(field, n, k):
-    """Whether words of this shape take the packed GF(2) path."""
-    return field.q == 2 and 1 <= k and n <= 64
-
-
 def _word_blocks(c: Cdc):
     """The code's packed words, in stream order, as (b, k) uint64 arrays
     of at most _BLOCK rows."""
-    rows = chain.from_iterable(c.iter_packed())
-    while (flat := np.fromiter(islice(rows, _BLOCK * c.k), np.uint64)).size:
-        yield flat.reshape(-1, c.k)
+    for lo in range(0, c.size, _BLOCK):
+        yield c.packed_at_batch(np.arange(lo, min(lo + _BLOCK, c.size)))
 
 
 def _format_block(words, n):
@@ -139,7 +134,7 @@ def _parse_header(fh):
     header = {}
     body_first = None
     for raw in fh:
-        line = raw.rstrip("\n")
+        line = raw.rstrip("\r\n")
         if not line:
             continue
         if not line.startswith("#"):
@@ -182,13 +177,13 @@ def read_code(fh) -> Cdc:
     meta, body_first = _parse_header(fh)
     field, n, k = meta["field"], meta["n"], meta["k"]
     lines = chain([body_first] if body_first is not None else [], fh)
-    if _packed(field, n, k):
+    if packable(field, n, k):
         words = _read_packed(lines, n, k)
         body = {"stream": ListSource.from_packed(field, n, words)}
     else:
         words, seen = [], set()
         for raw in lines:
-            line = raw.rstrip("\n")
+            line = raw.rstrip("\r\n")
             if not line:
                 continue
             try:
@@ -202,6 +197,8 @@ def read_code(fh) -> Cdc:
                 raise DuplicateCodewordError(f"duplicate codeword {line!r}")
             seen.add(sub.gen.rows)
             words.append(sub)
+        if k == 0 and not words and meta["count"] == 1:
+            words = [Subspace(field, n, [])]
         body = {"words": words}
     if len(words) != meta["count"]:
         raise CountMismatchError(
@@ -226,18 +223,14 @@ def _gc_paused():
             gc.enable()
 
 
+@_gc_paused()
 def _read_packed(lines, n, k):
     """The canonical packed words of a GF(2) body, in file order, as tuples
     of ints.  Reads at most _BLOCK lines at a time; an error is raised only
     once every word before the offending line has been checked."""
-    with _gc_paused():
-        return _read_packed_blocks(lines, n, k)
-
-
-def _read_packed_blocks(lines, n, k):
     words, seen = [], set()
     while chunk := list(islice(lines, _BLOCK)):
-        block = [line.strip() for line in chunk if line != "\n"]
+        block = [line.strip() for line in chunk if line not in ("\n", "\r\n")]
         cut = next((i for i, line in enumerate(block) if len(line) != k * (n + 1) - 1),
                    len(block))
         # a '|' after every line makes each of them k rows of n digits and a '|'

@@ -7,13 +7,17 @@ within a block in mixed-radix order over the constituent factors.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import accumulate, product as iproduct
+
+import numpy as np
 
 from .cdc import (Cdc, ListSource, MATERIALIZE_CAP, ProductSource, StreamSource,
                   _single_full, lifted_mrd, parallelism_2_of_F_q4,
                   partial_spread_subcode, spread)
-from .linalg import MatrixGF, inverse, matmul, pack_row, rank_bits, rank_rows, rref_bits
+from .linalg import (MatrixGF, checked_indices, inverse, matmul, pack_row, packable,
+                     rank_bits_batch, rank_rows, rref_bits, rref_bits_batch)
 from .rankmetric import (GabidulinHandle, base_field, coset_partition,
                          gabidulin_mrd, mrd_size, nested_subcode,
                          rank_distribution, rank_filtered)
@@ -190,6 +194,9 @@ class _DropFirst:
     def packed_at(self, i):
         return self.view.packed_at(i + 1)
 
+    def packed_at_batch(self, idx):
+        return self.view.packed_at_batch(checked_indices(idx, self.size) + 1)
+
     def rows_at(self, i):
         return self.view.rows_at(i + 1)
 
@@ -260,23 +267,15 @@ def check_special_substructure(c: Cdc, max_words: int = MATERIALIZE_CAP):
     failures = []
     for meta in blocks:
         lo, hi = meta["col_start"], meta["col_end"]
-        width = hi - lo
-        mask = (1 << width) - 1
-        remaining = max_words - checked
-        if remaining <= 0:
-            break
-        for off in range(min(meta["count"], remaining)):
-            idx = meta["start"] + off
-            if c.field.q == 2:
-                rows = c.packed_at(idx)
-                sub = [(r >> (n - hi)) & mask for r in rows]
-                rk = rank_bits(sub, width)
-            else:
-                rows = c.at(idx).gen.rows
-                rk = rank_rows(c.field, [r[lo:hi] for r in rows], width)
-            if rk != k:
-                failures.append(idx)
-            checked += 1
+        idx = np.arange(meta["start"], meta["start"] + min(meta["count"], max_words - checked))
+        if packable(c.field, n, k):
+            cols = (c.packed_at_batch(idx) >> np.uint64(n - hi)) & np.uint64((1 << (hi - lo)) - 1)
+            ranks = rank_bits_batch(cols, hi - lo)
+        else:
+            ranks = [rank_rows(c.field, [r[lo:hi] for r in c.at(i).gen.rows], hi - lo)
+                     for i in idx.tolist()]
+        failures += idx[np.not_equal(ranks, k)].tolist()
+        checked += len(idx)
     return {"checked": checked, "failures": failures, "ok": not failures}
 
 
@@ -498,14 +497,18 @@ class _ReembedSource(StreamSource):
     def __init__(self, field, n, frames, gprime):
         self.field = field
         self.n = n
-        self.frames = frames
-        self.gprime = gprime
+        self.frames = np.array(frames, dtype=np.uint64)
+        self.gprime = np.array(gprime, dtype=np.uint64)
         self.size = len(frames) * len(gprime)
 
-    def _word(self, frame, gp):
+    def packed_at(self, i):
+        if not 0 <= i < self.size:
+            raise IndexError(i)
+        u, j = divmod(i, len(self.gprime))
+        frame = self.frames[u].tolist()
         width = len(frame)
         rows = []
-        for g in gp:
+        for g in self.gprime[j].tolist():
             acc = 0
             for c in range(width):
                 if (g >> (width - 1 - c)) & 1:
@@ -513,14 +516,15 @@ class _ReembedSource(StreamSource):
             rows.append(acc)
         return tuple(rref_bits(rows, self.n)[0])
 
-    def packed_at(self, i):
-        u, j = divmod(i, len(self.gprime))
-        return self._word(self.frames[u], self.gprime[j])
-
-    def iter_packed(self):
-        for frame in self.frames:
-            for gp in self.gprime:
-                yield self._word(frame, gp)
+    def packed_at_batch(self, idx):
+        u, j = np.divmod(checked_indices(idx, self.size), len(self.gprime))
+        frames, gp = self.frames[u], self.gprime[j]
+        width = frames.shape[1]
+        rows = np.zeros_like(gp)
+        for c in range(width):  # frame row c where column c of G' is set
+            bit = (gp >> np.uint64(width - 1 - c)) & np.uint64(1)
+            rows ^= np.where(bit != 0, frames[:, c, None], np.uint64(0))
+        return rref_bits_batch(rows, self.n)[0]
 
 
 def _reembedded(entry: SeqEntry, part, field, k, s, t) -> StreamSource:
@@ -583,31 +587,32 @@ def duplication(partition: DistancePartition, seq: NdkSequence, A: Cdc,
 class UnionSource(StreamSource):
     def __init__(self, parts):
         self.parts = parts
-        self.size = sum(p.size for p in parts)
+        self.starts = list(accumulate((p.size for p in parts), initial=0))  # of each part
+        self.size = self.starts[-1]
 
     def _locate(self, i):
         if not 0 <= i < self.size:
             raise IndexError(i)
-        for p in self.parts:
-            if i < p.size:
-                return p, i
-            i -= p.size
+        p = bisect_right(self.starts, i) - 1
+        return self.parts[p], i - self.starts[p]
 
     def packed_at(self, i):
         p, j = self._locate(i)
         return p.packed_at(j)
 
+    def packed_at_batch(self, idx):
+        idx = checked_indices(idx, self.size)
+        part = np.searchsorted(self.starts, idx, side="right") - 1
+        blocks = [(part == p, self.parts[p].packed_at_batch(idx[part == p] - self.starts[p]))
+                  for p in np.flatnonzero(np.bincount(part)).tolist()]
+        out = np.zeros((len(idx), blocks[0][1].shape[1] if blocks else 0), dtype=np.uint64)
+        for sel, block in blocks:
+            out[sel] = block
+        return out
+
     def rows_at(self, i):
         p, j = self._locate(i)
         return p.rows_at(j)
-
-    def iter_packed(self):
-        for p in self.parts:
-            yield from p.iter_packed()
-
-    def iter_rows(self):
-        for p in self.parts:
-            yield from p.iter_rows()
 
 
 def _dual_spread(sp: Cdc) -> Cdc:

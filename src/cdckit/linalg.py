@@ -68,6 +68,21 @@ class MatrixGF:
 # bit-packed GF(2) rows: column j lives in bit (ncols - 1 - j)
 # ----------------------------------------------------------------------
 
+BATCH = 1 << 12  # words, or sampled pairs, per batched call of a stream or check
+
+def packable(field: FieldSpec, n: int, k: int) -> bool:
+    """Whether k x n matrices take the batched uint64 path: GF(2), 1 <= k, n <= 64."""
+    return field.q == 2 and 1 <= k and n <= 64
+
+
+def checked_indices(idx, size):
+    """idx as an int64 array; IndexError unless every entry is in [0, size)."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size and not 0 <= idx.min() <= idx.max() < size:
+        raise IndexError(f"index out of range [0, {size})")
+    return idx
+
+
 def pack_row(row) -> int:
     x = 0
     for v in row:
@@ -121,30 +136,31 @@ def rank_bits(rows, n) -> int:
     return rank
 
 
-@lru_cache(maxsize=None)
-def _leading_bit_table(ncols):
-    lead = np.zeros(1 << ncols, dtype=np.uint64)
-    for b in range(ncols):
-        lead[1 << b:2 << b] = 1 << b
-    return lead
+def _leading_bits(x, ncols):
+    """The highest set bit of each ncols-bit entry of a uint64 array (0
+    stays 0): smear it down to bit 0, then keep the top one."""
+    x = x.copy()
+    shift = 1
+    while shift < ncols:
+        x |= x >> np.uint64(shift)
+        shift *= 2
+    return x ^ (x >> np.uint64(1))
 
 
 def rank_bits_batch(rows, ncols):
-    """Ranks of B bit-packed GF(2) matrices given as a (B, a) uint64 array.
+    """Ranks of B bit-packed GF(2) matrices given as a (B, a) uint64 array,
+    ncols <= 64.
 
     Agrees with rank_bits matrix by matrix.  Row j, once reduced by the rows
     above it, clears its leading bit from the rows below; the matrix rank
-    counts the rows that are nonzero at their turn.  The leading-bit table
-    has 2**ncols entries, no more than the words of any code that has
-    ncols-bit rows and is scanned this way."""
+    counts the rows that are nonzero at their turn."""
     work = np.array(rows, dtype=np.uint64).T  # (a, B) copy, one row at a time
-    lead_of = _leading_bit_table(ncols)
     ranks = np.zeros(work.shape[1], dtype=np.int64)
     for j in range(work.shape[0]):
         row = work[j]
         ranks += row != 0
         below = work[j + 1:]
-        below ^= np.where((below & lead_of[row]) != 0, row, 0)
+        below ^= np.where((below & _leading_bits(row, ncols)) != 0, row, np.uint64(0))
     return ranks
 
 
@@ -159,13 +175,7 @@ def rref_bits_batch(rows, ncols):
     work = np.array(rows, dtype=np.uint64).T.copy()  # (a, B): row j is contiguous
     for j in range(work.shape[0]):
         row = work[j].copy()
-        lead = row.copy()  # smear the leading bit down, then keep the top one
-        shift = 1
-        while shift < ncols:
-            lead |= lead >> np.uint64(shift)
-            shift *= 2
-        lead ^= lead >> np.uint64(1)
-        work ^= np.where((work & lead) != 0, row, np.uint64(0))
+        work ^= np.where((work & _leading_bits(row, ncols)) != 0, row, np.uint64(0))
         work[j] = row
     out = np.sort(work.T, axis=1)[:, ::-1]
     return out, np.count_nonzero(out, axis=1)

@@ -16,7 +16,7 @@ from operator import xor
 import numpy as np
 
 from .gf import FieldSpec, ext_field, field_new
-from .linalg import gaussian_binomial, rank_bits_batch, rank_rows
+from .linalg import checked_indices, gaussian_binomial, rank_bits_batch, rank_rows
 
 TABLE_BITS = 12  # index bits per XOR table; the lowest table is one block
 
@@ -68,17 +68,6 @@ def rank_distribution(q: int, m: int, n: int, d_r: int, r: int) -> int:
     return gaussian_binomial(lo, r, q) * total
 
 
-def _transpose_packed(rows, ncols):
-    out = []
-    for j in range(ncols):
-        bit = 1 << (ncols - 1 - j)
-        x = 0
-        for r in rows:
-            x = (x << 1) | (1 if r & bit else 0)
-        out.append(x)
-    return out
-
-
 def _transpose_block(block, ncols):
     """(B, a) packed a x ncols matrices -> (B, ncols) packed transposes."""
     a = block.shape[1]
@@ -104,10 +93,7 @@ class RankCodeHandle:
     def __repr__(self):
         return f"RankCodeHandle({self.kind}, {self.m}x{self.n}, d_r={self.d_r}, q={self.q}, size={self.size})"
 
-    # subclass API
-    def packed_at(self, i):  # pragma: no cover - abstract
-        raise NotImplementedError
-
+    # subclass API; q = 2 handles also give packed_at(i) and packed_at_batch(idx)
     def rows_at(self, i):  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -127,11 +113,7 @@ class RankCodeHandle:
             yield self.rows_at(i)
 
     def rank_of(self, i) -> int:
-        field = base_field(self.q)
-        if field.q == 2:
-            from .linalg import rank_bits
-            return rank_bits(self.packed_at(i), self.n)
-        return rank_rows(field, self.rows_at(i), self.n)
+        return rank_rows(base_field(self.q), self.rows_at(i), self.n)
 
 
 class GabidulinHandle(RankCodeHandle):
@@ -244,8 +226,16 @@ class GabidulinHandle(RankCodeHandle):
     def packed_at(self, i):
         rows = self.internal_packed_at(i)
         if self.transposed:
-            rows = _transpose_packed(rows, self.b)
+            rows = _transpose_block(np.array([rows], dtype=np.uint64), self.b)[0].tolist()
         return rows
+
+    def packed_at_batch(self, idx):
+        """One XOR-table row per index-bit group (indices stay below 2^63)."""
+        idx = checked_indices(idx, self.size)
+        words = np.zeros((len(idx), self.a), dtype=np.uint64)
+        for shift, table in zip(range(0, 63, TABLE_BITS), self._xor_tables()):
+            words ^= table[(idx >> shift) & (len(table) - 1)]
+        return _transpose_block(words, self.b) if self.transposed else words
 
     def rows_at(self, i):
         rows = self._internal_rows(self.coefficients_at(i))
@@ -295,6 +285,9 @@ class CosetHandle(RankCodeHandle):
     def packed_at(self, i):
         base = self.sub.packed_at(i)
         return [a ^ b for a, b in zip(base, self._rep_packed)]
+
+    def packed_at_batch(self, idx):
+        return self.sub.packed_at_batch(idx) ^ np.array(self._rep_packed, dtype=np.uint64)
 
     def rows_at(self, i):
         f = self.field
@@ -349,18 +342,15 @@ class RankFilteredHandle(RankCodeHandle):
     def packed_at(self, i):
         return self.parent.packed_at(int(self.indices()[i]))
 
+    def packed_at_batch(self, idx):
+        return self.parent.packed_at_batch(self.indices()[checked_indices(idx, self.size)])
+
     def rows_at(self, i):
         return self.parent.rows_at(int(self.indices()[i]))
 
     def iter_blocks(self):
         for block, mask in self._masked_blocks():
             yield block[mask]
-
-    def iter_rows(self):
-        field = base_field(self.q)
-        for rows in self.parent.iter_rows():
-            if rank_rows(field, rows, self.n) <= self.cap:
-                yield rows
 
 
 def gabidulin_mrd(q: int, m: int, n: int, d_r: int) -> GabidulinHandle:

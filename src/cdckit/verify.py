@@ -2,7 +2,9 @@
 sampled pairwise distance checks, and spread/parallelism coverage checks.
 
 Pair sampling is counter-based (splitmix64 over a triangular unranking),
-so reports are byte-identical across platforms for a fixed seed.
+so reports are byte-identical across platforms for a fixed seed.  Pairs
+are drawn and checked in numpy chunks; over GF(2) with n <= 64 each chunk
+is one packed_at_batch gather and one rank_bits_batch.
 """
 
 from __future__ import annotations
@@ -11,13 +13,13 @@ import json
 import math
 import time
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
-from .linalg import gaussian_binomial, rank_bits, rank_rows
+from .linalg import BATCH, gaussian_binomial, packable, rank_bits_batch, rank_rows
 from .rankmetric import base_field
-from .subspace import Subspace
+from .subspace import Subspace, distance
 
 ENUM_CAP = 10 ** 6
 FULL_CHECK_CAP = 10 ** 5
@@ -84,24 +86,26 @@ def enumerate_subspaces(q: int, n: int, k: int, cap: int = ENUM_CAP):
 # pairwise distance kernels
 # ----------------------------------------------------------------------
 
+def _span_blocks(code):
+    """(lo, vecs): the 2^k vectors of each GF(2) codeword from lo on, zero
+    first, as (B, 2^k) uint64 blocks of at most 2^16 vectors."""
+    step = max(1, (1 << 16) >> code.k)
+    for lo in range(0, code.size, step):
+        words = code.packed_at_batch(np.arange(lo, min(lo + step, code.size)))
+        vecs = np.zeros((len(words), 1), dtype=np.uint64)
+        for row in words.T:
+            vecs = np.hstack([vecs, vecs ^ row[:, None]])
+        yield lo, vecs
+
+
 def _subspace_masks(code, n):
     """Per-codeword bitmask over the 2^n vectors of F_2^n, as uint64 words."""
-    nwords = max(1, (1 << n) >> 6)
-    out = np.zeros((code.size, nwords), dtype=np.uint64)
-    for i, rows in enumerate(code.iter_packed()):
-        vecs = [0]
-        for r in rows:
-            vecs.extend([v ^ r for v in vecs])
-        mask = 0
-        for v in vecs:
-            mask |= 1 << v
-        for w in range(nwords):
-            out[i, w] = (mask >> (64 * w)) & 0xFFFFFFFFFFFFFFFF
+    out = np.zeros((code.size, max(1, (1 << n) >> 6)), dtype=np.uint64)
+    for lo, vecs in _span_blocks(code):
+        rows = lo + np.arange(len(vecs))
+        for v in vecs.T:  # one vector per word: no index repeats
+            out[rows, v >> np.uint64(6)] |= np.uint64(1) << (v & np.uint64(63))
     return out
-
-
-def _distance_packed(rows1, rows2, n, k1, k2):
-    return 2 * rank_bits(list(rows1) + list(rows2), n) - k1 - k2
 
 
 def _pair_rows_report(code, i, j):
@@ -191,38 +195,53 @@ def sample_pairs(n_items: int, pairs: int, seed: int):
         yield _unrank_pair(z % total)
 
 
+def _unrank_pairs(t):
+    """_unrank_pair over uint64 pair indices of a code of at most 2^32 words,
+    where b (b - 1) and b (b + 1) stay below 2^64.  The float square root is
+    within 2^-19 of the exact one: b is off by at most one before the fix-up."""
+    b = ((1 + np.sqrt(8 * t.astype(np.float64) + 1)) // 2).astype(np.uint64)
+    b -= (b * (b - 1) // 2 > t).astype(np.uint64)
+    b += ((b + 1) * b // 2 <= t).astype(np.uint64)
+    return (t - b * (b - 1) // 2).astype(np.int64), b.astype(np.int64)
+
+
+def _pair_chunks(n_items: int, pairs: int, seed: int):
+    """sample_pairs(n_items, pairs, seed) as (a, b) int64 arrays of at most
+    BATCH pairs; splitmix64 wraps mod 2^64 in np.uint64."""
+    if n_items > 1 << 32:  # pair indices past 2^63: the scalar stream
+        stream = sample_pairs(n_items, pairs, seed)
+        while ab := list(islice(stream, BATCH)):
+            yield tuple(np.array(ab, dtype=np.int64).T)
+        return
+    total = np.uint64(n_items * (n_items - 1) // 2)
+    for lo in range(0, pairs, BATCH):
+        z = np.arange(lo + 1, min(lo + BATCH, pairs) + 1, dtype=np.uint64) \
+            * np.uint64(0x9E3779B97F4A7C15) + np.uint64(seed & _M64)
+        z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+        yield _unrank_pairs((z ^ (z >> 31)) % total)
+
+
 def sampled_check(code, pairs: int, seed: int = 0) -> VerificationReport:
-    """Seeded uniform pair sampling over a random-access code."""
+    """Seeded uniform pair sampling over a random-access code; violations
+    in sample order."""
     start = time.monotonic()
     N = code.size
     if pairs <= 0 or N < 2:
         return VerificationReport("sampled", 0, None, [], seed=seed,
                                   wall_time=time.monotonic() - start)
-    q2 = code.field.q == 2
-    n, k = code.n, code.k
-    field = code.field
-    min_dist = None
-    violations = []
-    cache = {}
-
-    def fetch(i):
-        if i not in cache:
-            if len(cache) > 1 << 16:
-                cache.clear()
-            cache[i] = code.packed_at(i) if q2 else code.at(i).gen.rows
-        return cache[i]
-
-    for (a, b) in sample_pairs(N, pairs, seed):
-        ra, rb = fetch(a), fetch(b)
-        if q2:
-            d = _distance_packed(ra, rb, n, k, k)
+    lows, violations = [], []
+    for a, b in _pair_chunks(N, pairs, seed):
+        if packable(code.field, code.n, code.k):
+            words = code.packed_at_batch(np.concatenate([a, b]))
+            d = 2 * rank_bits_batch(np.hstack(np.split(words, 2)), code.n) - 2 * code.k
         else:
-            d = 2 * rank_rows(field, list(ra) + list(rb), n) - k - k
-        if min_dist is None or d < min_dist:
-            min_dist = d
-        if d < code.d_claim:
-            violations.append({"pair": _pair_rows_report(code, a, b), "distance": d})
-    return VerificationReport("sampled", pairs, min_dist, violations, seed=seed,
+            d = np.array([distance(code.at(i), code.at(j))
+                          for i, j in zip(a.tolist(), b.tolist())])
+        lows.append(int(d.min()))
+        violations += [{"pair": _pair_rows_report(code, int(a[x]), int(b[x])),
+                        "distance": int(d[x])} for x in np.flatnonzero(d < code.d_claim)]
+    return VerificationReport("sampled", pairs, min(lows), violations, seed=seed,
                               wall_time=time.monotonic() - start)
 
 
@@ -247,12 +266,8 @@ def coverage_check(obj):
     q, n = code.field.q, code.n
     if q == 2:
         counts = np.zeros(1 << n, dtype=np.int64)
-        for rows in code.iter_packed():
-            vecs = [0]
-            for r in rows:
-                vecs.extend([v ^ r for v in vecs])
-            for v in vecs[1:]:
-                counts[v] += 1
+        for _, vecs in _span_blocks(code):
+            np.add.at(counts, vecs[:, 1:], 1)
         nonzero = counts[1:]
         missed = int((nonzero == 0).sum())
         multi = int((nonzero > 1).sum())

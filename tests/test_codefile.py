@@ -201,6 +201,35 @@ def test_reader_accepts_crlf_file(tmp_path):
     assert dumps(import_code(path)) == text
 
 
+@pytest.mark.parametrize("text", [
+    _golden_text,
+    lambda: dumps(lifted_mrd(3, 4, 2, 2)),  # the per-line reader
+], ids=["golden", "q3"])
+def test_loads_crlf_text_equals_lf_text(text):
+    # loads sees the '\r' that universal newlines hide from import_code,
+    # blank lines included
+    lf = text()
+    crlf = lf.replace("\n", "\r\n")
+    for c in (loads(crlf), loads(crlf.replace("#ORDER", "\r\n#ORDER") + "\r\n")):
+        assert dumps(c) == lf
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_dimension_zero_code_roundtrip(count):
+    # the zero subspace is written as an empty line, which the reader skips
+    from cdckit.subspace import Subspace
+    f = field_new(2, 1)
+    c = Cdc(f, 4, 0, 0, words=[Subspace(f, 4, [])][:count])
+    text = dumps(c)
+    assert text.endswith(f"#COUNT={count}\n#ORDER=canonical\n#PROV=unknown\n" + "\n" * count)
+    back = loads(text)
+    assert (back.size, back.k) == (count, 0)
+    assert [w.gen.rows for w in back.words()] == [()] * count
+    assert dumps(back) == text
+    with pytest.raises(CountMismatchError):
+        loads(text.replace(f"#COUNT={count}", "#COUNT=2"))
+
+
 @pytest.mark.parametrize("mutate", [
     lambda t: t.replace(FIRST, "100000|010200|001000\n"),   # bad digit
     lambda t: t[:-4],                                        # truncated last line

@@ -1,0 +1,82 @@
+"""The batched gather: packed_at_batch(idx) equals [packed_at(i) for i in
+idx] on every q = 2 source and rank-metric handle, and the chunked
+iter_packed built on it equals the scalar words."""
+
+import random
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from cdckit.cdc import Cdc, ListSource, lifted_mrd, spread
+from cdckit.constructions import (CompositionProfile, _DropFirst, multiblock_linkage,
+                                  recipe_12_4_4_thm)
+from cdckit.gf import field_new
+from cdckit.rankmetric import (coset_partition, gabidulin_mrd, nested_subcode,
+                               rank_filtered)
+
+F2 = field_new(2, 1)
+
+
+@lru_cache(maxsize=None)
+def _linkage():
+    # block 0 plain, block 1 reduced to RREF behind a rank-filtered prefix
+    return multiblock_linkage(CompositionProfile(2, 2, 4, (4, 4)), [spread(2, 4, 2)] * 2,
+                              [gabidulin_mrd(2, 2, 4, 2)] * 2)
+
+
+def _sources():
+    big = gabidulin_mrd(2, 5, 3, 1)
+    linkage = _linkage().source
+    words = list(lifted_mrd(2, 6, 3, 4))
+    return {
+        "square": lambda: gabidulin_mrd(2, 4, 4, 2),
+        "transposed": lambda: lifted_mrd(2, 9, 6, 4).lmrd_handle,
+        "nested": lambda: nested_subcode(gabidulin_mrd(2, 4, 4, 1), 2),
+        "coset": lambda: coset_partition(big, nested_subcode(big, 2))[5],
+        "rank-filtered": lambda: rank_filtered(gabidulin_mrd(2, 4, 4, 2), 3),
+        "drop-first": lambda: _DropFirst(rank_filtered(gabidulin_mrd(2, 3, 3, 2), 2)),
+        "product": lambda: lifted_mrd(2, 9, 6, 4).source,
+        "product, reduced": lambda: linkage.parts[1],
+        "union": lambda: linkage,
+        "list": lambda: ListSource(words),
+        "list, packed": lambda: ListSource.from_packed(F2, 6, [w.packed_rows() for w in words]),
+        "re-embedded": lambda: recipe_12_4_4_thm(2)[0].source.parts[1],
+    }
+
+
+CASES = sorted(_sources())
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_gather_equals_scalar_access(case):
+    src = _sources()[case]()
+    assert src.size > 2
+    rng = random.Random(case)
+    idx = [0, src.size - 1] + [rng.randrange(src.size) for _ in range(300)] + [0]
+    got = src.packed_at_batch(np.array(idx, dtype=np.int64))
+    assert got.dtype == np.uint64 and got.shape[0] == len(idx)
+    assert got.tolist() == [list(src.packed_at(i)) for i in idx]
+    assert src.packed_at_batch(np.zeros(0, dtype=np.int64)).tolist() == []
+    for bad in ([-1], [src.size], [0, src.size + 5]):
+        with pytest.raises(IndexError):
+            src.packed_at_batch(np.array(bad, dtype=np.int64))
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c != "drop-first"])  # a view, no stream
+def test_stream_equals_scalar_access(case):
+    src = _sources()[case]()
+    n = min(src.size, 5000)  # past the first 4,096-word chunk where there is one
+    streamed = []
+    for word in src.iter_packed():
+        streamed.append(list(word))
+        if len(streamed) == n:
+            break
+    assert streamed == [list(src.packed_at(i)) for i in range(n)]
+
+
+def test_code_gathers_from_its_source():
+    c = _linkage()
+    assert c.packed_at_batch([3, 84, 0]).tolist() == [list(c.packed_at(i)) for i in (3, 84, 0)]
+    listed = Cdc(F2, 8, 2, 4, words=list(c))
+    assert listed.packed_at_batch([84]).tolist() == [list(c.packed_at(84))]

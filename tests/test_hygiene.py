@@ -1,6 +1,9 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+every source of packed words has a batched gather."""
 
 import ast
+import importlib
+import inspect
 import pathlib
 
 import pytest
@@ -22,3 +25,21 @@ def test_no_unused_imports(path):
     unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                     if name not in used)
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _owner(cls, attr):
+    return next(c for c in cls.__mro__ if attr in c.__dict__)
+
+
+@pytest.mark.parametrize("module", ["cdc", "constructions", "rankmetric"])
+def test_every_packed_source_has_a_batched_gather(module):
+    # streams and the sampler gather through packed_at_batch alone: a class
+    # that overrides packed_at must override it as well (or inherit it from
+    # a class at least as derived), or it would fall back on an abstract one
+    mod = importlib.import_module(f"cdckit.{module}")
+    classes = [c for _, c in inspect.getmembers(mod, inspect.isclass)
+               if c.__module__ == mod.__name__ and hasattr(c, "packed_at")]
+    assert classes
+    missing = sorted(c.__name__ for c in classes if not hasattr(c, "packed_at_batch")
+                     or not issubclass(_owner(c, "packed_at_batch"), _owner(c, "packed_at")))
+    assert not missing, f"{module}: packed_at without packed_at_batch in {missing}"

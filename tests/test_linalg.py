@@ -86,6 +86,20 @@ def test_rank_bits_batch_random_batches():
             _batch_agrees_with_scalar(rows, ncols)
 
 
+def test_rank_bits_batch_wide_rows():
+    # the leading bit is found by a smear, not a 2^ncols table: any ncols <= 64
+    rng = random.Random(64)
+    for ncols in (33, 48, 64):
+        for a in (1, 4, 8):
+            rows = []
+            for _ in range(300):
+                m = [rng.getrandbits(ncols) for _ in range(a)]
+                m.append(m[0] ^ m[-1])  # a dependent row
+                m.append(1 << (ncols - 1))  # the top column alone
+                rows.append(m)
+            _batch_agrees_with_scalar(rows, ncols)
+
+
 def test_rank_bits_batch_empty():
     assert rank_bits_batch(np.zeros((0, 4), dtype=np.uint64), 4).shape == (0,)
 

@@ -1,16 +1,19 @@
 """Verification oracles: enumeration vs Gaussian binomials, deterministic
 sampling, shuffle invariance of the exact check, report format."""
 
+import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 
 from cdckit.cdc import Cdc, lifted_mrd
 from cdckit.constructions import recipe_8_4_4
 from cdckit.gf import field_new
-from cdckit.verify import (CapExceeded, enumerate_subspaces,
-                           full_pairwise_check, sample_pairs, sampled_check)
+from cdckit.verify import (CapExceeded, _pair_chunks, _unrank_pair, _unrank_pairs,
+                           enumerate_subspaces, full_pairwise_check, sample_pairs,
+                           sampled_check)
 from cdckit.linalg import gaussian_binomial
 
 
@@ -117,3 +120,64 @@ def test_full_check_streamed_equals_materialized():
         assert a == b
         assert a["pairs_checked"] == 114 * 113 // 2 and a["min_distance_found"] == 2
         assert bool(a["violations"]) == (d_claim == 4)
+
+
+@pytest.mark.parametrize("n_items", [2, 3, 1000, 262165, 19660413, 2 ** 32, 2 ** 40])
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
+def test_chunked_sampler_equals_scalar_stream(n_items, seed):
+    # 10,000 pairs cross two boundaries of the 4,096-pair chunks; past 2^32
+    # words the chunks come from the scalar stream
+    got, sizes = [], []
+    for a, b in _pair_chunks(n_items, 10000, seed):
+        assert a.dtype == b.dtype == np.int64
+        sizes.append(len(a))
+        got += zip(a.tolist(), b.tolist())
+    assert sizes == [4096, 4096, 1808]
+    assert got == list(sample_pairs(n_items, 10000, seed))
+
+
+def test_unrank_pairs_at_triangular_boundaries():
+    # t = T(b) - 1 is the last pair below b, t = T(b) the first pair of b,
+    # with T(b) = b (b - 1) / 2; b up to 2^32 - 1, the largest of a 2^32-word code
+    ts = []
+    for b in (2, 3, 94906265, 94906266, 2 ** 31, 2 ** 32 - 3, 2 ** 32 - 2, 2 ** 32 - 1):
+        tb = b * (b - 1) // 2
+        ts += [tb - 1, tb, tb + 1]
+    ts.append(2 ** 32 * (2 ** 32 - 1) // 2 - 1)  # the last pair of a 2^32-word code
+    a, b = _unrank_pairs(np.array(ts, dtype=np.uint64))
+    assert list(zip(a.tolist(), b.tolist())) == [_unrank_pair(t) for t in ts]
+
+
+# a streamed q = 2 code whose last word meets R(I | 0) = <e0, e1, e2> in a
+# plane; SHA-256 of its sampled report minus wall_time, taken with the
+# per-pair sampler that the batched one replaced
+CLOSE_REPORT_SHA = "c006d886dcff4b5972d50aaf35d18fcf990d7cff9fe4c47e9364adaf792d2758"
+
+
+def test_sampled_report_with_violations_pinned():
+    from cdckit.cdc import ListSource, _lifted
+    from cdckit.constructions import UnionSource
+    from cdckit.rankmetric import gabidulin_mrd
+    from cdckit.subspace import Subspace
+    f = field_new(2, 1)
+    close = Subspace(f, 6, [tuple(1 if c == j else 0 for c in range(6)) for j in (0, 1, 3)])
+    src = UnionSource([_lifted(2, gabidulin_mrd(2, 3, 3, 2)), ListSource([close])])
+    streamed = Cdc(f, 6, 3, 4, stream=src)
+    assert not streamed.materialized
+    for code in (streamed, Cdc(f, 6, 3, 4, words=list(streamed))):
+        report = json.loads(sampled_check(code, 10000, seed=5).to_json())
+        report.pop("wall_time")
+        assert len(report["violations"]) == 13 and report["min_distance_found"] == 2
+        assert hashlib.sha256(json.dumps(report).encode()).hexdigest() == CLOSE_REPORT_SHA
+
+
+def test_sampled_check_q3_takes_the_rank_path():
+    from cdckit.subspace import distance
+    words = list(lifted_mrd(3, 4, 2, 2))
+    code = Cdc(words[0].field, 4, 2, 4, words=words)  # claims more than it has
+    report = sampled_check(code, 5000, seed=3)
+    pairs = [(a, b, distance(words[a], words[b])) for a, b in sample_pairs(len(words), 5000, 3)]
+    assert report.min_distance_found == min(d for _, _, d in pairs) == 2
+    assert report.violations == [
+        {"pair": [words[a].serialize(), words[b].serialize()], "distance": d}
+        for a, b, d in pairs if d < 4]
