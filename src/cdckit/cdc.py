@@ -1,9 +1,9 @@
 """Constant-dimension codes: containers, lifted MRD codes, spreads,
 2-parallelisms of F_q^4, and partial-spread subcode extraction.
 
-A Cdc either holds a materialized list of codewords (Subspace values, or
-packed GF(2) words read from a file) or wraps a deterministic stream with
-exact size and random access by index.
+A Cdc keeps its codewords in one source: a ListSource of listed words
+(Subspace values, or packed GF(2) words read from a file), or a computed
+stream with exact size and random access by index.
 """
 
 from __future__ import annotations
@@ -45,26 +45,38 @@ class StreamSource:
         return tuple(unpack_row(r, self.n) for r in self.packed_at(i))
 
     def iter_rows(self):
-        for i in range(self.size):
-            yield self.rows_at(i)
+        return map(self.rows_at, range(self.size))
+
+    def subspace_at(self, i) -> Subspace:
+        return Subspace(self.field, self.n, self.rows_at(i))
+
+    def iter_subspaces(self):
+        field, n = self.field, self.n
+        if field.q != 2:
+            return (Subspace(field, n, rows) for rows in self.iter_rows())
+        # a Cdc built from these words need not pack them again
+        return (Subspace(field, n, tuple(unpack_row(r, n) for r in w), packed=tuple(w))
+                for w in self.iter_packed())
 
 
 class ListSource(StreamSource):
-    """Materialized codewords; over GF(2) they are packed once, here, or
-    come packed (from_packed), in which case no Subspace is held."""
+    """Listed codewords: the Subspace list it is given, packed here over
+    GF(2), or packed GF(2) words alone (distinct canonical tuples of row
+    ints, as read from a file), whose Subspace list `words` builds once."""
 
-    def __init__(self, subspaces):
-        self.words = list(subspaces)
-        self.size = len(self.words)
-        over_gf2 = not self.words or self.words[0].field.q == 2
-        self.packed = [w.packed_rows() for w in self.words] if over_gf2 else None
+    def __init__(self, field, n, words=None, packed=None):
+        self.field, self.n = field, n
+        self._words = None if words is None else list(words)
+        if packed is None and field.q == 2:
+            packed = [w.packed_rows() for w in self._words]
+        self.packed = packed
+        self.size = len(self._words if packed is None else packed)
 
-    @classmethod
-    def from_packed(cls, field, n, packed):
-        """Distinct canonical GF(2) words given as tuples of row ints."""
-        src = cls([])
-        src.field, src.n, src.packed, src.size, src.words = field, n, packed, len(packed), None
-        return src
+    @property
+    def words(self):
+        if self._words is None:
+            self._words = list(super().iter_subspaces())
+        return self._words
 
     def packed_at(self, i):
         return self.packed[i]
@@ -79,12 +91,17 @@ class ListSource(StreamSource):
         return rows.reshape(len(idx), k)
 
     def rows_at(self, i):
-        if self.words is None:
-            return super().rows_at(i)
-        return self.words[i].gen.rows
+        return super().rows_at(i) if self._words is None else self._words[i].gen.rows
 
     def iter_packed(self):
         return iter(self.packed)
+
+    # until `words` is asked for, packed words give short-lived Subspace values
+    def subspace_at(self, i) -> Subspace:
+        return super().subspace_at(i) if self._words is None else self._words[i]
+
+    def iter_subspaces(self):
+        return super().iter_subspaces() if self._words is None else iter(self._words)
 
 
 class ProductSource(StreamSource):
@@ -143,7 +160,9 @@ class ProductSource(StreamSource):
 
 
 class Cdc:
-    """A set of k-subspaces of F_q^n with claimed minimum distance d."""
+    """A set of k-subspaces of F_q^n with claimed minimum distance d, kept in
+    one source: `words` are listed in a ListSource, a `stream` is kept as
+    given."""
 
     def __init__(self, field: FieldSpec, n: int, k: int, d_claim: int,
                  words=None, stream: StreamSource | None = None,
@@ -155,30 +174,28 @@ class Cdc:
         self.k = k
         self.d_claim = d_claim
         self.provenance = provenance or {}
-        self._stream = stream
-        self._words = None
         self.verified = None  # set by verification
         if words is not None:
-            self._words = list(words)
-            for w in self._words:
+            words = list(words)
+            for w in words:
                 if w.n != n or w.k != k or w.field != field:
                     raise CdcError(f"codeword {w!r} does not fit ({n},{k}) over GF({field.q})")
-            # listed once, here, so that the first stream, export or random
-            # access of a GF(2) list costs what the next one does; its packed
-            # words are the duplicate keys
-            self._stream = ListSource(self._words)
-            keys = self._stream.packed or [w.gen.rows for w in self._words]
+            # over GF(2) the ListSource packs the words once: streams, exports
+            # and random access read them, and they are the duplicate keys
+            stream = ListSource(field, n, words)
+            keys = stream.packed or [w.gen.rows for w in words]
             if len(set(keys)) != len(keys):
                 raise CdcError("duplicate codeword")
+        self.source = stream
 
     @property
     def size(self) -> int:
-        return len(self._words) if self._words is not None else self._stream.size
+        return self.source.size
 
     @property
     def materialized(self) -> bool:
         """Listed codewords, not a computed stream."""
-        return self._words is not None or isinstance(self._stream, ListSource)
+        return isinstance(self.source, ListSource)
 
     def __len__(self):
         return self.size
@@ -186,49 +203,33 @@ class Cdc:
     def __repr__(self):
         return f"Cdc(n={self.n}, k={self.k}, d>={self.d_claim}, q={self.field.q}, size={self.size})"
 
-    @property
-    def source(self) -> StreamSource:
-        """The codeword stream (a ListSource for a code built from words)."""
-        return self._stream
-
     def at(self, i) -> Subspace:
-        if self._words is not None:
-            return self._words[i]
-        return Subspace(self.field, self.n, self._stream.rows_at(i))
+        return self.source.subspace_at(i)
 
     def packed_at(self, i):
-        return self._stream.packed_at(i)
+        return self.source.packed_at(i)
 
     def packed_at_batch(self, idx):
-        return self._stream.packed_at_batch(idx)
+        return self.source.packed_at_batch(idx)
 
     def iter_packed(self):
-        return self._stream.iter_packed()
+        return self.source.iter_packed()
 
     def __iter__(self):
-        if self._words is not None:
-            yield from self._words
-        elif self.field.q == 2:  # a Cdc built from these words need not pack them again
-            n = self.n
-            for word in self._stream.iter_packed():
-                yield Subspace(self.field, n, tuple(unpack_row(r, n) for r in word),
-                               packed=tuple(word))
-        else:
-            for rows in self._stream.iter_rows():
-                yield Subspace(self.field, self.n, rows)
+        return self.source.iter_subspaces()
 
-    def words(self, cap: int = MATERIALIZE_CAP):
-        """Materialize the codeword list.  A computed stream is capped and
-        checked for duplicates; listed words (read from a file) are not."""
-        if self._words is None:
-            listed = self.materialized
-            if self.size > cap and not listed:
-                raise CdcError(f"size {self.size} exceeds materialization cap {cap}")
-            words = list(self)
-            if not listed and len(set(w.gen.rows for w in words)) != len(words):
-                raise CdcError("duplicate codeword in stream")
-            self._words = words
-        return self._words
+    def words(self):
+        """The codeword list.  Listed words are the source's own list; a
+        computed stream gives a fresh list on each call, capped at
+        MATERIALIZE_CAP and checked for duplicates."""
+        if self.materialized:  # uncapped
+            return self.source.words
+        if self.size > MATERIALIZE_CAP:
+            raise CdcError(f"size {self.size} exceeds materialization cap {MATERIALIZE_CAP}")
+        words = list(self)
+        if len(set(w.gen.rows for w in words)) != len(words):
+            raise CdcError("duplicate codeword in stream")
+        return words
 
 
 class SpreadFamily(list):
@@ -256,8 +257,6 @@ def lifted_mrd(q: int, n: int, k: int, d: int) -> Cdc:
     c = Cdc(base_field(q), n, k, d, stream=_lifted(q, handle),
             provenance={"kind": "lifted_mrd", "q": q, "n": n, "k": k, "d": d})
     c.lmrd_handle = handle
-    if c.size <= MATERIALIZE_CAP:
-        c.words()
     return c
 
 
@@ -437,7 +436,7 @@ def partial_spread_subcode(c: Cdc, strategy: str = "lmrd_nested") -> Cdc:
         if handle is None or not isinstance(handle, GabidulinHandle):
             raise CdcError("no lifted-MRD provenance on this code")
         sub = handle if handle.d_r == k else nested_subcode(handle, k)
-        chosen = [Subspace(c.field, c.n, rows) for rows in _lifted(c.field.q, sub).iter_rows()]
+        chosen = list(_lifted(c.field.q, sub).iter_subspaces())
         # complete greedily with disjoint codewords from the rest of the code
         if c.materialized or c.size <= MATERIALIZE_CAP:
             have = set(w.gen.rows for w in chosen)

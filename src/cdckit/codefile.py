@@ -178,8 +178,7 @@ def read_code(fh) -> Cdc:
     field, n, k = meta["field"], meta["n"], meta["k"]
     lines = chain([body_first] if body_first is not None else [], fh)
     if packable(field, n, k):
-        words = _read_packed(lines, n, k)
-        body = {"stream": ListSource.from_packed(field, n, words)}
+        source = ListSource(field, n, packed=_read_packed(lines, n, k))
     else:
         words, seen = [], set()
         for raw in lines:
@@ -199,11 +198,11 @@ def read_code(fh) -> Cdc:
             words.append(sub)
         if k == 0 and not words and meta["count"] == 1:
             words = [Subspace(field, n, [])]
-        body = {"words": words}
-    if len(words) != meta["count"]:
+        source = ListSource(field, n, words)
+    if source.size != meta["count"]:
         raise CountMismatchError(
-            f"header count {meta['count']} but body has {len(words)} codewords")
-    return Cdc(field, n, k, meta["d"], **body,
+            f"header count {meta['count']} but body has {source.size} codewords")
+    return Cdc(field, n, k, meta["d"], stream=source,
                provenance={"kind": meta["prov"], "order": meta["order"]})
 
 

@@ -480,7 +480,8 @@ def pairing_construction(nbar2, abar2, bbar2, C0: Cdc, C1: Cdc, C2: Cdc,
     sums = [_direct_sum_subspace(profile, C0.field, (u1, u2))
             for u1, u2 in zip(ones, twos)]
     lifted = ProductSource(C0.field, [C0.source, handle], (n1, n2))
-    return Cdc(C0.field, n1 + n2, k, d, stream=UnionSource([lifted, ListSource(sums)]),
+    return Cdc(C0.field, n1 + n2, k, d,
+               stream=UnionSource([lifted, ListSource(C0.field, n1 + n2, sums)]),
                provenance={"kind": "pairing", "nbar": (n1, n2),
                            "abar": (a1, a2), "bbar": (b1, b2)})
 
@@ -532,7 +533,7 @@ def _reembedded(entry: SeqEntry, part, field, k, s, t) -> StreamSource:
     code = entry.code
     if NdkSequence._is_lmrd_with_hole(entry):
         # R(I | M) re-embedded above U is [U | M]
-        return ProductSource(field, [ListSource(part), code.lmrd_handle], (k + t, s))
+        return ProductSource(field, [ListSource(field, k + t, part), code.lmrd_handle], (k + t, s))
     # general path: express each codeword in the (U*, S*) basis
     P = MatrixGF(code.field, entry.witness_u.gen.rows + entry.witness_s.gen.rows,
                  ncols=k + s)
@@ -565,8 +566,8 @@ def duplication(partition: DistancePartition, seq: NdkSequence, A: Cdc,
     n = k + s + t
     r = partition.r
     pad = (0,) * (k + t)
-    parts = [ListSource(Subspace(C.field, n, [pad + row for row in w.gen.rows])
-                        for w in A.words())]
+    parts = [ListSource(C.field, n, (Subspace(C.field, n, [pad + row for row in w.gen.rows])
+                                     for w in A.words()))]
     expected = A.size
     for i, part in enumerate(partition.parts):
         if part:
@@ -587,6 +588,7 @@ def duplication(partition: DistancePartition, seq: NdkSequence, A: Cdc,
 class UnionSource(StreamSource):
     def __init__(self, parts):
         self.parts = parts
+        self.field, self.n = parts[0].field, parts[0].n  # the parts share one space
         self.starts = list(accumulate((p.size for p in parts), initial=0))  # of each part
         self.size = self.starts[-1]
 
@@ -747,7 +749,7 @@ def recipe_8_4_4(q, parallelism=None):
         c = Cdc(field, 8, 4, 4, words=linkage.words() + addon.words(),
                 provenance=prov)
     else:
-        src = UnionSource([linkage._stream, ListSource(addon.words())])
+        src = UnionSource([linkage.source, addon.source])
         c = Cdc(field, 8, 4, 4, stream=src, provenance=prov)
     c.lmrd_handle = M[1]
     return c, expected
@@ -806,8 +808,7 @@ def recipe_12_6_6(q):
     linkage = multiblock_linkage(profile, C, M, left=left)
     addon = coset_addon(profile)
     ext = xi_extension(profile, addon)
-    src = UnionSource([linkage._stream, ListSource(addon.words()),
-                       ListSource(ext.words())])
+    src = UnionSource([linkage.source, addon.source, ext.source])
     c = Cdc(base_field(q), 12, 6, 6, stream=src,
             provenance={"kind": "recipe_12_6_6", "q": q,
                         "blocks": linkage.provenance["blocks"]})
@@ -823,7 +824,7 @@ def recipe_10_4_5(q):
     C = [_single_full(q, 5), _single_full(q, 5)]
     M = [gabidulin_mrd(q, 5, 5, 2), gabidulin_mrd(q, 5, 5, 2)]
     linkage = multiblock_linkage(profile, C, M)
-    c = Cdc(base_field(q), 10, 5, 4, stream=linkage._stream,
+    c = Cdc(base_field(q), 10, 5, 4, stream=linkage.source,
             provenance={"kind": "recipe_10_4_5", "q": q,
                         "blocks": linkage.provenance["blocks"]})
     return c, size_10_4_5_linkage(q)

@@ -23,6 +23,7 @@ from .subspace import Subspace, distance
 
 ENUM_CAP = 10 ** 6
 FULL_CHECK_CAP = 10 ** 5
+COVERAGE_CAP = 1 << 22  # vectors of F_q^n counted by coverage_check
 
 
 class CapExceeded(ValueError):
@@ -264,6 +265,9 @@ def coverage_check(obj):
                 "multiplicity_violations": len(bad), "ok": not bad}
     code: Cdc = obj
     q, n = code.field.q, code.n
+    # q^m > COVERAGE_CAP for m = its bit length, so q^n need not be formed
+    if q ** min(n, COVERAGE_CAP.bit_length()) > COVERAGE_CAP:
+        raise CapExceeded(f"{q}^{n} vectors exceeds coverage cap {COVERAGE_CAP}")
     if q == 2:
         counts = np.zeros(1 << n, dtype=np.int64)
         for _, vecs in _span_blocks(code):

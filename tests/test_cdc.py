@@ -109,7 +109,7 @@ def _product_cases():
         "rank-filtered head": ProductSource(
             f2, [_DropFirst(rank_filtered(gabidulin_mrd(2, 3, 3, 2), 2)), full(3)],
             (3, 3), reduce=True),
-        "empty factor": ProductSource(f2, [ListSource([]), gabidulin_mrd(2, 3, 3, 2)],
+        "empty factor": ProductSource(f2, [ListSource(f2, 3, []), gabidulin_mrd(2, 3, 3, 2)],
                                       (3, 3)),
     }
 
@@ -160,3 +160,46 @@ def test_word_list_is_packed_at_construction(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(CdcError):
         Cdc(f, 6, 3, 4, words=words + [twin])
+
+
+# ----------------------------------------------------------------------
+# one store: a Cdc reads its words from its source alone
+# ----------------------------------------------------------------------
+
+def test_stream_words_are_a_fresh_list_each_call(monkeypatch):
+    import cdckit.cdc as cdc
+    c = lifted_mrd(2, 6, 3, 4)
+    src = c.source
+    first = c.words()
+    second = c.words()
+    assert second == first and second is not first
+    assert not c.materialized and c.source is src
+    monkeypatch.setattr(cdc, "MATERIALIZE_CAP", 63)
+    with pytest.raises(CdcError):
+        c.words()
+
+
+def test_lifted_mrd_is_not_listed():
+    c = lifted_mrd(2, 6, 3, 4)
+    assert not c.materialized
+    for i in (-1, c.size):
+        with pytest.raises(IndexError):
+            c.at(i)
+
+
+def test_listed_words_are_the_source_list():
+    f = field_new(2, 1)
+    words = list(lifted_mrd(2, 6, 3, 4))
+    c = Cdc(f, 6, 3, 4, words=iter(words))
+    assert c.materialized and c.words() is c.source.words
+    assert c.words() == words and c.at(-1) is c.source.words[-1]
+
+
+def test_misfit_word_is_refused_before_it_is_packed():
+    # a GF(3) word in a GF(2) list: the check runs first, so no GF(2)
+    # packing of it is cached on the word
+    f2, f3 = field_new(2, 1), field_new(3, 1)
+    misfit = Subspace(f3, 6, ((1, 0, 0, 2, 0, 0), (0, 1, 0, 0, 2, 0), (0, 0, 1, 0, 0, 2)))
+    with pytest.raises(CdcError):
+        Cdc(f2, 6, 3, 4, words=[*lifted_mrd(2, 6, 3, 4).words()[:2], misfit])
+    assert misfit._packed is None

@@ -27,6 +27,7 @@ def test_removed_options_are_usage_errors(tmp_path, capsys):
     export(lifted_mrd(2, 6, 3, 4), out)
     assert main(["verify", "--file", str(out), "--jobs", "2"]) == 2
     assert main(["construct", "--recipe", "8_4_4", "--q", "2", "--seed", "0"]) == 2
+    assert main(["construct", "--recipe", "8_4_4", "--q", "2", "--materialize"]) == 2
 
 
 def test_construct_missing_import_is_precondition(capsys):
@@ -142,6 +143,18 @@ def test_oracle_kinds(tmp_path, capsys):
     p = tmp_path / "sp.cdc"
     export(spread(2, 8, 4), p)
     assert main(["oracle", "--kind", "coverage", "--file", str(p)]) == 0
+
+
+def test_coverage_past_its_cap_is_precondition(tmp_path, capsys):
+    # one valid word of F_2^40: counting 2^40 vectors is refused, not tried
+    import time
+    p = tmp_path / "wide.cdc"
+    p.write_text("#Q=2\n#P=2\n#E=1\n#MOD=0,1\n#N=40\n#K=1\n#D=2\n#COUNT=1\n"
+                 "#ORDER=canonical\n#PROV=wide\n" + "1" + "0" * 39 + "\n")
+    start = time.monotonic()
+    assert main(["oracle", "--kind", "coverage", "--file", str(p)]) == 4
+    assert time.monotonic() - start < 1.0
+    assert "coverage cap" in capsys.readouterr().err
 
 
 def test_stdout_streaming(tmp_path, capsys):

@@ -317,6 +317,23 @@ def test_imported_code_behaves_as_a_word_list(tmp_path):
     assert list(back.iter_packed()) == list(c.iter_packed())
 
 
+def test_imported_gf2_code_lists_its_words_once():
+    # packed words alone until words(): at and iteration build short-lived
+    # Subspace values, and words() builds the list once and keeps it
+    c = lifted_mrd(2, 6, 3, 4)
+    back = loads(dumps(c, order="generation"))
+    assert back.at(-1) == c.at(63)
+    assert list(back) == list(c)
+    assert back.source._words is None
+    words = back.words()
+    assert back.words() is words and back.at(-1) is words[-1]
+
+
+def test_line_reader_code_is_listed_once():
+    back = loads(dumps(spread(3, 4, 2)))
+    assert back.materialized and back.words() is back.source.words
+
+
 def test_reader_gf2_line_needs_exactly_k_rows():
     # the packed reader takes k rows of n digits per line; the per-line
     # reader also took a dependent extra row

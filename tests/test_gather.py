@@ -39,8 +39,8 @@ def _sources():
         "product": lambda: lifted_mrd(2, 9, 6, 4).source,
         "product, reduced": lambda: linkage.parts[1],
         "union": lambda: linkage,
-        "list": lambda: ListSource(words),
-        "list, packed": lambda: ListSource.from_packed(F2, 6, [w.packed_rows() for w in words]),
+        "list": lambda: ListSource(F2, 6, words),
+        "list, packed": lambda: ListSource(F2, 6, packed=[w.packed_rows() for w in words]),
         "re-embedded": lambda: recipe_12_4_4_thm(2)[0].source.parts[1],
     }
 

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every source of packed words has a batched gather."""
+"""Source hygiene: every name a module imports is used in that module,
+every source of packed words has a batched gather, and no module reads
+another module's private attributes."""
 
 import ast
 import importlib
@@ -43,3 +44,24 @@ def test_every_packed_source_has_a_batched_gather(module):
     missing = sorted(c.__name__ for c in classes if not hasattr(c, "packed_at_batch")
                      or not issubclass(_owner(c, "packed_at_batch"), _owner(c, "packed_at")))
     assert not missing, f"{module}: packed_at without packed_at_batch in {missing}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_reads_across_modules(path):
+    # obj._name is read only where the module itself defines _name: another
+    # module's private state stays behind that module's methods
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+    reads = sorted(f"{ast.unparse(node)} (line {node.lineno})" for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                   and node.attr.startswith("_") and not node.attr.startswith("__")
+                   and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+                   and node.attr not in defined)
+    assert not reads, f"{path.name}: private reads across modules {reads}"

@@ -161,7 +161,7 @@ def test_sampled_report_with_violations_pinned():
     from cdckit.subspace import Subspace
     f = field_new(2, 1)
     close = Subspace(f, 6, [tuple(1 if c == j else 0 for c in range(6)) for j in (0, 1, 3)])
-    src = UnionSource([_lifted(2, gabidulin_mrd(2, 3, 3, 2)), ListSource([close])])
+    src = UnionSource([_lifted(2, gabidulin_mrd(2, 3, 3, 2)), ListSource(f, 6, [close])])
     streamed = Cdc(f, 6, 3, 4, stream=src)
     assert not streamed.materialized
     for code in (streamed, Cdc(f, 6, 3, 4, words=list(streamed))):
