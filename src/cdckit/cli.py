@@ -23,6 +23,8 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_PRECONDITION = 4
 
+COUNT_DIGITS_CAP = 4300  # longest count printed; Python's default int-to-str limit
+
 
 class _CliError(Exception):
     def __init__(self, exit_code, message):
@@ -195,7 +197,13 @@ def cmd_export(args):
 
 def cmd_oracle(args):
     if args.kind == "subspace-count":
-        print(gaussian_binomial(args.n, args.k, args.q))
+        # [n, k]_q >= 2^e has over 3e/10 digits: a huge count is never formed
+        e = args.k * (args.n - args.k) * (args.q.bit_length() - 1)
+        if e * 3 // 10 > COUNT_DIGITS_CAP or (count := gaussian_binomial(
+                args.n, args.k, args.q)) >= 10 ** COUNT_DIGITS_CAP:
+            raise verify.CapExceeded(f"[{args.n},{args.k}]_{args.q} has over "
+                                     f"{COUNT_DIGITS_CAP} digits")
+        print(count)
     elif args.kind == "enumerate":
         print(sum(1 for _ in verify.enumerate_subspaces(args.q, args.n, args.k)))
     elif args.kind == "rank-distribution":

@@ -16,7 +16,7 @@ import numpy as np
 from .cdc import (Cdc, ListSource, MATERIALIZE_CAP, ProductSource, StreamSource,
                   _single_full, lifted_mrd, parallelism_2_of_F_q4,
                   partial_spread_subcode, spread)
-from .linalg import (MatrixGF, checked_indices, inverse, matmul, pack_row, packable,
+from .linalg import (MatrixGF, checked_indices, inverse, pack_row, packable,
                      rank_bits_batch, rank_rows, rref_bits, rref_bits_batch)
 from .rankmetric import (GabidulinHandle, base_field, coset_partition,
                          gabidulin_mrd, mrd_size, nested_subcode,
@@ -519,13 +519,18 @@ class _ReembedSource(StreamSource):
 
     def packed_at_batch(self, idx):
         u, j = np.divmod(checked_indices(idx, self.size), len(self.gprime))
-        frames, gp = self.frames[u], self.gprime[j]
-        width = frames.shape[1]
-        rows = np.zeros_like(gp)
-        for c in range(width):  # frame row c where column c of G' is set
-            bit = (gp >> np.uint64(width - 1 - c)) & np.uint64(1)
-            rows ^= np.where(bit != 0, frames[:, c, None], np.uint64(0))
-        return rref_bits_batch(rows, self.n)[0]
+        return rref_bits_batch(_combined(self.gprime[j], self.frames[u], self.frames.shape[1]),
+                               self.n)[0]
+
+
+def _combined(coeffs, basis, width):
+    """Each packed row of coeffs as the XOR of the basis rows c where its
+    column c (of width) is set; basis (..., width) broadcasts by row."""
+    rows = np.zeros_like(coeffs)
+    for c in range(width):
+        bit = (coeffs >> np.uint64(width - 1 - c)) & np.uint64(1)
+        rows ^= np.where(bit != 0, basis[..., c, None], np.uint64(0))
+    return rows
 
 
 def _reembedded(entry: SeqEntry, part, field, k, s, t) -> StreamSource:
@@ -537,8 +542,8 @@ def _reembedded(entry: SeqEntry, part, field, k, s, t) -> StreamSource:
     # general path: express each codeword in the (U*, S*) basis
     P = MatrixGF(code.field, entry.witness_u.gen.rows + entry.witness_s.gen.rows,
                  ncols=k + s)
-    Pinv = inverse(P)
-    gprime = [tuple(pack_row(rw) for rw in matmul(w.gen, Pinv).rows) for w in code.words()]
+    Pinv = np.array([pack_row(rw) for rw in inverse(P).rows], dtype=np.uint64)
+    gprime = _combined(code.packed_at_batch(np.arange(code.size)), Pinv, k + s)
     frames = [[rw << s for rw in u.packed_rows()] + [1 << (s - 1 - j) for j in range(s)]
               for u in part]
     return _ReembedSource(field, k + s + t, frames, gprime)

@@ -1,5 +1,11 @@
-"""Brute-force verification oracles: subspace enumeration, exact and
-sampled pairwise distance checks, and spread/parallelism coverage checks.
+"""Verification oracles: subspace enumeration, the exact and the sampled
+minimum-distance checks, and spread/parallelism coverage checks.
+
+The exact check certifies a GF(2) code with n <= 64 by t-subspace
+packing: two words are closer than the claim exactly when they share a
+t-subspace, so it sorts keys of shared subspaces level by level instead
+of comparing pairs, and measures only the pairs it finds.  Other codes
+compare every pair.
 
 Pair sampling is counter-based (splitmix64 over a triangular unranking),
 so reports are byte-identical across platforms for a fixed seed.  Pairs
@@ -13,16 +19,19 @@ import json
 import math
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache, reduce
 from itertools import combinations, islice
 
 import numpy as np
 
-from .linalg import BATCH, gaussian_binomial, packable, rank_bits_batch, rank_rows
+from .linalg import BATCH, gaussian_binomial, pack_row, packable, rank_bits_batch, rref_bits_batch
 from .rankmetric import base_field
 from .subspace import Subspace, distance
 
 ENUM_CAP = 10 ** 6
 FULL_CHECK_CAP = 10 ** 5
+KEY_CAP = 1 << 23  # subspace keys per sort in the full check; more go to hash buckets
+KEY_CHUNK = 1 << 14  # subspace keys built per numpy pass
 COVERAGE_CAP = 1 << 22  # vectors of F_q^n counted by coverage_check
 
 
@@ -61,9 +70,9 @@ class VerificationReport:
 def enumerate_subspaces(q: int, n: int, k: int, cap: int = ENUM_CAP):
     """Every k-subspace of F_q^n exactly once, in canonical order:
     pivot-column sets lexicographically, free entries in base-q order."""
-    total = gaussian_binomial(n, k, q)
-    if total > cap:
-        raise CapExceeded(f"{total} subspaces exceeds cap {cap}")
+    # q^(k(n-k)) <= [n, k]_q: a huge count is refused before it is formed
+    if q ** min(k * (n - k), cap.bit_length()) > cap or gaussian_binomial(n, k, q) > cap:
+        raise CapExceeded(f"the {k}-subspaces of F_{q}^{n} exceed the cap {cap}")
     field = base_field(q)
     if k == 0:
         yield Subspace(field, n, [])
@@ -87,35 +96,141 @@ def enumerate_subspaces(q: int, n: int, k: int, cap: int = ENUM_CAP):
 # pairwise distance kernels
 # ----------------------------------------------------------------------
 
-def _span_blocks(code):
-    """(lo, vecs): the 2^k vectors of each GF(2) codeword from lo on, zero
-    first, as (B, 2^k) uint64 blocks of at most 2^16 vectors."""
-    step = max(1, (1 << 16) >> code.k)
-    for lo in range(0, code.size, step):
-        words = code.packed_at_batch(np.arange(lo, min(lo + step, code.size)))
-        vecs = np.zeros((len(words), 1), dtype=np.uint64)
-        for row in words.T:
-            vecs = np.hstack([vecs, vecs ^ row[:, None]])
-        yield lo, vecs
-
-
-def _subspace_masks(code, n):
-    """Per-codeword bitmask over the 2^n vectors of F_2^n, as uint64 words."""
-    out = np.zeros((code.size, max(1, (1 << n) >> 6)), dtype=np.uint64)
-    for lo, vecs in _span_blocks(code):
-        rows = lo + np.arange(len(vecs))
-        for v in vecs.T:  # one vector per word: no index repeats
-            out[rows, v >> np.uint64(6)] |= np.uint64(1) << (v & np.uint64(63))
-    return out
+def _spans(words):
+    """The 2^k vectors of each word of a (B, k) uint64 array, as (2^k, B),
+    zero first: vector m is the XOR of the rows j with bit j of m set."""
+    vecs = np.zeros((1, len(words)), dtype=np.uint64)
+    for row in words.T:
+        vecs = np.vstack([vecs, vecs ^ row])
+    return vecs
 
 
 def _pair_rows_report(code, i, j):
     return [code.at(i).serialize(), code.at(j).serialize()]
 
 
+@lru_cache(maxsize=None)
+def _span_indices(k, s):
+    """(m, s) span indices, one row per s x k GF(2) matrix C in RREF: row i
+    of C picks span vector sum_j C[i, j] 2^j.  C G is in RREF when G is, so
+    these read every s-subspace of a RREF word G off its span, canonically."""
+    return np.array([[pack_row(r[::-1]) for r in c.gen.rows]
+                     for c in enumerate_subspaces(2, k, s)], dtype=np.intp)
+
+
+def _key_dtype(s, n):
+    """The narrowest unsigned dtype of s n bits; past 64 bits, s rows of
+    the narrowest one of n bits read as one void scalar."""
+    return np.min_scalar_type((1 << s * n) - 1) if s * n <= 64 else \
+        np.dtype((np.void, s * _key_dtype(1, n).itemsize))
+
+
+def _level_keys(words, n, s, passes):
+    """(first word, keys, bucket) per chunk of words.  The key of each
+    s-subspace of each word, subspace-major, is its RREF rows side by side;
+    its bucket is a multiplicative hash of the rows mod passes."""
+    table, dtype = _span_indices(words.shape[1], s), _key_dtype(s, n)
+    step = max(1, KEY_CHUNK // len(table))
+    for lo in range(0, len(words), step):
+        vecs = _spans(words[lo:lo + step])
+        cols = [vecs[c].ravel() for c in table.T]  # row i of every key
+        if dtype.kind == "V":
+            keys = np.stack(cols, axis=1).astype(_key_dtype(1, n)).view(dtype).ravel()
+        else:
+            keys = reduce(lambda key, col: key << np.uint64(n) | col, cols).astype(dtype)
+        bucket = None
+        if passes > 1:
+            h = reduce(lambda h, col: (h ^ col) * np.uint64(0x9E3779B97F4A7C15), cols, np.uint64(0))
+            bucket = (h >> np.uint64(32)) % np.uint64(passes)
+        yield lo, keys, bucket
+
+
+def _shared_keys(words, n, s, first):
+    """The keys of the s-subspaces that two or more words share, sorted in
+    hash buckets of about KEY_CAP keys; with first, one such key at most."""
+    total = len(words) * gaussian_binomial(words.shape[1], s, 2)
+    passes = -(-total // KEY_CAP)
+    sizes = [total] if passes == 1 else sum(
+        np.bincount(b, minlength=passes) for *_, b in _level_keys(words, n, s, passes))
+    found = []
+    for p in range(passes):
+        keys, pos = np.empty(sizes[p], dtype=_key_dtype(s, n)), 0
+        for _, chunk, bucket in _level_keys(words, n, s, passes):
+            chunk = chunk if bucket is None else chunk[bucket == p]
+            keys[pos:pos + len(chunk)] = chunk
+            pos += len(chunk)
+        keys.sort()
+        found.append(keys[1:][keys[1:] == keys[:-1]])
+        if first and len(found[-1]):
+            break
+    return np.concatenate(found)
+
+
+def _sharing_pairs(words, n, s, shared):
+    """(i, j), i < j, in (i, j) order and once each: the pairs of words
+    that share an s-subspace keyed in shared."""
+    m, keys, owners = gaussian_binomial(words.shape[1], s, 2), [], []
+    shared = np.unique(shared)  # sorted once, searched by every chunk
+    for lo, chunk, _ in _level_keys(words, n, s, 1):
+        near = np.searchsorted(shared, chunk).clip(max=len(shared) - 1)
+        hit = np.flatnonzero(shared[near] == chunk)
+        keys.append(chunk[hit])
+        owners.append(lo + hit % (len(chunk) // m))
+    order = np.argsort(np.concatenate(keys))
+    keys, owners = np.concatenate(keys)[order], np.concatenate(owners)[order]
+    at, off, pairs = np.flatnonzero(keys[1:] == keys[:-1]), 1, []
+    while at.size:  # keys[at] == keys[at + off]: both ends lie in one run
+        a, b = owners[at], owners[at + off]
+        pairs.append(np.minimum(a, b) * len(words) + np.maximum(a, b))
+        off += 1
+        at = at[at + off < len(keys)]
+        at = at[keys[at + off] == keys[at]]
+    return np.divmod(np.unique(np.concatenate(pairs)), len(words))
+
+
+def _packed_check(code):
+    """(exact minimum distance, [i, j, d] below the claim in (i, j) order)
+    of a code that packs."""
+    n, k, N, d_claim = code.n, code.k, code.size, code.d_claim
+    words = rref_bits_batch(code.packed_at_batch(np.arange(N)), n)[0]
+
+    def measured(i, j):  # (min, [i, j, d] for d < d_claim) over the pairs (i, j)
+        d = 2 * rank_bits_batch(np.hstack([words[i], words[j]]), n) - 2 * k
+        return int(d.min()), np.stack([i, j, d], axis=1)[d < d_claim].tolist()
+
+    t = k + 1 + (-d_claim // 2)  # d(U, W) < d_claim iff dim(U ∩ W) >= t
+    for s in range(1, min(t, k) + 1):
+        if 2 * gaussian_binomial(k, s, 2) > N - 1:
+            break  # more keys than pairs: measure every pair
+        shared = _shared_keys(words, n, s, first=s < t)
+        if not len(shared):  # no two words share an s-subspace
+            return 2 * (k - s + 1), []
+        if s == t:
+            return measured(*_sharing_pairs(words, n, s, shared))
+    else:
+        if t > k:  # every level shares: equal words, which a claim <= 0 allows
+            return 0, []
+    low, bad = 2 * k, []
+    for i in range(N - 1):
+        m, rows = measured(np.full(N - 1 - i, i), np.arange(i + 1, N))
+        low = min(low, m)
+        bad += rows
+    return low, bad
+
+
 def full_pairwise_check(code, cap: int = FULL_CHECK_CAP) -> VerificationReport:
-    """Exact minimum distance over all pairs; q = 2 uses a vectorized
-    intersection-size kernel over vector-set bitmasks."""
+    """Exact minimum distance over all N (N - 1) / 2 pairs, and every pair
+    closer than the claim d with its exact distance, in (i, j) order.
+
+    GF(2) with n <= 64 takes time linear in N: d(U, W) < d exactly when U
+    and W share a t-subspace, t = k - ceil(d/2) + 1 (Kohnert and Kurz,
+    2008).  Levels s = 1, 2, ... sort the keys of every s-subspace of every
+    word; the first level with no equal keys ends the climb, and the last
+    one with some, s*, gives the minimum 2k - 2 s*.  Equal keys at level t
+    name the violations.  Memory: the words, one level's keys (KEY_CAP per
+    hash bucket) and the violations.  Every pair is measured when that is
+    fewer than a level's keys or when d > 2k, over other fields and past
+    n = 64."""
     start = time.monotonic()
     N = code.size
     if N > cap:
@@ -124,40 +239,16 @@ def full_pairwise_check(code, cap: int = FULL_CHECK_CAP) -> VerificationReport:
     if N < 2:
         return VerificationReport("full", 0, None, [],
                                   wall_time=time.monotonic() - start)
-    violations = []
-    if code.field.q == 2 and code.n <= 20:
-        masks = _subspace_masks(code, code.n)
-        k = code.k
-        dim_bad = k - (code.d_claim // 2)  # dim cap for distance >= d
-        thresh = 1 << (dim_bad + 1)
-        best = 0  # max intersection size over all pairs
-        pairs_bad = []
-        for i in range(N - 1):
-            inter = np.bitwise_count(masks[i + 1:] & masks[i]).sum(axis=1)
-            m = int(inter.max())
-            if m > best:
-                best = m
-            if m >= thresh:
-                for off in np.nonzero(inter >= thresh)[0]:
-                    pairs_bad.append((i, i + 1 + int(off)))
-        max_inter_dim = best.bit_length() - 1  # |U ∩ W| = 2^dim
-        min_dist = 2 * k - 2 * max_inter_dim
-        for (i, j) in pairs_bad:
-            d = 2 * k - 2 * (int(np.bitwise_count(masks[i] & masks[j]).sum()).bit_length() - 1)
-            violations.append({"pair": _pair_rows_report(code, i, j), "distance": d})
+    if packable(code.field, code.n, code.k):
+        min_dist, bad = _packed_check(code)
     else:
-        field = code.field
-        min_dist = None
-        words = [list(w.gen.rows) for w in code]
-        for i in range(N):
-            wi = words[i]
-            for j in range(i + 1, N):
-                d = 2 * rank_rows(field, wi + words[j], code.n) - len(wi) - len(words[j])
-                if min_dist is None or d < min_dist:
-                    min_dist = d
-                if d < code.d_claim:
-                    violations.append({"pair": _pair_rows_report(code, i, j),
-                                       "distance": d})
+        words, min_dist, bad = list(code), 2 * code.k, []
+        for i, j in combinations(range(N), 2):
+            d = distance(words[i], words[j])
+            min_dist = min(min_dist, d)
+            if d < code.d_claim:
+                bad.append((i, j, d))
+    violations = [{"pair": _pair_rows_report(code, i, j), "distance": d} for i, j, d in bad]
     return VerificationReport("full", total_pairs, min_dist, violations,
                               wall_time=time.monotonic() - start)
 
@@ -270,8 +361,10 @@ def coverage_check(obj):
         raise CapExceeded(f"{q}^{n} vectors exceeds coverage cap {COVERAGE_CAP}")
     if q == 2:
         counts = np.zeros(1 << n, dtype=np.int64)
-        for _, vecs in _span_blocks(code):
-            np.add.at(counts, vecs[:, 1:], 1)
+        step = max(1, (1 << 16) >> code.k)  # at most 2^16 vectors at a time
+        for lo in range(0, code.size, step):
+            vecs = _spans(code.packed_at_batch(np.arange(lo, min(lo + step, code.size))))
+            np.add.at(counts, vecs[1:], 1)
         nonzero = counts[1:]
         missed = int((nonzero == 0).sum())
         multi = int((nonzero > 1).sum())

@@ -79,6 +79,25 @@ def test_verify_detects_violation(tmp_path, capsys):
     assert main(["verify", "--file", str(out), "--mode", "full"]) == 1
 
 
+def test_verify_full_flags_distance_below_an_odd_claim(tmp_path, capsys):
+    # "#D=5" with a pair at distance 4: 4 < 5 is a violation for the full
+    # check as for the sampled one
+    from cdckit.cdc import Cdc, lifted_mrd
+    from cdckit.codefile import export
+    from cdckit.subspace import distance
+    lm = lifted_mrd(2, 6, 3, 4)
+    words = lm.words()
+    close = next(w for w in words[1:] if distance(words[0], w) == 4)
+    out = tmp_path / "d5.cdc"
+    export(Cdc(lm.field, 6, 3, 5, words=[words[0], close]), out)
+    assert "#D=5" in out.read_text()
+    assert main(["verify", "--file", str(out), "--mode", "full"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["min_distance_found"] == 4
+    assert [v["distance"] for v in report["violations"]] == [4]
+    assert main(["verify", "--file", str(out), "--mode", "sample", "--pairs", "10"]) == 1
+
+
 def test_verify_corrupted_file_is_io_error(tmp_path, capsys):
     bad = tmp_path / "bad.cdc"
     bad.write_text("#Q=2\nnot a code file\n")
@@ -143,6 +162,28 @@ def test_oracle_kinds(tmp_path, capsys):
     p = tmp_path / "sp.cdc"
     export(spread(2, 8, 4), p)
     assert main(["oracle", "--kind", "coverage", "--file", str(p)]) == 0
+
+
+@pytest.mark.parametrize("kind", ["enumerate", "subspace-count"])
+def test_oracle_huge_count_is_precondition(kind, capsys):
+    # [20000, 2]_2 has about 12,000 digits: refused with a short message,
+    # never formed into a string
+    import time
+    start = time.monotonic()
+    assert main(["oracle", "--kind", kind, "--q", "2", "--n", "20000", "--k", "2"]) == 4
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("cdckit: ") and len(err) < 100
+
+
+def test_oracle_count_at_the_digit_cap(capsys):
+    # 2^14284 - 1 has 4,300 digits and prints; 2^14285 - 1 has 4,301
+    from cdckit.cli import COUNT_DIGITS_CAP
+    assert main(["oracle", "--kind", "subspace-count", "--q", "2", "--n", "14284",
+                 "--k", "1"]) == 0
+    assert len(capsys.readouterr().out.strip()) == COUNT_DIGITS_CAP == 4300
+    assert main(["oracle", "--kind", "subspace-count", "--q", "2", "--n", "14285",
+                 "--k", "1"]) == 4
 
 
 def test_coverage_past_its_cap_is_precondition(tmp_path, capsys):

@@ -1,20 +1,25 @@
 """Verification oracles: enumeration vs Gaussian binomials, deterministic
-sampling, shuffle invariance of the exact check, report format."""
+sampling, the exact check against a scalar all-pairs reference, its
+shuffle invariance and memory, report format."""
 
 import hashlib
 import json
 import random
+from functools import reduce
+from itertools import combinations
+from operator import xor
 
 import numpy as np
 import pytest
 
-from cdckit.cdc import Cdc, lifted_mrd
+from cdckit.cdc import Cdc, ListSource, lifted_mrd
 from cdckit.constructions import recipe_8_4_4
 from cdckit.gf import field_new
 from cdckit.verify import (CapExceeded, _pair_chunks, _unrank_pair, _unrank_pairs,
                            enumerate_subspaces, full_pairwise_check, sample_pairs,
                            sampled_check)
-from cdckit.linalg import gaussian_binomial
+from cdckit.linalg import gaussian_binomial, rank_bits, rref_bits, unpack_row
+from cdckit.subspace import Subspace
 
 
 def test_enumeration_agrees_with_gaussian_binomial():
@@ -181,3 +186,151 @@ def test_sampled_check_q3_takes_the_rank_path():
     assert report.violations == [
         {"pair": [words[a].serialize(), words[b].serialize()], "distance": d}
         for a, b, d in pairs if d < 4]
+
+
+# ----------------------------------------------------------------------
+# the exact full check over GF(2) against an independent scalar reference
+# ----------------------------------------------------------------------
+
+def _reference_report(code):
+    """The full-check report minus wall_time, from one scalar rank_bits per
+    pair over all N (N - 1) / 2 pairs."""
+    words = [code.packed_at(i) for i in range(code.size)]
+    low, bad = None, []
+    for i, j in combinations(range(code.size), 2):
+        d = 2 * rank_bits(list(words[i]) + list(words[j]), code.n) - 2 * code.k
+        low = d if low is None or d < low else low
+        if d < code.d_claim:
+            bad.append({"pair": [code.at(i).serialize(), code.at(j).serialize()],
+                        "distance": d})
+    return {"mode": "full", "pairs_checked": code.size * (code.size - 1) // 2,
+            "min_distance_found": low, "violations": bad, "seed": None}
+
+
+def _without_time(report):
+    out = json.loads(report.to_json())
+    out.pop("wall_time")
+    return out
+
+
+def _code(n, k, d_claim, packed):
+    """A listed GF(2) code of packed RREF words; a word may repeat."""
+    f = field_new(2, 1)
+    words = [Subspace(f, n, [unpack_row(r, n) for r in w]) for w in packed]
+    return Cdc(f, n, k, d_claim, stream=ListSource(f, n, words))
+
+
+def _sharing_words(seed, n, k, size, dups=0):
+    """Random k-subspaces of F_2^n; word x > 0 shares a random subspace of
+    dimension x mod k with an earlier word, and dups repeated words are
+    put in at random places."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < size:
+        m = len(out) % k if out else 0
+        base = rng.choice(out) if out else ()
+        keep = [reduce(xor, (r for j, r in enumerate(base) if c >> j & 1), 0)
+                for c in (rng.getrandbits(k) for _ in range(m))]
+        rows, _ = rref_bits(keep + [rng.getrandbits(n) for _ in range(k - m)], n)
+        if len(rows) == k and rank_bits(keep, n) == m and tuple(rows) not in out:
+            out.append(tuple(rows))
+    for _ in range(dups):
+        out.insert(rng.randrange(len(out) + 1), rng.choice(out))
+    return out
+
+
+@pytest.mark.parametrize("n, k, size, d_claim, dups", [
+    (8, 4, 120, 4, 0),    # every intersection dimension 0..3; t = 3
+    (8, 4, 120, 4, 3),    # duplicate words (distance 0)
+    (7, 3, 100, 2, 2),    # d_claim = 2: t = k, only the duplicates violate
+    (8, 4, 120, 5, 0),    # odd claim: distance 4 < 5 violates
+    (9, 3, 40, 6, 0),     # t = 1: the pairs that share a point
+    (9, 4, 20, 4, 0),     # 15 points per word > 19 / 2: every pair measured
+    (6, 1, 30, 2, 4),     # k = 1: points, duplicates at distance 0
+    (24, 4, 80, 2, 2),    # n = 24: level-3 keys are 72 bits wide
+    (24, 4, 80, 6, 0),
+])
+def test_full_check_equals_scalar_reference(n, k, size, d_claim, dups):
+    code = _code(n, k, d_claim, _sharing_words(size + n, n, k, size, dups))
+    assert _without_time(full_pairwise_check(code)) == _reference_report(code)
+
+
+def test_full_check_equals_reference_across_hash_buckets(monkeypatch):
+    # a key cap of 64 splits every level over many hash-bucket passes
+    import cdckit.verify as verify
+    code = _code(8, 4, 4, _sharing_words(3, 8, 4, 100, dups=2))
+    expected = _reference_report(code)
+    monkeypatch.setattr(verify, "KEY_CAP", 64)
+    monkeypatch.setattr(verify, "KEY_CHUNK", 50)
+    assert _without_time(full_pairwise_check(code)) == expected
+
+
+def test_full_check_of_a_spread_is_2k():
+    # 273 pairwise-disjoint 4-subspaces of F_2^12: no two words share a point
+    from cdckit.cdc import spread
+    sp = spread(2, 12, 4)
+    rep = full_pairwise_check(sp)
+    assert rep.ok and rep.min_distance_found == 8 and rep.pairs_checked == 273 * 272 // 2
+
+
+def test_claim_past_2k_reports_every_pair_exactly():
+    # d_claim = 9 > 2k = 8: each pair violates at its exact distance, on
+    # GF(2) as on GF(3), where every pair is measured with rank_rows
+    words = _sharing_words(5, 8, 4, 30)
+    code = _code(8, 4, 9, words)
+    rep = _without_time(full_pairwise_check(code))
+    assert rep == _reference_report(code)
+    assert len(rep["violations"]) == rep["pairs_checked"] == 30 * 29 // 2
+    f3 = field_new(3, 1)
+    ternary = list(enumerate_subspaces(3, 3, 1))[:5]
+    rep3 = full_pairwise_check(Cdc(f3, 3, 1, 3, words=ternary))
+    assert len(rep3.violations) == rep3.pairs_checked == 10
+
+
+def test_full_check_finds_an_injected_word_with_its_pairs():
+    # a word at distance 2 from word 1000 of the (8,4;4) code, inserted at
+    # index 1000: the report lists exactly the pairs it forms below 4
+    base, _ = recipe_8_4_4(2)
+    words = [base.packed_at(i) for i in range(base.size)]
+    target = words[1000]
+    rng = random.Random(0)
+    while True:
+        rows, _ = rref_bits(list(target[:3]) + [rng.getrandbits(8)], 8)
+        if len(rows) == 4 and tuple(rows) not in words:
+            break
+    bad = tuple(rows)
+    code = _code(8, 4, 4, words[:1000] + [bad] + words[1000:])
+    expected = []
+    for x in range(code.size):
+        if x != 1000:
+            d = 2 * rank_bits(list(bad) + list(code.packed_at(x)), 8) - 8
+            if d < 4:
+                i, j = min(x, 1000), max(x, 1000)
+                expected.append({"pair": [code.at(i).serialize(), code.at(j).serialize()],
+                                 "distance": d})
+    rep = full_pairwise_check(code)
+    assert len(expected) >= 1
+    assert rep.violations == expected and rep.min_distance_found == 2
+    assert rep.pairs_checked == code.size * (code.size - 1) // 2
+
+
+def test_full_check_memory_is_bounded():
+    # the 3,000-word prefix of the (12,8;6) pairing code climbs to its
+    # 1.95M level-2 keys; an n = 24 code never holds 2^n bits per word
+    import tracemalloc
+    from cdckit.constructions import RECIPES
+    code, _ = RECIPES["12_8_6"](2)
+    prefix = Cdc(code.field, 12, 6, 8, stream=ListSource(
+        code.field, 12, packed=list(map(tuple, code.packed_at_batch(np.arange(3000)).tolist()))))
+    wide = _code(24, 4, 4, _sharing_words(1, 24, 4, 80))
+    full_pairwise_check(wide)  # the subspace tables are cached on first use
+    for c, limit in ((prefix, 16 << 20), (wide, (1 << 24) // 8)):
+        tracemalloc.start()
+        try:
+            rep = full_pairwise_check(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.pairs_checked == c.size * (c.size - 1) // 2
+        assert peak < limit, (c.n, peak)
+    assert rep.min_distance_found == _reference_report(wide)["min_distance_found"]
