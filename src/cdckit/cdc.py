@@ -14,7 +14,7 @@ import numpy as np
 
 from .gf import FieldSpec, ext_field
 from .linalg import (BATCH, MatrixGF, checked_indices, matmul, rref_bits, rref_bits_batch,
-                     rref_rows, unpack_row)
+                     rref_rows, unpack_row, word_tuples)
 from .rankmetric import (GabidulinHandle, RankCodeHandle, base_field,
                          gabidulin_mrd, nested_subcode)
 from .subspace import Subspace, intersection_dim
@@ -39,7 +39,7 @@ class StreamSource:
     def iter_packed(self):
         chunks = (self.packed_at_batch(np.arange(lo, min(lo + BATCH, self.size)))
                   for lo in range(0, self.size, BATCH))
-        return chain.from_iterable(map(tuple, block.tolist()) for block in chunks)
+        return chain.from_iterable(map(word_tuples, chunks))
 
     def rows_at(self, i):
         return tuple(unpack_row(r, self.n) for r in self.packed_at(i))
@@ -422,7 +422,7 @@ def disjoint_2spreads_of_F_q8(q: int, imported: SpreadFamily | None = None) -> S
 
 def _greedy_partial_spread(words, k):
     chosen = []
-    for w in sorted(words, key=lambda u: u.serialize()):
+    for w in sorted(words, key=Subspace.sort_key):
         if all(intersection_dim(w, c) == 0 for c in chosen):
             chosen.append(w)
     return chosen
@@ -440,7 +440,7 @@ def partial_spread_subcode(c: Cdc, strategy: str = "lmrd_nested") -> Cdc:
         # complete greedily with disjoint codewords from the rest of the code
         if c.materialized or c.size <= MATERIALIZE_CAP:
             have = set(w.gen.rows for w in chosen)
-            for w in sorted(c.words(), key=lambda u: u.serialize()):
+            for w in sorted(c.words(), key=Subspace.sort_key):
                 if w.gen.rows in have:
                     continue
                 if all(intersection_dim(w, x) == 0 for x in chosen):

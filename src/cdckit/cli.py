@@ -196,31 +196,34 @@ def cmd_export(args):
 
 
 def cmd_oracle(args):
-    if args.kind == "subspace-count":
-        # [n, k]_q >= 2^e has over 3e/10 digits: a huge count is never formed
-        e = args.k * (args.n - args.k) * (args.q.bit_length() - 1)
-        if e * 3 // 10 > COUNT_DIGITS_CAP or (count := gaussian_binomial(
-                args.n, args.k, args.q)) >= 10 ** COUNT_DIGITS_CAP:
-            raise verify.CapExceeded(f"[{args.n},{args.k}]_{args.q} has over "
-                                     f"{COUNT_DIGITS_CAP} digits")
-        print(count)
-    elif args.kind == "enumerate":
-        print(sum(1 for _ in verify.enumerate_subspaces(args.q, args.n, args.k)))
-    elif args.kind == "rank-distribution":
-        if None in (args.m, args.dr, args.r):
-            _fail(EXIT_USAGE, "rank-distribution needs --m --dr --r")
-        print(rank_distribution(args.q, args.m, args.n, args.dr, args.r))
-    elif args.kind == "mrd-size":
-        if None in (args.m, args.dr):
-            _fail(EXIT_USAGE, "mrd-size needs --m --dr")
-        print(mrd_size(args.q, args.m, args.n, args.dr))
-    elif args.kind == "coverage":
+    if args.kind == "coverage":
         if not args.file:
             _fail(EXIT_USAGE, "coverage needs --file")
         code = _import_or_fail(args.file)
         report = verify.coverage_check(code)
         print(report)
         return EXIT_OK if report["ok"] else EXIT_VIOLATION
+    try:
+        if args.kind == "subspace-count":
+            # [n, k]_q >= 2^e has over 3e/10 digits: a huge count is never formed
+            e = args.k * (args.n - args.k) * (args.q.bit_length() - 1)
+            if e * 3 // 10 > COUNT_DIGITS_CAP or (count := gaussian_binomial(
+                    args.n, args.k, args.q)) >= 10 ** COUNT_DIGITS_CAP:
+                raise verify.CapExceeded(f"[{args.n},{args.k}]_{args.q} has over "
+                                         f"{COUNT_DIGITS_CAP} digits")
+            print(count)
+        elif args.kind == "enumerate":
+            print(sum(1 for _ in verify.enumerate_subspaces(args.q, args.n, args.k)))
+        elif args.kind == "rank-distribution":
+            if None in (args.m, args.dr, args.r):
+                _fail(EXIT_USAGE, "rank-distribution needs --m --dr --r")
+            print(rank_distribution(args.q, args.m, args.n, args.dr, args.r))
+        elif args.kind == "mrd-size":
+            if None in (args.m, args.dr):
+                _fail(EXIT_USAGE, "mrd-size needs --m --dr")
+            print(mrd_size(args.q, args.m, args.n, args.dr))
+    except ValueError as exc:  # a count past its cap, or k > n, d_r > min(m, n), ...
+        _fail(EXIT_PRECONDITION if isinstance(exc, verify.CapExceeded) else EXIT_USAGE, str(exc))
     return EXIT_OK
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .cdc import Cdc, ListSource
 from .gf import FieldSpec
-from .linalg import packable, rref_bits_batch
+from .linalg import packable, rref_bits_batch, word_tuples
 from .subspace import Subspace
 
 HEADER_KEYS = ("Q", "P", "E", "MOD", "N", "K", "D", "COUNT", "ORDER", "PROV")
@@ -250,12 +250,14 @@ def _read_packed(lines, n, k):
             error = DimensionMismatchError(
                 f"codeword {block[i]!r} has dimension {ranks[i]}, header says {k}")
             rows = rows[:i]
-        for word in map(tuple, rows.tolist()):
-            if word in seen:
-                line = _format_block(np.array([word], np.uint64), n).strip()
-                raise DuplicateCodewordError(f"duplicate codeword {line!r}")
-            seen.add(word)
-            words.append(word)
+        block_words = list(word_tuples(rows))
+        seen.update(block_words)
+        if len(seen) != len(words) + len(block_words):  # name the first duplicate
+            seen = set(words)  # the earlier blocks' words, then this block's in order
+            word = next(w for w in block_words if w in seen or seen.add(w))
+            line = _format_block(np.array([word], np.uint64), n).strip()
+            raise DuplicateCodewordError(f"duplicate codeword {line!r}")
+        words += block_words
         if error is not None:
             raise error
     return words

@@ -474,8 +474,8 @@ def pairing_construction(nbar2, abar2, bbar2, C0: Cdc, C1: Cdc, C2: Cdc,
     q = C0.field.q
     handle = gabidulin_mrd(q, k, n2, d // 2)
     s = min(C1.size, C2.size)
-    ones = sorted(C1.words(), key=lambda w: w.serialize())[:s]
-    twos = sorted(C2.words(), key=lambda w: w.serialize())[:s]
+    ones = sorted(C1.words(), key=Subspace.sort_key)[:s]
+    twos = sorted(C2.words(), key=Subspace.sort_key)[:s]
     profile = CompositionProfile(q, k, d, (n1, n2), (a1, a2), (b1, b2))
     sums = [_direct_sum_subspace(profile, C0.field, (u1, u2))
             for u1, u2 in zip(ones, twos)]
@@ -762,7 +762,7 @@ def recipe_8_4_4(q, parallelism=None):
 
 def _remove_disjoint_word(words):
     """The lexicographically smallest codeword disjoint from another one."""
-    ordered = sorted(words, key=lambda w: w.serialize())
+    ordered = sorted(words, key=Subspace.sort_key)
     for w in ordered:
         if any(x is not w and intersection_dim(w, x) == 0 for x in ordered):
             return w
@@ -776,7 +776,7 @@ def _sequence_entry_from_code(code: Cdc) -> SeqEntry:
     rest = [w for w in code.words() if w != removed]
     d_code = Cdc(code.field, code.n, code.k, code.d_claim, words=rest,
                  provenance={"kind": "reduced", "parent": code.provenance})
-    witness_u = next(w for w in sorted(rest, key=lambda w: w.serialize())
+    witness_u = next(w for w in sorted(rest, key=Subspace.sort_key)
                      if intersection_dim(w, removed) == 0)
     return SeqEntry(d_code, witness_u, removed)
 

@@ -83,6 +83,11 @@ def checked_indices(idx, size):
     return idx
 
 
+def word_tuples(block):
+    """The rows of a (B, k) array as int tuples, zipped from k column lists."""
+    return zip(*block.T.tolist())
+
+
 def pack_row(row) -> int:
     x = 0
     for v in row:
@@ -137,47 +142,53 @@ def rank_bits(rows, n) -> int:
 
 
 def _leading_bits(x, ncols):
-    """The highest set bit of each ncols-bit entry of a uint64 array (0
-    stays 0): smear it down to bit 0, then keep the top one."""
+    """The highest set bit of each ncols-bit entry of x (0 stays 0), in x's
+    dtype, which Python-int shifts keep: smear it to bit 0, keep the top one."""
     x = x.copy()
     shift = 1
     while shift < ncols:
-        x |= x >> np.uint64(shift)
+        x |= x >> shift
         shift *= 2
-    return x ^ (x >> np.uint64(1))
+    return x ^ (x >> 1)
+
+
+def _work_rows(rows, ncols):
+    """A (B, a) batch of bit-packed matrices as a C-contiguous (a, B) array (row j
+    of every matrix in one run) of the narrowest unsigned dtype holding ncols bits."""
+    return np.asarray(rows, np.uint64).T.astype(np.min_scalar_type((1 << ncols) - 1), order="C")
 
 
 def rank_bits_batch(rows, ncols):
     """Ranks of B bit-packed GF(2) matrices given as a (B, a) uint64 array,
-    ncols <= 64.
+    ncols <= 64, worked on as _work_rows.
 
     Agrees with rank_bits matrix by matrix.  Row j, once reduced by the rows
     above it, clears its leading bit from the rows below; the matrix rank
     counts the rows that are nonzero at their turn."""
-    work = np.array(rows, dtype=np.uint64).T  # (a, B) copy, one row at a time
+    work = _work_rows(rows, ncols)
     ranks = np.zeros(work.shape[1], dtype=np.int64)
     for j in range(work.shape[0]):
         row = work[j]
         ranks += row != 0
         below = work[j + 1:]
-        below ^= np.where((below & _leading_bits(row, ncols)) != 0, row, np.uint64(0))
+        below ^= np.where((below & _leading_bits(row, ncols)) != 0, row, 0)
     return ranks
 
 
 def rref_bits_batch(rows, ncols):
     """RREF of B bit-packed GF(2) matrices given as a (B, a) uint64 array,
-    ncols <= 64; returns (rows, ranks), zero rows last.
+    ncols <= 64, worked on as _work_rows; returns (uint64 rows, ranks), zero rows last.
 
     Agrees with rref_bits matrix by matrix.  One pass per row clears that
     row's leading bit from every other row, which leaves the nonzero rows
     with distinct leading bits; sorting each matrix's rows in decreasing
     order then puts them in pivot order."""
-    work = np.array(rows, dtype=np.uint64).T.copy()  # (a, B): row j is contiguous
+    work = _work_rows(rows, ncols)
     for j in range(work.shape[0]):
         row = work[j].copy()
-        work ^= np.where((work & _leading_bits(row, ncols)) != 0, row, np.uint64(0))
+        work ^= np.where((work & _leading_bits(row, ncols)) != 0, row, 0)
         work[j] = row
-    out = np.sort(work.T, axis=1)[:, ::-1]
+    out = np.sort(work.T, axis=1)[:, ::-1].astype(np.uint64)
     return out, np.count_nonzero(out, axis=1)
 
 

@@ -74,6 +74,10 @@ class Subspace:
             return "|".join("".join(str(v) for v in row) for row in self.gen.rows)
         return "|".join(",".join(str(v) for v in row) for row in self.gen.rows)
 
+    def sort_key(self):
+        """Orders words like serialize(); for q <= 10 (digit entries) the rows do."""
+        return self.gen.rows if self.field.q <= 10 else self.serialize()
+
     @staticmethod
     def parse(field: FieldSpec, n: int, text: str) -> "Subspace":
         rows = []

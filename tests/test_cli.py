@@ -186,6 +186,21 @@ def test_oracle_count_at_the_digit_cap(capsys):
                  "--k", "1"]) == 4
 
 
+@pytest.mark.parametrize("args", [
+    ["--kind", "enumerate", "--n", "3", "--k", "5"],
+    ["--kind", "enumerate", "--n", "3", "--k", "-1"],
+    ["--kind", "subspace-count", "--n", "3", "--k", "5"],
+    ["--kind", "subspace-count", "--n", "3", "--k", "-1"],
+    ["--kind", "mrd-size", "--m", "3", "--n", "3", "--dr", "4"],
+    ["--kind", "rank-distribution", "--m", "3", "--n", "3", "--dr", "2", "--r", "7"],
+])
+def test_oracle_out_of_range_parameters_are_usage_errors(args, capsys):
+    # k > n, k < 0, d_r > min(m, n): one line on stderr, no traceback
+    assert main(["oracle", "--q", "2", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cdckit: ") and err.count("\n") == 1
+
+
 def test_coverage_past_its_cap_is_precondition(tmp_path, capsys):
     # one valid word of F_2^40: counting 2^40 vectors is refused, not tried
     import time

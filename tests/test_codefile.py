@@ -355,6 +355,22 @@ def test_reader_blocks_keep_file_order_and_first_error(monkeypatch):
         loads(text + "100000|010000|110000\n" + "\n" * 7 + FIRST)
 
 
+@pytest.mark.parametrize("second_block, offending", [
+    ([5, 6, 6, 5, 7], 6),  # within the block: the third line, not the first
+    ([5, 6, 3, 7, 0], 3),  # a word of the first block
+])
+def test_reader_names_first_duplicate_line(monkeypatch, second_block, offending):
+    # a block's words are checked against one another and every earlier
+    # block; the error names the first line that repeats a word
+    import cdckit.codefile as codefile
+    monkeypatch.setattr(codefile, "_BLOCK", 5)
+    lines = _golden_text().splitlines(keepends=True)
+    header, body = lines[:10], lines[10:]
+    text = "".join(header + body[:5] + [body[i] for i in second_block])
+    with pytest.raises(DuplicateCodewordError, match=repr(body[offending].strip())):
+        loads(text)
+
+
 def test_reader_leaves_garbage_collector_as_it_was():
     # the packed reader pauses the cyclic collector only while it reads
     import gc

@@ -75,6 +75,18 @@ def test_stream_equals_scalar_access(case):
     assert streamed == [list(src.packed_at(i)) for i in range(n)]
 
 
+@pytest.mark.parametrize("case", ["product", "product, reduced", "union", "re-embedded",
+                                  "list", "list, packed"])
+def test_streamed_words_are_int_tuples(case):
+    # the stream hands out the same values packed_at does: tuples of Python
+    # ints, hashable and comparable with words read from a file
+    src = _sources()[case]()
+    n = min(src.size, 5000)
+    for i, word in zip(range(n), src.iter_packed()):
+        assert type(word) is tuple and all(type(r) is int for r in word)
+        assert word == tuple(src.packed_at(i))
+
+
 def test_code_gathers_from_its_source():
     c = _linkage()
     assert c.packed_at_batch([3, 84, 0]).tolist() == [list(c.packed_at(i)) for i in (3, 84, 0)]

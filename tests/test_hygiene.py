@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
-every source of packed words has a batched gather, and no module reads
-another module's private attributes."""
+every source of packed words has a batched gather, no module reads
+another module's private attributes, and packed arrays become word tuples
+through linalg.word_tuples alone."""
 
 import ast
 import importlib
@@ -65,3 +66,18 @@ def test_no_private_reads_across_modules(path):
                    and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
                    and node.attr not in defined)
     assert not reads, f"{path.name}: private reads across modules {reads}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_arrays_become_tuples_through_word_tuples(path):
+    # map(tuple, a.tolist()) builds a throwaway list per word; word_tuples
+    # builds each tuple straight from the column lists
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = sorted(f"{ast.unparse(node)} (line {node.lineno})" for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == "map" and len(node.args) == 2
+                   and isinstance(node.args[0], ast.Name) and node.args[0].id == "tuple"
+                   and isinstance(node.args[1], ast.Call)
+                   and isinstance(node.args[1].func, ast.Attribute)
+                   and node.args[1].func.attr == "tolist")
+    assert not found, f"{path.name}: use linalg.word_tuples for {found}"

@@ -137,6 +137,34 @@ def test_rref_bits_batch_empty():
     assert got.shape == (0, 4) and ranks.shape == (0,)
 
 
+@pytest.mark.parametrize("ncols", [8, 9, 16, 17, 32, 33, 64])
+def test_batch_kernels_at_dtype_boundaries(ncols):
+    # the work dtype narrows to uint8/16/32/64 with ncols; arrays in any
+    # layout, and nested lists, give the scalar kernels' answers
+    rng = random.Random(ncols)
+    a = 5
+    mats = []
+    for _ in range(200):
+        m = [rng.getrandbits(ncols) for _ in range(a)]
+        m[rng.randrange(a)] |= 1 << (ncols - 1)  # the top column
+        m[rng.randrange(2, a)] = m[0] ^ m[1]  # a dependent row
+        mats.append(m)
+    c_order = np.array(mats, dtype=np.uint64)
+    inputs = {"C-ordered": c_order,
+              "transposed view": np.array(mats, dtype=np.uint64).T.copy().T,
+              "sliced view": np.repeat(c_order, 2, axis=0)[::2],
+              "list": mats}
+    ranks = [rank_bits(m, ncols) for m in mats]
+    rrefs = [rref_bits(m, ncols)[0] for m in mats]
+    for name, batch in inputs.items():
+        assert rank_bits_batch(batch, ncols).tolist() == ranks, name
+        got, got_ranks = rref_bits_batch(batch, ncols)
+        assert got.dtype == np.uint64 and got.shape == (len(mats), a), name
+        assert got_ranks.tolist() == ranks, name
+        assert [row[:r] for row, r in zip(got.tolist(), ranks)] == rrefs, name
+        assert not any(any(row[r:]) for row, r in zip(got.tolist(), ranks)), name
+
+
 def test_pack_unpack_roundtrip():
     rng = random.Random(2)
     for _ in range(200):
