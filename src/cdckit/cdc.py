@@ -1,9 +1,9 @@
 """Constant-dimension codes: containers, lifted MRD codes, spreads,
 2-parallelisms of F_q^4, and partial-spread subcode extraction.
 
-A Cdc keeps its codewords in one source: a ListSource of listed words
-(Subspace values, or packed GF(2) words read from a file), or a computed
-stream with exact size and random access by index.
+A Cdc keeps its codewords in one source: a ListSource of Subspace values,
+a PackedSource of GF(2) words read from a file, or a computed stream with
+exact size and random access by index.
 """
 
 from __future__ import annotations
@@ -60,23 +60,14 @@ class StreamSource:
 
 
 class ListSource(StreamSource):
-    """Listed codewords: the Subspace list it is given, packed here over
-    GF(2), or packed GF(2) words alone (distinct canonical tuples of row
-    ints, as read from a file), whose Subspace list `words` builds once."""
+    """Listed codewords: the Subspace list it is given, packed here once
+    over GF(2)."""
 
-    def __init__(self, field, n, words=None, packed=None):
+    def __init__(self, field, n, words):
         self.field, self.n = field, n
-        self._words = None if words is None else list(words)
-        if packed is None and field.q == 2:
-            packed = [w.packed_rows() for w in self._words]
-        self.packed = packed
-        self.size = len(self._words if packed is None else packed)
-
-    @property
-    def words(self):
-        if self._words is None:
-            self._words = list(super().iter_subspaces())
-        return self._words
+        self.words = list(words)
+        self.packed = [w.packed_rows() for w in self.words] if field.q == 2 else None
+        self.size = len(self.words)
 
     def packed_at(self, i):
         return self.packed[i]
@@ -91,12 +82,40 @@ class ListSource(StreamSource):
         return rows.reshape(len(idx), k)
 
     def rows_at(self, i):
-        return super().rows_at(i) if self._words is None else self._words[i].gen.rows
+        return self.words[i].gen.rows
 
     def iter_packed(self):
         return iter(self.packed)
 
-    # until `words` is asked for, packed words give short-lived Subspace values
+    def subspace_at(self, i) -> Subspace:
+        return self.words[i]
+
+    def iter_subspaces(self):
+        return iter(self.words)
+
+
+class PackedSource(StreamSource):
+    """GF(2) words read from a file: one C-contiguous (N, k) array of the
+    narrowest unsigned dtype holding n <= 64 bits, whose Subspace list
+    `words` is built once, when first read."""
+
+    def __init__(self, field, n, packed):
+        self.field, self.n, self.packed = field, n, packed
+        self.size = len(packed)
+        self._words = None
+
+    @property
+    def words(self):
+        if self._words is None:
+            self._words = list(super().iter_subspaces())
+        return self._words
+
+    def packed_at(self, i):
+        return tuple(self.packed[i].tolist())
+
+    def packed_at_batch(self, idx):
+        return self.packed[checked_indices(idx, self.size)].astype(np.uint64)
+
     def subspace_at(self, i) -> Subspace:
         return super().subspace_at(i) if self._words is None else self._words[i]
 
@@ -195,7 +214,7 @@ class Cdc:
     @property
     def materialized(self) -> bool:
         """Listed codewords, not a computed stream."""
-        return isinstance(self.source, ListSource)
+        return isinstance(self.source, (ListSource, PackedSource))
 
     def __len__(self):
         return self.size

@@ -116,6 +116,8 @@ def _import_or_fail(path):
 
 
 def cmd_verify(args):
+    if args.mode == "sample" and args.pairs < 1:  # a sample of no pairs checks nothing
+        _fail(EXIT_USAGE, f"--pairs must be at least 1, not {args.pairs}")
     code = _import_or_fail(args.file)
     if args.mode == "full":
         report = verify.full_pairwise_check(code, cap=args.cap)

@@ -19,22 +19,22 @@ The reader accepts a little more than the writer produces:
   raises CountMismatchError.
 
 Over GF(2) with n <= 64 both directions move blocks of at most 2^16 lines
-as bit-packed numpy arrays; other fields go line by line through
-Subspace.parse and Subspace.serialize.
+as bit-packed numpy arrays.  The reader keeps the code as one (N, k)
+array of the narrowest unsigned dtype holding n bits (a cdc.PackedSource)
+and finds a repeated word by sorting one key per word.  Other fields go
+line by line through Subspace.parse and Subspace.serialize.
 """
 
 from __future__ import annotations
 
-import gc
 import io as _io
-from contextlib import contextmanager
 from itertools import chain, islice
 
 import numpy as np
 
-from .cdc import Cdc, ListSource
+from .cdc import Cdc, ListSource, PackedSource
 from .gf import FieldSpec
-from .linalg import packable, rref_bits_batch, word_tuples
+from .linalg import packable, rref_bits_batch
 from .subspace import Subspace
 
 HEADER_KEYS = ("Q", "P", "E", "MOD", "N", "K", "D", "COUNT", "ORDER", "PROV")
@@ -178,7 +178,7 @@ def read_code(fh) -> Cdc:
     field, n, k = meta["field"], meta["n"], meta["k"]
     lines = chain([body_first] if body_first is not None else [], fh)
     if packable(field, n, k):
-        source = ListSource(field, n, packed=_read_packed(lines, n, k))
+        source = PackedSource(field, n, _read_packed(lines, n, k))
     else:
         words, seen = [], set()
         for raw in lines:
@@ -206,29 +206,14 @@ def read_code(fh) -> Cdc:
                provenance={"kind": meta["prov"], "order": meta["order"]})
 
 
-@contextmanager
-def _gc_paused():
-    """The cyclic garbage collector off for the block.  The packed reader
-    keeps one int tuple per word.  Such tuples hold no cycle, but every 700
-    of them start a collection, and about every hundredth of those scans
-    the caller's whole heap: a 16,384-word read took 14 ms, or 28 ms when
-    one of those full scans fell inside it."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-@_gc_paused()
 def _read_packed(lines, n, k):
-    """The canonical packed words of a GF(2) body, in file order, as tuples
-    of ints.  Reads at most _BLOCK lines at a time; an error is raised only
-    once every word before the offending line has been checked."""
-    words, seen = [], set()
-    while chunk := list(islice(lines, _BLOCK)):
+    """The canonical packed words of a GF(2) body, in file order, as one
+    C-contiguous (N, k) array of the narrowest unsigned dtype holding n
+    bits.  Reads at most _BLOCK lines at a time and stops at the first
+    malformed or rank-deficient line; the words before it are checked for
+    duplicates first, so the first offending line decides the error."""
+    blocks, error = [np.zeros((0, k), np.min_scalar_type((1 << n) - 1))], None
+    while error is None and (chunk := list(islice(lines, _BLOCK))):
         block = [line.strip() for line in chunk if line not in ("\n", "\r\n")]
         cut = next((i for i, line in enumerate(block) if len(line) != k * (n + 1) - 1),
                    len(block))
@@ -238,8 +223,8 @@ def _read_packed(lines, n, k):
         digits = chars[..., :n] - np.uint8(ord("0"))  # other characters wrap past 1
         bad = (chars[..., n] != ord("|")).any(axis=1) | (digits > 1).any(axis=(1, 2))
         cut = next(iter(np.flatnonzero(bad)), cut)
-        error = None if cut == len(block) else DimensionMismatchError(
-            f"bad codeword {block[cut]!r} for n={n}, k={k}, q=2")
+        if cut < len(block):
+            error = DimensionMismatchError(f"bad codeword {block[cut]!r} for n={n}, k={k}, q=2")
         packed = np.zeros((cut, k), np.uint64)
         for j in range(n):
             packed = (packed << np.uint64(1)) | digits[:cut, :, j]
@@ -250,17 +235,42 @@ def _read_packed(lines, n, k):
             error = DimensionMismatchError(
                 f"codeword {block[i]!r} has dimension {ranks[i]}, header says {k}")
             rows = rows[:i]
-        block_words = list(word_tuples(rows))
-        seen.update(block_words)
-        if len(seen) != len(words) + len(block_words):  # name the first duplicate
-            seen = set(words)  # the earlier blocks' words, then this block's in order
-            word = next(w for w in block_words if w in seen or seen.add(w))
-            line = _format_block(np.array([word], np.uint64), n).strip()
-            raise DuplicateCodewordError(f"duplicate codeword {line!r}")
-        words += block_words
-        if error is not None:
-            raise error
+        blocks.append(rows.astype(blocks[0].dtype))
+    words = np.concatenate(blocks)
+    del blocks
+    if (i := _first_repeat(words, n)) is not None:
+        line = _format_block(words[i:i + 1], n).strip()
+        raise DuplicateCodewordError(f"duplicate codeword {line!r}")
+    if error is not None:
+        raise error
     return words
+
+
+def _row_keys(words, n):
+    """A new array of one key per packed word, equal exactly when the words
+    are: its k rows side by side in one uint64 when k*n <= 64, else its row
+    bytes as one void item."""
+    k = words.shape[1]
+    if k * n > 64:
+        return words.view(np.dtype((np.void, words.itemsize * k))).ravel().copy()
+    keys = np.zeros(len(words), np.uint64)
+    for j in range(k):
+        keys <<= np.uint64(n)
+        keys |= words[:, j]
+    return keys
+
+
+def _first_repeat(words, n):
+    """The index of the first packed word equal to an earlier one, or None.
+    Only when sorted keys show a repeat does a stable sort (16 times slower
+    on 2*10^7 keys) put equal words side by side in file order."""
+    keys = _row_keys(words, n)
+    keys.sort()
+    if (keys[1:] != keys[:-1]).all():
+        return None
+    order = np.argsort(_row_keys(words, n), kind="stable")
+    keys = _row_keys(words[order], n)
+    return int(order[1:][keys[1:] == keys[:-1]].min())
 
 
 def import_code(path) -> Cdc:
@@ -277,13 +287,16 @@ def import_with_subcode(path, subcode_path, check_subcode_distance=True):
     sub = import_code(subcode_path)
     if (sub.field, sub.n, sub.k) != (code.field, code.n, code.k):
         raise SubcodeError("subcode parameters differ from parent")
-    if code.field.q == 2:  # compare packed words; no Subspace per parent word
-        parent, words = set(code.iter_packed()), sub.iter_packed()
+    if packable(code.field, code.n, code.k):  # sorted packed-word keys; no Subspace
+        parent = np.sort(_row_keys(code.source.packed, code.n))
+        keys = _row_keys(sub.source.packed, sub.n)
+        lo, hi = np.searchsorted(parent, keys), np.searchsorted(parent, keys, "right")
+        missing = np.flatnonzero(lo == hi)
     else:
-        parent, words = set(w.gen.rows for w in code.words()), (w.gen.rows for w in sub)
-    for i, w in enumerate(words):
-        if w not in parent:
-            raise SubcodeError(f"subcode word {sub.at(i).serialize()} not in parent code")
+        parent = set(w.gen.rows for w in code.words())
+        missing = [i for i, w in enumerate(sub) if w.gen.rows not in parent]
+    if len(missing):
+        raise SubcodeError(f"subcode word {sub.at(missing[0]).serialize()} not in parent code")
     if check_subcode_distance and sub.size > 1:
         from .verify import full_pairwise_check
         report = full_pairwise_check(sub)

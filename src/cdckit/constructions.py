@@ -54,10 +54,7 @@ class CompositionProfile:
         return len(self.nbar)
 
     def offsets(self):
-        offs = [0]
-        for ni in self.nbar:
-            offs.append(offs[-1] + ni)
-        return offs
+        return list(accumulate(self.nbar, initial=0))
 
     def validate(self, with_ab=False):
         if self.l < 2:
@@ -289,25 +286,9 @@ def _pivot_col(row):
 
 def _direct_sum_subspace(profile, field, pick):
     """Block-diagonal direct sum of one subspace per block (canonical)."""
-    n = profile.n
-    offs = profile.offsets()
-    rows = []
-    for j, w in enumerate(pick):
-        pad_l = offs[j]
-        pad_r = n - offs[j + 1]
-        for r in w.gen.rows:
-            rows.append((0,) * pad_l + tuple(r) + (0,) * pad_r)
-    return Subspace(field, n, rows)
-
-
-def _cross_family_min_distance(fam_a, fam_b):
-    best = None
-    for u in fam_a:
-        for w in fam_b:
-            dd = distance(u, w)
-            if best is None or dd < best:
-                best = dd
-    return best
+    n, offs = profile.n, profile.offsets()
+    return Subspace(field, n, [(0,) * offs[j] + tuple(r) + (0,) * (n - offs[j + 1])
+                               for j, w in enumerate(pick) for r in w.gen.rows])
 
 
 def product_addon(profile: CompositionProfile, families, verify_cross=True) -> Cdc:
@@ -330,7 +311,8 @@ def product_addon(profile: CompositionProfile, families, verify_cross=True) -> C
             need = 2 * profile.abar[i] - 2 * profile.bbar[i]
             for j1 in range(s):
                 for j2 in range(j1 + 1, s):
-                    got = _cross_family_min_distance(fams[j1], fams[j2])
+                    got = min((distance(u, w) for u in fams[j1] for w in fams[j2]),
+                              default=None)
                     if got is not None and got < need:
                         raise ConstructionError(
                             f"cross-family distance {got} < {need} in block {i}")
@@ -345,12 +327,9 @@ def product_addon(profile: CompositionProfile, families, verify_cross=True) -> C
 
 def _lift_block(field, matrices_rows, a, ni):
     """R(I_a | M) inside an n_i-wide block, for each a x (n_i - a) matrix."""
-    out = []
-    for rows in matrices_rows:
-        gen = [tuple(1 if c == j else 0 for c in range(a)) + tuple(r)
-               for j, r in enumerate(rows)]
-        out.append(Subspace(field, ni, gen))
-    return out
+    return [Subspace(field, ni, [tuple(1 if c == j else 0 for c in range(a)) + tuple(r)
+                                 for j, r in enumerate(rows)])
+            for rows in matrices_rows]
 
 
 def coset_addon(profile: CompositionProfile, verify_cross=True) -> Cdc:
@@ -361,19 +340,11 @@ def coset_addon(profile: CompositionProfile, verify_cross=True) -> Cdc:
     all_cosets = []
     for a, b, ni in zip(profile.abar, profile.bbar, profile.nbar):
         big = gabidulin_mrd(q, a, ni - a, a - b)
-        if a - b == d // 2:
-            cosets = [big]
-        else:
-            sub = nested_subcode(big, d // 2)
-            cosets = coset_partition(big, sub)
-        all_cosets.append(cosets)
+        all_cosets.append([big] if a - b == d // 2
+                          else coset_partition(big, nested_subcode(big, d // 2)))
     s = min(len(c) for c in all_cosets)
-    families = []
-    for i, (a, ni) in enumerate(zip(profile.abar, profile.nbar)):
-        fams = []
-        for j in range(s):
-            fams.append(_lift_block(field, all_cosets[i][j].iter_rows(), a, ni))
-        families.append(fams)
+    families = [[_lift_block(field, cosets[j].iter_rows(), a, ni) for j in range(s)]
+                for cosets, a, ni in zip(all_cosets, profile.abar, profile.nbar)]
     c = product_addon(profile, families, verify_cross=verify_cross)
     c.provenance["kind"] = "coset_addon"
     c.addon_families = families
@@ -400,9 +371,7 @@ def mixed_abar_addons(profiles, verify_cross=True) -> Cdc:
                     f"pivot bound between abar={profiles[x].abar} and "
                     f"abar={profiles[y].abar} gives only {delta} < {base.d}")
     addons = [coset_addon(p, verify_cross=verify_cross) for p in profiles]
-    words = []
-    for a in addons:
-        words.extend(a.words())
+    words = [w for a in addons for w in a.words()]
     return Cdc(base_field(base.q), base.n, base.k, base.d, words=words,
                provenance={"kind": "mixed_abar_addons",
                            "abars": [p.abar for p in profiles]})
@@ -423,17 +392,11 @@ def xi_extension(profile: CompositionProfile, addon: Cdc) -> Cdc:
     n1, n2 = profile.nbar
     if (n1 - a1) + a2 != profile.k or (n2 - a2) + a1 != profile.k:
         raise ConstructionError("hole + partner dimensions do not give k")
-    holes = []
-    for i, a in enumerate(profile.abar):
-        holes.append(_coordinate_subspace(field, n, offs[i] + a, offs[i + 1]))
-    embedded_first = []
-    for i in range(2):
-        pad_l = offs[i]
-        pad_r = n - offs[i + 1]
-        emb = [Subspace(field, n,
-                        [(0,) * pad_l + tuple(r) + (0,) * pad_r for r in w.gen.rows])
-               for w in families[i][0]]
-        embedded_first.append(emb)
+    holes = [_coordinate_subspace(field, n, offs[i] + a, offs[i + 1])
+             for i, a in enumerate(profile.abar)]
+    embedded_first = [[Subspace(field, n, [(0,) * offs[i] + tuple(r) + (0,) * (n - offs[i + 1])
+                                           for r in w.gen.rows]) for w in families[i][0]]
+                      for i in range(2)]
     for i in range(2):
         for w in embedded_first[i]:
             if intersection_dim(w, holes[i]) != 0:

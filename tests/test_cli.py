@@ -56,6 +56,20 @@ def test_verify_sample_and_exit_codes(tmp_path, capsys):
     assert report["violations"] == [] and report["min_distance_found"] == 4
 
 
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_verify_sample_needs_a_pair(tmp_path, capsys, pairs):
+    # a sample of no pairs would report "ok" without checking anything
+    out = tmp_path / "lm.cdc"
+    from cdckit.cdc import lifted_mrd
+    from cdckit.codefile import export
+    export(lifted_mrd(2, 6, 3, 4), out)
+    capsys.readouterr()
+    assert main(["verify", "--file", str(out), "--mode", "sample", "--pairs", pairs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and pairs in captured.err
+    assert main(["verify", "--file", str(out), "--mode", "sample", "--pairs", "1"]) == 0
+
+
 def test_verify_full_small(tmp_path, capsys):
     out = tmp_path / "lm.cdc"
     from cdckit.cdc import lifted_mrd

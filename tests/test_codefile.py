@@ -5,6 +5,7 @@ import hashlib
 import pathlib
 import time
 
+import numpy as np
 import pytest
 
 from cdckit.cdc import Cdc, lifted_mrd, partial_spread_subcode, spread
@@ -386,3 +387,89 @@ def test_reader_leaves_garbage_collector_as_it_was():
         assert loads(text).size == 64 and not gc.isenabled()
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def _blocks_of_five(monkeypatch, body_lines):
+    # the golden header over a body read in blocks of five lines
+    import cdckit.codefile as codefile
+    monkeypatch.setattr(codefile, "_BLOCK", 5)
+    lines = _golden_text().splitlines(keepends=True)
+    return "".join(lines[:10] + body_lines)
+
+
+BAD = "100000|01x000|001000\n"  # malformed
+LOW = "100000|010000|110000\n"  # rank-deficient
+
+
+def test_reader_duplicate_before_a_later_block_error(monkeypatch):
+    # a duplicate in block 1 and a malformed line in block 3
+    body = _golden_text().splitlines(keepends=True)[10:]
+    text = _blocks_of_five(monkeypatch, body[:4] + [body[1]] + body[5:10] + [body[10], BAD])
+    with pytest.raises(DuplicateCodewordError, match=repr(body[1].strip())):
+        loads(text)
+
+
+def test_reader_malformed_line_before_a_later_duplicate(monkeypatch):
+    # a malformed line in block 1 and a duplicate in block 3
+    body = _golden_text().splitlines(keepends=True)[10:]
+    text = _blocks_of_five(monkeypatch, body[:2] + [BAD] + body[2:9] + [body[9], body[0]])
+    with pytest.raises(DimensionMismatchError, match="01x000"):
+        loads(text)
+
+
+@pytest.mark.parametrize("gap", [0, 1, 6])  # the same block, the next one, one after
+def test_reader_rank_deficient_word_after_a_duplicate(monkeypatch, gap):
+    body = _golden_text().splitlines(keepends=True)[10:]
+    text = _blocks_of_five(monkeypatch, body[:6] + [body[3]] + body[6:6 + gap] + [LOW])
+    with pytest.raises(DuplicateCodewordError, match=repr(body[3].strip())):
+        loads(text)
+
+
+def test_reader_huge_count_over_a_short_body_allocates_nothing(monkeypatch):
+    import tracemalloc
+    body = _golden_text().splitlines(keepends=True)[10:]
+    text = _blocks_of_five(monkeypatch, body[:3]).replace("#COUNT=64", "#COUNT=1000000000000000")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CountMismatchError):
+            loads(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_gf2_import_holds_one_array(tmp_path):
+    # 32,768 words of n = 9, k = 4: a tuple of 4 ints per word held 3.4 MB
+    # after the import and peaked at 17.3 MB; the (N, 4) uint16 array is
+    # 0.26 MB, and the peak is the block's line strings
+    import tracemalloc
+    path = tmp_path / "c.cdc"
+    path.write_text(dumps(lifted_mrd(2, 9, 4, 4), order="generation"))
+    tracemalloc.start()
+    try:
+        code = import_code(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20 and peak < 14 << 20, (held, peak)
+    assert code.size == 1 << 15 and code.source.packed.dtype == np.uint16
+
+
+def test_wide_gf2_words_are_keyed_by_their_row_bytes(tmp_path):
+    # k*n = 72 > 64: no uint64 holds a word, so duplicates and subcode
+    # membership are found on the row bytes
+    from cdckit.subspace import Subspace
+    c = lifted_mrd(2, 12, 6, 12)
+    text = dumps(c)
+    lines = text.splitlines(keepends=True)
+    with pytest.raises(DuplicateCodewordError, match=repr(lines[20].strip())):
+        loads(text + lines[20] + lines[12])
+    parent, sub, alien = tmp_path / "c.cdc", tmp_path / "sub.cdc", tmp_path / "alien.cdc"
+    export(c, parent)
+    export(Cdc(c.field, 12, 6, 12, words=c.words()[9:3:-2]), sub)
+    assert import_with_subcode(parent, sub)[1].size == 3
+    hole = Subspace(c.field, 12, [tuple(int(j == i) for j in range(12)) for i in range(6, 12)])
+    export(Cdc(c.field, 12, 6, 12, words=[c.at(0), hole]), alien)
+    with pytest.raises(SubcodeError, match=hole.serialize()):
+        import_with_subcode(parent, alien)

@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from cdckit.cdc import Cdc, ListSource, lifted_mrd, spread
+from cdckit.cdc import Cdc, ListSource, PackedSource, lifted_mrd, spread
 from cdckit.constructions import (CompositionProfile, _DropFirst, multiblock_linkage,
                                   recipe_12_4_4_thm)
 from cdckit.gf import field_new
@@ -40,7 +40,8 @@ def _sources():
         "product, reduced": lambda: linkage.parts[1],
         "union": lambda: linkage,
         "list": lambda: ListSource(F2, 6, words),
-        "list, packed": lambda: ListSource(F2, 6, packed=[w.packed_rows() for w in words]),
+        "packed": lambda: PackedSource(F2, 6, np.array([w.packed_rows() for w in words],
+                                                       np.uint8)),
         "re-embedded": lambda: recipe_12_4_4_thm(2)[0].source.parts[1],
     }
 
@@ -76,7 +77,7 @@ def test_stream_equals_scalar_access(case):
 
 
 @pytest.mark.parametrize("case", ["product", "product, reduced", "union", "re-embedded",
-                                  "list", "list, packed"])
+                                  "list", "packed"])
 def test_streamed_words_are_int_tuples(case):
     # the stream hands out the same values packed_at does: tuples of Python
     # ints, hashable and comparable with words read from a file
@@ -85,6 +86,16 @@ def test_streamed_words_are_int_tuples(case):
     for i, word in zip(range(n), src.iter_packed()):
         assert type(word) is tuple and all(type(r) is int for r in word)
         assert word == tuple(src.packed_at(i))
+
+
+def test_packed_source_hands_out_python_ints():
+    # its rows are uint8, its words tuples of Python ints and its gathers uint64
+    src = _sources()["packed"]()
+    word = src.packed_at(src.size - 1)
+    assert type(word) is tuple and all(type(r) is int for r in word)
+    assert word == src.packed_at(-1) and src.packed.dtype == np.uint8
+    assert src.packed_at_batch([src.size - 1]).tolist() == [list(word)]
+    assert src.words[-1].packed_rows() == word
 
 
 def test_code_gathers_from_its_source():

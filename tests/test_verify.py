@@ -12,7 +12,7 @@ from operator import xor
 import numpy as np
 import pytest
 
-from cdckit.cdc import Cdc, ListSource, lifted_mrd
+from cdckit.cdc import Cdc, ListSource, PackedSource, lifted_mrd
 from cdckit.constructions import recipe_8_4_4
 from cdckit.gf import field_new
 from cdckit.verify import (CapExceeded, _pair_chunks, _unrank_pair, _unrank_pairs,
@@ -320,8 +320,8 @@ def test_full_check_memory_is_bounded():
     import tracemalloc
     from cdckit.constructions import RECIPES
     code, _ = RECIPES["12_8_6"](2)
-    prefix = Cdc(code.field, 12, 6, 8, stream=ListSource(
-        code.field, 12, packed=list(map(tuple, code.packed_at_batch(np.arange(3000)).tolist()))))
+    prefix = Cdc(code.field, 12, 6, 8, stream=PackedSource(
+        code.field, 12, code.packed_at_batch(np.arange(3000)).astype(np.uint16)))
     wide = _code(24, 4, 4, _sharing_words(1, 24, 4, 80))
     full_pairwise_check(wide)  # the subspace tables are cached on first use
     for c, limit in ((prefix, 16 << 20), (wide, (1 << 24) // 8)):
