@@ -6,7 +6,7 @@ from .linalg import MatrixGF, gaussian_binomial, rref
 from .subspace import Subspace, distance, intersection_dim, orthogonal_complement
 from .rankmetric import gabidulin_mrd, mrd_size, nested_subcode, rank_distribution
 from .cdc import (Cdc, SpreadFamily, lifted_mrd, parallelism_2_of_F_q4,
-                  partial_spread_subcode, spread, verify_min_distance)
+                  partial_spread_subcode, spread)
 from .constructions import (FORMULAS, RECIPES, CompositionProfile,
                             cor1_bound, coset_addon, duplication,
                             multiblock_linkage, pairing_construction,

@@ -13,7 +13,7 @@ from itertools import chain
 import numpy as np
 
 from .gf import FieldSpec, ext_field
-from .linalg import (BATCH, MatrixGF, checked_indices, matmul, rref_bits, rref_bits_batch,
+from .linalg import (BATCH, MatrixGF, checked_indices, rref_bits, rref_bits_batch,
                      rref_rows, unpack_row, word_tuples)
 from .rankmetric import (GabidulinHandle, RankCodeHandle, base_field,
                          gabidulin_mrd, nested_subcode)
@@ -193,7 +193,6 @@ class Cdc:
         self.k = k
         self.d_claim = d_claim
         self.provenance = provenance or {}
-        self.verified = None  # set by verification
         if words is not None:
             words = list(words)
             for w in words:
@@ -277,19 +276,6 @@ def lifted_mrd(q: int, n: int, k: int, d: int) -> Cdc:
             provenance={"kind": "lifted_mrd", "q": q, "n": n, "k": k, "d": d})
     c.lmrd_handle = handle
     return c
-
-
-def verify_min_distance(c: Cdc, mode="full", pairs=0, seed=0, cap=MATERIALIZE_CAP):
-    """Exact or sampled minimum-distance report; sets c.verified."""
-    from . import verify as _verify
-    if mode == "full":
-        report = _verify.full_pairwise_check(c, cap=cap)
-    elif mode == "sampled":
-        report = _verify.sampled_check(c, pairs, seed)
-    else:
-        raise CdcError(f"unknown mode {mode!r}")
-    c.verified = report
-    return report
 
 
 # ----------------------------------------------------------------------
@@ -414,24 +400,6 @@ def parallelism_2_of_F_q4(q: int, imported: SpreadFamily | None = None) -> Sprea
     members = [Cdc(field, 4, 2, 4, words=[lines[i] for i in ids],
                    provenance={"kind": "parallelism_class", "q": q, "class": j})
                for j, ids in enumerate(solution)]
-    return SpreadFamily(members)
-
-
-def disjoint_2spreads_of_F_q8(q: int, imported: SpreadFamily | None = None) -> SpreadFamily:
-    """q^2+q+1 disjoint 2-spreads of F_q^8: a 2-parallelism laid inside each
-    member of a 4-spread, grouping same-class copies together."""
-    par = parallelism_2_of_F_q4(q, imported=imported)
-    solids = spread(q, 8, 4)
-    field = solids.field
-    families = [[] for _ in range(len(par))]
-    for solid in solids:
-        G = solid.gen
-        for j, cls in enumerate(par):
-            for line in cls:
-                families[j].append(Subspace.from_matrix(matmul(line.gen, G)))
-    members = [Cdc(field, 8, 2, 4, words=fam,
-                   provenance={"kind": "2spread_family_of_F_q8", "q": q, "class": j})
-               for j, fam in enumerate(families)]
     return SpreadFamily(members)
 
 

@@ -280,9 +280,9 @@ def import_code(path) -> Cdc:
     return code
 
 
-def import_with_subcode(path, subcode_path, check_subcode_distance=True):
+def import_with_subcode(path, subcode_path):
     """Import a code plus a flagged subcode; the subcode must be a subset
-    and (optionally) is brute-force checked against its claimed distance."""
+    and is checked exactly against its claimed distance."""
     code = import_code(path)
     sub = import_code(subcode_path)
     if (sub.field, sub.n, sub.k) != (code.field, code.n, code.k):
@@ -297,13 +297,12 @@ def import_with_subcode(path, subcode_path, check_subcode_distance=True):
         missing = [i for i, w in enumerate(sub) if w.gen.rows not in parent]
     if len(missing):
         raise SubcodeError(f"subcode word {sub.at(missing[0]).serialize()} not in parent code")
-    if check_subcode_distance and sub.size > 1:
-        from .verify import full_pairwise_check
-        report = full_pairwise_check(sub)
-        if not report.ok:
-            raise SubcodeError(
-                f"subcode violates claimed distance {sub.d_claim}: "
-                f"min found {report.min_distance_found}")
+    from .verify import full_pairwise_check
+    report = full_pairwise_check(sub)
+    if not report.ok:
+        raise SubcodeError(
+            f"subcode violates claimed distance {sub.d_claim}: "
+            f"min found {report.min_distance_found}")
     return code, sub
 
 

@@ -22,6 +22,7 @@ from .rankmetric import (GabidulinHandle, base_field, coset_partition,
                          gabidulin_mrd, mrd_size, nested_subcode,
                          rank_distribution, rank_filtered)
 from .subspace import Subspace, distance, intersection_dim
+from .verify import full_pairwise_check
 
 
 class ConstructionError(ValueError):
@@ -89,7 +90,9 @@ class DistancePartition:
     def r(self):
         return len(self.parts) - 1
 
-    def validate(self, prefix_cap: int = 2000):
+    def validate(self):
+        """Coverage, no overlap, and every prefix union certified by the
+        exact full check; one past FULL_CHECK_CAP raises CapExceeded."""
         total = sum(len(p) for p in self.parts)
         if total != self.parent.size:
             raise ConstructionError("parts do not cover the parent code")
@@ -99,18 +102,12 @@ class DistancePartition:
                 if w.gen.rows in seen:
                     raise ConstructionError("parts overlap")
                 seen.add(w.gen.rows)
-        k = self.parent.k
-        prefix = []
+        C, prefix = self.parent, []
         for i, part in enumerate(self.parts):
-            prefix = prefix + list(part)
-            if len(prefix) > prefix_cap:
-                break  # larger prefixes rely on the parent's claimed distance
-            need = 2 * k - 2 * i
-            for x in range(len(prefix)):
-                for y in range(x + 1, len(prefix)):
-                    if distance(prefix[x], prefix[y]) < need:
-                        raise ConstructionError(
-                            f"prefix union {i} violates distance {need}")
+            prefix += part
+            need = 2 * C.k - 2 * i
+            if not full_pairwise_check(Cdc(C.field, C.n, C.k, need, words=prefix)).ok:
+                raise ConstructionError(f"prefix union {i} violates distance {need}")
 
 
 @dataclass
@@ -130,7 +127,7 @@ class NdkSequence:
     def r(self):
         return len(self.entries) - 1
 
-    def validate(self, scan_cap: int = MATERIALIZE_CAP):
+    def validate(self):
         for i, e in enumerate(self.entries):
             if intersection_dim(e.witness_u, e.witness_s) != 0:
                 raise ConstructionError(f"witness codeword {i} meets the witness subspace")
@@ -138,7 +135,7 @@ class NdkSequence:
                 raise ConstructionError(f"witness subspace {i} has wrong dimension")
             if self._is_lmrd_with_hole(e):
                 continue  # structural: lifted words avoid the hole entirely
-            if e.code.size > scan_cap:
+            if e.code.size > MATERIALIZE_CAP:
                 raise ConstructionError(f"sequence member {i} too large to scan")
             found_u = False
             for w in e.code.words():
@@ -512,8 +509,7 @@ def _reembedded(entry: SeqEntry, part, field, k, s, t) -> StreamSource:
     return _ReembedSource(field, k + s + t, frames, gprime)
 
 
-def duplication(partition: DistancePartition, seq: NdkSequence, A: Cdc,
-                validate=True) -> Cdc:
+def duplication(partition: DistancePartition, seq: NdkSequence, A: Cdc) -> Cdc:
     """Re-embeds a copy of a sequence code above every codeword of the
     partitioned code and adds A inside the new coordinates."""
     C = partition.parent
@@ -528,9 +524,8 @@ def duplication(partition: DistancePartition, seq: NdkSequence, A: Cdc,
         raise ConstructionError("sequence members must be (k+s; k) codes")
     if A.n != s or A.k != k:
         raise ConstructionError("A must consist of k-subspaces of an s-space")
-    if validate:
-        partition.validate()
-        seq.validate()
+    partition.validate()
+    seq.validate()
     n = k + s + t
     r = partition.r
     pad = (0,) * (k + t)

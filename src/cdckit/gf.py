@@ -319,10 +319,6 @@ class ExtFieldSpec:
             n >>= 1
         return out
 
-    def frobenius(self, a: int) -> int:
-        """x -> x^q, the GF(q)-linear Frobenius of the extension."""
-        return self.pow(a, self.base.q)
-
 
 class FieldSpec(ExtFieldSpec):
     """GF(p^e): the degree-e extension of GF(p) by a monic irreducible modulus."""
@@ -347,19 +343,6 @@ class FieldSpec(ExtFieldSpec):
 
     def __hash__(self):
         return hash((self.p, self.e, self.modulus))
-
-    def serialize(self) -> str:
-        mod = ",".join(str(c) for c in self.modulus)
-        return f"GF p={self.p} e={self.e} mod={mod}"
-
-    @staticmethod
-    def parse(line: str) -> "FieldSpec":
-        parts = line.split()
-        if len(parts) != 4 or parts[0] != "GF":
-            raise FieldError(f"bad field line: {line!r}")
-        kv = dict(part.split("=", 1) for part in parts[1:])
-        mod = tuple(int(c) for c in kv["mod"].split(","))
-        return FieldSpec(int(kv["p"]), int(kv["e"]), mod)
 
 
 @lru_cache(maxsize=None)

@@ -254,19 +254,6 @@ def rank_rows(field: FieldSpec, rows, ncols: int) -> int:
     return len(rref_rows(field, rows, ncols)[0])
 
 
-def hstack(A: MatrixGF, B: MatrixGF) -> MatrixGF:
-    if A.nrows != B.nrows:
-        raise DimensionError(f"hstack: {A.nrows} rows vs {B.nrows}")
-    return MatrixGF(A.field, [ra + rb for ra, rb in zip(A.rows, B.rows)],
-                    ncols=A.ncols + B.ncols)
-
-
-def vstack(A: MatrixGF, B: MatrixGF) -> MatrixGF:
-    if A.ncols != B.ncols:
-        raise DimensionError(f"vstack: {A.ncols} cols vs {B.ncols}")
-    return MatrixGF(A.field, A.rows + B.rows, ncols=A.ncols)
-
-
 def matmul(A: MatrixGF, B: MatrixGF) -> MatrixGF:
     if A.ncols != B.nrows:
         raise DimensionError(f"matmul: {A.ncols} vs {B.nrows}")

@@ -101,13 +101,6 @@ class RankCodeHandle:
         """(B, min(m,n)) uint64 arrays of internal rows, in index order."""
         raise NotImplementedError
 
-    def iter_packed(self):
-        # internal rows are the transpose of packed_at's rows when m > n
-        for block in self.iter_blocks():
-            if self.m > self.n:
-                block = _transpose_block(block, self.m)
-            yield from block.tolist()
-
     def iter_rows(self):
         for i in range(self.size):
             yield self.rows_at(i)
@@ -263,9 +256,6 @@ class NestedSubcodeHandle(GabidulinHandle):
         super().__init__(parent.q, parent.m, parent.n, d2, t_override=t2, parent=parent)
         self.kind = "nested_subcode"
 
-    def parent_index(self, i) -> int:
-        return i * self.parent.Q ** (self.parent.t - self.t)
-
 
 class CosetHandle(RankCodeHandle):
     """Translate rep + sub of a nested MRD subcode."""
@@ -316,17 +306,13 @@ class RankFilteredHandle(RankCodeHandle):
         else:  # no formula: the one scan sets the size
             self.size = len(self.indices())
 
-    def _masked_blocks(self):
-        # rank is invariant under transposition, so internal rows suffice
-        ncols = max(self.m, self.n)
-        for block in self.parent.iter_blocks():
-            yield block, rank_bits_batch(block, ncols) <= self.cap
-
     def indices(self):
         """Parent indices of the kept words, as an int64 array."""
         if self._indices is None:
             if self.q == 2:
-                keep = np.concatenate([mask for _, mask in self._masked_blocks()])
+                # rank is invariant under transposition, so internal rows suffice
+                keep = np.concatenate([rank_bits_batch(block, max(self.m, self.n)) <= self.cap
+                                       for block in self.parent.iter_blocks()])
                 indices = np.flatnonzero(keep).astype(np.int64, copy=False)
             else:
                 field = base_field(self.q)
@@ -347,10 +333,6 @@ class RankFilteredHandle(RankCodeHandle):
 
     def rows_at(self, i):
         return self.parent.rows_at(int(self.indices()[i]))
-
-    def iter_blocks(self):
-        for block, mask in self._masked_blocks():
-            yield block[mask]
 
 
 def gabidulin_mrd(q: int, m: int, n: int, d_r: int) -> GabidulinHandle:

@@ -29,10 +29,6 @@ class Subspace:
         self._packed = packed
 
     @staticmethod
-    def from_matrix(M: MatrixGF) -> "Subspace":
-        return Subspace.from_rows(M.field, M.rows, M.ncols)
-
-    @staticmethod
     def from_rows(field: FieldSpec, rows, n: int) -> "Subspace":
         rows = list(rows)
         if any(len(r) != n for r in rows):

@@ -7,10 +7,11 @@ t-subspace, so it sorts keys of shared subspaces level by level instead
 of comparing pairs, and measures only the pairs it finds.  Other codes
 compare every pair.
 
-Pair sampling is counter-based (splitmix64 over a triangular unranking),
-so reports are byte-identical across platforms for a fixed seed.  Pairs
-are drawn and checked in numpy chunks; over GF(2) with n <= 64 each chunk
-is one packed_at_batch gather and one rank_bits_batch.
+Pair sampling is counter-based (splitmix64 over a triangular unranking,
+or past 2^32 words two outputs per pair), so reports are byte-identical
+across platforms for a fixed seed.  Pairs are drawn and checked in numpy
+chunks; over GF(2) with n <= 64 each chunk is one packed_at_batch gather
+and one rank_bits_batch.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, reduce
-from itertools import combinations, islice
+from itertools import combinations
 
 import numpy as np
 
@@ -298,20 +299,24 @@ def _unrank_pairs(t):
 
 
 def _pair_chunks(n_items: int, pairs: int, seed: int):
-    """sample_pairs(n_items, pairs, seed) as (a, b) int64 arrays of at most
-    BATCH pairs; splitmix64 wraps mod 2^64 in np.uint64."""
-    if n_items > 1 << 32:  # pair indices past 2^63: the scalar stream
-        stream = sample_pairs(n_items, pairs, seed)
-        while ab := list(islice(stream, BATCH)):
-            yield tuple(np.array(ab, dtype=np.int64).T)
-        return
-    total = np.uint64(n_items * (n_items - 1) // 2)
+    """(a, b), a < b, as int64 arrays of at most BATCH pairs; splitmix64
+    wraps mod 2^64 in np.uint64.  Up to 2^32 words this is
+    sample_pairs(n_items, pairs, seed).  Past that a pair index mod
+    N(N - 1)/2 cannot reach most pairs, so pair i takes outputs 2i - 1 and
+    2i: a = z1 mod N and b = (a + 1 + z2 mod (N - 1)) mod N."""
+    per = 1 + (n_items > 1 << 32)  # splitmix64 outputs per pair
     for lo in range(0, pairs, BATCH):
-        z = np.arange(lo + 1, min(lo + BATCH, pairs) + 1, dtype=np.uint64) \
+        z = np.arange(per * lo + 1, per * min(lo + BATCH, pairs) + 1, dtype=np.uint64) \
             * np.uint64(0x9E3779B97F4A7C15) + np.uint64(seed & _M64)
         z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
-        yield _unrank_pairs((z ^ (z >> 31)) % total)
+        z ^= z >> 31
+        if per == 1:
+            yield _unrank_pairs(z % np.uint64(n_items * (n_items - 1) // 2))
+            continue
+        a = z[0::2] % np.uint64(n_items)
+        b = (a + np.uint64(1) + z[1::2] % np.uint64(n_items - 1)) % np.uint64(n_items)
+        yield np.minimum(a, b).astype(np.int64), np.maximum(a, b).astype(np.int64)
 
 
 def sampled_check(code, pairs: int, seed: int = 0) -> VerificationReport:

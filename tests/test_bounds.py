@@ -51,8 +51,10 @@ def test_derivation_chains_nonempty():
 
 
 def test_weak_marking():
-    # (2,9,4,3) bottoms out at a partial-spread base with no exact value
-    b = johnson_upper(2, 11, 6, 5)
+    # (2,9,6;4) bottoms out at (8,6;3), a partial-spread base with no exact value
+    weak = johnson_upper(2, 9, 6, 4)
+    assert weak.weak and weak.derivation[-1].startswith("weak base") \
+        and weak.derivation[-1].endswith("= 36")
     strong = johnson_upper(2, 6, 4, 3)
     assert not strong.weak
 

@@ -2,9 +2,8 @@
 
 import pytest
 
-from cdckit.cdc import (Cdc, CdcError, disjoint_2spreads_of_F_q8, lifted_mrd,
-                        parallelism_2_of_F_q4, partial_spread_subcode, spread,
-                        verify_min_distance)
+from cdckit.cdc import (Cdc, CdcError, lifted_mrd, parallelism_2_of_F_q4,
+                        partial_spread_subcode, spread)
 from cdckit.gf import field_new
 from cdckit.subspace import Subspace, distance, intersection_dim
 from cdckit.verify import coverage_check, full_pairwise_check
@@ -46,17 +45,6 @@ def test_parallelism_q2_and_q3():
         assert coverage_check(member)["ok"]
 
 
-def test_disjoint_2spreads_of_F_q8():
-    fam = disjoint_2spreads_of_F_q8(2)
-    assert len(fam) >= 2
-    seen = set()
-    for member in fam:
-        assert coverage_check(member)["ok"]
-        for w in member:
-            assert w.gen.rows not in seen
-            seen.add(w.gen.rows)
-
-
 def test_partial_spread_subcode_of_lmrd():
     c = lifted_mrd(2, 8, 4, 4)
     sub = partial_spread_subcode(c, "lmrd_nested")
@@ -80,14 +68,6 @@ def test_cdc_container_invariants():
     W = Subspace.from_rows(f, [[1, 0, 0]], 3)
     with pytest.raises(CdcError):
         Cdc(f, 4, 2, 4, words=[W])  # wrong ambient space
-
-
-def test_verify_min_distance_dispatch():
-    c = lifted_mrd(2, 6, 3, 4)
-    rep = verify_min_distance(c, mode="full")
-    assert rep.ok and rep.min_distance_found == 4
-    rep2 = verify_min_distance(c, mode="sampled", pairs=500, seed=3)
-    assert rep2.ok and rep2.pairs_checked == 500
 
 
 # ----------------------------------------------------------------------

@@ -212,6 +212,22 @@ def test_partition_and_sequence_validation():
     NdkSequence([entry, entry]).validate()
 
 
+def test_partition_prefix_past_2000_words_is_certified():
+    # the last prefix union has 4,097 words, one pair at distance 2 < 4
+    lm = lifted_mrd(2, 8, 4, 4)
+    from cdckit.cdc import partial_spread_subcode
+    c0 = list(partial_spread_subcode(lm, "lmrd_nested").words())
+    keys = set(w.gen.rows for w in c0)
+    rest = [w for w in lm.words() if w.gen.rows not in keys]
+    last = lm.at(lm.size - 1)
+    close = Subspace.from_rows(F2, last.gen.rows[:3] + ((0,) * 7 + (1,),), 8)
+    assert distance(last, close) == 2
+    DistancePartition(lm, [c0, [], rest]).validate()
+    base = Cdc(F2, 8, 4, 4, words=lm.words() + [close])
+    with pytest.raises(ConstructionError, match="prefix union 2 violates distance 4"):
+        DistancePartition(base, [c0, [], rest + [close]]).validate()
+
+
 def test_recipes_require_their_imports():
     with pytest.raises(MissingImportError):
         recipe_9_4_3(2)

@@ -1,6 +1,7 @@
 """The batched gather: packed_at_batch(idx) equals [packed_at(i) for i in
 idx] on every q = 2 source and rank-metric handle, and the chunked
-iter_packed built on it equals the scalar words."""
+iter_packed built on it equals the scalar words (a handle streams as the
+one factor of a product, as the lifted and linked codes stream it)."""
 
 import random
 from functools import lru_cache
@@ -8,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from cdckit.cdc import Cdc, ListSource, PackedSource, lifted_mrd, spread
+from cdckit.cdc import Cdc, ListSource, PackedSource, ProductSource, lifted_mrd, spread
 from cdckit.constructions import (CompositionProfile, _DropFirst, multiblock_linkage,
                                   recipe_12_4_4_thm)
 from cdckit.gf import field_new
@@ -67,6 +68,8 @@ def test_gather_equals_scalar_access(case):
 @pytest.mark.parametrize("case", [c for c in CASES if c != "drop-first"])  # a view, no stream
 def test_stream_equals_scalar_access(case):
     src = _sources()[case]()
+    if not hasattr(src, "iter_packed"):  # a rank-metric handle
+        src = ProductSource(F2, [src], [src.n])
     n = min(src.size, 5000)  # past the first 4,096-word chunk where there is one
     streamed = []
     for word in src.iter_packed():

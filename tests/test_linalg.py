@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from cdckit.gf import field_new
-from cdckit.linalg import (MatrixGF, PivotVector, gaussian_binomial, hstack,
-                           inverse, matmul, pack_row, rank, rank_bits,
-                           rank_bits_batch, rank_rows, rref, rref_bits, rref_bits_batch,
-                           unpack_row, vstack)
+from cdckit.linalg import (MatrixGF, PivotVector, gaussian_binomial, inverse,
+                           matmul, pack_row, rank, rank_bits, rank_bits_batch,
+                           rank_rows, rref, rref_bits, rref_bits_batch, unpack_row)
 
 FIELDS = [field_new(2, 1), field_new(3, 1), field_new(2, 2), field_new(5, 1)]
 
@@ -180,15 +179,6 @@ def test_matmul_inverse_identity():
             r = rng.randrange(1, 5)
             T = _random_invertible(rng, field, r)
             assert matmul(T, inverse(T)).rows == MatrixGF.identity(field, r).rows
-
-
-def test_stacking_shapes():
-    f = field_new(2, 1)
-    A = MatrixGF(f, [[1, 0], [0, 1]])
-    B = MatrixGF(f, [[1, 1], [0, 0]])
-    assert hstack(A, B).ncols == 4
-    assert vstack(A, B).nrows == 4
-    assert rank(vstack(A, B)) == 2
 
 
 def test_gaussian_binomial_recurrence_and_values():

@@ -1,12 +1,13 @@
 """Rank-metric codes: size formula, rank-distribution formula vs exhaustive
 enumeration, pairwise rank distance, nested subcodes and coset partitions."""
 
+import numpy as np
 import pytest
 
 from cdckit.linalg import MatrixGF, rank, rank_bits
-from cdckit.rankmetric import (base_field, coset_partition, gabidulin_mrd,
-                               mrd_size, nested_subcode, rank_distribution,
-                               rank_filtered)
+from cdckit.rankmetric import (_transpose_block, base_field, coset_partition,
+                               gabidulin_mrd, mrd_size, nested_subcode,
+                               rank_distribution, rank_filtered)
 
 
 def test_mrd_size_values():
@@ -60,9 +61,9 @@ def test_nested_subcode_sizes_and_membership():
     big = gabidulin_mrd(2, 3, 3, 1)
     sub = nested_subcode(big, 2)
     assert big.size == 512 and sub.size == 64
-    # every subcode word appears in the parent at its parent index
+    # subcode word i is parent word i Q^(t - t2): the truncated coefficients
     for i in range(sub.size):
-        assert sub.packed_at(i) == big.packed_at(sub.parent_index(i))
+        assert sub.packed_at(i) == big.packed_at(i * big.Q ** (big.t - sub.t))
     # subcode keeps its own distance
     assert min(sub.rank_of(i) for i in range(1, sub.size)) >= 2
 
@@ -108,15 +109,18 @@ def _handle(kind):
 @pytest.mark.parametrize("kind", ["square", "wide", "transposed", "nested", "coset"])
 def test_enumeration_and_rank_filter_match_random_access(kind):
     h = _handle(kind)
-    words = list(h.iter_packed())
-    assert words == [h.packed_at(i) for i in range(h.size)]
+    words = [h.packed_at(i) for i in range(h.size)]
+    assert h.packed_at_batch(np.arange(h.size)).tolist() == words
+    # the blocks the rank filter scans hold internal rows: transposes when m > n
+    blocks = np.concatenate(list(h.iter_blocks()))
+    assert (_transpose_block(blocks, h.m) if h.m > h.n else blocks).tolist() == words
     assert len(set(map(tuple, words))) == h.size
     for cap in (1, 2):
         filt = rank_filtered(h, cap)
         oracle = [i for i in range(h.size) if rank_bits(h.packed_at(i), h.n) <= cap]
         assert filt.size == len(oracle)
         assert filt.indices().tolist() == oracle
-        assert list(filt.iter_packed()) == [words[i] for i in oracle]
+        assert filt.packed_at_batch(np.arange(filt.size)).tolist() == [words[i] for i in oracle]
         handed = []
         parent_packed_at = h.packed_at
         h.packed_at = lambda i: handed.append(i) or parent_packed_at(i)
