@@ -17,7 +17,8 @@ from .linalg import (BATCH, MatrixGF, checked_indices, rref_bits, rref_bits_batc
                      rref_rows, unpack_row, word_tuples)
 from .rankmetric import (GabidulinHandle, RankCodeHandle, base_field,
                          gabidulin_mrd, nested_subcode)
-from .subspace import Subspace, intersection_dim
+from .subspace import Subspace
+from .verify import enumerate_subspaces, meet_dims
 
 MATERIALIZE_CAP = 10 ** 5
 
@@ -286,6 +287,8 @@ def spread(q: int, n: int, k: int) -> Cdc:
     """A k-spread of F_q^n via the subfield GF(q^k) structure."""
     if n % k:
         raise CdcError(f"k={k} does not divide n={n}")
+    if (size := (q ** n - 1) // (q ** k - 1)) > MATERIALIZE_CAP:
+        raise CdcError(f"a {k}-spread of F_{q}^{n} has {size} words, past MATERIALIZE_CAP")
     field = base_field(q)
     t = n // k
     if t == 1:
@@ -368,7 +371,6 @@ def parallelism_2_of_F_q4(q: int, imported: SpreadFamily | None = None) -> Sprea
     if q not in (2, 3):
         raise CdcError(f"no built-in search for q={q}; supply an imported parallelism")
     field = base_field(q)
-    from .verify import enumerate_subspaces
     lines = list(enumerate_subspaces(q, 4, 2))
     npoints = (q ** 4 - 1) // (q - 1)
     point_ids = {}
@@ -407,16 +409,12 @@ def parallelism_2_of_F_q4(q: int, imported: SpreadFamily | None = None) -> Sprea
 # partial-spread subcodes
 # ----------------------------------------------------------------------
 
-def _greedy_partial_spread(words, k):
-    chosen = []
-    for w in sorted(words, key=Subspace.sort_key):
-        if all(intersection_dim(w, c) == 0 for c in chosen):
-            chosen.append(w)
-    return chosen
-
-
 def partial_spread_subcode(c: Cdc, strategy: str = "lmrd_nested") -> Cdc:
-    """A subcode with pairwise distance 2k (pairwise trivial intersections)."""
+    """A subcode with pairwise distance 2k (pairwise trivial intersections):
+    the seeds (the lifted nested k-subcode for "lmrd_nested", none for
+    "greedy"), then greedily in sort order the words of c, listed up to
+    MATERIALIZE_CAP; each kept word masks out, by one meet_dims scan, the
+    rest of c that meets it, itself included."""
     k = c.k
     if strategy == "lmrd_nested":
         handle = getattr(c, "lmrd_handle", None)
@@ -424,19 +422,17 @@ def partial_spread_subcode(c: Cdc, strategy: str = "lmrd_nested") -> Cdc:
             raise CdcError("no lifted-MRD provenance on this code")
         sub = handle if handle.d_r == k else nested_subcode(handle, k)
         chosen = list(_lifted(c.field.q, sub).iter_subspaces())
-        # complete greedily with disjoint codewords from the rest of the code
-        if c.materialized or c.size <= MATERIALIZE_CAP:
-            have = set(w.gen.rows for w in chosen)
-            for w in sorted(c.words(), key=Subspace.sort_key):
-                if w.gen.rows in have:
-                    continue
-                if all(intersection_dim(w, x) == 0 for x in chosen):
-                    chosen.append(w)
-                    have.add(w.gen.rows)
+        words = c.words() if c.materialized or c.size <= MATERIALIZE_CAP else []
     elif strategy == "greedy":
-        chosen = _greedy_partial_spread(c.words(), k)
+        chosen, words = [], c.words()
     else:
         raise CdcError(f"unknown strategy {strategy!r}")
+    rest = np.array(sorted(range(len(words)), key=lambda i: words[i].sort_key()), dtype=np.int64)
+    for w in chosen:
+        rest = rest[meet_dims(c, w, rest) == 0]
+    while len(rest):
+        chosen.append(words[rest[0]])
+        rest = rest[1:][meet_dims(c, chosen[-1], rest[1:]) == 0]
     return Cdc(c.field, c.n, k, 2 * k, words=chosen,
                provenance={"kind": "partial_spread_subcode", "strategy": strategy,
                            "parent": c.provenance})

@@ -9,20 +9,20 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, product as iproduct
+from itertools import accumulate, combinations, product as iproduct
+from math import prod
 
 import numpy as np
 
 from .cdc import (Cdc, ListSource, MATERIALIZE_CAP, ProductSource, StreamSource,
                   _single_full, lifted_mrd, parallelism_2_of_F_q4,
                   partial_spread_subcode, spread)
-from .linalg import (MatrixGF, checked_indices, inverse, pack_row, packable,
-                     rank_bits_batch, rank_rows, rref_bits, rref_bits_batch)
+from .linalg import MatrixGF, checked_indices, inverse, pack_row, rref_bits, rref_bits_batch
 from .rankmetric import (GabidulinHandle, base_field, coset_partition,
                          gabidulin_mrd, mrd_size, nested_subcode,
                          rank_distribution, rank_filtered)
 from .subspace import Subspace, distance, intersection_dim
-from .verify import full_pairwise_check
+from .verify import full_pairwise_check, meet_dims
 
 
 class ConstructionError(ValueError):
@@ -96,12 +96,8 @@ class DistancePartition:
         total = sum(len(p) for p in self.parts)
         if total != self.parent.size:
             raise ConstructionError("parts do not cover the parent code")
-        seen = set()
-        for part in self.parts:
-            for w in part:
-                if w.gen.rows in seen:
-                    raise ConstructionError("parts overlap")
-                seen.add(w.gen.rows)
+        if len({w.gen.rows for part in self.parts for w in part}) != total:
+            raise ConstructionError("parts overlap")
         C, prefix = self.parent, []
         for i, part in enumerate(self.parts):
             prefix += part
@@ -137,14 +133,9 @@ class NdkSequence:
                 continue  # structural: lifted words avoid the hole entirely
             if e.code.size > MATERIALIZE_CAP:
                 raise ConstructionError(f"sequence member {i} too large to scan")
-            found_u = False
-            for w in e.code.words():
-                if intersection_dim(w, e.witness_s) > i:
-                    raise ConstructionError(
-                        f"sequence member {i}: codeword meets S in dim > {i}")
-                if w == e.witness_u:
-                    found_u = True
-            if not found_u:
+            if (meet_dims(e.code, e.witness_s) > i).any():
+                raise ConstructionError(f"sequence member {i}: codeword meets S in dim > {i}")
+            if e.witness_u.k != e.code.k or (meet_dims(e.code, e.witness_u) < e.code.k).all():
                 raise ConstructionError(f"witness codeword {i} not in the code")
 
     @staticmethod
@@ -160,17 +151,16 @@ class NdkSequence:
         return e.witness_u == ref.witness_u and e.witness_s == ref.witness_s
 
 
-def _coordinate_subspace(field, n, lo, hi):
-    """The span of the unit vectors e_lo, ..., e_(hi-1) of F^n."""
-    return Subspace(field, n, [tuple(1 if c == j else 0 for c in range(n))
-                               for j in range(lo, hi)])
+def _coordinate_subspace(field, n, cols):
+    """The span of the unit vectors e_j of F^n, j in the ascending cols."""
+    return Subspace(field, n, [tuple(1 if c == j else 0 for c in range(n)) for j in cols])
 
 
 def _lmrd_entry(lm: Cdc) -> SeqEntry:
     """A lifted MRD code with the unit codeword R(I | 0) as witness codeword
     and the lifting hole (the last n-k coordinates) as witness subspace."""
-    return SeqEntry(lm, _coordinate_subspace(lm.field, lm.n, 0, lm.k),
-                    _coordinate_subspace(lm.field, lm.n, lm.k, lm.n))
+    return SeqEntry(lm, _coordinate_subspace(lm.field, lm.n, range(lm.k)),
+                    _coordinate_subspace(lm.field, lm.n, range(lm.k, lm.n)))
 
 
 # ----------------------------------------------------------------------
@@ -250,25 +240,19 @@ def cor1_bound(q, k, d, nbar, A_values) -> int:
 
 
 def check_special_substructure(c: Cdc, max_words: int = MATERIALIZE_CAP):
-    """Every block-i codeword must project with full rank k onto block i's
-    columns (equivalently, meet the complementary coordinate subspace
-    trivially)."""
+    """Every block-i codeword must meet the coordinate subspace outside
+    block i's columns trivially (equivalently, project with full rank k
+    onto block i's columns)."""
     blocks = c.provenance.get("blocks")
     if blocks is None:
         raise ConstructionError("no block metadata in provenance")
-    n, k = c.n, c.k
     checked = 0
     failures = []
     for meta in blocks:
         lo, hi = meta["col_start"], meta["col_end"]
         idx = np.arange(meta["start"], meta["start"] + min(meta["count"], max_words - checked))
-        if packable(c.field, n, k):
-            cols = (c.packed_at_batch(idx) >> np.uint64(n - hi)) & np.uint64((1 << (hi - lo)) - 1)
-            ranks = rank_bits_batch(cols, hi - lo)
-        else:
-            ranks = [rank_rows(c.field, [r[lo:hi] for r in c.at(i).gen.rows], hi - lo)
-                     for i in idx.tolist()]
-        failures += idx[np.not_equal(ranks, k)].tolist()
+        outside = _coordinate_subspace(c.field, c.n, [*range(lo), *range(hi, c.n)])
+        failures += idx[meet_dims(c, outside, idx) != 0].tolist()
         checked += len(idx)
     return {"checked": checked, "failures": failures, "ok": not failures}
 
@@ -290,7 +274,9 @@ def _direct_sum_subspace(profile, field, pick):
 
 def product_addon(profile: CompositionProfile, families, verify_cross=True) -> Cdc:
     """Direct sums U_1 x ... x U_l over each family index j; compatible by
-    construction with the linkage code on the same profile."""
+    construction with the linkage code on the same profile.  verify_cross
+    checks families of block i pair by pair to be 2 a_i - 2 b_i apart, which
+    families from a search or an import do not guarantee."""
     profile.validate(with_ab=True)
     field = base_field(profile.q)
     s = len(families[0])
@@ -303,6 +289,8 @@ def product_addon(profile: CompositionProfile, families, verify_cross=True) -> C
                     raise ConstructionError(
                         f"family member of block {i} is not an "
                         f"({profile.nbar[i]}, *; {profile.abar[i]}) subspace")
+    if (size := sum(prod(len(fams[j]) for fams in families) for j in range(s))) > MATERIALIZE_CAP:
+        raise ConstructionError(f"the addon has {size} words, past MATERIALIZE_CAP")
     if verify_cross:
         for i, fams in enumerate(families):
             need = 2 * profile.abar[i] - 2 * profile.bbar[i]
@@ -329,8 +317,11 @@ def _lift_block(field, matrices_rows, a, ni):
             for rows in matrices_rows]
 
 
-def coset_addon(profile: CompositionProfile, verify_cross=True) -> Cdc:
-    """Addon families realized as liftings of MRD coset partitions."""
+def coset_addon(profile: CompositionProfile) -> Cdc:
+    """Addon families realized as liftings of MRD coset partitions.  The
+    cosets of block i lie in one MRD code of rank distance a_i - b_i, and
+    lifting doubles rank distance (Silva, Kschischang and Koetter, 2008),
+    so two families are 2 a_i - 2 b_i apart with no cross-family scan."""
     profile.validate(with_ab=True)
     q, d = profile.q, profile.d
     field = base_field(q)
@@ -342,13 +333,13 @@ def coset_addon(profile: CompositionProfile, verify_cross=True) -> Cdc:
     s = min(len(c) for c in all_cosets)
     families = [[_lift_block(field, cosets[j].iter_rows(), a, ni) for j in range(s)]
                 for cosets, a, ni in zip(all_cosets, profile.abar, profile.nbar)]
-    c = product_addon(profile, families, verify_cross=verify_cross)
+    c = product_addon(profile, families, verify_cross=False)
     c.provenance["kind"] = "coset_addon"
     c.addon_families = families
     return c
 
 
-def mixed_abar_addons(profiles, verify_cross=True) -> Cdc:
+def mixed_abar_addons(profiles) -> Cdc:
     """Union of coset addons for several abar vectors on the same nbar.
     The cross distance between two addons is certified by the pivot bound,
     which gives sum(|a_i - a'_i|); pairs below d are rejected (identity
@@ -359,16 +350,11 @@ def mixed_abar_addons(profiles, verify_cross=True) -> Cdc:
     for p in profiles[1:]:
         if (p.nbar, p.k, p.d, p.q) != (base.nbar, base.k, base.d, base.q):
             raise ConstructionError("profiles must share nbar, k, d, q")
-    for x in range(len(profiles)):
-        for y in range(x + 1, len(profiles)):
-            delta = sum(abs(a - b) for a, b in
-                        zip(profiles[x].abar, profiles[y].abar))
-            if delta < base.d:
-                raise ConstructionError(
-                    f"pivot bound between abar={profiles[x].abar} and "
-                    f"abar={profiles[y].abar} gives only {delta} < {base.d}")
-    addons = [coset_addon(p, verify_cross=verify_cross) for p in profiles]
-    words = [w for a in addons for w in a.words()]
+    for px, py in combinations(profiles, 2):
+        if (delta := sum(abs(a - b) for a, b in zip(px.abar, py.abar))) < base.d:
+            raise ConstructionError(f"pivot bound between abar={px.abar} and "
+                                    f"abar={py.abar} gives only {delta} < {base.d}")
+    words = [w for p in profiles for w in coset_addon(p).words()]
     return Cdc(base_field(base.q), base.n, base.k, base.d, words=words,
                provenance={"kind": "mixed_abar_addons",
                            "abars": [p.abar for p in profiles]})
@@ -389,15 +375,14 @@ def xi_extension(profile: CompositionProfile, addon: Cdc) -> Cdc:
     n1, n2 = profile.nbar
     if (n1 - a1) + a2 != profile.k or (n2 - a2) + a1 != profile.k:
         raise ConstructionError("hole + partner dimensions do not give k")
-    holes = [_coordinate_subspace(field, n, offs[i] + a, offs[i + 1])
+    holes = [_coordinate_subspace(field, n, range(offs[i] + a, offs[i + 1]))
              for i, a in enumerate(profile.abar)]
-    embedded_first = [[Subspace(field, n, [(0,) * offs[i] + tuple(r) + (0,) * (n - offs[i + 1])
-                                           for r in w.gen.rows]) for w in families[i][0]]
-                      for i in range(2)]
-    for i in range(2):
-        for w in embedded_first[i]:
-            if intersection_dim(w, holes[i]) != 0:
-                raise ConstructionError("family member meets the lifting hole")
+    embedded_first = [Cdc(field, n, a, profile.d, words=[
+        Subspace(field, n, [(0,) * offs[i] + tuple(r) + (0,) * (n - offs[i + 1])
+                            for r in w.gen.rows]) for w in families[i][0]])
+        for i, a in enumerate(profile.abar)]
+    if any(meet_dims(embedded_first[i], holes[i]).any() for i in range(2)):
+        raise ConstructionError("family member meets the lifting hole")
     words = []
     for w in embedded_first[1]:  # hole of block 1 + first family of block 2
         rows = sorted(holes[0].gen.rows + w.gen.rows, key=_pivot_col)
@@ -718,25 +703,19 @@ def recipe_8_4_4(q, parallelism=None):
     return c, expected
 
 
-def _remove_disjoint_word(words):
-    """The lexicographically smallest codeword disjoint from another one."""
-    ordered = sorted(words, key=Subspace.sort_key)
-    for w in ordered:
-        if any(x is not w and intersection_dim(w, x) == 0 for x in ordered):
-            return w
-    raise ConstructionError("no pair of disjoint codewords")
-
-
 def _sequence_entry_from_code(code: Cdc) -> SeqEntry:
-    """Drop the smallest codeword of a disjoint pair; the removed word is
-    the witness subspace, a remaining disjoint codeword the witness."""
-    removed = _remove_disjoint_word(code.words())
-    rest = [w for w in code.words() if w != removed]
-    d_code = Cdc(code.field, code.n, code.k, code.d_claim, words=rest,
-                 provenance={"kind": "reduced", "parent": code.provenance})
-    witness_u = next(w for w in sorted(rest, key=Subspace.sort_key)
-                     if intersection_dim(w, removed) == 0)
-    return SeqEntry(d_code, witness_u, removed)
+    """Drop the smallest codeword (in sort order) that is disjoint from
+    another one; the removed word is the witness subspace, the smallest
+    codeword disjoint from it the witness."""
+    words = code.words()
+    order = np.array(sorted(range(len(words)), key=lambda i: words[i].sort_key()), dtype=np.int64)
+    for i in order.tolist():
+        disjoint = order[meet_dims(code, words[i], order) == 0]  # never i itself
+        if len(disjoint):
+            d_code = Cdc(code.field, code.n, code.k, code.d_claim, words=words[:i] + words[i + 1:],
+                         provenance={"kind": "reduced", "parent": code.provenance})
+            return SeqEntry(d_code, words[disjoint[0]], words[i])
+    raise ConstructionError("no pair of disjoint codewords")
 
 
 def recipe_12_4_4_thm(q):

@@ -15,7 +15,7 @@ from operator import xor
 
 import numpy as np
 
-from .gf import FieldSpec, ext_field, field_new
+from .gf import FieldSpec, ext_field, field_new, is_prime
 from .linalg import checked_indices, gaussian_binomial, rank_bits_batch, rank_rows
 
 TABLE_BITS = 12  # index bits per XOR table; the lowest table is one block
@@ -25,18 +25,22 @@ class RankCodeError(ValueError):
     pass
 
 
+def _integer_root(q: int, e: int) -> int:
+    """floor(q^(1/e)) by Newton's method from above, exact for any size."""
+    x = 1 << -(-q.bit_length() // e)
+    while (y := ((e - 1) * x + q // x ** (e - 1)) // e) < x:
+        x = y
+    return x
+
+
 def _factor_prime_power(q: int):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            x = q
-            while x % p == 0:
-                x //= p
-                e += 1
-            if x != 1:
-                raise RankCodeError(f"q={q} is not a prime power")
+    """(p, e) with q = p^e: p is the integer e-th root of q, prime, and
+    e <= 62, the exponent of the largest supported field order."""
+    for e in range(1, min(q.bit_length(), 63) if q > 1 else 1):
+        p = _integer_root(q, e)
+        if p ** e == q and is_prime(p):
             return p, e
-    raise RankCodeError(f"q={q} is not a prime power")
+    raise RankCodeError(f"q={q} is not a prime power p^e with e <= 62")
 
 
 def base_field(q: int) -> FieldSpec:

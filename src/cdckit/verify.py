@@ -1,5 +1,6 @@
-"""Verification oracles: subspace enumeration, the exact and the sampled
-minimum-distance checks, and spread/parallelism coverage checks.
+"""Verification oracles: subspace enumeration, the meet dimensions of a
+code's words with one subspace, the exact and the sampled minimum-distance
+checks, and spread/parallelism coverage checks.
 
 The exact check certifies a GF(2) code with n <= 64 by t-subspace
 packing: two words are closer than the claim exactly when they share a
@@ -27,7 +28,7 @@ import numpy as np
 
 from .linalg import BATCH, gaussian_binomial, pack_row, packable, rank_bits_batch, rref_bits_batch
 from .rankmetric import base_field
-from .subspace import Subspace, distance
+from .subspace import Subspace, distance, intersection_dim
 
 ENUM_CAP = 10 ** 6
 FULL_CHECK_CAP = 10 ** 5
@@ -104,6 +105,22 @@ def _spans(words):
     for row in words.T:
         vecs = np.vstack([vecs, vecs ^ row])
     return vecs
+
+
+def meet_dims(code, W: Subspace, idx=None):
+    """dim(U ∩ W) for each word U of code at idx (default every word), as
+    an int64 array.  Over GF(2) with n <= 64 each BATCH of words is one
+    gather and one rank_bits_batch of the words stacked on W's rows; other
+    codes go word by word through intersection_dim."""
+    idx = np.arange(code.size) if idx is None else np.asarray(idx, dtype=np.int64)
+    if not packable(code.field, code.n, code.k):
+        return np.array([intersection_dim(code.at(i), W) for i in idx.tolist()], dtype=np.int64)
+    w, ranks = np.array(W.packed_rows(), dtype=np.uint64), np.empty(len(idx), dtype=np.int64)
+    for lo in range(0, len(idx), BATCH):
+        words = code.packed_at_batch(idx[lo:lo + BATCH])
+        ranks[lo:lo + len(words)] = rank_bits_batch(
+            np.hstack([words, np.tile(w, (len(words), 1))]), code.n)
+    return code.k + W.k - ranks
 
 
 def _pair_rows_report(code, i, j):

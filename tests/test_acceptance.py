@@ -109,7 +109,7 @@ def test_criterion_07_stream_count_12_6_6():
     c, expected = recipe_12_6_6(2)
     assert expected == size_12_6_6(2) == 16865629
     profile = CompositionProfile(2, 6, 6, (6, 6), (3, 3), (1, 2))
-    xi = xi_extension(profile, coset_addon(profile, verify_cross=False))
+    xi = xi_extension(profile, coset_addon(profile))
     xi_words = set(tuple(w.packed_rows()) for w in xi)
     assert len(xi_words) == 16
     count = 0

@@ -55,6 +55,16 @@ def test_partial_spread_subcode_of_lmrd():
             assert intersection_dim(words[i], words[j]) == 0
 
 
+
+def test_greedy_partial_spread_of_lmrd_pinned():
+    # every word, in sort order, that meets no word kept before it
+    sub = partial_spread_subcode(lifted_mrd(2, 6, 3, 4), "greedy")
+    assert [w.serialize() for w in sub.words()] == [
+        "100000|010000|001000", "100001|010011|001101", "100010|010110|001111",
+        "100011|010101|001010", "100100|010001|001011", "100101|010010|001110",
+        "100110|010111|001100", "100111|010100|001001"]
+    assert sub.provenance["strategy"] == "greedy"
+
 def test_cdc_container_invariants():
     f = field_new(2, 1)
     U = Subspace.from_rows(f, [[1, 0, 0, 0], [0, 1, 0, 0]], 4)

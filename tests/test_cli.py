@@ -39,6 +39,26 @@ def test_construct_bound_only_recipe(capsys):
     assert "closed-form size only" in capsys.readouterr().out
 
 
+
+@pytest.mark.parametrize("recipe,q", [("8_4_4", "4294967311"), ("12_8_6", "1000003")])
+def test_construct_at_a_huge_q_is_precondition(recipe, q, capsys):
+    # a prime q is recognised without trial division, and the 12_8_6
+    # spread (q^4 + q^2 + 1 words) is refused before it is listed
+    import time
+    start = time.monotonic()
+    assert main(["construct", "--recipe", recipe, "--q", q]) == 4
+    assert time.monotonic() - start < 1.0
+    assert capsys.readouterr().err.startswith("cdckit: ")
+
+
+def test_oracle_enumerate_at_a_huge_prime_q(capsys):
+    import time
+    start = time.monotonic()
+    assert main(["oracle", "--kind", "enumerate", "--q", "4294967311",
+                 "--n", "1", "--k", "1"]) == 0
+    assert time.monotonic() - start < 1.0
+    assert capsys.readouterr().out.strip() == "1"
+
 def test_construct_parametric_requires_k(capsys):
     assert main(["construct", "--recipe", "4k_2k_2k", "--q", "2"]) == 2
     assert main(["construct", "--recipe", "4k_2k_2k", "--q", "2",

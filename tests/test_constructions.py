@@ -93,7 +93,13 @@ def test_recipe_8_4_4_size_and_substructure():
     assert expected == 4797 and c.size == 4797
     rep = sampled_check(c, 20000, seed=0)
     assert rep.ok and rep.min_distance_found == 4
-    check_special_substructure(c)
+    sub = check_special_substructure(c)
+    assert sub["ok"] and sub["checked"] == 4622  # the linkage part of the code
+    # with the blocks' column ranges swapped, words fail the projection
+    b0, b1 = c.provenance["blocks"]
+    b0["col_start"], b0["col_end"], b1["col_start"], b1["col_end"] = 4, 8, 0, 4
+    sub = check_special_substructure(c)
+    assert not sub["ok"] and sub["checked"] == 4622 and len(sub["failures"]) == 3302
 
 
 def test_linkage_rejects_bad_profiles():
@@ -211,6 +217,43 @@ def test_partition_and_sequence_validation():
                               entry.witness_s)]).validate()
     NdkSequence([entry, entry]).validate()
 
+
+
+def test_partition_overlap_with_covering_sizes():
+    lm, _ = _lmrd_entry()
+    words = lm.words()
+    with pytest.raises(ConstructionError, match="parts overlap"):
+        DistancePartition(lm, [words[:1], words[:-1]]).validate()
+
+
+def test_sequence_scan_rejections():
+    lm, entry = _lmrd_entry()
+    unit, hole = entry.witness_u, entry.witness_s
+    # listed copies have no lifted-MRD handle, so validate scans every word
+    meets_1 = Cdc(F2, 6, 3, 4, words=lm.words() + [_unit([0, 1, 3], 6)])
+    meets_2 = Cdc(F2, 6, 3, 4, words=lm.words() + [_unit([0, 3, 4], 6)])
+    NdkSequence([entry, SeqEntry(meets_1, unit, hole)]).validate()
+    with pytest.raises(ConstructionError, match="member 0: codeword meets S in dim > 0"):
+        NdkSequence([SeqEntry(meets_1, unit, hole)]).validate()
+    with pytest.raises(ConstructionError, match="member 1: codeword meets S in dim > 1"):
+        NdkSequence([entry, SeqEntry(meets_2, unit, hole)]).validate()
+    without_unit = Cdc(F2, 6, 3, 4, words=[w for w in lm.words() if w != unit])
+    with pytest.raises(ConstructionError, match="witness codeword 0 not in the code"):
+        NdkSequence([SeqEntry(without_unit, unit, hole)]).validate()
+
+
+def test_duplication_from_imported_base_pinned():
+    # the greedy partial spread of the base, cut to 7 words, then the base
+    # minus one disjoint word as the sequence code
+    from cdckit.constructions import _duplication_from_imported
+    lm, _ = _lmrd_entry()
+    c = _duplication_from_imported(2, lm, None, lm, 7)
+    assert (c.n, c.k, c.size) == (9, 3, 1 + 7 * 63 + 57 * 64) == (9, 3, 4090)
+    rep = full_pairwise_check(c)
+    assert rep.ok and rep.min_distance_found == 4
+    text = dumps(c, order="generation")
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == \
+        "6e768118f1a476eb15e478966ee2234a18429bc5ad5fda9b19c4ca366414700b"
 
 def test_partition_prefix_past_2000_words_is_certified():
     # the last prefix union has 4,097 words, one pair at distance 2 < 4

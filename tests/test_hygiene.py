@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module,
 every source of packed words has a batched gather, no module reads
-another module's private attributes, and packed arrays become word tuples
-through linalg.word_tuples alone."""
+another module's private attributes, packed arrays become word tuples
+through linalg.word_tuples alone, and the construction modules import no
+rank kernel of their own."""
 
 import ast
 import importlib
@@ -81,3 +82,15 @@ def test_arrays_become_tuples_through_word_tuples(path):
                    and isinstance(node.args[1].func, ast.Attribute)
                    and node.args[1].func.attr == "tolist")
     assert not found, f"{path.name}: use linalg.word_tuples for {found}"
+
+
+
+@pytest.mark.parametrize("name", ["cdc.py", "constructions.py"])
+def test_constructions_take_certificates_from_verify(name):
+    # construction-time meets and ranks come from verify.meet_dims, the one
+    # batched kernel, not from a rank kernel or a field fork of their own
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    banned = sorted(imported & {"rank_bits", "rank_bits_batch", "rank_rows", "packable"})
+    assert not banned, f"{name} imports {banned}"

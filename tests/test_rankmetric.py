@@ -5,9 +5,36 @@ import numpy as np
 import pytest
 
 from cdckit.linalg import MatrixGF, rank, rank_bits
-from cdckit.rankmetric import (_transpose_block, base_field, coset_partition,
-                               gabidulin_mrd, mrd_size, nested_subcode,
+from cdckit.rankmetric import (_factor_prime_power, _transpose_block, base_field,
+                               coset_partition, gabidulin_mrd, mrd_size, nested_subcode,
                                rank_distribution, rank_filtered)
+
+
+def _prime_power_trial(q):
+    """(p, e) with q = p^e by trial division, or None."""
+    p = next((p for p in range(2, q + 1) if q % p == 0), None)
+    e = 0
+    while p and q % p == 0:
+        q, e = q // p, e + 1
+    return (p, e) if p and q == 1 else None
+
+
+def test_prime_power_by_integer_roots_agrees_with_trial_division():
+    for q in range(-20, 5000):
+        want = _prime_power_trial(q)
+        if want is None:
+            with pytest.raises(ValueError, match="not a prime power"):
+                _factor_prime_power(q)
+        else:
+            assert _factor_prime_power(q) == want
+    assert (base_field(3 ** 4).p, base_field(3 ** 4).e) == (3, 4)
+    assert _factor_prime_power(2 ** 62) == (2, 62)
+    assert _factor_prime_power(3 ** 39) == (3, 39)
+    assert _factor_prime_power(1000003 ** 3) == (1000003, 3)
+    assert _factor_prime_power(4294967311) == (4294967311, 1)
+    for q in (2 ** 62 + 1, 10 ** 30, 1000003 * 1000033, -(10 ** 30)):
+        with pytest.raises(ValueError, match="not a prime power"):
+            _factor_prime_power(q)
 
 
 def test_mrd_size_values():
