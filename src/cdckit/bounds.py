@@ -45,9 +45,7 @@ def singleton_like_upper(q, n, d, k) -> BoundResult:
     if d > 2 * k:
         raise BoundError(f"d={d} exceeds 2k={2 * k}")
     t = k - d // 2 + 1
-    num = gaussian_binomial(n, t, q)
-    den = gaussian_binomial(k, t, q)
-    value = num // den
+    value = gaussian_binomial(n, t, q) // gaussian_binomial(k, t, q)
     chain = chain + (f"counting {t}-subspaces: floor([{n},{t}]_{q} / [{k},{t}]_{q})",)
     return BoundResult(value, "upper", chain)
 
@@ -56,11 +54,6 @@ def singleton_like_upper(q, n, d, k) -> BoundResult:
 
 def _spread_number(q, n, k):
     return (q ** n - 1) // (q ** k - 1)
-
-
-def _partial_spread_rem1(q, n, k):
-    # maximum partial k-spread of F_q^n for n ≡ 1 (mod k)
-    return (q ** n - q ** (k + 1)) // (q ** k - 1) + 1
 
 
 _EXACT_SPECIAL = {
@@ -80,7 +73,8 @@ def exact_registry(q, n, d, k) -> BoundResult | None:
             return BoundResult(_spread_number(q, n, k_norm), "exact",
                                chain + (f"{k_norm}-spread of F_{q}^{n}: (q^n-1)/(q^k-1)",))
         if n % k_norm == 1:
-            return BoundResult(_partial_spread_rem1(q, n, k_norm), "exact",
+            value = (q ** n - q ** (k_norm + 1)) // (q ** k_norm - 1) + 1
+            return BoundResult(value, "exact",
                                chain + ("maximum partial spread, n ≡ 1 (mod k): "
                                         "(q^n - q^(k+1))/(q^k - 1) + 1",))
     return None
@@ -101,9 +95,7 @@ def johnson_upper(q, n, d, k) -> BoundResult:
                            chain + (f"weak base: partial-spread ceiling "
                                     f"floor((q^{n}-1)/(q^{k}-1)) = {value}",))
     inner = johnson_upper(q, n - 1, d, k - 1)
-    num = (q ** n - 1) * inner.value
-    den = q ** k - 1
-    value = num // den
+    value = (q ** n - 1) * inner.value // (q ** k - 1)
     step = (f"Johnson step: floor((q^{n}-1) * A_{q}({n - 1},{d};{k - 1}) "
             f"/ (q^{k}-1)) with inner {inner.value}")
     return BoundResult(value, "upper", chain + (step,) + inner.derivation)
@@ -113,54 +105,31 @@ def johnson_upper(q, n, d, k) -> BoundResult:
 # constructive lower bounds
 # ----------------------------------------------------------------------
 
-def _lower_entries(q, n, d, k):
+def lower_bound_registry(q, n, d, k):
+    """Every catalog polynomial that bounds (n, d, k), evaluated at q, and
+    the exact value where one is known, in increasing order."""
     from . import constructions as cx
     out = []
-
-    def add(value, note):
-        out.append(BoundResult(value, "lower", (note,)))
-
-    if (n, d, k) == (8, 4, 4):
-        add(cx.size_8_4_4(q), "two-block linkage with parallelism addon")
-    if (n, d, k) == (12, 4, 4):
-        add(cx.size_12_4_4_cor(q), "three-block linkage bound")
-        add(cx.size_12_4_4_combined(q),
-            "three-block linkage plus disjoint-2-spread addon")
-        add(cx.size_12_4_4_thm(q), "duplication over the (8, 4; 4) base")
-        add(cx.size_12_4_4_prior(q), "previously best known value")
-    if (n, d, k) == (12, 6, 6):
-        add(cx.size_12_6_6(q),
-            "linkage with coset addon and hole extensions")
-    if (n, d, k) == (10, 4, 5):
-        add(cx.size_10_4_5_linkage(q), "two-block linkage")
-        add(cx.size_10_4_5_claimed(q),
-            "published value incl. a 2q^9 addon that fails its distance claim")
-    if (n, d, k) == (12, 8, 6):
-        add(cx.size_12_8_6(q), "pairing construction")
-    if (n, d, k) == (16, 4, 4):
-        add(cx.size_16_4_4(q), "recursive duplication")
-    if (n, d, k) == (9, 4, 3):
-        add(cx.size_9_4_3(q), "duplication over an imported (6, *, 4; 3) code")
-    if (n, d, k) == (10, 4, 3):
-        add(cx.size_10_4_3(q), "duplication over an imported (7, *, 4; 3) code")
-    if n == 2 * k and d == k and k % 4 == 0 and k >= 8:
-        add(cx.size_4k_2k_2k(q, k // 2), "linkage with coset addon, (4k, 2k; 2k)")
-    if 3 * d == n and d == k and k % 4 == 0 and k >= 8:
-        add(cx.size_6k_2k_2k(q, k // 2), "duplication over (4k, 2k; 2k), (6k, 2k; 2k)")
+    for size, params, note in cx.CATALOG.values():
+        if callable(params):  # a family, indexed by half its dimension
+            if params(k // 2) == (n, d, k):
+                try:
+                    out.append(BoundResult(size(q, k // 2), "lower", (note,)))
+                except cx.ConstructionError:  # an index the family does not admit
+                    pass
+        elif params == (n, d, k):
+            out.append(BoundResult(size(q), "lower", (note,)))
     exact = exact_registry(q, n, d, k)
     if exact is not None:
         out.append(BoundResult(exact.value, "lower",
                                ("exact value",) + exact.derivation))
-    return out
-
-
-def lower_bound_registry(q, n, d, k):
-    """Every applicable constructive polynomial evaluated at (q, n, d, k)."""
-    return sorted(_lower_entries(q, n, d, k), key=lambda b: b.value)
+    return sorted(out, key=lambda b: b.value)
 
 
 def bound_table(q, n, d, k):
     """All computable bounds for one parameter set, lower <= upper checked."""
+    if not (1 <= n and 0 <= k <= n):
+        raise BoundError(f"need 1 <= n and 0 <= k <= n, got n={n} k={k}")
     rows = []
     exact = exact_registry(q, n, d, k)
     if exact is not None:

@@ -364,12 +364,10 @@ def _search_spreads(masks, candidate_ids, full_mask, npoints, forced):
     yield from rec(masks[forced], [forced])
 
 
-def parallelism_2_of_F_q4(q: int, imported: SpreadFamily | None = None) -> SpreadFamily:
+def parallelism_2_of_F_q4(q: int) -> SpreadFamily:
     """q^2+q+1 pairwise-disjoint 2-spreads of F_q^4 partitioning all lines."""
-    if imported is not None:
-        return imported
     if q not in (2, 3):
-        raise CdcError(f"no built-in search for q={q}; supply an imported parallelism")
+        raise CdcError(f"no built-in parallelism search for q={q}")
     field = base_field(q)
     lines = list(enumerate_subspaces(q, 4, 2))
     npoints = (q ** 4 - 1) // (q - 1)

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import sys
+from functools import cache
 
 from . import bounds, codefile, constructions, verify
 from .cdc import CdcError
 from .constructions import ConstructionError, MissingImportError
 from .linalg import gaussian_binomial
-from .rankmetric import mrd_size, rank_distribution
+from .rankmetric import base_field, mrd_size, rank_distribution
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -36,19 +38,42 @@ def _fail(exit_code, message):
     raise _CliError(exit_code, message)
 
 
+def _count(value, what):
+    # every count the CLI prints passes here, and exits 4 past COUNT_DIGITS_CAP digits; one
+    # known to be at least 2^e comes as 2^min(e, 4 * COUNT_DIGITS_CAP), never formed
+    if value >= 10 ** COUNT_DIGITS_CAP:
+        raise verify.CapExceeded(f"{what} has over {COUNT_DIGITS_CAP} digits")
+    return value
+
+
+def _check_q(q):
+    try:
+        base_field(q)
+    except ValueError as exc:  # not p^e, or an order past 2^62
+        _fail(EXIT_PRECONDITION, str(exc))
+
+
 # ----------------------------------------------------------------------
 # construct
 # ----------------------------------------------------------------------
 
-_IMPORT_SLOTS = ("parallelism", "base", "base_subcode", "seq_base")
-
-
-def _load_imports(specs):
-    kwargs = {}
-    for spec in specs or []:
-        slot, _, path = spec.partition("=")
-        if not path or slot not in _IMPORT_SLOTS:
-            _fail(EXIT_USAGE, f"bad --import {spec!r}; slots: {_IMPORT_SLOTS}")
+def _recipe_kwargs(args, recipe):
+    """The recipe's keyword arguments from --k and --import, checked against
+    its signature before any file is read: --k exactly when it has a k
+    without a default, and one import slot per other keyword parameter."""
+    params = inspect.signature(recipe).parameters
+    takes_k = "k" in params and params["k"].default is inspect.Parameter.empty
+    if takes_k != (args.k is not None):
+        _fail(EXIT_USAGE, f"recipe {args.recipe} {'requires' if takes_k else 'takes no'} --k")
+    slots = [name for name, p in params.items()
+             if name != "k" and p.default is not inspect.Parameter.empty]
+    specs = [spec.partition("=") for spec in args.import_specs or []]
+    for slot, sep, path in specs:
+        if not path or slot not in slots:
+            _fail(EXIT_USAGE, f"bad --import {slot + sep + path!r}; recipe {args.recipe} "
+                              f"takes {', '.join(slots) or 'no imports'}")
+    kwargs = {"k": args.k} if takes_k else {}
+    for slot, _, path in specs:
         try:
             kwargs[slot] = codefile.import_code(path)
         except OSError as exc:
@@ -60,10 +85,8 @@ def _load_imports(specs):
 
 def _write_out(code, out, note):
     if out == "-":
-        n = codefile.write_code(code, sys.stdout, prov=note)
-    else:
-        n = codefile.export(code, out, prov=note)
-    return n
+        return codefile.write_code(code, sys.stdout, prov=note)
+    return codefile.export(code, out, prov=note)
 
 
 def cmd_construct(args):
@@ -71,17 +94,15 @@ def cmd_construct(args):
     if recipe is None:
         _fail(EXIT_USAGE, f"unknown recipe {args.recipe!r}; "
                           f"known: {sorted(constructions.RECIPES)}")
-    kwargs = _load_imports(getattr(args, "import_specs", None))
-    if args.recipe in ("4k_2k_2k", "6k_2k_2k", "3k_4_k"):
-        if args.k is None:
-            _fail(EXIT_USAGE, f"recipe {args.recipe} requires --k")
-        kwargs["k"] = args.k
+    kwargs = _recipe_kwargs(args, recipe)
+    _check_q(args.q)
     try:
         code, expected = recipe(args.q, **kwargs)
     except MissingImportError as exc:
         _fail(EXIT_PRECONDITION, f"missing import: {exc}")
     except (ConstructionError, CdcError, ValueError) as exc:
         _fail(EXIT_PRECONDITION, str(exc))
+    _count(expected, "expected_size")
     summary = sys.stderr if args.out == "-" else sys.stdout
     if code is None:
         print(f"recipe {args.recipe} q={args.q}: closed-form size only, "
@@ -132,17 +153,25 @@ def cmd_verify(args):
 # ----------------------------------------------------------------------
 
 def cmd_bound(args):
+    q, n, d, k = args.q, args.n, args.d, args.k
+    _check_q(q)
+    # the Singleton-like row, there when d <= 2k for k <= n/2, is at least
+    # q^(t(n - k)) >= 2^e with t = k - d/2 + 1
+    k_low = min(k, n - k)
+    e = max(k_low - d // 2 + 1, 0) * (n - k_low) * (q.bit_length() - 1)
+    _count(1 << min(e, 4 * COUNT_DIGITS_CAP), f"the Singleton-like bound on A_{q}({n},{d};{k})")
     try:
-        rows = bounds.bound_table(args.q, args.n, args.d, args.k)
+        rows = bounds.bound_table(q, n, d, k)
     except bounds.BoundError as exc:
         _fail(EXIT_PRECONDITION, str(exc))
+    _count(max((b.value for _, b in rows), default=0), "a bound")  # guards every row
     if args.csv:
         writer = csv.writer(sys.stdout)
         writer.writerow(["name", "kind", "value", "derivation"])
         for name, b in rows:
             writer.writerow([name, b.kind, b.value, " -> ".join(b.derivation)])
     else:
-        print(f"bounds for q={args.q} n={args.n} d={args.d} k={args.k}")
+        print(f"bounds for q={q} n={n} d={d} k={k}")
         for name, b in rows:
             print(f"  {name:<13} {b.kind:<6} {b.value}")
             for step in b.derivation:
@@ -155,13 +184,15 @@ def cmd_formula(args):
     if fn is None:
         _fail(EXIT_USAGE, f"unknown formula {args.name!r}; "
                           f"known: {sorted(constructions.FORMULAS)}")
-    try:
-        value = fn(args.q, k=args.k)
-    except TypeError:
+    takes_k = "k" in inspect.signature(fn).parameters
+    if takes_k and args.k is None:
         _fail(EXIT_USAGE, f"formula {args.name} requires --k")
+    _check_q(args.q)
+    try:
+        value = fn(args.q, args.k) if takes_k else fn(args.q)
     except ValueError as exc:
         _fail(EXIT_PRECONDITION, str(exc))
-    print(value)
+    print(_count(value, args.name))
     return EXIT_OK
 
 
@@ -207,23 +238,22 @@ def cmd_oracle(args):
         return EXIT_OK if report["ok"] else EXIT_VIOLATION
     try:
         if args.kind == "subspace-count":
-            # [n, k]_q >= 2^e has over 3e/10 digits: a huge count is never formed
+            what = f"[{args.n},{args.k}]_{args.q}"  # at least 2^e
             e = args.k * (args.n - args.k) * (args.q.bit_length() - 1)
-            if e * 3 // 10 > COUNT_DIGITS_CAP or (count := gaussian_binomial(
-                    args.n, args.k, args.q)) >= 10 ** COUNT_DIGITS_CAP:
-                raise verify.CapExceeded(f"[{args.n},{args.k}]_{args.q} has over "
-                                         f"{COUNT_DIGITS_CAP} digits")
-            print(count)
+            _count(1 << min(max(e, 0), 4 * COUNT_DIGITS_CAP), what)
+            print(_count(gaussian_binomial(args.n, args.k, args.q), what))
         elif args.kind == "enumerate":
-            print(sum(1 for _ in verify.enumerate_subspaces(args.q, args.n, args.k)))
+            print(_count(sum(1 for _ in verify.enumerate_subspaces(args.q, args.n, args.k)),
+                         "the subspace count"))
         elif args.kind == "rank-distribution":
             if None in (args.m, args.dr, args.r):
                 _fail(EXIT_USAGE, "rank-distribution needs --m --dr --r")
-            print(rank_distribution(args.q, args.m, args.n, args.dr, args.r))
+            print(_count(rank_distribution(args.q, args.m, args.n, args.dr, args.r),
+                         "the rank distribution"))
         elif args.kind == "mrd-size":
             if None in (args.m, args.dr):
                 _fail(EXIT_USAGE, "mrd-size needs --m --dr")
-            print(mrd_size(args.q, args.m, args.n, args.dr))
+            print(_count(mrd_size(args.q, args.m, args.n, args.dr), "the MRD size"))
     except ValueError as exc:  # a count past its cap, or k > n, d_r > min(m, n), ...
         _fail(EXIT_PRECONDITION if isinstance(exc, verify.CapExceeded) else EXIT_USAGE, str(exc))
     return EXIT_OK
@@ -233,6 +263,7 @@ def cmd_oracle(args):
 # parser
 # ----------------------------------------------------------------------
 
+@cache  # argparse parsers are reusable, and building one costs about 2 ms
 def build_parser():
     p = argparse.ArgumentParser(prog="cdckit",
                                 description="constant-dimension subspace code toolkit")

@@ -605,8 +605,6 @@ def size_10_4_5_linkage(q):
 
 
 def size_10_4_5_claimed(q):
-    """Published value including a 2q^9 addon whose cross distance is not
-    attained (see the regression test with the explicit distance-2 pair)."""
     return size_10_4_5_linkage(q) + 2 * q ** 9
 
 
@@ -652,41 +650,48 @@ def size_10_4_3(q):
 
 
 def size_12_4_4_prior(q):
-    """Previously best known lower bound for the (12, 4; 4) parameters."""
     return (q ** 24 + q ** 20 + q ** 19 + 3 * q ** 18 + 2 * q ** 17 + 3 * q ** 16
             + q ** 15 + q ** 14 + q ** 12 + q ** 10 + 2 * q ** 8 + 2 * q ** 6
             + 2 * q ** 4 + q ** 2)
 
 
-FORMULAS = {
-    "A_q(8,4;4)": lambda q, **kw: size_8_4_4(q),
-    "A_q(12,4;4)_cor": lambda q, **kw: size_12_4_4_cor(q),
-    "A_q(12,4;4)_combined": lambda q, **kw: size_12_4_4_combined(q),
-    "A_q(12,4;4)_thm": lambda q, **kw: size_12_4_4_thm(q),
-    "A_q(12,4;4)_prior": lambda q, **kw: size_12_4_4_prior(q),
-    "A_q(12,6;6)": lambda q, **kw: size_12_6_6(q),
-    "A_q(10,4;5)_linkage": lambda q, **kw: size_10_4_5_linkage(q),
-    "A_q(10,4;5)_claimed": lambda q, **kw: size_10_4_5_claimed(q),
-    "A_q(12,8;6)": lambda q, **kw: size_12_8_6(q),
-    "A_q(16,4;4)": lambda q, **kw: size_16_4_4(q),
-    "A_q(9,4;3)": lambda q, **kw: size_9_4_3(q),
-    "A_q(10,4;3)": lambda q, **kw: size_10_4_3(q),
-    "A_q(4k,2k;2k)": lambda q, k, **kw: size_4k_2k_2k(q, k),
-    "A_q(6k,2k;2k)": lambda q, k, **kw: size_6k_2k_2k(q, k),
+# formula name -> (size polynomial, the (n, d, k) it bounds, bound-table note);
+# a family's polynomial also takes its index k, and its (n, d, k) is a function of k
+CATALOG = {
+    "A_q(8,4;4)": (size_8_4_4, (8, 4, 4), "two-block linkage with parallelism addon"),
+    "A_q(12,4;4)_cor": (size_12_4_4_cor, (12, 4, 4), "three-block linkage bound"),
+    "A_q(12,4;4)_combined": (size_12_4_4_combined, (12, 4, 4),
+                             "three-block linkage plus disjoint-2-spread addon"),
+    "A_q(12,4;4)_thm": (size_12_4_4_thm, (12, 4, 4), "duplication over the (8, 4; 4) base"),
+    "A_q(12,4;4)_prior": (size_12_4_4_prior, (12, 4, 4), "previously best known value"),
+    "A_q(12,6;6)": (size_12_6_6, (12, 6, 6), "linkage with coset addon and hole extensions"),
+    "A_q(10,4;5)_linkage": (size_10_4_5_linkage, (10, 4, 5), "two-block linkage"),
+    "A_q(10,4;5)_claimed": (size_10_4_5_claimed, (10, 4, 5),
+                            "published value incl. a 2q^9 addon that fails its distance claim"),
+    "A_q(12,8;6)": (size_12_8_6, (12, 8, 6), "pairing construction"),
+    "A_q(16,4;4)": (size_16_4_4, (16, 4, 4), "recursive duplication"),
+    "A_q(9,4;3)": (size_9_4_3, (9, 4, 3), "duplication over an imported (6, *, 4; 3) code"),
+    "A_q(10,4;3)": (size_10_4_3, (10, 4, 3), "duplication over an imported (7, *, 4; 3) code"),
+    "A_q(4k,2k;2k)": (size_4k_2k_2k, lambda k: (4 * k, 2 * k, 2 * k),
+                      "linkage with coset addon, (4k, 2k; 2k)"),
+    "A_q(6k,2k;2k)": (size_6k_2k_2k, lambda k: (6 * k, 2 * k, 2 * k),
+                      "duplication over (4k, 2k; 2k), (6k, 2k; 2k)"),
 }
+
+FORMULAS = {name: size for name, (size, _, _) in CATALOG.items()}
 
 
 # ----------------------------------------------------------------------
 # named recipes
 # ----------------------------------------------------------------------
 
-def recipe_8_4_4(q, parallelism=None):
+def recipe_8_4_4(q):
     """Two-block linkage over (4, 4) plus a parallelism-based addon."""
     profile = CompositionProfile(q, 4, 4, (4, 4), (2, 2), (1, 1))
     C = [_single_full(q, 4), _single_full(q, 4)]
     M = [gabidulin_mrd(q, 4, 4, 2), gabidulin_mrd(q, 4, 4, 2)]
     linkage = multiblock_linkage(profile, C, M)
-    par = parallelism_2_of_F_q4(q, imported=parallelism)
+    par = parallelism_2_of_F_q4(q)
     families = [[list(member.words()) for member in par] for _ in range(2)]
     addon = product_addon(profile, families)
     expected = size_8_4_4(q)

@@ -231,6 +231,8 @@ class ExtFieldSpec:
         return x
 
     def _mul_generic(self, a: int, b: int) -> int:
+        if self.degree == 1:  # the elements are the base's own
+            return self.base.mul(a, b)
         q = self.base.q
         pa = _poly_trim(_digits(a, q, self.degree))
         pb = _poly_trim(_digits(b, q, self.degree))
@@ -240,18 +242,10 @@ class ExtFieldSpec:
     def _build_tables(self):
         n = self.order
         target = n - 1
-        # find a primitive element (g = 1 generates GF(2))
-        for g in range(1, n):
-            x, order = g, 1
-            while x != 1:
-                x = self._mul_generic(x, g)
-                order += 1
-                if order > target:
-                    break
-            if order == target:
-                break
-        else:  # pragma: no cover - every finite field has a generator
-            raise FieldError("no primitive element found")
+        # the smallest g with g^(target/r) != 1 for each prime r | target (g = 1
+        # for GF(2)); pow multiplies through _mul_generic while the tables are unset
+        primes = [r for r in range(2, n) if target % r == 0 and is_prime(r)]
+        g = next(g for g in range(1, n) if all(self.pow(g, target // r) != 1 for r in primes))
         antilog = [1] * (2 * target)
         log = [0] * n
         x = 1

@@ -252,3 +252,79 @@ def test_stdout_streaming(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("#Q=2")
     assert "expected_size=4797" in captured.err
+
+
+def _fails_cleanly(argv, exit_code, capsys):
+    # the documented exit code within a second, one "cdckit:" line on stderr
+    import time
+    start = time.monotonic()
+    assert main(argv) == exit_code
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("cdckit: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--q", "1", "--n", "6", "--d", "4", "--k", "3"],      # q not a prime power
+    ["bound", "--q", "2", "--n", "6", "--d", "4", "--k", "7"],      # k > n
+    ["bound", "--q", "2", "--n", "3000", "--d", "4", "--k", "1500"],
+    ["bound", "--q", "3", "--n", "400", "--d", "4", "--k", "200"],
+    ["formula", "--name", "A_q(6k,2k;2k)", "--q", "2", "--k", "400"],
+    ["construct", "--recipe", "6k_2k_2k", "--q", "2", "--k", "400"],
+    ["formula", "--name", "A_q(8,4;4)", "--q", "1"],
+], ids=["bound-q1", "bound-k-past-n", "bound-recursion", "bound-digits",
+        "formula-digits", "construct-digits", "formula-q1"])
+def test_hostile_counts_and_fields_are_preconditions(argv, capsys):
+    # counts of over 4,300 digits are refused (the larger ones from their
+    # exponent, before they are formed), as are q = 1 and k > n
+    _fails_cleanly(argv, 4, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--recipe", "12_8_6", "--q", "2", "--import", "base=F"],
+    ["--recipe", "8_4_4", "--q", "2", "--import", "parallelism=F"],
+    ["--recipe", "8_4_4", "--q", "2", "--k", "7"],
+    ["--recipe", "9_4_3", "--q", "2", "--import", "nope=F"],
+    ["--recipe", "9_4_3", "--q", "2", "--import", "base"],
+], ids=["slot-of-no-recipe", "parallelism-slot", "stray-k", "unknown-slot", "no-path"])
+def test_construct_arguments_follow_the_recipe_signature(argv, capsys):
+    _fails_cleanly(["construct", *argv], 2, capsys)
+
+
+def test_wrong_slot_is_refused_before_any_file_is_read(tmp_path, capsys):
+    # a missing file would exit 3; the slot check comes first
+    missing = str(tmp_path / "missing.cdc")
+    err = _fails_cleanly(["construct", "--recipe", "10_4_3", "--q", "2",
+                          "--import", f"seq_base={missing}",
+                          "--import", f"parallelism={missing}"], 2, capsys)
+    assert "base, base_subcode, seq_base" in err
+    _fails_cleanly(["construct", "--recipe", "10_4_3", "--q", "2",
+                    "--import", f"seq_base={missing}"], 3, capsys)
+
+
+def test_formula_takes_k_exactly_when_its_polynomial_does(capsys):
+    _fails_cleanly(["formula", "--name", "A_q(6k,2k;2k)", "--q", "2"], 2, capsys)
+    _fails_cleanly(["formula", "--name", "A_q(4k,2k;2k)", "--q", "2", "--k", "5"], 4, capsys)
+    assert main(["formula", "--name", "A_q(4k,2k;2k)", "--q", "4", "--k", "4"]) == 0
+    from cdckit.constructions import size_4k_2k_2k
+    assert capsys.readouterr().out == f"{size_4k_2k_2k(4, 4)}\n"
+
+
+def test_readme_lists_each_recipes_arguments():
+    # the README's recipe table says what construct reads from the signatures
+    import inspect
+    import pathlib
+    import re
+    from cdckit.constructions import RECIPES
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    listed = {}
+    for line in readme.read_text().splitlines():
+        cells = [c.strip() for c in line.split("|")[1:-1]]
+        if len(cells) == 3 and cells[1] in ("required", "—"):
+            for name in re.findall(r"`([^`]+)`", cells[0]):
+                listed[name] = (cells[1] == "required", re.findall(r"`([^`]+)`", cells[2]))
+    signatures = {name: inspect.signature(recipe).parameters for name, recipe in RECIPES.items()}
+    assert listed == {name: ("k" in params, [p for p, v in params.items()
+                                             if p != "k" and v.default is not v.empty])
+                      for name, params in signatures.items()}

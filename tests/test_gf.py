@@ -153,3 +153,29 @@ def test_ext_field_structure():
     # vector coordinates round-trip
     for a in els[:40]:
         assert ext.vector_to_element(ext.element_to_vector(a)) == a
+
+
+def _orders_up_to(limit):
+    for q in range(2, limit + 1):
+        p = next(r for r in range(2, q + 1) if q % r == 0)
+        e = 0
+        while q % p ** (e + 1) == 0:
+            e += 1
+        if p ** e == q:
+            yield p, e
+
+
+def test_primitive_element_is_the_smallest_of_full_order():
+    # a brute-force order search: walk the powers of each candidate until
+    # they return to 1; the first of order q - 1 generates the tables
+    for p, e in _orders_up_to(1 << 12):
+        f = field_new(p, e)
+        target = f.order - 1
+        for g in range(1, f.order):
+            powers = [1]
+            while (x := f._mul_generic(powers[-1], g)) != 1:
+                powers.append(x)
+            if len(powers) == target:
+                break
+        assert f._antilog == powers + powers, (p, e)
+        assert all(f._log[x] == i for i, x in enumerate(powers)), (p, e)

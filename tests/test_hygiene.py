@@ -1,8 +1,8 @@
 """Source hygiene: every name a module imports is used in that module,
 every source of packed words has a batched gather, no module reads
 another module's private attributes, packed arrays become word tuples
-through linalg.word_tuples alone, and the construction modules import no
-rank kernel of their own."""
+through linalg.word_tuples alone, the construction modules import no
+rank kernel of their own, and the CLI names no recipe or formula."""
 
 import ast
 import importlib
@@ -94,3 +94,14 @@ def test_constructions_take_certificates_from_verify(name):
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     banned = sorted(imported & {"rank_bits", "rank_bits_batch", "rank_rows", "packable"})
     assert not banned, f"{name} imports {banned}"
+
+
+def test_cli_names_no_recipe_or_formula():
+    # recipe facts (which take --k, which take imports) live in
+    # constructions alone: the CLI reads them from the recipe signatures
+    from cdckit.constructions import FORMULAS, RECIPES
+    tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
+    found = sorted({node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                    and isinstance(node.value, str) and (node.value in RECIPES
+                                                         or node.value in FORMULAS)})
+    assert not found, f"cli.py names {found}"
