@@ -108,6 +108,24 @@ def test_coset_partition_covers_parent():
     assert len(seen) == big.size
 
 
+@pytest.mark.parametrize("q,m,n,d_r,d2", [(2, 3, 3, 1, 2), (2, 4, 3, 1, 3), (3, 3, 2, 1, 2),
+                                          (3, 2, 3, 1, 2), (4, 2, 2, 1, 2)])
+def test_nested_subcode_words_and_cosets_partition_the_parent(q, m, n, d_r, d2):
+    big = gabidulin_mrd(q, m, n, d_r)
+    sub = nested_subcode(big, d2)
+
+    def rows(h, i):
+        return tuple(map(tuple, h.rows_at(i)))
+
+    step = big.Q ** (big.t - sub.t)
+    assert [rows(sub, i) for i in range(sub.size)] == \
+        [rows(big, i * step) for i in range(sub.size)]
+    cosets = coset_partition(big, sub)
+    assert len(cosets) * sub.size == big.size
+    assert sorted(rows(c, i) for c in cosets for i in range(c.size)) == \
+        sorted(rows(big, i) for i in range(big.size))
+
+
 def test_rank_filtered_counts():
     h = gabidulin_mrd(2, 4, 4, 2)
     filt = rank_filtered(h, 2)  # keep ranks <= 2
