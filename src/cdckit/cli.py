@@ -39,11 +39,21 @@ def _fail(exit_code, message):
 
 
 def _count(value, what):
-    # every count the CLI prints passes here, and exits 4 past COUNT_DIGITS_CAP digits; one
-    # known to be at least 2^e comes as 2^min(e, 4 * COUNT_DIGITS_CAP), never formed
+    # every count the CLI prints passes here, and exits 4 past COUNT_DIGITS_CAP digits
     if value >= 10 ** COUNT_DIGITS_CAP:
         raise verify.CapExceeded(f"{what} has over {COUNT_DIGITS_CAP} digits")
     return value
+
+
+def _count_floor(e, what):
+    # a count known to be at least 2^e is refused from e, before it is formed
+    _count(1 << min(max(e, 0), 4 * COUNT_DIGITS_CAP), what)
+
+
+def _family_floor(fn, q, k, what):
+    # the size of a k-family's polynomial or recipe is at least q^floor(k)
+    floor = constructions.FAMILY_FLOORS.get(fn)
+    _count_floor(floor(k) * (q.bit_length() - 1) if floor else 0, what)
 
 
 def _check_q(q):
@@ -96,6 +106,8 @@ def cmd_construct(args):
                           f"known: {sorted(constructions.RECIPES)}")
     kwargs = _recipe_kwargs(args, recipe)
     _check_q(args.q)
+    if "k" in kwargs:
+        _family_floor(recipe, args.q, args.k, "expected_size")
     try:
         code, expected = recipe(args.q, **kwargs)
     except MissingImportError as exc:
@@ -159,7 +171,7 @@ def cmd_bound(args):
     # q^(t(n - k)) >= 2^e with t = k - d/2 + 1
     k_low = min(k, n - k)
     e = max(k_low - d // 2 + 1, 0) * (n - k_low) * (q.bit_length() - 1)
-    _count(1 << min(e, 4 * COUNT_DIGITS_CAP), f"the Singleton-like bound on A_{q}({n},{d};{k})")
+    _count_floor(e, f"the Singleton-like bound on A_{q}({n},{d};{k})")
     try:
         rows = bounds.bound_table(q, n, d, k)
     except bounds.BoundError as exc:
@@ -188,6 +200,8 @@ def cmd_formula(args):
     if takes_k and args.k is None:
         _fail(EXIT_USAGE, f"formula {args.name} requires --k")
     _check_q(args.q)
+    if takes_k:
+        _family_floor(fn, args.q, args.k, args.name)
     try:
         value = fn(args.q, args.k) if takes_k else fn(args.q)
     except ValueError as exc:
@@ -236,11 +250,11 @@ def cmd_oracle(args):
         report = verify.coverage_check(code)
         print(report)
         return EXIT_OK if report["ok"] else EXIT_VIOLATION
+    bits = args.q.bit_length() - 1  # q >= 2^bits: q^e >= 2^(e bits)
     try:
         if args.kind == "subspace-count":
-            what = f"[{args.n},{args.k}]_{args.q}"  # at least 2^e
-            e = args.k * (args.n - args.k) * (args.q.bit_length() - 1)
-            _count(1 << min(max(e, 0), 4 * COUNT_DIGITS_CAP), what)
+            what = f"[{args.n},{args.k}]_{args.q}"  # at least q^(k(n - k))
+            _count_floor(args.k * (args.n - args.k) * bits, what)
             print(_count(gaussian_binomial(args.n, args.k, args.q), what))
         elif args.kind == "enumerate":
             print(_count(sum(1 for _ in verify.enumerate_subspaces(args.q, args.n, args.k)),
@@ -248,11 +262,20 @@ def cmd_oracle(args):
         elif args.kind == "rank-distribution":
             if None in (args.m, args.dr, args.r):
                 _fail(EXIT_USAGE, "rank-distribution needs --m --dr --r")
-            print(_count(rank_distribution(args.q, args.m, args.n, args.dr, args.r),
+            lo, hi, r = min(args.m, args.n), max(args.m, args.n), args.r
+            # A_r >= [lo, r]_q (q^(hi x) - 1) >= q^(r(lo - r) + hi x - 1), x = max(r - d_r, 1):
+            # exact at r = d_r, and above it the alternating sum's terms decrease
+            if 1 <= args.dr <= r <= lo:
+                _count_floor((r * (lo - r) + hi * max(r - args.dr, 1) - 1) * bits,
+                             "the rank distribution")
+            print(_count(rank_distribution(args.q, args.m, args.n, args.dr, r),
                          "the rank distribution"))
         elif args.kind == "mrd-size":
             if None in (args.m, args.dr):
                 _fail(EXIT_USAGE, "mrd-size needs --m --dr")
+            lo, hi = min(args.m, args.n), max(args.m, args.n)
+            if 1 <= args.dr <= lo:  # the size is q^(hi(lo - d_r + 1))
+                _count_floor(hi * (lo - args.dr + 1) * bits, "the MRD size")
             print(_count(mrd_size(args.q, args.m, args.n, args.dr), "the MRD size"))
     except ValueError as exc:  # a count past its cap, or k > n, d_r > min(m, n), ...
         _fail(EXIT_PRECONDITION if isinstance(exc, verify.CapExceeded) else EXIT_USAGE, str(exc))

@@ -15,7 +15,7 @@ from math import prod
 import numpy as np
 
 from .cdc import (Cdc, ListSource, MATERIALIZE_CAP, ProductSource, StreamSource,
-                  _single_full, lifted_mrd, parallelism_2_of_F_q4,
+                  _lifted, _single_full, lifted_mrd, parallelism_2_of_F_q4,
                   partial_spread_subcode, spread)
 from .linalg import MatrixGF, checked_indices, inverse, pack_row, rref_bits, rref_bits_batch
 from .rankmetric import (GabidulinHandle, base_field, coset_partition,
@@ -239,10 +239,10 @@ def cor1_bound(q, k, d, nbar, A_values) -> int:
     return total
 
 
-def check_special_substructure(c: Cdc, max_words: int = MATERIALIZE_CAP):
+def check_special_substructure(c: Cdc):
     """Every block-i codeword must meet the coordinate subspace outside
     block i's columns trivially (equivalently, project with full rank k
-    onto block i's columns)."""
+    onto block i's columns); at most MATERIALIZE_CAP words are checked."""
     blocks = c.provenance.get("blocks")
     if blocks is None:
         raise ConstructionError("no block metadata in provenance")
@@ -250,7 +250,8 @@ def check_special_substructure(c: Cdc, max_words: int = MATERIALIZE_CAP):
     failures = []
     for meta in blocks:
         lo, hi = meta["col_start"], meta["col_end"]
-        idx = np.arange(meta["start"], meta["start"] + min(meta["count"], max_words - checked))
+        idx = np.arange(meta["start"],
+                        meta["start"] + min(meta["count"], MATERIALIZE_CAP - checked))
         outside = _coordinate_subspace(c.field, c.n, [*range(lo), *range(hi, c.n)])
         failures += idx[meet_dims(c, outside, idx) != 0].tolist()
         checked += len(idx)
@@ -310,13 +311,6 @@ def product_addon(profile: CompositionProfile, families, verify_cross=True) -> C
                            "abar": profile.abar, "bbar": profile.bbar})
 
 
-def _lift_block(field, matrices_rows, a, ni):
-    """R(I_a | M) inside an n_i-wide block, for each a x (n_i - a) matrix."""
-    return [Subspace(field, ni, [tuple(1 if c == j else 0 for c in range(a)) + tuple(r)
-                                 for j, r in enumerate(rows)])
-            for rows in matrices_rows]
-
-
 def coset_addon(profile: CompositionProfile) -> Cdc:
     """Addon families realized as liftings of MRD coset partitions.  The
     cosets of block i lie in one MRD code of rank distance a_i - b_i, and
@@ -324,15 +318,14 @@ def coset_addon(profile: CompositionProfile) -> Cdc:
     so two families are 2 a_i - 2 b_i apart with no cross-family scan."""
     profile.validate(with_ab=True)
     q, d = profile.q, profile.d
-    field = base_field(q)
     all_cosets = []
     for a, b, ni in zip(profile.abar, profile.bbar, profile.nbar):
         big = gabidulin_mrd(q, a, ni - a, a - b)
         all_cosets.append([big] if a - b == d // 2
                           else coset_partition(big, nested_subcode(big, d // 2)))
     s = min(len(c) for c in all_cosets)
-    families = [[_lift_block(field, cosets[j].iter_rows(), a, ni) for j in range(s)]
-                for cosets, a, ni in zip(all_cosets, profile.abar, profile.nbar)]
+    families = [[list(_lifted(q, cosets[j]).iter_subspaces()) for j in range(s)]
+                for cosets in all_cosets]
     c = product_addon(profile, families, verify_cross=False)
     c.provenance["kind"] = "coset_addon"
     c.addon_families = families
@@ -861,3 +854,8 @@ RECIPES = {
     "9_4_3": recipe_9_4_3,
     "10_4_3": recipe_10_4_3,
 }
+
+# both k-families are at least q^(2k(k+1)), so a caller can refuse a huge
+# size from this exponent before the polynomial forms it
+FAMILY_FLOORS = dict.fromkeys((size_4k_2k_2k, size_6k_2k_2k, recipe_4k_2k_2k, recipe_6k_2k_2k),
+                              lambda k: 2 * k * (k + 1))

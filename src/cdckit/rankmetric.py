@@ -16,7 +16,8 @@ from operator import xor
 import numpy as np
 
 from .gf import FieldSpec, ext_field, field_new, is_prime
-from .linalg import checked_indices, gaussian_binomial, rank_bits_batch, rank_rows
+from .linalg import (checked_indices, gaussian_binomial, pack_row, rank_bits_batch, rank_rows,
+                     unpack_row)
 
 TABLE_BITS = 12  # index bits per XOR table; the lowest table is one block
 
@@ -81,7 +82,8 @@ def _transpose_block(block, ncols):
 
 
 class RankCodeHandle:
-    """Deterministic enumerable rank-metric code of m x n matrices."""
+    """Deterministic enumerable rank-metric code of m x n matrices: rows_at(i)
+    over any field, and at q = 2 packed_at(i) and packed_at_batch(idx)."""
 
     def __init__(self, q, m, n, d_r, kind, size):
         self.q = q
@@ -97,28 +99,19 @@ class RankCodeHandle:
     def __repr__(self):
         return f"RankCodeHandle({self.kind}, {self.m}x{self.n}, d_r={self.d_r}, q={self.q}, size={self.size})"
 
-    # subclass API; q = 2 handles also give packed_at(i) and packed_at_batch(idx)
-    def rows_at(self, i):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def iter_blocks(self):  # pragma: no cover - abstract
-        """(B, min(m,n)) uint64 arrays of internal rows, in index order."""
-        raise NotImplementedError
-
-    def iter_rows(self):
-        for i in range(self.size):
-            yield self.rows_at(i)
-
     def rank_of(self, i) -> int:
         return rank_rows(base_field(self.q), self.rows_at(i), self.n)
 
 
 class GabidulinHandle(RankCodeHandle):
-    """(m x n, d_r)_q MRD code from linearized-polynomial evaluation."""
+    """(m x n, d_r)_q MRD code from linearized-polynomial evaluation; a
+    nested subcode has its parent code as `parent`.  At q = 2 every word is
+    read from one set of XOR tables, built from the field engine's
+    bit-basis matrices on first use."""
 
-    def __init__(self, q, m, n, d_r, t_override=None, parent=None):
+    def __init__(self, q, m, n, d_r, parent=None):
         a, b = min(m, n), max(m, n)
-        t = a - d_r + 1 if t_override is None else t_override
+        t = a - d_r + 1
         size = (q ** b) ** t
         super().__init__(q, m, n, d_r, "mrd", size)
         self.field = base_field(q)
@@ -132,37 +125,22 @@ class GabidulinHandle(RankCodeHandle):
         # g_j = alpha^j, j = 0..a-1, and their q-power Frobenius iterates
         self.gpow = []
         for j in range(a):
-            g = self.ext.basis[j]
-            powers = []
-            x = g
-            for _ in range(t):
-                powers.append(x)
-                x = self.ext.pow(x, q)
+            powers = [self.ext.basis[j]]
+            while len(powers) < t:
+                powers.append(self.ext.pow(powers[-1], q))
             self.gpow.append(powers)
-        self._bit_basis = None
-        if q == 2:
-            self._bit_basis = self._build_bit_basis()
+        self._bit_basis = self._build_bit_basis() if q == 2 else None
         self._tables = None  # XOR tables, built on first packed use
-        self._table_words = None
 
     def _build_bit_basis(self):
-        # GF(2)-basis matrices: one per bit of the enumeration index
+        # GF(2)-basis matrices, one per bit of the enumeration index (c_0 the
+        # most significant digit), rows packed with column 0 in the MSB
         basis = []
         for u in range(self.t * self.b):
             coeffs = [0] * self.t
-            s = self.t - 1 - (u // self.b)  # digit position, c_0 most significant
-            coeffs[s] = 1 << (u % self.b)
-            basis.append(self._internal_packed(tuple(coeffs)))
+            coeffs[self.t - 1 - u // self.b] = 1 << (u % self.b)
+            basis.append([pack_row(r) for r in self._internal_rows(coeffs)])
         return basis
-
-    def coefficients_at(self, i):
-        if not 0 <= i < self.size:
-            raise IndexError(i)
-        digits = []
-        for _ in range(self.t):
-            i, r = divmod(i, self.Q)
-            digits.append(r)
-        return tuple(reversed(digits))  # c_0 first
 
     def _internal_rows(self, coeffs):
         ext = self.ext
@@ -175,56 +153,36 @@ class GabidulinHandle(RankCodeHandle):
             rows.append(ext.element_to_vector(acc))
         return rows
 
-    def _internal_packed(self, coeffs):
-        # q = 2: one int per internal row, column 0 in the MSB
-        rows = self._internal_rows(coeffs)
-        b = self.b
-        return [sum(v << (b - 1 - j) for j, v in enumerate(r)) for r in rows]
-
-    def _index_bit_groups(self):
-        """Bit-basis matrices in groups of at most TABLE_BITS index bits,
-        lowest group first and as large as possible."""
-        if self._bit_basis is None:
-            raise RankCodeError("packed access requires q = 2")
-        basis = self._bit_basis
-        return [basis[lo:lo + TABLE_BITS] for lo in range(0, len(basis), TABLE_BITS)]
-
     def _xor_tables(self):
-        """One (2^g, a) uint64 table per index-bit group; row x of a table is
-        the XOR of the group's bit-basis matrices selected by the bits of x."""
+        """One (2^g, a) uint64 table per group of at most TABLE_BITS index
+        bits, lowest group first; row x of a table is the XOR of the group's
+        bit-basis matrices selected by the bits of x."""
         if self._tables is None:
+            if self._bit_basis is None:
+                raise RankCodeError("packed access requires q = 2")
             self._tables = []
-            for group in self._index_bit_groups():
+            for lo in range(0, len(self._bit_basis), TABLE_BITS):
                 table = np.zeros((1, self.a), dtype=np.uint64)
-                for mat in group:
+                for mat in self._bit_basis[lo:lo + TABLE_BITS]:
                     table = np.concatenate([table, table ^ np.array(mat, dtype=np.uint64)])
                 self._tables.append(table)
         return self._tables
 
-    def internal_packed_at(self, i):
+    def _internal_at(self, i):
+        """Internal rows of word i (transposes when m > n), one table row
+        per index-bit group."""
         if not 0 <= i < self.size:
             raise IndexError(i)
-        if self._table_words is None:
-            # the same tables as lists of ints, internal row r at bits r*b
-            self._table_words = []
-            for group in self._index_bit_groups():
-                table = [0]
-                for mat in group:
-                    vec = sum(x << (r * self.b) for r, x in enumerate(mat))
-                    table += [w ^ vec for w in table]
-                self._table_words.append(table)
-        word = 0
-        for table in self._table_words:
-            word ^= table[i & (len(table) - 1)]
+        low, *high = self._xor_tables()
+        word = low[i & (len(low) - 1)]
+        for table in high:
             i >>= TABLE_BITS
-        mask = (1 << self.b) - 1
-        return [(word >> (r * self.b)) & mask for r in range(self.a)]
+            word = word ^ table[i & (len(table) - 1)]
+        return word
 
     def packed_at(self, i):
-        rows = self.internal_packed_at(i)
-        if self.transposed:
-            rows = _transpose_block(np.array([rows], dtype=np.uint64), self.b)[0].tolist()
-        return rows
+        word = self._internal_at(i)
+        return (_transpose_block(word[None], self.b)[0] if self.transposed else word).tolist()
 
     def packed_at_batch(self, idx):
         """One XOR-table row per index-bit group (indices stay below 2^63)."""
@@ -235,10 +193,13 @@ class GabidulinHandle(RankCodeHandle):
         return _transpose_block(words, self.b) if self.transposed else words
 
     def rows_at(self, i):
-        rows = self._internal_rows(self.coefficients_at(i))
-        if self.transposed:
-            rows = [tuple(col) for col in zip(*rows)]
-        return [tuple(r) for r in rows]
+        if self.q == 2:
+            return [unpack_row(r, self.n) for r in self.packed_at(i)]
+        if not 0 <= i < self.size:
+            raise IndexError(i)
+        coeffs = [i // self.Q ** s % self.Q for s in reversed(range(self.t))]  # c_0 leads
+        rows = self._internal_rows(coeffs)
+        return [tuple(r) for r in (zip(*rows) if self.transposed else rows)]
 
     def iter_blocks(self):
         """Blocks of at most 2^TABLE_BITS words: the lowest table XOR the
@@ -248,50 +209,37 @@ class GabidulinHandle(RankCodeHandle):
             yield low ^ reduce(xor, parts, 0)
 
 
-class NestedSubcodeHandle(GabidulinHandle):
-    """MRD subcode obtained by truncating the coefficient range."""
-
-    def __init__(self, parent: GabidulinHandle, d2: int):
-        if d2 <= parent.d_r:
-            raise RankCodeError(f"nested subcode needs d2 > {parent.d_r}, got {d2}")
-        if d2 > parent.a:
-            raise RankCodeError(f"d2={d2} exceeds min(m,n)={parent.a}")
-        t2 = parent.a - d2 + 1
-        super().__init__(parent.q, parent.m, parent.n, d2, t_override=t2, parent=parent)
-        self.kind = "nested_subcode"
-
-
 class CosetHandle(RankCodeHandle):
-    """Translate rep + sub of a nested MRD subcode."""
+    """Translate rep + sub of a nested MRD subcode.  Word i is word
+    i * step + rep_index of the parent: the top coefficients are those of
+    word i of sub, the low ones those of the representative."""
 
-    def __init__(self, sub: NestedSubcodeHandle, rep_index: int):
+    def __init__(self, sub: GabidulinHandle, rep_index: int):
         super().__init__(sub.q, sub.m, sub.n, sub.d_r, "coset", sub.size)
         self.sub = sub
+        self.parent = sub.parent
         self.rep_index = rep_index  # index into the parent enumeration
-        parent = sub.parent
-        self.field = sub.field
-        self._rep_rows = parent.rows_at(rep_index)
-        if sub.q == 2:
-            self._rep_packed = parent.packed_at(rep_index)
-            self._rep_internal = np.array(parent.internal_packed_at(rep_index),
-                                          dtype=np.uint64)
+        self.step = sub.parent.size // sub.size
+
+    def _parent_index(self, i):
+        if not 0 <= i < self.size:
+            raise IndexError(i)
+        return i * self.step + self.rep_index
 
     def packed_at(self, i):
-        base = self.sub.packed_at(i)
-        return [a ^ b for a, b in zip(base, self._rep_packed)]
+        return self.parent.packed_at(self._parent_index(i))
 
     def packed_at_batch(self, idx):
-        return self.sub.packed_at_batch(idx) ^ np.array(self._rep_packed, dtype=np.uint64)
+        return self.parent.packed_at_batch(checked_indices(idx, self.size) * self.step
+                                           + self.rep_index)
 
     def rows_at(self, i):
-        f = self.field
-        base = self.sub.rows_at(i)
-        return [tuple(f.add(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(base, self._rep_rows)]
+        return self.parent.rows_at(self._parent_index(i))
 
     def iter_blocks(self):
+        rep = self.parent._internal_at(self.rep_index)
         for block in self.sub.iter_blocks():
-            yield block ^ self._rep_internal
+            yield block ^ rep
 
 
 class RankFilteredHandle(RankCodeHandle):
@@ -304,7 +252,7 @@ class RankFilteredHandle(RankCodeHandle):
         self.parent = parent
         self.cap = cap
         self._indices = None
-        if isinstance(parent, GabidulinHandle) and parent.kind in ("mrd", "nested_subcode"):
+        if isinstance(parent, GabidulinHandle):
             self.size = 1 + sum(rank_distribution(parent.q, parent.m, parent.n, parent.d_r, r)
                                 for r in range(parent.d_r, cap + 1))
         else:  # no formula: the one scan sets the size
@@ -319,9 +267,9 @@ class RankFilteredHandle(RankCodeHandle):
                                        for block in self.parent.iter_blocks()])
                 indices = np.flatnonzero(keep).astype(np.int64, copy=False)
             else:
-                field = base_field(self.q)
-                indices = np.array([i for i, rows in enumerate(self.parent.iter_rows())
-                                    if rank_rows(field, rows, self.n) <= self.cap],
+                field, rows_at = base_field(self.q), self.parent.rows_at
+                indices = np.array([i for i in range(self.parent.size)
+                                    if rank_rows(field, rows_at(i), self.n) <= self.cap],
                                    dtype=np.int64)
             if self.size is not None and len(indices) != self.size:
                 raise RankCodeError(
@@ -346,19 +294,22 @@ def gabidulin_mrd(q: int, m: int, n: int, d_r: int) -> GabidulinHandle:
     return GabidulinHandle(q, m, n, d_r)
 
 
-def nested_subcode(h: GabidulinHandle, d2: int) -> NestedSubcodeHandle:
-    if not isinstance(h, GabidulinHandle) or h.kind != "mrd":
+def nested_subcode(h: GabidulinHandle, d2: int) -> GabidulinHandle:
+    """The MRD subcode of rank distance d2 whose word i is word
+    i * Q^(t - t2) of h: the low t - t2 coefficients are zero."""
+    if not isinstance(h, GabidulinHandle) or h.parent is not None:
         raise RankCodeError("nested subcodes are defined for Gabidulin MRD handles")
-    return NestedSubcodeHandle(h, d2)
+    if not h.d_r < d2 <= h.a:
+        raise RankCodeError(f"nested subcode needs {h.d_r} < d2 <= min(m,n)={h.a}, got {d2}")
+    return GabidulinHandle(h.q, h.m, h.n, d2, parent=h)
 
 
-def coset_partition(h: GabidulinHandle, sub: NestedSubcodeHandle):
+def coset_partition(h: GabidulinHandle, sub: GabidulinHandle):
     """The size(h)/size(sub) translates of sub inside h."""
-    if not isinstance(sub, NestedSubcodeHandle) or sub.parent is not h:
+    if not isinstance(sub, GabidulinHandle) or sub.parent is not h:
         raise RankCodeError("sub must be a nested subcode of h")
-    alpha = h.size // sub.size
     # representatives: coefficients supported on the truncated range only
-    return [CosetHandle(sub, j) for j in range(alpha)]
+    return [CosetHandle(sub, j) for j in range(h.size // sub.size)]
 
 
 def rank_filtered(h: RankCodeHandle, cap: int) -> RankFilteredHandle:

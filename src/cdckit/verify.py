@@ -69,12 +69,13 @@ class VerificationReport:
 # subspace enumeration
 # ----------------------------------------------------------------------
 
-def enumerate_subspaces(q: int, n: int, k: int, cap: int = ENUM_CAP):
+def enumerate_subspaces(q: int, n: int, k: int):
     """Every k-subspace of F_q^n exactly once, in canonical order:
     pivot-column sets lexicographically, free entries in base-q order."""
     # q^(k(n-k)) <= [n, k]_q: a huge count is refused before it is formed
-    if q ** min(k * (n - k), cap.bit_length()) > cap or gaussian_binomial(n, k, q) > cap:
-        raise CapExceeded(f"the {k}-subspaces of F_{q}^{n} exceed the cap {cap}")
+    if q ** min(k * (n - k), ENUM_CAP.bit_length()) > ENUM_CAP \
+            or gaussian_binomial(n, k, q) > ENUM_CAP:
+        raise CapExceeded(f"the {k}-subspaces of F_{q}^{n} exceed the cap {ENUM_CAP}")
     field = base_field(q)
     if k == 0:
         yield Subspace(field, n, [])

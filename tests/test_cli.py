@@ -282,6 +282,20 @@ def test_hostile_counts_and_fields_are_preconditions(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["formula", "--name", "A_q(4k,2k;2k)", "--q", "2", "--k", "2000"],
+    ["formula", "--name", "A_q(4k,2k;2k)", "--q", "2", "--k", "8000"],
+    ["construct", "--recipe", "6k_2k_2k", "--q", "2", "--k", "1000"],
+    ["oracle", "--kind", "mrd-size", "--q", "2", "--m", "40000", "--n", "40000", "--dr", "1"],
+    ["oracle", "--kind", "rank-distribution", "--q", "2", "--m", "3000", "--n", "3000",
+     "--dr", "1", "--r", "3000"],
+], ids=["formula-4k", "formula-4k-larger", "construct-6k", "mrd-size", "rank-distribution"])
+def test_huge_counts_are_refused_from_their_exponent(argv, capsys):
+    # each count is past the digit cap by a lower bound on its exponent, so it
+    # is never formed (each ran for seconds to minutes when formed first)
+    _fails_cleanly(argv, 4, capsys)
+
+
+@pytest.mark.parametrize("argv", [
     ["--recipe", "12_8_6", "--q", "2", "--import", "base=F"],
     ["--recipe", "8_4_4", "--q", "2", "--import", "parallelism=F"],
     ["--recipe", "8_4_4", "--q", "2", "--k", "7"],

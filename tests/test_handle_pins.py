@@ -1,14 +1,17 @@
 """SHA-256 pins of rank-metric handle words and of the coset addon: every
 handle kind gives the same rows, and the addon the same code file, whichever
-engine computes them."""
+engine computes them; q = 2 handles read their words from XOR tables only."""
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from cdckit.codefile import dumps
 from cdckit.constructions import CompositionProfile, _DropFirst, coset_addon
-from cdckit.rankmetric import coset_partition, gabidulin_mrd, nested_subcode, rank_filtered
+from cdckit.linalg import unpack_row
+from cdckit.rankmetric import (CosetHandle, GabidulinHandle, RankFilteredHandle,
+                               coset_partition, gabidulin_mrd, nested_subcode, rank_filtered)
 
 
 def handles(q):
@@ -77,3 +80,25 @@ def test_coset_addon_file_pinned(q):
     text = dumps(addon, order="generation")
     assert hashlib.sha256(text.encode()).hexdigest() == ADDON_SHA[q]
 
+
+def test_q2_handles_never_run_the_field_engine(monkeypatch):
+    # after construction every q = 2 word, row and block comes from the tables
+    hs = list(handles(2).values())
+    big = gabidulin_mrd(2, 4, 3, 1)  # transposed, 16 cosets of 256 words
+    hs += coset_partition(big, nested_subcode(big, 2))
+
+    def field_engine(self, coeffs):
+        raise AssertionError("a q = 2 handle evaluated a linearized polynomial")
+
+    monkeypatch.setattr(GabidulinHandle, "_internal_rows", field_engine)
+    hs.append(rank_filtered(hs[-1], 2))  # no formula: scans the coset at once
+    for h in hs:
+        words = [h.packed_at(i) for i in range(h.size)]
+        assert h.packed_at_batch(np.arange(h.size)).tolist() == words
+        n = h.view.n if isinstance(h, _DropFirst) else h.n
+        assert [[tuple(r) for r in h.rows_at(i)] for i in range(h.size)] == \
+            [[unpack_row(r, n) for r in w] for w in words]
+        if isinstance(h, (GabidulinHandle, CosetHandle)):
+            assert sum(len(b) for b in h.iter_blocks()) == h.size
+        if isinstance(h, RankFilteredHandle):
+            assert len(h.indices()) == h.size

@@ -34,7 +34,7 @@ def test_enumeration_agrees_with_gaussian_binomial():
 
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
-        list(enumerate_subspaces(2, 30, 15, cap=10 ** 6))
+        list(enumerate_subspaces(2, 30, 15))
 
 
 def test_sampled_check_deterministic():
