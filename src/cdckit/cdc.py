@@ -15,7 +15,7 @@ import numpy as np
 from .gf import FieldSpec, ext_field
 from .linalg import (BATCH, MatrixGF, checked_indices, rref_bits, rref_bits_batch,
                      rref_rows, unpack_row, word_tuples)
-from .rankmetric import (GabidulinHandle, RankCodeHandle, base_field,
+from .rankmetric import (GabidulinHandle, RankCodeHandle, _transpose_block, base_field,
                          gabidulin_mrd, nested_subcode)
 from .subspace import Subspace
 from .verify import enumerate_subspaces, meet_dims
@@ -37,10 +37,14 @@ class StreamSource:
 
     size = 0
 
+    def packed_blocks(self):
+        """C-contiguous (B, k) uint64 arrays of consecutive words in index
+        order, read by streams and writes: here gathers of BATCH words."""
+        return (self.packed_at_batch(np.arange(lo, min(lo + BATCH, self.size)))
+                for lo in range(0, self.size, BATCH))
+
     def iter_packed(self):
-        chunks = (self.packed_at_batch(np.arange(lo, min(lo + BATCH, self.size)))
-                  for lo in range(0, self.size, BATCH))
-        return chain.from_iterable(map(word_tuples, chunks))
+        return chain.from_iterable(map(word_tuples, self.packed_blocks()))
 
     def rows_at(self, i):
         return tuple(unpack_row(r, self.n) for r in self.packed_at(i))
@@ -140,8 +144,8 @@ class ProductSource(StreamSource):
         for f in self.factors:
             self.size *= f.size
         self.last = self.factors[-1]  # in the lowest columns: no shift
-        # (factor, column shift, radix) of the other factors, right to left
-        self._head = [(f, sum(widths[j + 1:]), f.size)
+        # (factor, column shift) of the other factors, right to left
+        self._head = [(f, sum(widths[j + 1:]))
                       for j, f in reversed(list(enumerate(self.factors[:-1])))]
 
     def packed_at(self, i):
@@ -149,21 +153,43 @@ class ProductSource(StreamSource):
             raise IndexError(i)
         i, j = divmod(i, self.last.size)
         rows = self.last.packed_at(j)
-        for f, sh, size in self._head:
-            i, j = divmod(i, size)
+        for f, sh in self._head:
+            i, j = divmod(i, f.size)
             rows = [r | (x << sh) for r, x in zip(rows, f.packed_at(j))]
         return tuple(rref_bits(rows, self.n)[0] if self.reduce else rows)
 
-    def packed_at_batch(self, idx):
-        i, j = np.divmod(checked_indices(idx, self.size), self.last.size)
-        rows = self.last.packed_at_batch(j)
-        for f, sh, size in self._head:
-            i, j = np.divmod(i, size)
-            lo, hi = j.min(initial=0), j.max(initial=-1) + 1  # a stream chunk: few prefixes
-            words = f.packed_at_batch(np.arange(lo, hi))[j - lo] if hi - lo <= len(j) \
-                else f.packed_at_batch(j)
+    @staticmethod
+    def _gather(i, factors):
+        """The OR of one word of each (factor, shift), right to left, for mixed-radix
+        indices i; a factor is read as one range when that is no longer than i."""
+        rows = np.zeros((len(i), 1), np.uint64)
+        for f, sh in factors:
+            i, j = np.divmod(i, f.size)
+            lo, hi = j.min(initial=0), j.max(initial=-1) + 1
+            words = np.take(f.packed_at_batch(np.arange(lo, hi)), j - lo, axis=0) \
+                if hi - lo <= len(j) else f.packed_at_batch(j)
             rows = rows | (words << np.uint64(sh))
+        return rows
+
+    def packed_at_batch(self, idx):
+        rows = self._gather(checked_indices(idx, self.size), [(self.last, 0), *self._head])
         return rref_bits_batch(rows, self.n)[0] if self.reduce else rows
+
+    def packed_blocks(self):
+        """With a Gabidulin or coset handle last, each head word in turn,
+        ORed into each of the handle's blocks; else gathers."""
+        blocks = getattr(self.last, "iter_blocks", None)
+        if blocks is None:
+            yield from super().packed_blocks()
+            return
+        count = self.size // self.last.size
+        for lo in range(0, count, BATCH):
+            for head in self._gather(np.arange(lo, min(lo + BATCH, count)), self._head):
+                for block in blocks():
+                    if self.last.m > self.last.n:  # blocks of internal rows
+                        block = _transpose_block(block, self.last.m)
+                    block = block | head
+                    yield rref_bits_batch(block, self.n)[0] if self.reduce else block
 
     def rows_at(self, i):
         if self.field.q == 2:
@@ -172,8 +198,8 @@ class ProductSource(StreamSource):
             raise IndexError(i)
         i, j = divmod(i, self.last.size)
         parts = [self.last.rows_at(j)]
-        for f, _, size in self._head:
-            i, j = divmod(i, size)
+        for f, _ in self._head:
+            i, j = divmod(i, f.size)
             parts.append(f.rows_at(j))
         rows = [sum(map(tuple, row), ()) for row in zip(*reversed(parts))]
         return tuple(rref_rows(self.field, rows, self.n)[0] if self.reduce else rows)

@@ -87,7 +87,7 @@ def write_code(c: Cdc, fh, order: str | None = None, prov: str | None = None):
         fh.write(line + "\n")
     written = 0
     if packable(c.field, c.n, c.k):
-        blocks = _word_blocks(c)
+        blocks = c.source.packed_blocks()
         if order == "canonical":  # all lines have one length: text order is row order
             words = np.concatenate([np.zeros((0, c.k), np.uint64), *blocks])
             words = words[np.lexsort(words.T[::-1])]
@@ -104,13 +104,6 @@ def write_code(c: Cdc, fh, order: str | None = None, prov: str | None = None):
         raise CountMismatchError(
             f"stream produced {written} codewords, header promised {c.size}")
     return written
-
-
-def _word_blocks(c: Cdc):
-    """The code's packed words, in stream order, as (b, k) uint64 arrays
-    of at most _BLOCK rows."""
-    for lo in range(0, c.size, _BLOCK):
-        yield c.packed_at_batch(np.arange(lo, min(lo + _BLOCK, c.size)))
 
 
 def _format_block(words, n):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, combinations, product as iproduct
+from itertools import accumulate, chain, combinations, product as iproduct
 from math import prod
 
 import numpy as np
@@ -273,6 +273,11 @@ def _direct_sum_subspace(profile, field, pick):
                                for j, w in enumerate(pick) for r in w.gen.rows])
 
 
+def _refuse_past_cap(size):
+    if size > MATERIALIZE_CAP:
+        raise ConstructionError(f"the addon has {size} words, past MATERIALIZE_CAP")
+
+
 def product_addon(profile: CompositionProfile, families, verify_cross=True) -> Cdc:
     """Direct sums U_1 x ... x U_l over each family index j; compatible by
     construction with the linkage code on the same profile.  verify_cross
@@ -290,8 +295,7 @@ def product_addon(profile: CompositionProfile, families, verify_cross=True) -> C
                     raise ConstructionError(
                         f"family member of block {i} is not an "
                         f"({profile.nbar[i]}, *; {profile.abar[i]}) subspace")
-    if (size := sum(prod(len(fams[j]) for fams in families) for j in range(s))) > MATERIALIZE_CAP:
-        raise ConstructionError(f"the addon has {size} words, past MATERIALIZE_CAP")
+    _refuse_past_cap(sum(prod(len(fams[j]) for fams in families) for j in range(s)))
     if verify_cross:
         for i, fams in enumerate(families):
             need = 2 * profile.abar[i] - 2 * profile.bbar[i]
@@ -324,6 +328,7 @@ def coset_addon(profile: CompositionProfile) -> Cdc:
         all_cosets.append([big] if a - b == d // 2
                           else coset_partition(big, nested_subcode(big, d // 2)))
     s = min(len(c) for c in all_cosets)
+    _refuse_past_cap(s * prod(cosets[0].size for cosets in all_cosets))  # before any word
     families = [[list(_lifted(q, cosets[j]).iter_subspaces()) for j in range(s)]
                 for cosets in all_cosets]
     c = product_addon(profile, families, verify_cross=False)
@@ -556,6 +561,12 @@ class UnionSource(StreamSource):
     def rows_at(self, i):
         p, j = self._locate(i)
         return p.rows_at(j)
+
+    def packed_blocks(self):
+        return chain.from_iterable(p.packed_blocks() for p in self.parts)
+
+    def iter_packed(self):
+        return chain.from_iterable(p.iter_packed() for p in self.parts)
 
 
 def _dual_spread(sp: Cdc) -> Cdc:

@@ -188,7 +188,7 @@ def rref_bits_batch(rows, ncols):
         row = work[j].copy()
         work ^= np.where((work & _leading_bits(row, ncols)) != 0, row, 0)
         work[j] = row
-    out = np.sort(work.T, axis=1)[:, ::-1].astype(np.uint64)
+    out = np.sort(work.T, axis=1)[:, ::-1].astype(np.uint64, order="C")
     return out, np.count_nonzero(out, axis=1)
 
 

@@ -189,7 +189,7 @@ class GabidulinHandle(RankCodeHandle):
         idx = checked_indices(idx, self.size)
         words = np.zeros((len(idx), self.a), dtype=np.uint64)
         for shift, table in zip(range(0, 63, TABLE_BITS), self._xor_tables()):
-            words ^= table[(idx >> shift) & (len(table) - 1)]
+            words ^= np.take(table, (idx >> shift) & (len(table) - 1), axis=0)
         return _transpose_block(words, self.b) if self.transposed else words
 
     def rows_at(self, i):

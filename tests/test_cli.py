@@ -342,3 +342,14 @@ def test_readme_lists_each_recipes_arguments():
     assert listed == {name: ("k" in params, [p for p, v in params.items()
                                              if p != "k" and v.default is not v.empty])
                       for name, params in signatures.items()}
+
+
+def test_construct_refuses_a_large_coset_addon_before_listing_it(capsys):
+    # at q = 7 the (12, 6; 6) coset addon has 7^9 words: its size comes from
+    # the handle sizes, so no coset word is listed before the refusal
+    import time
+    start = time.monotonic()
+    assert main(["construct", "--recipe", "12_6_6", "--q", "7"]) == 4
+    assert time.monotonic() - start < 2.0
+    err = capsys.readouterr().err
+    assert err == "cdckit: the addon has 40353607 words, past MATERIALIZE_CAP\n"

@@ -1,17 +1,20 @@
 """The batched gather: packed_at_batch(idx) equals [packed_at(i) for i in
-idx] on every q = 2 source and rank-metric handle, and the chunked
-iter_packed built on it equals the scalar words (a handle streams as the
-one factor of a product, as the lifted and linked codes stream it)."""
+idx] on every q = 2 source and rank-metric handle, and the block stream
+that iter_packed reads equals the gathered and the scalar words (a handle
+streams as the one factor of a product, as the lifted and linked codes
+stream it)."""
 
 import random
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 import pytest
 
-from cdckit.cdc import Cdc, ListSource, PackedSource, ProductSource, lifted_mrd, spread
-from cdckit.constructions import (CompositionProfile, _DropFirst, multiblock_linkage,
-                                  recipe_12_4_4_thm)
+from cdckit.cdc import (Cdc, ListSource, PackedSource, ProductSource, _single_full, lifted_mrd,
+                        spread)
+from cdckit.constructions import (CompositionProfile, UnionSource, _DropFirst, multiblock_linkage,
+                                  recipe_10_4_5, recipe_12_4_4_thm)
 from cdckit.gf import field_new
 from cdckit.rankmetric import (coset_partition, gabidulin_mrd, nested_subcode,
                                rank_filtered)
@@ -26,11 +29,28 @@ def _linkage():
                               [gabidulin_mrd(2, 2, 4, 2)] * 2)
 
 
+def _heads(n, k, count):
+    """A ListSource of `count` k-subspaces of F_2^n: the last factor of a
+    product streams once under each of them."""
+    return ListSource(F2, n, islice(lifted_mrd(2, n, k, 2), count))
+
+
 def _sources():
     big = gabidulin_mrd(2, 5, 3, 1)
+    wide = gabidulin_mrd(2, 3, 5, 1)
     linkage = _linkage().source
     words = list(lifted_mrd(2, 6, 3, 4))
+    mrd44 = gabidulin_mrd(2, 4, 4, 2)
     return {
+        "product, coset last": lambda: ProductSource(
+            F2, [_heads(6, 3, 5), coset_partition(wide, nested_subcode(wide, 2))[7]], (6, 5)),
+        "product, nested last": lambda: ProductSource(
+            F2, [_heads(6, 3, 4), nested_subcode(gabidulin_mrd(2, 3, 6, 1), 2)], (6, 6)),
+        "product, transposed last": lambda: ProductSource(
+            F2, [_heads(7, 5, 4), gabidulin_mrd(2, 5, 3, 2)], (7, 3)),
+        "product, reduced, handle last": lambda: ProductSource(  # linkage block 1 of 3
+            F2, [rank_filtered(mrd44, 2), _single_full(2, 4).source, mrd44], (4, 4, 4),
+            reduce=True),
         "square": lambda: gabidulin_mrd(2, 4, 4, 2),
         "transposed": lambda: lifted_mrd(2, 9, 6, 4).lmrd_handle,
         "nested": lambda: nested_subcode(gabidulin_mrd(2, 4, 4, 1), 2),
@@ -106,3 +126,32 @@ def test_code_gathers_from_its_source():
     assert c.packed_at_batch([3, 84, 0]).tolist() == [list(c.packed_at(i)) for i in (3, 84, 0)]
     listed = Cdc(F2, 8, 2, 4, words=list(c))
     assert listed.packed_at_batch([84]).tolist() == [list(c.packed_at(84))]
+
+
+@pytest.mark.parametrize("case", ["product, coset last", "product, nested last",
+                                  "product, transposed last", "product, reduced, handle last"])
+def test_block_stream_equals_gather(case):
+    # a product with a handle last ORs each head word into the handle's
+    # blocks; the first three blocks hold the words a gather gives
+    src = _sources()[case]()
+    blocks = list(islice(src.packed_blocks(), 3))
+    assert all(b.dtype == np.uint64 and b.flags.c_contiguous for b in blocks)
+    words = np.concatenate(blocks)
+    assert len(blocks) == 3 and len(words) < src.size
+    assert words.tolist() == src.packed_at_batch(np.arange(len(words))).tolist()
+    streamed = list(islice(src.iter_packed(), len(words)))
+    assert streamed == [tuple(w) for w in words.tolist()]
+
+
+def test_streams_read_blocks_not_gathers(monkeypatch):
+    # the union chains its parts, and linkage block 0 streams its lifted
+    # MRD handle block by block: neither is ever gathered by a stream
+    c, _ = recipe_10_4_5(2)
+
+    def refuse(*_):
+        raise AssertionError("a stream gathered")
+
+    monkeypatch.setattr(UnionSource, "packed_at_batch", refuse)
+    monkeypatch.setattr(c.source.parts[0].last, "packed_at_batch", refuse)
+    assert sum(1 for _ in c.iter_packed()) == c.size
+    assert sum(map(len, c.source.packed_blocks())) == c.size
