@@ -17,29 +17,37 @@ The reader accepts a little more than the writer produces:
   rank-deficient word raises DimensionMismatchError, a word equal to an
   earlier one DuplicateCodewordError; a body of the wrong size then
   raises CountMismatchError.
+Files are ASCII: any other byte raises HeaderError in a header line and
+DimensionMismatchError in the body (loads encodes its text as UTF-8).
 
 Over GF(2) with n <= 64 both directions move blocks of at most 2^16 lines
-as bit-packed numpy arrays.  The reader keeps the code as one (N, k)
-array of the narrowest unsigned dtype holding n bits (a cdc.PackedSource)
-and finds a repeated word by sorting one key per word.  Other fields go
-line by line through Subspace.parse and Subspace.serialize.
+as bit-packed numpy arrays.  The reader takes the body as bytes.  A block
+laid out as the writer lays it out is checked against a line template and
+packed in a few numpy passes; any other block is first rewritten line by
+line into that layout.  Words already in RREF skip elimination.  The words
+fill one (N, k) array of the narrowest unsigned dtype holding n bits (a
+cdc.PackedSource), sized from the body's length, and one sort of a 64-bit
+key per word screens them for a repeat.  Other fields go line by line
+through Subspace.parse and Subspace.serialize.
 """
 
 from __future__ import annotations
 
 import io as _io
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
 from .cdc import Cdc, ListSource, PackedSource
 from .gf import FieldSpec
-from .linalg import packable, rref_bits_batch
+from .linalg import _leading_bits, packable, rref_bits_batch
 from .subspace import Subspace
 
 HEADER_KEYS = ("Q", "P", "E", "MOD", "N", "K", "D", "COUNT", "ORDER", "PROV")
 _SORT_CAP = 10 ** 6
 _BLOCK = 1 << 16  # body lines per block of the packed path
+_SPACE = bytes(c for c in range(128) if chr(c).isspace())  # what str.strip strips of ASCII
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd: multiplying by it permutes uint64
 
 
 class CodeFileError(ValueError):
@@ -90,7 +98,7 @@ def write_code(c: Cdc, fh, order: str | None = None, prov: str | None = None):
         blocks = c.source.packed_blocks()
         if order == "canonical":  # all lines have one length: text order is row order
             words = np.concatenate([np.zeros((0, c.k), np.uint64), *blocks])
-            words = words[np.lexsort(words.T[::-1])]
+            words = words[np.lexsort(_sort_keys(words, c.n)[::-1])]
             blocks = (words[i:i + _BLOCK] for i in range(0, len(words), _BLOCK))
         for block in blocks:
             fh.write(_format_block(block, c.n))
@@ -125,14 +133,18 @@ def export(c: Cdc, path, order: str | None = None, prov: str | None = None):
 
 def _parse_header(fh):
     header = {}
-    body_first = None
+    body_first = b""
     for raw in fh:
-        line = raw.rstrip("\r\n")
+        line = raw.rstrip(b"\r\n")
         if not line:
             continue
-        if not line.startswith("#"):
+        if not line.startswith(b"#"):
             body_first = raw
             break
+        try:
+            line = line.decode("ascii")
+        except UnicodeDecodeError:
+            raise HeaderError(f"non-ASCII byte in header line {line!r}") from None
         if "=" not in line:
             raise HeaderError(f"header line without '=': {line!r}")
         key, _, value = line[1:].partition("=")
@@ -167,15 +179,17 @@ def _parse_header(fh):
 
 
 def read_code(fh) -> Cdc:
-    meta, body_first = _parse_header(fh)
+    """Read a code from a binary stream."""
+    if not fh.seekable():  # the packed reader sizes its array from the body's length
+        fh = _io.BytesIO(fh.read())
+    meta, first = _parse_header(fh)
     field, n, k = meta["field"], meta["n"], meta["k"]
-    lines = chain([body_first] if body_first is not None else [], fh)
     if packable(field, n, k):
-        source = PackedSource(field, n, _read_packed(lines, n, k))
+        source = PackedSource(field, n, _read_packed(fh, first, n, k))
     else:
         words, seen = [], set()
-        for raw in lines:
-            line = raw.rstrip("\r\n")
+        for raw in chain([first], fh):  # a non-ASCII byte becomes an escape, not a digit
+            line = raw.rstrip(b"\r\n").decode("ascii", "backslashreplace")
             if not line:
                 continue
             try:
@@ -199,38 +213,48 @@ def read_code(fh) -> Cdc:
                provenance={"kind": meta["prov"], "order": meta["order"]})
 
 
-def _read_packed(lines, n, k):
+def _read_packed(fh, first, n, k):
     """The canonical packed words of a GF(2) body, in file order, as one
     C-contiguous (N, k) array of the narrowest unsigned dtype holding n
-    bits.  Reads at most _BLOCK lines at a time and stops at the first
-    malformed or rank-deficient line; the words before it are checked for
-    duplicates first, so the first offending line decides the error."""
-    blocks, error = [np.zeros((0, k), np.min_scalar_type((1 << n) - 1))], None
-    while error is None and (chunk := list(islice(lines, _BLOCK))):
-        block = [line.strip() for line in chunk if line not in ("\n", "\r\n")]
-        cut = next((i for i, line in enumerate(block) if len(line) != k * (n + 1) - 1),
-                   len(block))
-        # a '|' after every line makes each of them k rows of n digits and a '|'
-        text = "|".join(block[:cut] + [""]).encode("ascii", "replace")
-        chars = np.frombuffer(text, np.uint8).reshape(cut, k, n + 1)
-        digits = chars[..., :n] - np.uint8(ord("0"))  # other characters wrap past 1
-        bad = (chars[..., n] != ord("|")).any(axis=1) | (digits > 1).any(axis=(1, 2))
-        cut = next(iter(np.flatnonzero(bad)), cut)
-        if cut < len(block):
-            error = DimensionMismatchError(f"bad codeword {block[cut]!r} for n={n}, k={k}, q=2")
-        packed = np.zeros((cut, k), np.uint64)
-        for j in range(n):
-            packed = (packed << np.uint64(1)) | digits[:cut, :, j]
-        rows, ranks = rref_bits_batch(packed, n)
-        low = np.flatnonzero(ranks < k)
-        if low.size:
-            i = low[0]
-            error = DimensionMismatchError(
-                f"codeword {block[i]!r} has dimension {ranks[i]}, header says {k}")
-            rows = rows[:i]
-        blocks.append(rows.astype(blocks[0].dtype))
-    words = np.concatenate(blocks)
-    del blocks
+    bits, sized from the body's length.  Reads chunks of _BLOCK lines and
+    stops at the first malformed or rank-deficient line; the words before
+    it are checked for duplicates first, so the first offending line
+    decides the error."""
+    width = k * (n + 1)  # bytes of a word line, its '\n' included
+    template = np.frombuffer((("0" * n + "|") * k)[:-1].encode() + b"\n", np.uint8)
+    mask = np.where(template == ord("0"), 0xFE, 0xFF).astype(np.uint8)  # digits may be 0 or 1
+    at = fh.tell()
+    # a word line takes width - 1 bytes and a '\n' unless it is the last
+    words = np.empty(((fh.seek(0, _io.SEEK_END) - at + len(first) + 1) // width, k),
+                     np.min_scalar_type((1 << n) - 1))
+    fh.seek(at)
+    filled, error = 0, None
+    chunk = first + fh.read(max(_BLOCK * width - len(first), 0))
+    while chunk and error is None:
+        if not chunk.endswith(b"\n"):  # end the chunk at a line end
+            chunk += fh.readline()
+        x, cut = _parse(chunk, template, mask)
+        if x is None or cut < len(x):  # not the writer's bytes: normalize the lines
+            lines = [line.strip(_SPACE) for line in chunk.split(b"\n") if line not in (b"", b"\r")]
+            cut = next((i for i, line in enumerate(lines) if len(line) != width - 1), len(lines))
+            x, cut = _parse(b"\n".join(lines[:cut] + [b""]), template, mask)
+            if cut < len(lines):
+                line = lines[cut].decode("ascii", "backslashreplace")
+                error = DimensionMismatchError(f"bad codeword {line!r} for n={n}, k={k}, q=2")
+        rows = _pack(x[:cut], n, words.dtype).T
+        if not _in_rref(rows.T, n).all():
+            rows, ranks = rref_bits_batch(rows, n)
+            low = np.flatnonzero(ranks < k)
+            if low.size:
+                i = low[0]
+                line = (x[i] ^ template)[:-1].tobytes().decode()
+                error = DimensionMismatchError(
+                    f"codeword {line!r} has dimension {ranks[i]}, header says {k}")
+                rows = rows[:i]
+        words[filled:filled + len(rows)] = rows
+        filled += len(rows)
+        chunk = fh.read(_BLOCK * width)
+    words.resize((filled, k), refcheck=False)  # in place: no view of words was kept
     if (i := _first_repeat(words, n)) is not None:
         line = _format_block(words[i:i + 1], n).strip()
         raise DuplicateCodewordError(f"duplicate codeword {line!r}")
@@ -239,35 +263,101 @@ def _read_packed(lines, n, k):
     return words
 
 
-def _row_keys(words, n):
-    """A new array of one key per packed word, equal exactly when the words
-    are: its k rows side by side in one uint64 when k*n <= 64, else its row
-    bytes as one void item."""
-    k = words.shape[1]
-    if k * n > 64:
-        return words.view(np.dtype((np.void, words.itemsize * k))).ravel().copy()
-    keys = np.zeros(len(words), np.uint64)
-    for j in range(k):
-        keys <<= np.uint64(n)
-        keys |= words[:, j]
+def _parse(buf, template, mask):
+    """buf as lines of len(template) bytes XORed with the template, so the
+    digits of a valid line are 0 and 1 and its separators 0; and the number
+    of leading lines that are valid (-1 when buf ends in a partial line)."""
+    if len(buf) % len(template):
+        return None, -1
+    x = np.frombuffer(buf, np.uint8).reshape(-1, len(template)) ^ template
+    bad = x & mask
+    if not bad.any():
+        return x, len(x)
+    return x, int(np.argmax(bad.any(axis=1)))
+
+
+def _pack(x, n, dtype):
+    """The rows of m parsed lines as a (k, m) array of dtype, row j of every
+    word in one run.  The 0/1 bytes become one bitstream of n + 1 bits per
+    row, so each 8 rows take n + 1 bytes; row t of such a group is read
+    from the big-endian 64 bits at its byte (and the next byte when
+    n > 57), at the same offset in every group."""
+    k = x.shape[1] // (n + 1)
+    groups = -(-len(x) * k // 8)
+    bits = np.zeros((groups + 1) * (n + 1) + 8, np.uint8)  # room for every window
+    bits[:-(-x.size // 8)] = np.packbits(x.reshape(-1))
+    rows = np.empty((groups, 8), dtype)
+    for t in range(8):
+        at, shift = divmod(t * (n + 1), 8)
+        row = np.ndarray(groups, ">u8", bits, at, n + 1).astype(np.uint64) << np.uint64(shift)
+        if n > 57:
+            row |= bits[at + 8::n + 1][:groups] >> np.uint64(8 - shift)
+        rows[:, t] = row >> np.uint64(64 - n)
+    return rows.reshape(-1)[:len(x) * k].reshape(-1, k).T.copy()
+
+
+def _in_rref(rows, n):
+    """Whether each word of a (k, m) row array is in RREF already: each row
+    nonzero and below the previous row's leading bit, which no row above
+    it has."""
+    lead = _leading_bits(rows, n)
+    ok = rows[-1] != 0
+    for j in range(1, len(rows)):
+        ok &= rows[j] < lead[j - 1]
+        for i in range(j):
+            ok &= (rows[i] & lead[j]) == 0
+    return ok
+
+
+def _sort_keys(words, n):
+    """uint64 keys per packed word, the most significant first, each with
+    64 // n rows side by side, row 0 highest: one key when k*n <= 64.  They
+    order words as their text lines sort and are equal exactly when the
+    words are."""
+    per = 64 // n
+    keys = np.zeros((-(-words.shape[1] // per), len(words)), np.uint64)
+    for j, row in enumerate(words.T):
+        keys[j // per] <<= np.uint64(n)
+        keys[j // per] |= row
     return keys
+
+
+def _mix(words):
+    """A multiply-xor hash of each packed word's rows into one uint64."""
+    h = np.zeros(len(words), np.uint64)
+    for row in words.T:
+        h ^= row
+        h *= _MIX
+        h ^= h >> np.uint64(32)
+    return h
+
+
+def _word_keys(words, n):
+    """One uint64 key per packed word: its sort key when k*n <= 64, equal
+    exactly when the words are, else the _mix of its rows."""
+    return _sort_keys(words, n)[0] if words.shape[1] * n <= 64 else _mix(words)
 
 
 def _first_repeat(words, n):
     """The index of the first packed word equal to an earlier one, or None.
-    Only when sorted keys show a repeat does a stable sort (16 times slower
-    on 2*10^7 keys) put equal words side by side in file order."""
-    keys = _row_keys(words, n)
+    One sort of 64-bit keys screens the words; only the words whose key
+    repeats are compared exactly, by a stable sort that keeps file order."""
+    keys = _word_keys(words, n)
     keys.sort()
-    if (keys[1:] != keys[:-1]).all():
+    shared = keys[1:][keys[1:] == keys[:-1]]
+    del keys
+    if not shared.size:
         return None
-    order = np.argsort(_row_keys(words, n), kind="stable")
-    keys = _row_keys(words[order], n)
-    return int(order[1:][keys[1:] == keys[:-1]].min())
+    hit = np.flatnonzero(np.isin(_word_keys(words, n), shared))
+    keys = _sort_keys(words[hit], n)
+    order = np.lexsort(keys[::-1])
+    keys = keys[:, order]
+    later = order[1:][(keys[:, 1:] == keys[:, :-1]).all(axis=0)]
+    return int(hit[later.min()]) if later.size else None
 
 
 def import_code(path) -> Cdc:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         code = read_code(fh)
     code.provenance["path"] = str(path)
     return code
@@ -280,11 +370,12 @@ def import_with_subcode(path, subcode_path):
     sub = import_code(subcode_path)
     if (sub.field, sub.n, sub.k) != (code.field, code.n, code.k):
         raise SubcodeError("subcode parameters differ from parent")
-    if packable(code.field, code.n, code.k):  # sorted packed-word keys; no Subspace
-        parent = np.sort(_row_keys(code.source.packed, code.n))
-        keys = _row_keys(sub.source.packed, sub.n)
-        lo, hi = np.searchsorted(parent, keys), np.searchsorted(parent, keys, "right")
-        missing = np.flatnonzero(lo == hi)
+    if packable(code.field, code.n, code.k):  # packed-word keys; no Subspace
+        words, parent = sub.source.packed, code.source.packed
+        # every parent word equal to a subcode word shares its key
+        near = parent[np.isin(_word_keys(parent, code.n), _word_keys(words, code.n))]
+        near = set(word.tobytes() for word in near)
+        missing = [i for i, word in enumerate(words) if word.tobytes() not in near]
     else:
         parent = set(w.gen.rows for w in code.words())
         missing = [i for i, w in enumerate(sub) if w.gen.rows not in parent]
@@ -306,4 +397,5 @@ def dumps(c: Cdc, order: str | None = None, prov: str | None = None) -> str:
 
 
 def loads(text: str) -> Cdc:
-    return read_code(_io.StringIO(text))
+    # a non-ASCII character becomes bytes >= 0x80, which the reader rejects
+    return read_code(_io.BytesIO(text.encode("utf-8", "surrogatepass")))

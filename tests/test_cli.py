@@ -353,3 +353,20 @@ def test_construct_refuses_a_large_coset_addon_before_listing_it(capsys):
     assert time.monotonic() - start < 2.0
     err = capsys.readouterr().err
     assert err == "cdckit: the addon has 40353607 words, past MATERIALIZE_CAP\n"
+
+
+@pytest.mark.parametrize("where", ["header", "body"])
+def test_non_ascii_byte_in_a_code_file_is_a_parse_failure(tmp_path, capsys, where):
+    # a byte 0xE9 exits 3 with one line, from verify and from construct --import
+    good = tmp_path / "c.cdc"
+    assert main(["construct", "--recipe", "8_4_4", "--q", "2", "--out", str(good)]) == 0
+    capsys.readouterr()
+    data = good.read_bytes()
+    at = data.index(b"#PROV=") + 6 if where == "header" else data.index(b"\n0") + 30
+    bad = tmp_path / "bad.cdc"
+    bad.write_bytes(data[:at] + b"\xe9" + data[at + 1:])
+    err = _fails_cleanly(["verify", "--file", str(bad), "--mode", "sample", "--pairs", "10"],
+                         3, capsys)
+    assert "parse failure" in err and "\\xe9" in err
+    _fails_cleanly(["construct", "--recipe", "9_4_3", "--q", "2", "--import", f"base={bad}"],
+                   3, capsys)

@@ -1,6 +1,7 @@
 """Code file format: round-trips, golden-file byte stability, distinct
 error types, and subcode imports."""
 
+import functools
 import hashlib
 import pathlib
 import time
@@ -473,3 +474,127 @@ def test_wide_gf2_words_are_keyed_by_their_row_bytes(tmp_path):
     export(Cdc(c.field, 12, 6, 12, words=[c.at(0), hole]), alien)
     with pytest.raises(SubcodeError, match=hole.serialize()):
         import_with_subcode(parent, alien)
+
+
+# ----------------------------------------------------------------------
+# the byte reader: fixed-stride blocks, the line normalizer, the 64-bit
+# duplicate screen, and bytes outside ASCII
+# ----------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _scrambled(args):
+    # the canonical file of a 32,768-word code, and its body with each
+    # word's rows in a random order and row 0 += row 1 in about half the
+    # words: the same subspaces, on lines of the writer's length
+    import cdckit.codefile as codefile
+    code = lifted_mrd(*args)
+    text = dumps(code)
+    rng = np.random.default_rng(sum(args))
+    words = loads(text).source.packed.astype(np.uint64)
+    words = np.take_along_axis(words, np.argsort(rng.random(words.shape), axis=1), axis=1)
+    add = rng.random(len(words)) < 0.5
+    words[add, 0] ^= words[add, 1]
+    return text, codefile._format_block(words, code.n)
+
+
+@pytest.mark.parametrize("block", [5, 1 << 16])
+@pytest.mark.parametrize("args", [(2, 9, 4, 4), (2, 19, 4, 8)], ids=["kn36", "kn76"])
+def test_scrambled_rows_read_as_the_canonical_words(monkeypatch, block, args):
+    # the writer's line layout, CRLF and blank lines all read as one array;
+    # blocks of 5 lines read the first 4,096 words, to keep the test short
+    import cdckit.codefile as codefile
+    text, scrambled = _scrambled(args)
+    lines = text.splitlines(keepends=True)
+    count = 4096 if block == 5 else len(lines) - 10
+    head = "".join(lines[:10]).replace("#COUNT=32768", f"#COUNT={count}")
+    want = loads(head + "".join(lines[10:10 + count])).source.packed
+    lines = scrambled.splitlines(keepends=True)[:count]
+    assert sum(a != b for a, b in zip(lines, text.splitlines(keepends=True)[10:])) > count // 4
+    monkeypatch.setattr(codefile, "_BLOCK", block)
+    for body in ("".join(lines), "".join(lines).replace("\n", "\r\n"),
+                 "\n" + "".join(line + "\n" * (i % 7 == 3) for i, line in enumerate(lines))):
+        got = loads(head + body).source.packed
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_reader_reduces_rows_that_only_look_reduced():
+    # rows in pivot order, but row 0 holds row 1's pivot: the word is not
+    # in RREF, and its block must not skip elimination
+    text = _golden_text()
+    assert dumps(loads(text.replace(FIRST, "110000|010000|001000\n"))) == text
+
+
+def test_reader_recovers_the_stride_after_a_crlf_line(monkeypatch):
+    # one CRLF line in the first block: that chunk ends a byte short of a
+    # line end and is completed; every later block reads as the writer's
+    import cdckit.codefile as codefile
+    monkeypatch.setattr(codefile, "_BLOCK", 5)
+    text = _golden_text()
+    assert dumps(loads(text.replace(FIRST, FIRST[:-1] + "\r\n"))) == text
+    lines = text.splitlines(keepends=True)
+    lines[12] = lines[12][:-1] + "\r\n"
+    assert dumps(loads("".join(lines))) == text
+
+
+@pytest.mark.parametrize("n", [58, 63, 64])
+def test_reader_packs_rows_past_57_bits(n):
+    # a row of more than 57 bits spans 9 bytes of the bitstream
+    from cdckit.linalg import pack_row, rref_bits
+    rng = np.random.default_rng(n)
+    rows = [[[1, 0] + rng.integers(0, 2, n - 2).tolist(),
+             [0, 1] + rng.integers(0, 2, n - 2).tolist()] for _ in range(11)]
+    body = "".join("|".join("".join(map(str, r)) for r in w) + "\n" for w in rows)
+    code = loads(f"#Q=2\n#P=2\n#E=1\n#MOD=0,1\n#N={n}\n#K=2\n#D=2\n#COUNT=11\n"
+                 f"#ORDER=generation\n#PROV=wide\n{body}")
+    want = [tuple(rref_bits([pack_row(r) for r in w], n)[0]) for w in rows]
+    assert code.source.packed.dtype == np.uint64
+    assert [tuple(w) for w in code.source.packed.tolist()] == want
+
+
+@pytest.mark.parametrize("n,k", [(3, 7), (9, 4), (12, 6), (24, 5), (33, 2), (40, 3), (64, 2)])
+def test_sort_keys_order_words_as_their_rows(n, k):
+    # the canonical writer sorts on these keys: the order of lexsort over the k rows
+    from cdckit.codefile import _sort_keys
+    rng = np.random.default_rng(n * k)
+    words = rng.integers(0, 1 << min(n, 63), (3000, k), dtype=np.uint64)
+    words[::3, 0] = words[1::3, 0]  # ties on row 0
+    keys = _sort_keys(words, n)
+    assert len(keys) == -(-k // (64 // n))
+    assert np.array_equal(np.lexsort(keys[::-1]), np.lexsort(words.T[::-1]))
+
+
+def test_screen_collisions_decide_nothing(monkeypatch, tmp_path):
+    # every word gets one 64-bit screen key: only the exact comparison
+    # reports a duplicate, and it names the first repeated line
+    import cdckit.codefile as codefile
+    monkeypatch.setattr(codefile, "_mix", lambda words: np.zeros(len(words), np.uint64))
+    c = lifted_mrd(2, 12, 6, 12)  # k*n = 72
+    text = dumps(c)
+    assert dumps(loads(text)) == text
+    lines = text.splitlines(keepends=True)
+    with pytest.raises(DuplicateCodewordError, match=repr(lines[20].strip())):
+        loads(text + lines[20] + lines[12])
+    parent, sub = tmp_path / "c.cdc", tmp_path / "sub.cdc"
+    export(c, parent)
+    export(Cdc(c.field, 12, 6, 12, words=c.words()[9:3:-2]), sub)
+    assert import_with_subcode(parent, sub)[1].size == 3
+    from cdckit.subspace import Subspace
+    hole = Subspace(c.field, 12, [tuple(int(j == i) for j in range(12)) for i in range(6, 12)])
+    export(Cdc(c.field, 12, 6, 12, words=[c.at(0), hole]), sub)
+    with pytest.raises(SubcodeError, match=hole.serialize()):
+        import_with_subcode(parent, sub)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: dumps(lifted_mrd(2, 6, 3, 4)),  # the packed reader
+    lambda: dumps(lifted_mrd(3, 4, 2, 2)),  # the per-line reader
+], ids=["q2", "q3"])
+def test_non_ascii_is_a_code_file_error(make):
+    text = make()
+    body = text.index("\n", text.index("#PROV")) + 3
+    with pytest.raises(HeaderError):
+        loads(text.replace("#PROV=", "#PROV=é"))
+    with pytest.raises(DimensionMismatchError):
+        loads(text[:body] + "é" + text[body + 1:])
+    with pytest.raises(DimensionMismatchError):
+        loads(text[:body] + "\udce9" + text[body + 1:])  # a lone surrogate
