@@ -40,7 +40,7 @@ import numpy as np
 
 from .cdc import Cdc, ListSource, PackedSource
 from .gf import FieldSpec
-from .linalg import _leading_bits, packable, rref_bits_batch
+from .linalg import _leading_bits, find_words, packable, rref_bits_batch
 from .subspace import Subspace
 
 HEADER_KEYS = ("Q", "P", "E", "MOD", "N", "K", "D", "COUNT", "ORDER", "PROV")
@@ -370,12 +370,9 @@ def import_with_subcode(path, subcode_path):
     sub = import_code(subcode_path)
     if (sub.field, sub.n, sub.k) != (code.field, code.n, code.k):
         raise SubcodeError("subcode parameters differ from parent")
-    if packable(code.field, code.n, code.k):  # packed-word keys; no Subspace
-        words, parent = sub.source.packed, code.source.packed
-        # every parent word equal to a subcode word shares its key
-        near = parent[np.isin(_word_keys(parent, code.n), _word_keys(words, code.n))]
-        near = set(word.tobytes() for word in near)
-        missing = [i for i, word in enumerate(words) if word.tobytes() not in near]
+    if packable(code.field, code.n, code.k):  # packed words; no Subspace
+        missing = np.flatnonzero(find_words(code.source.packed_blocks(),
+                                            sub.packed_at_batch(np.arange(sub.size))) < 0)
     else:
         parent = set(w.gen.rows for w in code.words())
         missing = [i for i, w in enumerate(sub) if w.gen.rows not in parent]

@@ -14,15 +14,16 @@ from math import prod
 
 import numpy as np
 
-from .cdc import (Cdc, ListSource, MATERIALIZE_CAP, ProductSource, StreamSource,
+from .cdc import (Cdc, ListSource, MATERIALIZE_CAP, PackedSource, ProductSource, StreamSource,
                   _lifted, _single_full, lifted_mrd, parallelism_2_of_F_q4,
                   partial_spread_subcode, spread)
-from .linalg import MatrixGF, checked_indices, inverse, pack_row, rref_bits, rref_bits_batch
+from .linalg import (MatrixGF, checked_indices, find_words, inverse, pack_row, rref_bits,
+                     rref_bits_batch)
 from .rankmetric import (GabidulinHandle, base_field, coset_partition,
                          gabidulin_mrd, mrd_size, nested_subcode,
                          rank_distribution, rank_filtered)
 from .subspace import Subspace, distance, intersection_dim
-from .verify import full_pairwise_check, meet_dims
+from .verify import FULL_CHECK_CAP, CapExceeded, full_pairwise_check, meet_dims
 
 
 class ConstructionError(ValueError):
@@ -81,28 +82,36 @@ class CompositionProfile:
 
 @dataclass
 class DistancePartition:
-    """Parts (C_0, ..., C_r) of a code; the union of the first i+1 parts
-    must have pairwise distance >= 2k - 2i."""
+    """Parts (C_0, ..., C_r) of a GF(2) code, each an int64 array of indices
+    into the parent; the union of the first i+1 parts must have pairwise
+    distance >= 2k - 2i.  A part is never sorted: its order is the order in
+    which duplication streams the copies re-embedded above its words."""
     parent: Cdc
-    parts: list  # r+1 lists of Subspace
-
-    @property
-    def r(self):
-        return len(self.parts) - 1
+    parts: list  # r+1 int64 index arrays
 
     def validate(self):
-        """Coverage, no overlap, and every prefix union certified by the
-        exact full check; one past FULL_CHECK_CAP raises CapExceeded."""
-        total = sum(len(p) for p in self.parts)
-        if total != self.parent.size:
+        """Cover and no overlap: the part sizes sum to N and one N-byte mark
+        array marks every index.  Each prefix union that ends in a nonempty
+        part (else it repeats the one before under a weaker claim) is gathered
+        for the exact full check; past FULL_CHECK_CAP, CapExceeded comes first."""
+        C, N = self.parent, self.parent.size
+        if sum(map(len, self.parts)) != N:
             raise ConstructionError("parts do not cover the parent code")
-        if len({w.gen.rows for part in self.parts for w in part}) != total:
+        mark = np.zeros(N, dtype=bool)
+        for part in self.parts:
+            mark[checked_indices(part, N)] = True
+        if not mark.all():
             raise ConstructionError("parts overlap")
-        C, prefix = self.parent, []
+        prefix = np.empty(0, dtype=np.int64)
         for i, part in enumerate(self.parts):
-            prefix += part
-            need = 2 * C.k - 2 * i
-            if not full_pairwise_check(Cdc(C.field, C.n, C.k, need, words=prefix)).ok:
+            if not len(part):
+                continue
+            if len(prefix) + len(part) > FULL_CHECK_CAP:
+                raise CapExceeded(f"prefix union {i} has {len(prefix) + len(part)} codewords, "
+                                  f"past the full-check cap {FULL_CHECK_CAP}")
+            prefix, need = np.concatenate([prefix, part]), 2 * C.k - 2 * i
+            words = PackedSource(C.field, C.n, C.packed_at_batch(prefix))
+            if not full_pairwise_check(Cdc(C.field, C.n, C.k, need, stream=words)).ok:
                 raise ConstructionError(f"prefix union {i} violates distance {need}")
 
 
@@ -118,10 +127,6 @@ class NdkSequence:
     """Codes D_0..D_r with witnesses: U_i in D_i, S_i disjoint from U_i,
     and dim(U' ∩ S_i) <= i for every U' in D_i."""
     entries: list
-
-    @property
-    def r(self):
-        return len(self.entries) - 1
 
     def validate(self):
         for i, e in enumerate(self.entries):
@@ -143,12 +148,10 @@ class NdkSequence:
         """The code is a lifted MRD code and the witnesses are the unit
         codeword R(I | 0) and the lifting hole (the last n-k coordinates)."""
         code = e.code
-        if getattr(code, "lmrd_handle", None) is None:
-            return False
-        if code.provenance.get("kind") != "lifted_mrd":
+        if not hasattr(code, "lmrd_handle") or code.provenance.get("kind") != "lifted_mrd":
             return False
         ref = _lmrd_entry(code)
-        return e.witness_u == ref.witness_u and e.witness_s == ref.witness_s
+        return (e.witness_u, e.witness_s) == (ref.witness_u, ref.witness_s)
 
 
 def _coordinate_subspace(field, n, cols):
@@ -204,14 +207,10 @@ def multiblock_linkage(profile: CompositionProfile, C, M, left=None) -> Cdc:
     blocks = [ProductSource(field, [*left[:i], C[i].source, *M[i + 1:]], profile.nbar,
                             reduce=i > 0)
               for i in range(profile.l)]
-    offs = profile.offsets()
-    meta = []
-    start = 0
-    for i, blk in enumerate(blocks):
-        meta.append({"start": start, "count": blk.size,
-                     "col_start": offs[i], "col_end": offs[i + 1]})
-        start += blk.size
-    c = Cdc(field, profile.n, k, d, stream=UnionSource(blocks),
+    src, offs = UnionSource(blocks), profile.offsets()
+    meta = [{"start": src.starts[i], "count": blk.size, "col_start": offs[i], "col_end": offs[i + 1]}
+            for i, blk in enumerate(blocks)]
+    c = Cdc(field, profile.n, k, d, stream=src,
             provenance={"kind": "multiblock_linkage", "q": q,
                         "nbar": profile.nbar, "blocks": meta})
     # block 1 is a lifted MRD code when tau(U_1) is the identity
@@ -225,18 +224,11 @@ def cor1_bound(q, k, d, nbar, A_values) -> int:
     """Sum-product cardinality of the linkage with MRD components."""
     if len(A_values) != len(nbar):
         raise ConstructionError("need one cardinality per block")
-    total = 0
-    for i in range(len(nbar)):
-        term = A_values[i]
-        for j in range(i):
-            f = 1
-            for r in range(d // 2, k - d // 2 + 1):
-                f += rank_distribution(q, k, nbar[j], d // 2, r)
-            term *= f
-        for j in range(i + 1, len(nbar)):
-            term *= mrd_size(q, k, nbar[j], d // 2)
-        total += term
-    return total
+    # left of block i: the zero matrix or a rank d/2 .. k - d/2 word; right: any MRD word
+    low = [1 + sum(rank_distribution(q, k, nj, d // 2, r) for r in range(d // 2, k - d // 2 + 1))
+           for nj in nbar]
+    return sum(A_values[i] * prod(low[:i]) * prod(mrd_size(q, k, nj, d // 2) for nj in nbar[i + 1:])
+               for i in range(len(nbar)))
 
 
 def check_special_substructure(c: Cdc):
@@ -288,28 +280,20 @@ def product_addon(profile: CompositionProfile, families, verify_cross=True) -> C
     s = len(families[0])
     if any(len(f) != s for f in families):
         raise ConstructionError("ragged family grid")
-    for i, fams in enumerate(families):
-        for fam in fams:
-            for w in fam:
-                if w.n != profile.nbar[i] or w.k != profile.abar[i]:
-                    raise ConstructionError(
-                        f"family member of block {i} is not an "
-                        f"({profile.nbar[i]}, *; {profile.abar[i]}) subspace")
+    bad = next((i for i, fams in enumerate(families) for fam in fams for w in fam
+                if w.n != profile.nbar[i] or w.k != profile.abar[i]), None)
+    if bad is not None:
+        raise ConstructionError(f"family member of block {bad} is not an "
+                                f"({profile.nbar[bad]}, *; {profile.abar[bad]}) subspace")
     _refuse_past_cap(sum(prod(len(fams[j]) for fams in families) for j in range(s)))
     if verify_cross:
-        for i, fams in enumerate(families):
+        for (i, fams), (j1, j2) in iproduct(enumerate(families), combinations(range(s), 2)):
             need = 2 * profile.abar[i] - 2 * profile.bbar[i]
-            for j1 in range(s):
-                for j2 in range(j1 + 1, s):
-                    got = min((distance(u, w) for u in fams[j1] for w in fams[j2]),
-                              default=None)
-                    if got is not None and got < need:
-                        raise ConstructionError(
-                            f"cross-family distance {got} < {need} in block {i}")
-    words = []
-    for j in range(s):
-        for pick in iproduct(*[families[i][j] for i in range(profile.l)]):
-            words.append(_direct_sum_subspace(profile, field, pick))
+            got = min((distance(u, w) for u in fams[j1] for w in fams[j2]), default=need)
+            if got < need:
+                raise ConstructionError(f"cross-family distance {got} < {need} in block {i}")
+    words = [_direct_sum_subspace(profile, field, pick)
+             for j in range(s) for pick in iproduct(*[fams[j] for fams in families])]
     return Cdc(field, profile.n, profile.k, profile.d, words=words,
                provenance={"kind": "product_addon", "s": s,
                            "abar": profile.abar, "bbar": profile.bbar})
@@ -381,13 +365,9 @@ def xi_extension(profile: CompositionProfile, addon: Cdc) -> Cdc:
         for i, a in enumerate(profile.abar)]
     if any(meet_dims(embedded_first[i], holes[i]).any() for i in range(2)):
         raise ConstructionError("family member meets the lifting hole")
-    words = []
-    for w in embedded_first[1]:  # hole of block 1 + first family of block 2
-        rows = sorted(holes[0].gen.rows + w.gen.rows, key=_pivot_col)
-        words.append(Subspace(field, n, rows))
-    for w in embedded_first[0]:  # first family of block 1 + hole of block 2
-        rows = sorted(w.gen.rows + holes[1].gen.rows, key=_pivot_col)
-        words.append(Subspace(field, n, rows))
+    # the hole of block 1 with the first family of block 2, then the other way round
+    words = [Subspace(field, n, sorted(holes[1 - i].gen.rows + w.gen.rows, key=_pivot_col))
+             for i in (1, 0) for w in embedded_first[i]]
     return Cdc(field, n, profile.k, profile.d, words=words,
                provenance={"kind": "xi_extension"})
 
@@ -439,10 +419,7 @@ class _ReembedSource(StreamSource):
     RREF of G' times the frame."""
 
     def __init__(self, field, n, frames, gprime):
-        self.field = field
-        self.n = n
-        self.frames = np.array(frames, dtype=np.uint64)
-        self.gprime = np.array(gprime, dtype=np.uint64)
+        self.field, self.n, self.frames, self.gprime = field, n, frames, gprime
         self.size = len(frames) * len(gprime)
 
     def packed_at(self, i):
@@ -476,19 +453,21 @@ def _combined(coeffs, basis, width):
     return rows
 
 
-def _reembedded(entry: SeqEntry, part, field, k, s, t) -> StreamSource:
-    """A copy of the sequence code D inside <U, S> for every U in the part."""
+def _reembedded(entry: SeqEntry, words, field, k, s, t) -> StreamSource:
+    """A copy of the sequence code D inside <U, S> for every U in the (m, k)
+    array of packed words, in its order."""
     code = entry.code
     if NdkSequence._is_lmrd_with_hole(entry):
         # R(I | M) re-embedded above U is [U | M]
-        return ProductSource(field, [ListSource(field, k + t, part), code.lmrd_handle], (k + t, s))
+        return ProductSource(field, [PackedSource(field, k + t, words), code.lmrd_handle],
+                             (k + t, s))
     # general path: express each codeword in the (U*, S*) basis
     P = MatrixGF(code.field, entry.witness_u.gen.rows + entry.witness_s.gen.rows,
                  ncols=k + s)
     Pinv = np.array([pack_row(rw) for rw in inverse(P).rows], dtype=np.uint64)
     gprime = _combined(code.packed_at_batch(np.arange(code.size)), Pinv, k + s)
-    frames = [[rw << s for rw in u.packed_rows()] + [1 << (s - 1 - j) for j in range(s)]
-              for u in part]
+    units = np.uint64(1) << np.arange(s - 1, -1, -1, dtype=np.uint64)
+    frames = np.hstack([words << np.uint64(s), np.broadcast_to(units, (len(words), s))])
     return _ReembedSource(field, k + s + t, frames, gprime)
 
 
@@ -496,11 +475,10 @@ def duplication(partition: DistancePartition, seq: NdkSequence, A: Cdc) -> Cdc:
     """Re-embeds a copy of a sequence code above every codeword of the
     partitioned code and adds A inside the new coordinates."""
     C = partition.parent
-    k = C.k
-    t = C.n - k
+    k, t = C.k, C.n - C.k
     if C.field.q != 2:
         raise ConstructionError("duplication streaming is implemented for q = 2")
-    if seq.r != partition.r:
+    if len(seq.entries) != len(partition.parts):
         raise ConstructionError("partition and sequence lengths differ")
     s = seq.entries[0].code.n - k
     if any(e.code.n != k + s or e.code.k != k for e in seq.entries):
@@ -509,22 +487,39 @@ def duplication(partition: DistancePartition, seq: NdkSequence, A: Cdc) -> Cdc:
         raise ConstructionError("A must consist of k-subspaces of an s-space")
     partition.validate()
     seq.validate()
-    n = k + s + t
-    r = partition.r
-    pad = (0,) * (k + t)
-    parts = [ListSource(C.field, n, (Subspace(C.field, n, [pad + row for row in w.gen.rows])
-                                     for w in A.words()))]
+    n, r = k + s + t, len(partition.parts) - 1
+    # A's packed rows, in the last s columns, are its rows in all n
+    parts = [PackedSource(C.field, n, A.packed_at_batch(np.arange(A.size)))]
     expected = A.size
     for i, part in enumerate(partition.parts):
-        if part:
+        if len(part):
             entry = seq.entries[r - i]
-            parts.append(_reembedded(entry, part, C.field, k, s, t))
+            parts.append(_reembedded(entry, C.packed_at_batch(part), C.field, k, s, t))
             expected += len(part) * entry.code.size
     src = UnionSource(parts)
     if src.size != expected:
         raise ConstructionError("size bookkeeping mismatch")
     return Cdc(C.field, n, k, C.d_claim, stream=src,
                provenance={"kind": "duplication", "r": r})
+
+
+def _duplication_over(base: Cdc, c0, entries, A: Cdc) -> Cdc:
+    """The duplication over base split into C_0, the words at the int64
+    indices c0 in their order, r - 1 empty parts, and the rest of base in
+    index order; the sequence is the r + 1 >= 2 entries."""
+    rest = np.ones(base.size, dtype=bool)
+    rest[c0] = False
+    parts = [c0, *[[]] * (len(entries) - 2), np.flatnonzero(rest)]
+    return duplication(DistancePartition(base, parts), NdkSequence(entries), A)
+
+
+def _indices_in(base: Cdc, sub: Cdc):
+    """The index in base of each word of sub, in sub's order."""
+    idx = find_words(base.source.packed_blocks(), sub.packed_at_batch(np.arange(sub.size)))
+    if (missing := np.flatnonzero(idx < 0)).size:
+        raise ConstructionError(
+            f"subcode word {sub.at(int(missing[0])).serialize()} is not in the base code")
+    return idx
 
 
 # ----------------------------------------------------------------------
@@ -735,13 +730,10 @@ def recipe_12_4_4_thm(q):
     c0 = partial_spread_subcode(base, "lmrd_nested")
     if c0.size != q ** 4 + 1:
         raise ConstructionError(f"partial-spread subcode has size {c0.size}")
-    c0_keys = set(w.gen.rows for w in c0.words())
-    rest = [w for w in base.words() if w.gen.rows not in c0_keys]
-    part = DistancePartition(base, [list(c0.words()), [], rest])
     entry_lmrd = _lmrd_entry(lifted_mrd(q, 8, 4, 4))
-    seq = NdkSequence([entry_lmrd, entry_lmrd, _sequence_entry_from_code(base)])
-    A = _single_full(q, 4)
-    return duplication(part, seq, A), size_12_4_4_thm(q)
+    entries = [entry_lmrd, entry_lmrd, _sequence_entry_from_code(base)]
+    c = _duplication_over(base, _indices_in(base, c0), entries, _single_full(q, 4))
+    return c, size_12_4_4_thm(q)
 
 
 def recipe_12_4_4_cor(q):
@@ -809,22 +801,6 @@ def recipe_3k_4_k(q, k, base: Cdc | None = None):
     return None, size_3k_4_k(q, k, base.size)
 
 
-def _duplication_from_imported(q, base: Cdc, base_subcode, seq_code: Cdc,
-                               c0_target):
-    if base_subcode is not None:
-        c0_words = list(base_subcode.words())
-    else:
-        c0 = partial_spread_subcode(base, "greedy")
-        c0_words = list(c0.words())[:c0_target]
-    c0_keys = set(w.gen.rows for w in c0_words)
-    rest = [w for w in base.words() if w.gen.rows not in c0_keys]
-    part = DistancePartition(base, [c0_words, rest])
-    seq = NdkSequence([_lmrd_entry(lifted_mrd(q, 6, 3, 4)),
-                       _sequence_entry_from_code(seq_code)])
-    A = _single_full(q, 3)
-    return duplication(part, seq, A)
-
-
 def recipe_9_4_3(q, base: Cdc | None = None, base_subcode: Cdc | None = None):
     """Needs an imported (6, q^6+2q^2+2q+1, 4; 3) record code."""
     if base is None:
@@ -833,8 +809,11 @@ def recipe_9_4_3(q, base: Cdc | None = None, base_subcode: Cdc | None = None):
     if base.n != 6 or base.k != 3 or base.size != expected_base:
         raise ConstructionError(
             f"imported base must be a (6, {expected_base}, 4; 3) code")
-    c = _duplication_from_imported(q, base, base_subcode, base, q ** 3 - 1)
-    return c, size_9_4_3(q)
+    # C_0: the imported subcode, else q^3 - 1 words of the greedy partial spread
+    c0 = _indices_in(base, partial_spread_subcode(base, "greedy"))[:q ** 3 - 1] \
+        if base_subcode is None else _indices_in(base, base_subcode)
+    entries = [_lmrd_entry(lifted_mrd(q, 6, 3, 4)), _sequence_entry_from_code(base)]
+    return _duplication_over(base, c0, entries, _single_full(q, 3)), size_9_4_3(q)
 
 
 def recipe_10_4_3(q, base: Cdc | None = None, base_subcode: Cdc | None = None,
@@ -847,8 +826,10 @@ def recipe_10_4_3(q, base: Cdc | None = None, base_subcode: Cdc | None = None,
     if base.n != 7 or base.k != 3 or base.size != expected_base:
         raise ConstructionError(
             f"imported base must be a (7, {expected_base}, 4; 3) code")
-    c = _duplication_from_imported(q, base, base_subcode, seq_base, q ** 4)
-    return c, size_10_4_3(q)
+    c0 = _indices_in(base, partial_spread_subcode(base, "greedy"))[:q ** 4] \
+        if base_subcode is None else _indices_in(base, base_subcode)
+    entries = [_lmrd_entry(lifted_mrd(q, 6, 3, 4)), _sequence_entry_from_code(seq_base)]
+    return _duplication_over(base, c0, entries, _single_full(q, 3)), size_10_4_3(q)
 
 
 RECIPES = {

@@ -88,6 +88,26 @@ def word_tuples(block):
     return zip(*block.T.tolist())
 
 
+def find_words(blocks, targets):
+    """The index of each packed word of targets, an (m, k) uint64 array, in a
+    stream of (B, k) uint64 blocks, or -1 where absent.  The distinct targets,
+    as void scalars, are sorted once and searched by each block until all
+    are found: memory is the targets and one block."""
+    targets = np.ascontiguousarray(targets, dtype=np.uint64)
+    void = np.dtype((np.void, targets.itemsize * max(1, targets.shape[1])))
+    keys, back = np.unique(targets.view(void).ravel(), return_inverse=True)
+    found, start = np.full(len(keys), -1, dtype=np.int64), 0
+    for block in blocks:
+        if (found >= 0).all():  # no target left, or none at all
+            break
+        words = np.ascontiguousarray(block, dtype=np.uint64).view(void).ravel()
+        at = np.searchsorted(keys, words).clip(max=len(keys) - 1)
+        hit = np.flatnonzero(keys[at] == words)
+        found[at[hit]] = start + hit
+        start += len(words)
+    return found[back]
+
+
 def pack_row(row) -> int:
     x = 0
     for v in row:

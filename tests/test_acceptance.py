@@ -3,13 +3,14 @@ printing a PASS/FAIL line (run with -s to see them inline)."""
 
 import time
 
+import numpy as np
 import pytest
 
 from cdckit.bounds import bound_table, exact_registry
 from cdckit.cdc import (Cdc, lifted_mrd, parallelism_2_of_F_q4,
                         partial_spread_subcode, spread)
 from cdckit.constructions import (CompositionProfile, DistancePartition,
-                                  NdkSequence, SeqEntry, _single_full,
+                                  NdkSequence, SeqEntry, _indices_in, _single_full,
                                   cor1_bound, coset_addon, duplication,
                                   multiblock_linkage, recipe_12_4_4_thm,
                                   recipe_12_6_6, recipe_12_8_6, recipe_8_4_4,
@@ -128,10 +129,8 @@ def test_criterion_07_stream_count_12_6_6():
 def test_criterion_08_duplication_end_to_end():
     start = time.monotonic()
     lm = lifted_mrd(2, 6, 3, 4)
-    c0 = partial_spread_subcode(lm, "lmrd_nested")
-    c0_keys = set(w.gen.rows for w in c0.words())
-    rest = [w for w in lm.words() if w.gen.rows not in c0_keys]
-    part = DistancePartition(lm, [list(c0.words()), rest])
+    c0 = _indices_in(lm, partial_spread_subcode(lm, "lmrd_nested"))
+    part = DistancePartition(lm, [c0, np.setdiff1d(np.arange(lm.size), c0)])
     unit = Subspace(F2, 6, [tuple(1 if c == j else 0 for c in range(6))
                             for j in range(3)])
     hole = Subspace(F2, 6, [tuple(1 if c == 3 + j else 0 for c in range(6))

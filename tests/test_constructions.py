@@ -4,9 +4,10 @@ closed-form size polynomials."""
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
-from cdckit.cdc import Cdc, lifted_mrd, spread
+from cdckit.cdc import Cdc, PackedSource, lifted_mrd, partial_spread_subcode, spread
 from cdckit.codefile import dumps
 from cdckit.constructions import (CompositionProfile, ConstructionError,
                                   DistancePartition, FORMULAS,
@@ -15,15 +16,17 @@ from cdckit.constructions import (CompositionProfile, ConstructionError,
                                   cor1_bound, coset_addon, duplication,
                                   mixed_abar_addons, multiblock_linkage,
                                   pairing_construction, product_addon,
-                                  recipe_12_8_6, recipe_3k_4_k, recipe_8_4_4,
+                                  recipe_12_4_4_thm, recipe_12_8_6, recipe_3k_4_k, recipe_8_4_4,
                                   recipe_9_4_3, size_10_4_5_claimed,
                                   size_10_4_5_linkage, size_12_4_4_cor,
                                   size_12_4_4_thm, size_12_6_6, size_12_8_6,
-                                  size_8_4_4, xi_extension, _single_full)
+                                  size_8_4_4, xi_extension, _duplication_over,
+                                  _indices_in, _sequence_entry_from_code,
+                                  _single_full)
 from cdckit.gf import field_new
 from cdckit.rankmetric import gabidulin_mrd
 from cdckit.subspace import Subspace, distance
-from cdckit.verify import coverage_check, full_pairwise_check, sampled_check
+from cdckit.verify import CapExceeded, coverage_check, full_pairwise_check, sampled_check
 
 F2 = field_new(2, 1)
 
@@ -185,12 +188,9 @@ def _lmrd_entry():
 
 def test_duplication_small_instance():
     lm, entry = _lmrd_entry()
-    from cdckit.cdc import partial_spread_subcode
-    c0 = partial_spread_subcode(lm, "lmrd_nested")
-    assert c0.size == 8
-    c0_keys = set(w.gen.rows for w in c0.words())
-    rest = [w for w in lm.words() if w.gen.rows not in c0_keys]
-    part = DistancePartition(lm, [list(c0.words()), rest])
+    c0 = _indices_in(lm, partial_spread_subcode(lm, "lmrd_nested"))
+    assert len(c0) == 8
+    part = DistancePartition(lm, [c0, np.setdiff1d(np.arange(lm.size), c0)])
     seq = NdkSequence([entry, entry])
     A = _single_full(2, 3)
     c = duplication(part, seq, A)
@@ -203,14 +203,14 @@ def test_partition_and_sequence_validation():
     base = Cdc(F2, 6, 3, 4, words=lm.words())
     words = base.words()
     # a partition whose first part is not a partial spread must fail
-    close = next(w for w in words[1:] if distance(words[0], w) == 4)
-    rest = [w for w in words if w not in (words[0], close)]
-    bad = DistancePartition(base, [[words[0], close], rest])
+    close = next(i for i, w in enumerate(words) if i and distance(words[0], w) == 4)
+    rest = [i for i in range(len(words)) if i not in (0, close)]
+    bad = DistancePartition(base, [[0, close], rest])
     with pytest.raises(ConstructionError):
         bad.validate()
     # overlapping parts must fail
     with pytest.raises(ConstructionError):
-        DistancePartition(base, [words, words[:1]]).validate()
+        DistancePartition(base, [range(len(words)), [0]]).validate()
     # a sequence witness inside the witness subspace must fail
     with pytest.raises(ConstructionError):
         NdkSequence([SeqEntry(entry.code, entry.witness_s,
@@ -221,9 +221,8 @@ def test_partition_and_sequence_validation():
 
 def test_partition_overlap_with_covering_sizes():
     lm, _ = _lmrd_entry()
-    words = lm.words()
     with pytest.raises(ConstructionError, match="parts overlap"):
-        DistancePartition(lm, [words[:1], words[:-1]]).validate()
+        DistancePartition(lm, [[0], np.arange(lm.size - 1)]).validate()
 
 
 def test_sequence_scan_rejections():
@@ -242,12 +241,18 @@ def test_sequence_scan_rejections():
         NdkSequence([SeqEntry(without_unit, unit, hole)]).validate()
 
 
+def _import_entries(base):
+    # the sequence of recipe_9_4_3: the lifted MRD (6,3) code, then the
+    # base minus one disjoint word
+    return [_lmrd_entry()[1], _sequence_entry_from_code(base)]
+
+
 def test_duplication_from_imported_base_pinned():
     # the greedy partial spread of the base, cut to 7 words, then the base
     # minus one disjoint word as the sequence code
-    from cdckit.constructions import _duplication_from_imported
     lm, _ = _lmrd_entry()
-    c = _duplication_from_imported(2, lm, None, lm, 7)
+    c0 = _indices_in(lm, partial_spread_subcode(lm, "greedy"))[:7]
+    c = _duplication_over(lm, c0, _import_entries(lm), _single_full(2, 3))
     assert (c.n, c.k, c.size) == (9, 3, 1 + 7 * 63 + 57 * 64) == (9, 3, 4090)
     rep = full_pairwise_check(c)
     assert rep.ok and rep.min_distance_found == 4
@@ -258,17 +263,87 @@ def test_duplication_from_imported_base_pinned():
 def test_partition_prefix_past_2000_words_is_certified():
     # the last prefix union has 4,097 words, one pair at distance 2 < 4
     lm = lifted_mrd(2, 8, 4, 4)
-    from cdckit.cdc import partial_spread_subcode
-    c0 = list(partial_spread_subcode(lm, "lmrd_nested").words())
-    keys = set(w.gen.rows for w in c0)
-    rest = [w for w in lm.words() if w.gen.rows not in keys]
+    c0 = _indices_in(lm, partial_spread_subcode(lm, "lmrd_nested"))
+    rest = np.setdiff1d(np.arange(lm.size), c0)
     last = lm.at(lm.size - 1)
     close = Subspace.from_rows(F2, last.gen.rows[:3] + ((0,) * 7 + (1,),), 8)
     assert distance(last, close) == 2
     DistancePartition(lm, [c0, [], rest]).validate()
     base = Cdc(F2, 8, 4, 4, words=lm.words() + [close])
     with pytest.raises(ConstructionError, match="prefix union 2 violates distance 4"):
-        DistancePartition(base, [c0, [], rest + [close]]).validate()
+        DistancePartition(base, [c0, [], [*rest, lm.size]]).validate()
+
+
+def test_shared_duplication_over_an_explicit_subcode():
+    # recipe_9_4_3's path with an imported base_subcode, on the lifted MRD
+    # (6,3) base of criterion 8: C_0 is its 8-word partial spread
+    lm, _ = _lmrd_entry()
+    sub = partial_spread_subcode(lm, "lmrd_nested")
+    c = _duplication_over(lm, _indices_in(lm, sub), _import_entries(lm), _single_full(2, 3))
+    assert (c.n, c.k, c.size) == (9, 3, 1 + 8 * 63 + 56 * 64) == (9, 3, 4089)
+    rep = full_pairwise_check(c)
+    assert rep.ok and rep.min_distance_found == 4
+    hole = _unit([3, 4, 5], 6)
+    alien = Cdc(F2, 6, 3, 6, words=[sub.at(0), hole])
+    with pytest.raises(ConstructionError, match=f"subcode word {hole.serialize()} is not in"):
+        _indices_in(lm, alien)
+
+
+def test_c0_order_is_the_stream_order_of_its_copies():
+    # C_0 in non-ascending index order: the copy re-embedded above c0[u] is
+    # the u-th block of |D| words, streamed and gathered alike
+    lm, _ = _lmrd_entry()
+    c0 = _indices_in(lm, partial_spread_subcode(lm, "lmrd_nested"))[::-1].copy()
+    asc = np.sort(c0)
+    assert not np.array_equal(c0, asc)
+    entries, A = _import_entries(lm), _single_full(2, 3)
+    got, want = (_duplication_over(lm, idx, entries, A).source.parts[1] for idx in (c0, asc))
+    m = entries[1].code.size
+    blocks = got.packed_at_batch(np.arange(got.size)).reshape(len(c0), m, 3)
+    assert [tuple(w) for w in blocks.reshape(-1, 3).tolist()] == list(got.iter_packed())
+    ref = want.packed_at_batch(np.arange(want.size)).reshape(len(asc), m, 3)
+    assert np.array_equal(blocks, ref[np.searchsorted(asc, c0)])
+
+
+def test_empty_part_skips_its_prefix(monkeypatch):
+    # 12_4_4_thm's C_1 is empty: prefix 1 would certify C_0's 17 words again
+    import cdckit.constructions as constructions
+    sizes = []
+
+    def spy(code, *args):
+        sizes.append(code.size)
+        return full_pairwise_check(code, *args)
+
+    monkeypatch.setattr(constructions, "full_pairwise_check", spy)
+    c, _ = recipe_12_4_4_thm(2)
+    assert sizes == [17, 4797]
+
+
+def test_partition_of_the_streamed_12_4_4_code(monkeypatch):
+    # C_0 is the greedy partial spread of a 20,000-word prefix of the
+    # 19,660,413-word stream, the other part its complement: cover, overlap
+    # and the C_0 prefix are checked, and the whole-code prefix is refused
+    # before its words are gathered
+    import cdckit.constructions as constructions
+    c, _ = recipe_12_4_4_thm(2)
+    head = Cdc(F2, 12, 4, 4, stream=PackedSource(F2, 12, c.packed_at_batch(np.arange(20000))))
+    c0 = _indices_in(head, partial_spread_subcode(head, "greedy"))
+    rest = np.ones(c.size, dtype=bool)
+    rest[c0] = False
+    rest = np.flatnonzero(rest)
+    gathered, checked = [], []
+    gather = c.source.packed_at_batch
+    monkeypatch.setattr(c.source, "packed_at_batch",
+                        lambda idx: gathered.append(len(idx)) or gather(idx))
+    monkeypatch.setattr(constructions, "full_pairwise_check",
+                        lambda code: checked.append(full_pairwise_check(code)) or checked[-1])
+    with pytest.raises(CapExceeded, match="prefix union 1 has 19660413 codewords"):
+        DistancePartition(c, [c0, rest]).validate()
+    assert gathered == [len(c0)] and len(c0) > 8
+    assert [(r.ok, r.min_distance_found) for r in checked] == [(True, 8)]
+    rest[-1] = c0[0]
+    with pytest.raises(ConstructionError, match="parts overlap"):
+        DistancePartition(c, [c0, rest]).validate()
 
 
 def test_recipes_require_their_imports():

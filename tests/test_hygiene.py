@@ -2,7 +2,8 @@
 every source of packed words has a batched gather, no module reads
 another module's private attributes, packed arrays become word tuples
 through linalg.word_tuples alone, the construction modules import no
-rank kernel of their own, and the CLI names no recipe or formula."""
+rank kernel of their own, constructions keys no set or dict on generator
+rows, and the CLI names no recipe or formula."""
 
 import ast
 import importlib
@@ -94,6 +95,33 @@ def test_constructions_take_certificates_from_verify(name):
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     banned = sorted(imported & {"rank_bits", "rank_bits_batch", "rank_rows", "packable"})
     assert not banned, f"{name} imports {banned}"
+
+
+def _keys(node):
+    """The key expressions of a set or dict display, comprehension or call."""
+    if isinstance(node, ast.SetComp):
+        return [node.elt]
+    if isinstance(node, ast.DictComp):
+        return [node.key]
+    if isinstance(node, ast.Set):
+        return node.elts
+    if isinstance(node, ast.Dict):
+        return [k for k in node.keys if k is not None]  # None: a ** unpacking
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id in ("set", "frozenset", "dict"):
+        return node.args
+    return []
+
+
+def test_constructions_key_no_set_on_generator_rows():
+    # partitions are index arrays into their parent: no construction finds
+    # a word by building a set or dict keyed on Subspace generator rows
+    tree = ast.parse((SRC / "constructions.py").read_text(), filename="constructions.py")
+    found = sorted(f"{ast.unparse(node)} (line {node.lineno})" for node in ast.walk(tree)
+                   if any(isinstance(sub, ast.Attribute) and sub.attr == "rows"
+                          and isinstance(sub.value, ast.Attribute) and sub.value.attr == "gen"
+                          for key in _keys(node) for sub in ast.walk(key)))
+    assert not found, f"constructions.py keys a set or dict on .gen.rows: {found}"
 
 
 def test_cli_names_no_recipe_or_formula():
