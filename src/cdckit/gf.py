@@ -246,21 +246,30 @@ class ExtFieldSpec:
         # for GF(2)); pow multiplies through _mul_generic while the tables are unset
         primes = [r for r in range(2, n) if target % r == 0 and is_prime(r)]
         g = next(g for g in range(1, n) if all(self.pow(g, target // r) != 1 for r in primes))
-        antilog = [1] * (2 * target)
+        # x -> x g is linear over GF(p) on the base-p digits of x: for x < p^j
+        # and a digit d < p, (d p^j + x) g = d (p^j g) + x g
+        times_g = [0]
+        while len(times_g) < n:
+            multiples, unit = [0], self._mul_generic(g, len(times_g))
+            while len(multiples) < self.p:
+                multiples.append(self.add(multiples[-1], unit))
+            times_g = [self.add(m, t) for m in multiples for t in times_g] \
+                if len(times_g) > 1 else multiples  # x < p: x g is a multiple of g
+        antilog = [1] * target
         log = [0] * n
         x = 1
         for i in range(target):
             antilog[i] = x
             log[x] = i
-            x = self._mul_generic(x, g)
-        for i in range(target, 2 * target):
-            antilog[i] = antilog[i - target]
-        self._antilog = antilog
+            x = times_g[x]
+        self._antilog = antilog + antilog
         self._log = log
 
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
+        if self.degree == 1:  # the elements are the base's own
+            return self.base.add(a, b)
         base = self.base
         q = base.q
         out = 0

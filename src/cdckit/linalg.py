@@ -212,6 +212,15 @@ def rref_bits_batch(rows, ncols):
     return out, np.count_nonzero(out, axis=1)
 
 
+def spans(words):
+    """The 2^k vectors of each word of a (B, k) uint64 array, as (2^k, B),
+    zero first: vector m is the XOR of the rows j with bit j of m set."""
+    vecs = np.zeros((1, len(words)), dtype=np.uint64)
+    for row in words.T:
+        vecs = np.vstack([vecs, vecs ^ row])
+    return vecs
+
+
 # ----------------------------------------------------------------------
 # generic elimination
 # ----------------------------------------------------------------------

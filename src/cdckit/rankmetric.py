@@ -5,21 +5,27 @@ enumeration: index i maps to the tuple of linearized-polynomial
 coefficients (c_0, ..., c_{t-1}) over GF(q^max(m,n)), c_0 in the most
 significant digit.  Nested subcodes truncate the coefficient range, coset
 partitions translate a nested subcode by the complementary coefficients.
+
+A rank filter keeps the words of rank <= cap.  At q = 2 it solves for
+their indices, one affine solution space per (a - cap)-subspace that
+annihilates a word's rows; at q > 2 it ranks the parent word by word, up
+to SCAN_CAP words.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 from operator import xor
 
 import numpy as np
 
 from .gf import FieldSpec, ext_field, field_new, is_prime
-from .linalg import (checked_indices, gaussian_binomial, pack_row, rank_bits_batch, rank_rows,
-                     unpack_row)
+from .linalg import (BATCH, _leading_bits, checked_indices, gaussian_binomial, pack_row,
+                     rank_rows, rref_bits_batch, spans, unpack_row)
 
 TABLE_BITS = 12  # index bits per XOR table; the lowest table is one block
+SCAN_CAP = 10 ** 7  # parent words a q > 2 rank filter may rank one by one
 
 
 class RankCodeError(ValueError):
@@ -134,13 +140,14 @@ class GabidulinHandle(RankCodeHandle):
 
     def _build_bit_basis(self):
         # GF(2)-basis matrices, one per bit of the enumeration index (c_0 the
-        # most significant digit), rows packed with column 0 in the MSB
+        # most significant digit), rows packed with column 0 in the MSB: a
+        # (t * b, a) uint64 array
         basis = []
         for u in range(self.t * self.b):
             coeffs = [0] * self.t
             coeffs[self.t - 1 - u // self.b] = 1 << (u % self.b)
             basis.append([pack_row(r) for r in self._internal_rows(coeffs)])
-        return basis
+        return np.array(basis, dtype=np.uint64)
 
     def _internal_rows(self, coeffs):
         ext = self.ext
@@ -164,7 +171,7 @@ class GabidulinHandle(RankCodeHandle):
             for lo in range(0, len(self._bit_basis), TABLE_BITS):
                 table = np.zeros((1, self.a), dtype=np.uint64)
                 for mat in self._bit_basis[lo:lo + TABLE_BITS]:
-                    table = np.concatenate([table, table ^ np.array(mat, dtype=np.uint64)])
+                    table = np.concatenate([table, table ^ mat])
                 self._tables.append(table)
         return self._tables
 
@@ -179,6 +186,11 @@ class GabidulinHandle(RankCodeHandle):
             i >>= TABLE_BITS
             word = word ^ table[i & (len(table) - 1)]
         return word
+
+    def _affine(self):
+        """(R, B): word i's internal rows are R XOR the rows B[u] of each set
+        bit u of i; for a Gabidulin code R is zero."""
+        return np.zeros(self.a, dtype=np.uint64), self._bit_basis
 
     def packed_at(self, i):
         word = self._internal_at(i)
@@ -236,14 +248,70 @@ class CosetHandle(RankCodeHandle):
     def rows_at(self, i):
         return self.parent.rows_at(self._parent_index(i))
 
+    def _affine(self):
+        return self.parent._internal_at(self.rep_index), self.sub._affine()[1]
+
     def iter_blocks(self):
         rep = self.parent._internal_at(self.rep_index)
         for block in self.sub.iter_blocks():
             yield block ^ rep
 
 
+@lru_cache(maxsize=None)
+def _subspace_bases(n, k):
+    """The packed RREF basis rows of every k-subspace of F_2^n, a (count, k)
+    uint64 array in the order of verify.enumerate_subspaces, which refuses
+    more than its ENUM_CAP subspaces."""
+    from .verify import enumerate_subspaces  # verify imports this module
+    return np.array([[pack_row(r) for r in s.gen.rows] for s in enumerate_subspaces(2, n, k)],
+                    dtype=np.uint64)
+
+
+def _low_rank_indices(offset, basis, ncols, cap):
+    """The sorted int64 indices i whose word, offset XOR the rows basis[u] of
+    each set bit u of i, has rank <= cap; offset is an (a,) and basis a
+    (tb, a) uint64 array of ncols-bit packed rows, tb + 1 <= 64.
+
+    A word has rank <= cap exactly when some (a - cap)-subspace V of F_2^a
+    annihilates its rows.  The indices one V annihilates solve (a - cap) *
+    ncols linear equations in the tb index bits, each a row of tb
+    coefficient bits over its right-hand side in bit 0.  Every V is
+    eliminated at once, and each solution set p + span(N) is listed by XOR
+    doubling, so the work grows with the kept words, not with 2^tb."""
+    tb, a = basis.shape
+    cols = np.arange(ncols, dtype=np.uint64)
+    bit = np.uint64(1) << np.arange(tb, dtype=np.uint64)
+    # unit[j, c]: the equation "bit c of row j is zero"; the equations of a
+    # vector of V, packed like V's basis rows, XOR the units of its rows
+    unit = (((basis.T[:, :, None] >> cols) & 1) * (bit[:, None] << 1)).sum(axis=1, dtype=np.uint64)
+    unit |= (offset[:, None] >> cols) & 1
+    vectors, spaces = spans(unit[::-1].T), _subspace_bases(a, a - cap)
+    parts = [np.empty(0, dtype=np.uint64)]
+    for lo in range(0, len(spaces), BATCH):  # bounds the (B, rows, tb) arrays below
+        eqs = vectors[spaces[lo:lo + BATCH]]
+        rows = rref_bits_batch(eqs.reshape(len(eqs), -1), tb + 1)[0]
+        coef = rows >> 1
+        lead = _leading_bits(coef, tb)  # RREF: one distinct bit per nonzero row
+        solvable = (rows != 1).all(axis=1)  # no row reads 0 = 1
+        particular = (lead * (rows & 1)).sum(axis=1, dtype=np.uint64)
+        pivots = lead.sum(axis=1, dtype=np.uint64)
+        # free variable u's null vector: u and the pivot of each row holding u
+        null = np.where(coef[:, :, None] & bit != 0, lead[:, :, None], 0)
+        null = np.where(pivots[:, None] & bit == 0, null.sum(axis=1, dtype=np.uint64) | bit, 0)
+        free = np.count_nonzero(null, axis=1)
+        for k in sorted(set(free[solvable].tolist())):
+            sel = solvable & (free == k)
+            parts.append((spans(np.sort(null[sel], axis=1)[:, tb - k:]) ^ particular[sel]).ravel())
+    kept = np.concatenate(parts).astype(np.int64)
+    kept.sort()
+    return kept[np.diff(kept, prepend=-1) != 0]
+
+
 class RankFilteredHandle(RankCodeHandle):
-    """Codewords of a handle with rank <= cap, lazily enumerated."""
+    """Codewords of a handle with rank <= cap.  At q = 2 the kept parent
+    indices are solved for on first use, as the union over subspaces V of
+    F_2^a of the indices whose rows V annihilates; at q > 2 the parent is
+    scanned word by word."""
 
     def __init__(self, parent: RankCodeHandle, cap: int):
         if not 0 <= cap <= min(parent.m, parent.n):
@@ -255,18 +323,22 @@ class RankFilteredHandle(RankCodeHandle):
         if isinstance(parent, GabidulinHandle):
             self.size = 1 + sum(rank_distribution(parent.q, parent.m, parent.n, parent.d_r, r)
                                 for r in range(parent.d_r, cap + 1))
-        else:  # no formula: the one scan sets the size
+        else:  # no formula: the first indices() sets the size
             self.size = len(self.indices())
 
     def indices(self):
-        """Parent indices of the kept words, as an int64 array."""
+        """Parent indices of the kept words, as a sorted int64 array: solved
+        for at q = 2 (_low_rank_indices), a scan of at most SCAN_CAP parent
+        words at q > 2."""
         if self._indices is None:
             if self.q == 2:
                 # rank is invariant under transposition, so internal rows suffice
-                keep = np.concatenate([rank_bits_batch(block, max(self.m, self.n)) <= self.cap
-                                       for block in self.parent.iter_blocks()])
-                indices = np.flatnonzero(keep).astype(np.int64, copy=False)
+                indices = _low_rank_indices(*self.parent._affine(), max(self.m, self.n), self.cap)
             else:
+                if self.parent.size > SCAN_CAP:
+                    from .verify import CapExceeded  # verify imports this module
+                    raise CapExceeded(f"a rank filter over {self.parent.size} words exceeds "
+                                      f"the q > 2 scan cap {SCAN_CAP}")
                 field, rows_at = base_field(self.q), self.parent.rows_at
                 indices = np.array([i for i in range(self.parent.size)
                                     if rank_rows(field, rows_at(i), self.n) <= self.cap],

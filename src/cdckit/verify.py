@@ -26,7 +26,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import BATCH, gaussian_binomial, pack_row, packable, rank_bits_batch, rref_bits_batch
+from .linalg import (BATCH, gaussian_binomial, pack_row, packable, rank_bits_batch, rref_bits_batch,
+                     spans)
 from .rankmetric import base_field
 from .subspace import Subspace, distance, intersection_dim
 
@@ -99,15 +100,6 @@ def enumerate_subspaces(q: int, n: int, k: int):
 # pairwise distance kernels
 # ----------------------------------------------------------------------
 
-def _spans(words):
-    """The 2^k vectors of each word of a (B, k) uint64 array, as (2^k, B),
-    zero first: vector m is the XOR of the rows j with bit j of m set."""
-    vecs = np.zeros((1, len(words)), dtype=np.uint64)
-    for row in words.T:
-        vecs = np.vstack([vecs, vecs ^ row])
-    return vecs
-
-
 def meet_dims(code, W: Subspace, idx=None):
     """dim(U ∩ W) for each word U of code at idx (default every word), as
     an int64 array.  Over GF(2) with n <= 64 each BATCH of words is one
@@ -151,7 +143,7 @@ def _level_keys(words, n, s, passes):
     table, dtype = _span_indices(words.shape[1], s), _key_dtype(s, n)
     step = max(1, KEY_CHUNK // len(table))
     for lo in range(0, len(words), step):
-        vecs = _spans(words[lo:lo + step])
+        vecs = spans(words[lo:lo + step])
         cols = [vecs[c].ravel() for c in table.T]  # row i of every key
         if dtype.kind == "V":
             keys = np.stack(cols, axis=1).astype(_key_dtype(1, n)).view(dtype).ravel()
@@ -386,7 +378,7 @@ def coverage_check(obj):
         counts = np.zeros(1 << n, dtype=np.int64)
         step = max(1, (1 << 16) >> code.k)  # at most 2^16 vectors at a time
         for lo in range(0, code.size, step):
-            vecs = _spans(code.packed_at_batch(np.arange(lo, min(lo + step, code.size))))
+            vecs = spans(code.packed_at_batch(np.arange(lo, min(lo + step, code.size))))
             np.add.at(counts, vecs[1:], 1)
         nonzero = counts[1:]
         missed = int((nonzero == 0).sum())

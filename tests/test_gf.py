@@ -155,6 +155,19 @@ def test_ext_field_structure():
         assert ext.vector_to_element(ext.element_to_vector(a)) == a
 
 
+@pytest.mark.parametrize("p, e, degree", [(2, 2, 3), (3, 2, 2), (2, 3, 3), (2, 1, 16)])
+def test_table_walk_agrees_with_the_generic_product(p, e, degree):
+    # extensions of GF(p^e), e > 1, and GF(2^16): every table step, or 2,000
+    # of them, is one generic product by g, and the walk meets every unit once
+    f = ext_field(field_new(p, e), degree)
+    units, g = f.order - 1, f._antilog[1]
+    assert sorted(f._antilog[:units]) == list(range(1, f.order))
+    assert f._antilog[units:] == f._antilog[:units]
+    assert all(f._log[x] == i for i, x in enumerate(f._antilog[:units]))
+    steps = range(units) if units <= 2000 else random.Random(degree).sample(range(units), 2000)
+    assert all(f._antilog[i + 1] == f._mul_generic(f._antilog[i], g) for i in steps)
+
+
 def _orders_up_to(limit):
     for q in range(2, limit + 1):
         p = next(r for r in range(2, q + 1) if q % r == 0)

@@ -1,13 +1,18 @@
 """Rank-metric codes: size formula, rank-distribution formula vs exhaustive
 enumeration, pairwise rank distance, nested subcodes and coset partitions."""
 
+import hashlib
+import time
+
 import numpy as np
 import pytest
 
+from cdckit import rankmetric
 from cdckit.linalg import MatrixGF, rank, rank_bits
-from cdckit.rankmetric import (_factor_prime_power, _transpose_block, base_field,
+from cdckit.rankmetric import (SCAN_CAP, _factor_prime_power, _transpose_block, base_field,
                                coset_partition, gabidulin_mrd, mrd_size, nested_subcode,
                                rank_distribution, rank_filtered)
+from cdckit.verify import CapExceeded
 
 
 def _prime_power_trial(q):
@@ -160,7 +165,7 @@ def test_enumeration_and_rank_filter_match_random_access(kind):
     blocks = np.concatenate(list(h.iter_blocks()))
     assert (_transpose_block(blocks, h.m) if h.m > h.n else blocks).tolist() == words
     assert len(set(map(tuple, words))) == h.size
-    for cap in (1, 2):
+    for cap in range(min(h.m, h.n) + 1):
         filt = rank_filtered(h, cap)
         oracle = [i for i in range(h.size) if rank_bits(h.packed_at(i), h.n) <= cap]
         assert filt.size == len(oracle)
@@ -174,15 +179,45 @@ def test_enumeration_and_rank_filter_match_random_access(kind):
         assert handed == oracle and all(type(i) is int for i in handed)
 
 
-def test_rank_filter_without_formula_scans_once():
+def test_rank_filter_without_formula_solves_once(monkeypatch):
+    # no formula: the size comes from the one solve, and nothing scans the parent
     h = _handle("coset")
-    scans = []
-    parent_blocks = h.iter_blocks
-    h.iter_blocks = lambda: scans.append(1) or parent_blocks()
+    h.iter_blocks = lambda: pytest.fail("a q = 2 rank filter scanned its parent's blocks")
+    solves = []
+    solve = rankmetric._low_rank_indices
+    monkeypatch.setattr(rankmetric, "_low_rank_indices",
+                        lambda *args: solves.append(1) or solve(*args))
     filt = rank_filtered(h, 2)
-    filt.indices()
+    first = filt.indices()
     filt.packed_at(filt.size - 1)
-    assert len(scans) == 1
+    assert filt.indices() is first and len(solves) == 1
+
+
+# SHA-256 of indices().tobytes() of the linkage left factors of 10_4_5 and
+# 12_6_6, as the scan that ranked every parent word listed them
+LINKAGE_FILTER_PINS = {
+    (5, 5, 2, 3): (129736, "0719ff9ade5088400e494aec7a8c14fdac83c54ccd19d0aebdebfd3da968db23"),
+    (6, 6, 3, 3): (87886, "031068d18b023eac7d8db8e74535a7e884fcc3e7e8610431348144a990dfd1b4"),
+}
+
+
+@pytest.mark.parametrize("m, n, d_r, cap", sorted(LINKAGE_FILTER_PINS))
+def test_linkage_rank_filter_indices_pinned(m, n, d_r, cap):
+    idx = rank_filtered(gabidulin_mrd(2, m, n, d_r), cap).indices()
+    assert idx.dtype == np.int64
+    assert (len(idx), hashlib.sha256(idx.tobytes()).hexdigest()) == \
+        LINKAGE_FILTER_PINS[m, n, d_r, cap]
+
+
+def test_q3_rank_filter_refuses_a_parent_past_the_scan_cap():
+    # the (10,4;5) left factor at q = 3 ranks 3^20 words one by one: refused
+    # before the first, in well under a second
+    filt = rank_filtered(gabidulin_mrd(3, 5, 5, 2), 3)
+    assert filt.parent.size == 3 ** 20 > SCAN_CAP >= gabidulin_mrd(3, 4, 4, 2).size  # q = 3 8_4_4
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="scan cap"):
+        filt.indices()
+    assert time.perf_counter() - start < 0.5
 
 
 def test_linearity_q2():
