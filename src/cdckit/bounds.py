@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import constructions as cx
 from .linalg import gaussian_binomial
 
 
@@ -108,7 +109,6 @@ def johnson_upper(q, n, d, k) -> BoundResult:
 def lower_bound_registry(q, n, d, k):
     """Every catalog polynomial that bounds (n, d, k), evaluated at q, and
     the exact value where one is known, in increasing order."""
-    from . import constructions as cx
     out = []
     for size, params, note in cx.CATALOG.values():
         if callable(params):  # a family, indexed by half its dimension

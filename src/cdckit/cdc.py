@@ -12,11 +12,10 @@ from itertools import chain
 
 import numpy as np
 
-from .gf import FieldSpec, ext_field
+from .gf import FieldSpec, base_field, ext_field
 from .linalg import (BATCH, MatrixGF, checked_indices, rref_bits, rref_bits_batch,
                      rref_rows, unpack_row, word_tuples)
-from .rankmetric import (GabidulinHandle, RankCodeHandle, _transpose_block, base_field,
-                         gabidulin_mrd, nested_subcode)
+from .rankmetric import GabidulinHandle, RankCodeHandle, gabidulin_mrd, nested_subcode
 from .subspace import Subspace
 from .verify import enumerate_subspaces, meet_dims
 
@@ -176,8 +175,8 @@ class ProductSource(StreamSource):
         return rref_bits_batch(rows, self.n)[0] if self.reduce else rows
 
     def packed_blocks(self):
-        """With a Gabidulin or coset handle last, each head word in turn,
-        ORed into each of the handle's blocks; else gathers."""
+        """With a Gabidulin handle (or a view of one) last, each head word
+        in turn, ORed into each of the handle's blocks; else gathers."""
         blocks = getattr(self.last, "iter_blocks", None)
         if blocks is None:
             yield from super().packed_blocks()
@@ -186,8 +185,6 @@ class ProductSource(StreamSource):
         for lo in range(0, count, BATCH):
             for head in self._gather(np.arange(lo, min(lo + BATCH, count)), self._head):
                 for block in blocks():
-                    if self.last.m > self.last.n:  # blocks of internal rows
-                        block = _transpose_block(block, self.last.m)
                     block = block | head
                     yield rref_bits_batch(block, self.n)[0] if self.reduce else block
 

@@ -16,8 +16,9 @@ from functools import cache
 from . import bounds, codefile, constructions, verify
 from .cdc import CdcError
 from .constructions import ConstructionError, MissingImportError
+from .gf import base_field
 from .linalg import gaussian_binomial
-from .rankmetric import base_field, mrd_size, rank_distribution
+from .rankmetric import mrd_size, rank_distribution
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1

@@ -42,6 +42,7 @@ from .cdc import Cdc, ListSource, PackedSource
 from .gf import FieldSpec
 from .linalg import _leading_bits, find_words, packable, rref_bits_batch
 from .subspace import Subspace
+from .verify import full_pairwise_check
 
 HEADER_KEYS = ("Q", "P", "E", "MOD", "N", "K", "D", "COUNT", "ORDER", "PROV")
 _SORT_CAP = 10 ** 6
@@ -378,7 +379,6 @@ def import_with_subcode(path, subcode_path):
         missing = [i for i, w in enumerate(sub) if w.gen.rows not in parent]
     if len(missing):
         raise SubcodeError(f"subcode word {sub.at(missing[0]).serialize()} not in parent code")
-    from .verify import full_pairwise_check
     report = full_pairwise_check(sub)
     if not report.ok:
         raise SubcodeError(

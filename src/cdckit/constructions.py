@@ -17,12 +17,12 @@ import numpy as np
 from .cdc import (Cdc, ListSource, MATERIALIZE_CAP, PackedSource, ProductSource, StreamSource,
                   _lifted, _single_full, lifted_mrd, parallelism_2_of_F_q4,
                   partial_spread_subcode, spread)
+from .gf import base_field
 from .linalg import (MatrixGF, checked_indices, find_words, inverse, pack_row, rref_bits,
                      rref_bits_batch)
-from .rankmetric import (GabidulinHandle, base_field, coset_partition,
-                         gabidulin_mrd, mrd_size, nested_subcode,
+from .rankmetric import (GabidulinHandle, gabidulin_mrd, mrd_size, nested_subcode,
                          rank_distribution, rank_filtered)
-from .subspace import Subspace, distance, intersection_dim
+from .subspace import Subspace, distance, intersection_dim, orthogonal_complement
 from .verify import FULL_CHECK_CAP, CapExceeded, full_pairwise_check, meet_dims
 
 
@@ -306,15 +306,14 @@ def coset_addon(profile: CompositionProfile) -> Cdc:
     so two families are 2 a_i - 2 b_i apart with no cross-family scan."""
     profile.validate(with_ab=True)
     q, d = profile.q, profile.d
-    all_cosets = []
-    for a, b, ni in zip(profile.abar, profile.bbar, profile.nbar):
-        big = gabidulin_mrd(q, a, ni - a, a - b)
-        all_cosets.append([big] if a - b == d // 2
-                          else coset_partition(big, nested_subcode(big, d // 2)))
-    s = min(len(c) for c in all_cosets)
-    _refuse_past_cap(s * prod(cosets[0].size for cosets in all_cosets))  # before any word
-    families = [[list(_lifted(q, cosets[j]).iter_subspaces()) for j in range(s)]
-                for cosets in all_cosets]
+    bigs = [gabidulin_mrd(q, a, ni - a, a - b)
+            for a, b, ni in zip(profile.abar, profile.bbar, profile.nbar)]
+    subs = [big if big.d_r == d // 2 else nested_subcode(big, d // 2) for big in bigs]
+    s = min(big.size // sub.size for big, sub in zip(bigs, subs))
+    _refuse_past_cap(s * prod(sub.size for sub in subs))  # before any coset or word
+    # the first s cosets of coset_partition(big, sub), as views of big
+    families = [[list(_lifted(q, GabidulinHandle(q, big.m, big.n, sub.d_r, big, rep))
+                      .iter_subspaces()) for rep in range(s)] for big, sub in zip(bigs, subs)]
     c = product_addon(profile, families, verify_cross=False)
     c.provenance["kind"] = "coset_addon"
     c.addon_families = families
@@ -565,7 +564,6 @@ class UnionSource(StreamSource):
 
 
 def _dual_spread(sp: Cdc) -> Cdc:
-    from .subspace import orthogonal_complement
     words = [orthogonal_complement(w) for w in sp.words()]
     return Cdc(sp.field, sp.n, sp.n - sp.k, sp.d_claim, words=words,
                provenance={"kind": "dual_spread"})

@@ -354,6 +354,29 @@ def field_new(p: int, e: int) -> FieldSpec:
     return FieldSpec(p, e)
 
 
+def _integer_root(q: int, e: int) -> int:
+    """floor(q^(1/e)) by Newton's method from above, exact for any size."""
+    x = 1 << -(-q.bit_length() // e)
+    while (y := ((e - 1) * x + q // x ** (e - 1)) // e) < x:
+        x = y
+    return x
+
+
+def _factor_prime_power(q: int):
+    """(p, e) with q = p^e: p is the integer e-th root of q, prime, and
+    e <= 62, the exponent of the largest supported field order."""
+    for e in range(1, min(q.bit_length(), 63) if q > 1 else 1):
+        p = _integer_root(q, e)
+        if p ** e == q and is_prime(p):
+            return p, e
+    raise FieldError(f"q={q} is not a prime power p^e with e <= 62")
+
+
+def base_field(q: int) -> FieldSpec:
+    """GF(q) for a prime power q, as field_new(p, e)."""
+    return field_new(*_factor_prime_power(q))
+
+
 def ext_field(base: ExtFieldSpec, degree: int) -> ExtFieldSpec:
     """Extension GF(q^M) with deterministic modulus and power basis."""
     return ExtFieldSpec(base, degree)

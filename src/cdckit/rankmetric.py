@@ -3,8 +3,9 @@
 Codes are exposed as immutable handles with deterministic, restartable
 enumeration: index i maps to the tuple of linearized-polynomial
 coefficients (c_0, ..., c_{t-1}) over GF(q^max(m,n)), c_0 in the most
-significant digit.  Nested subcodes truncate the coefficient range, coset
-partitions translate a nested subcode by the complementary coefficients.
+significant digit.  A nested subcode or a coset is a view of its parent
+handle: word i is the parent's word i * step + rep, where the subcode's
+low coefficients are zero (rep = 0) and a coset's are those of rep.
 
 A rank filter keeps the words of rank <= cap.  At q = 2 it solves for
 their indices, one affine solution space per (a - cap)-subspace that
@@ -20,9 +21,10 @@ from operator import xor
 
 import numpy as np
 
-from .gf import FieldSpec, ext_field, field_new, is_prime
+from .gf import base_field, ext_field
 from .linalg import (BATCH, _leading_bits, checked_indices, gaussian_binomial, pack_row,
                      rank_rows, rref_bits_batch, spans, unpack_row)
+from .verify import CapExceeded, enumerate_subspaces
 
 TABLE_BITS = 12  # index bits per XOR table; the lowest table is one block
 SCAN_CAP = 10 ** 7  # parent words a q > 2 rank filter may rank one by one
@@ -30,29 +32,6 @@ SCAN_CAP = 10 ** 7  # parent words a q > 2 rank filter may rank one by one
 
 class RankCodeError(ValueError):
     pass
-
-
-def _integer_root(q: int, e: int) -> int:
-    """floor(q^(1/e)) by Newton's method from above, exact for any size."""
-    x = 1 << -(-q.bit_length() // e)
-    while (y := ((e - 1) * x + q // x ** (e - 1)) // e) < x:
-        x = y
-    return x
-
-
-def _factor_prime_power(q: int):
-    """(p, e) with q = p^e: p is the integer e-th root of q, prime, and
-    e <= 62, the exponent of the largest supported field order."""
-    for e in range(1, min(q.bit_length(), 63) if q > 1 else 1):
-        p = _integer_root(q, e)
-        if p ** e == q and is_prime(p):
-            return p, e
-    raise RankCodeError(f"q={q} is not a prime power p^e with e <= 62")
-
-
-def base_field(q: int) -> FieldSpec:
-    p, e = _factor_prime_power(q)
-    return field_new(p, e)
 
 
 def mrd_size(q: int, m: int, n: int, d_r: int) -> int:
@@ -110,33 +89,36 @@ class RankCodeHandle:
 
 
 class GabidulinHandle(RankCodeHandle):
-    """(m x n, d_r)_q MRD code from linearized-polynomial evaluation; a
-    nested subcode has its parent code as `parent`.  At q = 2 every word is
-    read from one set of XOR tables, built from the field engine's
-    bit-basis matrices on first use."""
+    """(m x n, d_r)_q MRD code from linearized-polynomial evaluation.  With a
+    parent it is a view, word i being the parent's word i * step + rep: a
+    nested subcode for rep = 0, a coset of one otherwise.  Only a root handle
+    builds its field and evaluates polynomials.  At q = 2 every word is read
+    from one set of XOR tables in the words' own orientation (m rows of n
+    bits), built on first use."""
 
-    def __init__(self, q, m, n, d_r, parent=None):
+    def __init__(self, q, m, n, d_r, parent=None, rep=0):
         a, b = min(m, n), max(m, n)
         t = a - d_r + 1
-        size = (q ** b) ** t
-        super().__init__(q, m, n, d_r, "mrd", size)
-        self.field = base_field(q)
-        self.ext = ext_field(self.field, b)
+        super().__init__(q, m, n, d_r, "mrd", (q ** b) ** t)
         self.a = a
         self.b = b
         self.t = t
         self.transposed = m > n
         self.parent = parent
+        self.rep = rep
         self.Q = q ** b
-        # g_j = alpha^j, j = 0..a-1, and their q-power Frobenius iterates
-        self.gpow = []
-        for j in range(a):
-            powers = [self.ext.basis[j]]
-            while len(powers) < t:
-                powers.append(self.ext.pow(powers[-1], q))
-            self.gpow.append(powers)
-        self._bit_basis = self._build_bit_basis() if q == 2 else None
+        self.step = parent.size // self.size if parent else 1
         self._tables = None  # XOR tables, built on first packed use
+        if parent is None:
+            self.ext = ext_field(base_field(q), b)
+            # g_j = alpha^j, j = 0..a-1, and their q-power Frobenius iterates
+            self.gpow = []
+            for j in range(a):
+                powers = [self.ext.basis[j]]
+                while len(powers) < t:
+                    powers.append(self.ext.pow(powers[-1], q))
+                self.gpow.append(powers)
+            self._bit_basis = self._build_bit_basis() if q == 2 else None
 
     def _build_bit_basis(self):
         # GF(2)-basis matrices, one per bit of the enumeration index (c_0 the
@@ -160,24 +142,40 @@ class GabidulinHandle(RankCodeHandle):
             rows.append(ext.element_to_vector(acc))
         return rows
 
+    def _affine(self):
+        """(R, B) at q = 2, as a rows of b bits: word i's rows are R XOR the
+        rows B[u] of each set bit u of i.  A root has R = 0; a view has the
+        parent's top t * b basis matrices and R = the parent's word at rep."""
+        if self.parent is None:
+            return np.zeros(self.a, dtype=np.uint64), self._bit_basis
+        offset, basis = self.parent._affine()
+        rep = [u for u in range(self.rep.bit_length()) if self.rep >> u & 1]
+        return offset ^ np.bitwise_xor.reduce(basis[rep], axis=0), \
+            basis[(self.parent.t - self.t) * self.b:]
+
     def _xor_tables(self):
-        """One (2^g, a) uint64 table per group of at most TABLE_BITS index
-        bits, lowest group first; row x of a table is the XOR of the group's
-        bit-basis matrices selected by the bits of x."""
+        """One (2^g, m) uint64 table of words per group of at most TABLE_BITS
+        index bits, lowest group first; row x of a table is the XOR of the
+        group's basis words selected by the bits of x, and the lowest table
+        holds R as well.  A transposed handle (m > n) transposes R and its
+        basis here, once."""
         if self._tables is None:
-            if self._bit_basis is None:
+            if self.q != 2:
                 raise RankCodeError("packed access requires q = 2")
+            offset, basis = self._affine()
+            if self.transposed:
+                offset, *basis = _transpose_block(np.vstack([offset, basis]), self.b)
             self._tables = []
-            for lo in range(0, len(self._bit_basis), TABLE_BITS):
-                table = np.zeros((1, self.a), dtype=np.uint64)
-                for mat in self._bit_basis[lo:lo + TABLE_BITS]:
-                    table = np.concatenate([table, table ^ mat])
+            for lo in range(0, len(basis), TABLE_BITS):
+                table = np.zeros((1, self.m), dtype=np.uint64)
+                for word in basis[lo:lo + TABLE_BITS]:
+                    table = np.concatenate([table, table ^ word])
                 self._tables.append(table)
+            self._tables[0] ^= offset
         return self._tables
 
-    def _internal_at(self, i):
-        """Internal rows of word i (transposes when m > n), one table row
-        per index-bit group."""
+    def packed_at(self, i):
+        """One table row per index-bit group."""
         if not 0 <= i < self.size:
             raise IndexError(i)
         low, *high = self._xor_tables()
@@ -185,30 +183,23 @@ class GabidulinHandle(RankCodeHandle):
         for table in high:
             i >>= TABLE_BITS
             word = word ^ table[i & (len(table) - 1)]
-        return word
-
-    def _affine(self):
-        """(R, B): word i's internal rows are R XOR the rows B[u] of each set
-        bit u of i; for a Gabidulin code R is zero."""
-        return np.zeros(self.a, dtype=np.uint64), self._bit_basis
-
-    def packed_at(self, i):
-        word = self._internal_at(i)
-        return (_transpose_block(word[None], self.b)[0] if self.transposed else word).tolist()
+        return word.tolist()
 
     def packed_at_batch(self, idx):
         """One XOR-table row per index-bit group (indices stay below 2^63)."""
         idx = checked_indices(idx, self.size)
-        words = np.zeros((len(idx), self.a), dtype=np.uint64)
+        words = np.zeros((len(idx), self.m), dtype=np.uint64)
         for shift, table in zip(range(0, 63, TABLE_BITS), self._xor_tables()):
             words ^= np.take(table, (idx >> shift) & (len(table) - 1), axis=0)
-        return _transpose_block(words, self.b) if self.transposed else words
+        return words
 
     def rows_at(self, i):
         if self.q == 2:
             return [unpack_row(r, self.n) for r in self.packed_at(i)]
         if not 0 <= i < self.size:
             raise IndexError(i)
+        if self.parent is not None:
+            return self.parent.rows_at(i * self.step + self.rep)
         coeffs = [i // self.Q ** s % self.Q for s in reversed(range(self.t))]  # c_0 leads
         rows = self._internal_rows(coeffs)
         return [tuple(r) for r in (zip(*rows) if self.transposed else rows)]
@@ -221,48 +212,11 @@ class GabidulinHandle(RankCodeHandle):
             yield low ^ reduce(xor, parts, 0)
 
 
-class CosetHandle(RankCodeHandle):
-    """Translate rep + sub of a nested MRD subcode.  Word i is word
-    i * step + rep_index of the parent: the top coefficients are those of
-    word i of sub, the low ones those of the representative."""
-
-    def __init__(self, sub: GabidulinHandle, rep_index: int):
-        super().__init__(sub.q, sub.m, sub.n, sub.d_r, "coset", sub.size)
-        self.sub = sub
-        self.parent = sub.parent
-        self.rep_index = rep_index  # index into the parent enumeration
-        self.step = sub.parent.size // sub.size
-
-    def _parent_index(self, i):
-        if not 0 <= i < self.size:
-            raise IndexError(i)
-        return i * self.step + self.rep_index
-
-    def packed_at(self, i):
-        return self.parent.packed_at(self._parent_index(i))
-
-    def packed_at_batch(self, idx):
-        return self.parent.packed_at_batch(checked_indices(idx, self.size) * self.step
-                                           + self.rep_index)
-
-    def rows_at(self, i):
-        return self.parent.rows_at(self._parent_index(i))
-
-    def _affine(self):
-        return self.parent._internal_at(self.rep_index), self.sub._affine()[1]
-
-    def iter_blocks(self):
-        rep = self.parent._internal_at(self.rep_index)
-        for block in self.sub.iter_blocks():
-            yield block ^ rep
-
-
 @lru_cache(maxsize=None)
 def _subspace_bases(n, k):
     """The packed RREF basis rows of every k-subspace of F_2^n, a (count, k)
     uint64 array in the order of verify.enumerate_subspaces, which refuses
     more than its ENUM_CAP subspaces."""
-    from .verify import enumerate_subspaces  # verify imports this module
     return np.array([[pack_row(r) for r in s.gen.rows] for s in enumerate_subspaces(2, n, k)],
                     dtype=np.uint64)
 
@@ -320,7 +274,7 @@ class RankFilteredHandle(RankCodeHandle):
         self.parent = parent
         self.cap = cap
         self._indices = None
-        if isinstance(parent, GabidulinHandle):
+        if isinstance(parent, GabidulinHandle) and not parent.rep:  # a coset is affine
             self.size = 1 + sum(rank_distribution(parent.q, parent.m, parent.n, parent.d_r, r)
                                 for r in range(parent.d_r, cap + 1))
         else:  # no formula: the first indices() sets the size
@@ -336,7 +290,6 @@ class RankFilteredHandle(RankCodeHandle):
                 indices = _low_rank_indices(*self.parent._affine(), max(self.m, self.n), self.cap)
             else:
                 if self.parent.size > SCAN_CAP:
-                    from .verify import CapExceeded  # verify imports this module
                     raise CapExceeded(f"a rank filter over {self.parent.size} words exceeds "
                                       f"the q > 2 scan cap {SCAN_CAP}")
                 field, rows_at = base_field(self.q), self.parent.rows_at
@@ -377,11 +330,11 @@ def nested_subcode(h: GabidulinHandle, d2: int) -> GabidulinHandle:
 
 
 def coset_partition(h: GabidulinHandle, sub: GabidulinHandle):
-    """The size(h)/size(sub) translates of sub inside h."""
-    if not isinstance(sub, GabidulinHandle) or sub.parent is not h:
+    """The size(h)/size(sub) translates of sub inside h, as views of h whose
+    representatives are the words of h with the low coefficients only."""
+    if not isinstance(sub, GabidulinHandle) or sub.parent is not h or sub.rep:
         raise RankCodeError("sub must be a nested subcode of h")
-    # representatives: coefficients supported on the truncated range only
-    return [CosetHandle(sub, j) for j in range(h.size // sub.size)]
+    return [GabidulinHandle(h.q, h.m, h.n, sub.d_r, parent=h, rep=j) for j in range(sub.step)]
 
 
 def rank_filtered(h: RankCodeHandle, cap: int) -> RankFilteredHandle:

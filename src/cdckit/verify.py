@@ -26,9 +26,9 @@ from itertools import combinations
 
 import numpy as np
 
+from .gf import base_field
 from .linalg import (BATCH, gaussian_binomial, pack_row, packable, rank_bits_batch, rref_bits_batch,
                      spans)
-from .rankmetric import base_field
 from .subspace import Subspace, distance, intersection_dim
 
 ENUM_CAP = 10 ** 6
@@ -358,9 +358,8 @@ def sampled_check(code, pairs: int, seed: int = 0) -> VerificationReport:
 
 def coverage_check(obj):
     """Exact-once coverage: nonzero vectors for a claimed spread, lines for
-    a family of disjoint spreads / parallelism."""
-    from .cdc import Cdc, SpreadFamily
-    if isinstance(obj, SpreadFamily):
+    a list of disjoint spreads, such as a parallelism's cdc.SpreadFamily."""
+    if isinstance(obj, list):
         seen = {}
         for member in obj:
             for w in member:
@@ -369,7 +368,7 @@ def coverage_check(obj):
         bad = {k: v for k, v in seen.items() if v != 1}
         return {"mode": "lines", "covered": len(seen),
                 "multiplicity_violations": len(bad), "ok": not bad}
-    code: Cdc = obj
+    code = obj
     q, n = code.field.q, code.n
     # q^m > COVERAGE_CAP for m = its bit length, so q^n need not be formed
     if q ** min(n, COVERAGE_CAP.bit_length()) > COVERAGE_CAP:

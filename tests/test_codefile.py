@@ -3,6 +3,7 @@ error types, and subcode imports."""
 
 import functools
 import hashlib
+import os
 import pathlib
 import time
 
@@ -13,8 +14,9 @@ from cdckit.cdc import Cdc, lifted_mrd, partial_spread_subcode, spread
 from cdckit.codefile import (CountMismatchError, DimensionMismatchError,
                              DuplicateCodewordError, HeaderError, SubcodeError,
                              dumps, export, import_code, import_with_subcode,
-                             loads, write_code)
+                             loads, read_code, write_code)
 from cdckit.gf import field_new
+from cdckit.subspace import Subspace
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -144,6 +146,33 @@ def test_import_with_subcode(tmp_path):
     export(alien, p4)
     with pytest.raises(SubcodeError):
         import_with_subcode(p1, p4)
+
+
+def test_gf3_subcode_import_checks_membership(tmp_path):
+    # over GF(3) membership is looked up by generator rows: a subset imports,
+    # and a subcode with a word outside the parent names that word
+    c = lifted_mrd(3, 4, 2, 2)
+    hole = Subspace(c.field, 4, [(0, 0, 1, 0), (0, 0, 0, 1)])
+    parent, sub, alien = tmp_path / "c.cdc", tmp_path / "sub.cdc", tmp_path / "alien.cdc"
+    export(c, parent)
+    export(Cdc(c.field, 4, 2, 2, words=c.words()[40:2:-9]), sub)
+    code, flagged = import_with_subcode(parent, sub)
+    assert (code.size, flagged.size) == (81, 5)
+    export(Cdc(c.field, 4, 2, 2, words=[c.at(7), hole]), alien)
+    with pytest.raises(SubcodeError, match=hole.serialize()):
+        import_with_subcode(parent, alien)
+
+
+def test_read_code_from_a_pipe():
+    # a pipe cannot seek: its body is read into memory before the packed
+    # reader sizes its array
+    text = dumps(lifted_mrd(2, 6, 3, 4))
+    r, w = os.pipe()
+    with open(w, "wb") as fw:
+        fw.write(text.encode())
+    with open(r, "rb") as fr:
+        assert not fr.seekable()
+        assert dumps(read_code(fr)) == text
 
 
 def test_subcode_distance_verified(tmp_path):

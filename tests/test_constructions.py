@@ -16,7 +16,8 @@ from cdckit.constructions import (CompositionProfile, ConstructionError,
                                   cor1_bound, coset_addon, duplication,
                                   mixed_abar_addons, multiblock_linkage,
                                   pairing_construction, product_addon,
-                                  recipe_12_4_4_thm, recipe_12_8_6, recipe_3k_4_k, recipe_8_4_4,
+                                  recipe_12_4_4_thm, recipe_12_6_6, recipe_12_8_6, recipe_3k_4_k,
+                                  recipe_8_4_4,
                                   recipe_9_4_3, size_10_4_5_claimed,
                                   size_10_4_5_linkage, size_12_4_4_cor,
                                   size_12_4_4_thm, size_12_6_6, size_12_8_6,
@@ -129,6 +130,18 @@ def test_coset_addon_and_xi_extension_12_6_6():
     merged = Cdc(F2, 12, 6, 6, words=addon.words() + ext.words())
     rep = full_pairwise_check(merged)
     assert rep.ok and rep.min_distance_found == 6
+
+
+def test_recipe_12_6_6_over_gf3_hole_extension_pinned():
+    # the one GF(3) run of xi_extension: its 54 words read the first coset
+    # of each addon family, pinned as a generation-order file
+    c, size = recipe_12_6_6(3)
+    assert c.size == size == size_12_6_6(3) == 282_454_220_858
+    ext = c.source.parts[2]
+    assert ext.size == 54
+    text = dumps(Cdc(c.field, 12, 6, 6, stream=ext), order="generation")
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "ef25f1c15565c6a1843e05e8ae424632a083697f10332d3469c3be0951137742"
 
 
 def test_mixed_abar_rejection_and_frozen_counterexample():

@@ -7,10 +7,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from cdckit import rankmetric
+from cdckit.cdc import lifted_mrd
 from cdckit.codefile import dumps
-from cdckit.constructions import CompositionProfile, _DropFirst, coset_addon
+from cdckit.constructions import CompositionProfile, ConstructionError, _DropFirst, coset_addon
 from cdckit.linalg import unpack_row
-from cdckit.rankmetric import (CosetHandle, GabidulinHandle, RankFilteredHandle,
+from cdckit.rankmetric import (GabidulinHandle, RankCodeHandle, RankFilteredHandle,
                                coset_partition, gabidulin_mrd, nested_subcode, rank_filtered)
 
 
@@ -81,24 +83,51 @@ def test_coset_addon_file_pinned(q):
     assert hashlib.sha256(text.encode()).hexdigest() == ADDON_SHA[q]
 
 
+def test_coset_addon_refusal_builds_no_coset(monkeypatch):
+    # at q = 7 the (12, 6; 6) addon is refused from the handle sizes: only
+    # the two block codes and their nested subcodes are built, no coset
+    built = []
+    init = RankCodeHandle.__init__
+    monkeypatch.setattr(RankCodeHandle, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    with pytest.raises(ConstructionError, match="40353607 words, past MATERIALIZE_CAP"):
+        coset_addon(CompositionProfile(7, 6, 6, (6, 6), (3, 3), (1, 2)))
+    assert len(built) == 4 and sum(h.parent is None for h in built) == 2
+    assert all(h.rep == 0 for h in built)
+
+
 def test_q2_handles_never_run_the_field_engine(monkeypatch):
-    # after construction every q = 2 word, row and block comes from the tables
+    # every q = 2 word, row and block comes from the tables: a nested subcode
+    # or a coset never evaluates a linearized polynomial, and once the tables
+    # exist no access transposes a word
     hs = list(handles(2).values())
-    big = gabidulin_mrd(2, 4, 3, 1)  # transposed, 16 cosets of 256 words
-    hs += coset_partition(big, nested_subcode(big, 2))
+    big, wide = gabidulin_mrd(2, 4, 3, 1), gabidulin_mrd(2, 3, 5, 1)
+    lifted = lifted_mrd(2, 12, 8, 4)  # a transposed 8 x 4 handle
 
     def field_engine(self, coeffs):
         raise AssertionError("a q = 2 handle evaluated a linearized polynomial")
 
     monkeypatch.setattr(GabidulinHandle, "_internal_rows", field_engine)
-    hs.append(rank_filtered(hs[-1], 2))  # no formula: scans the coset at once
+    hs += coset_partition(big, nested_subcode(big, 2))  # transposed, 16 cosets of 256 words
+    hs += coset_partition(wide, nested_subcode(wide, 2))[:3]
+    hs.append(nested_subcode(big, 3))
+    hs.append(rank_filtered(hs[-2], 2))  # no formula: solves the coset at once
+    for h in hs + [lifted.lmrd_handle]:
+        h.packed_at(0)
+
+    def transpose(block, ncols):
+        raise AssertionError("a q = 2 access transposed a word")
+
+    monkeypatch.setattr(rankmetric, "_transpose_block", transpose)
     for h in hs:
         words = [h.packed_at(i) for i in range(h.size)]
         assert h.packed_at_batch(np.arange(h.size)).tolist() == words
         n = h.view.n if isinstance(h, _DropFirst) else h.n
         assert [[tuple(r) for r in h.rows_at(i)] for i in range(h.size)] == \
             [[unpack_row(r, n) for r in w] for w in words]
-        if isinstance(h, (GabidulinHandle, CosetHandle)):
-            assert sum(len(b) for b in h.iter_blocks()) == h.size
+        if isinstance(h, GabidulinHandle):
+            assert np.concatenate(list(h.iter_blocks())).tolist() == words
         if isinstance(h, RankFilteredHandle):
             assert len(h.indices()) == h.size
+    block = next(lifted.source.packed_blocks())
+    assert block.tolist() == lifted.source.packed_at_batch(np.arange(len(block))).tolist()

@@ -1,5 +1,5 @@
 """Source hygiene: every name a module imports is used in that module,
-every source of packed words has a batched gather, no module reads
+imports sit at module level, every source of packed words has a batched gather, no module reads
 another module's private attributes, packed arrays become word tuples
 through linalg.word_tuples alone, the construction modules import no
 rank kernel of their own, constructions keys no set or dict on generator
@@ -29,6 +29,17 @@ def test_no_unused_imports(path):
     unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                     if name not in used)
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_local_imports(path):
+    # the module graph is acyclic, so every import sits at module level and
+    # shows what a module depends on
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = sorted(f"{fn.name} (line {node.lineno})" for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom)))
+    assert not found, f"{path.name}: imports inside {found}"
 
 
 def _owner(cls, attr):

@@ -16,10 +16,10 @@ from cdckit.cdc import Cdc, ListSource, PackedSource, lifted_mrd
 from cdckit.constructions import recipe_8_4_4
 from cdckit.gf import field_new
 from cdckit.verify import (CapExceeded, _pair_chunks, _unrank_pair, _unrank_pairs,
-                           enumerate_subspaces, full_pairwise_check, sample_pairs,
-                           sampled_check)
+                           enumerate_subspaces, full_pairwise_check, meet_dims,
+                           sample_pairs, sampled_check)
 from cdckit.linalg import gaussian_binomial, rank_bits, rref_bits, unpack_row
-from cdckit.subspace import Subspace
+from cdckit.subspace import Subspace, intersection_dim
 
 
 def test_enumeration_agrees_with_gaussian_binomial():
@@ -30,6 +30,21 @@ def test_enumeration_agrees_with_gaussian_binomial():
                 assert len(subs) == gaussian_binomial(n, k, q)
                 assert len(set(s.gen.rows for s in subs)) == len(subs)
                 assert all(s.k == k for s in subs)
+
+
+def test_meet_dims_over_gf3_equals_intersection_dim():
+    # a code past GF(2) meets W word by word: every entry is intersection_dim,
+    # at the given indices in their order
+    words = list(enumerate_subspaces(3, 4, 2))
+    code = Cdc(field_new(3, 1), 4, 2, 2, words=words[:40])
+    idx = np.array([39, 0, 5, 5, 17], dtype=np.int64)
+    seen = set()
+    for W in words[::13]:
+        dims = meet_dims(code, W).tolist()
+        assert dims == [intersection_dim(w, W) for w in words[:40]]
+        assert meet_dims(code, W, idx).tolist() == [dims[i] for i in idx]
+        seen.update(dims)
+    assert seen == {0, 1, 2}
 
 
 def test_enumeration_cap():
@@ -98,7 +113,7 @@ def test_report_json_field_order():
 
 def test_violations_reported_with_distances():
     f = field_new(2, 1)
-    from cdckit.subspace import Subspace
+    from cdckit.subspace import Subspace, intersection_dim
     U = Subspace.from_rows(f, [[1, 0, 0, 0], [0, 1, 0, 0]], 4)
     V = Subspace.from_rows(f, [[1, 0, 0, 0], [0, 0, 1, 0]], 4)
     c = Cdc(f, 4, 2, 4, words=[U, V])  # true distance 2, claim 4
@@ -173,7 +188,7 @@ def test_sampled_report_with_violations_pinned():
     from cdckit.cdc import ListSource, _lifted
     from cdckit.constructions import UnionSource
     from cdckit.rankmetric import gabidulin_mrd
-    from cdckit.subspace import Subspace
+    from cdckit.subspace import Subspace, intersection_dim
     f = field_new(2, 1)
     close = Subspace(f, 6, [tuple(1 if c == j else 0 for c in range(6)) for j in (0, 1, 3)])
     src = UnionSource([_lifted(2, gabidulin_mrd(2, 3, 3, 2)), ListSource(f, 6, [close])])
