@@ -140,9 +140,9 @@ def cmd_construct(args):
 # verify
 # ----------------------------------------------------------------------
 
-def _import_or_fail(path):
+def _import_or_fail(path, read=None):  # import_code is looked up per call
     try:
-        return codefile.import_code(path)
+        return (read or codefile.import_code)(path)
     except OSError as exc:
         _fail(EXIT_IO, str(exc))
     except codefile.CodeFileError as exc:
@@ -152,6 +152,10 @@ def _import_or_fail(path):
 def cmd_verify(args):
     if args.mode == "sample" and args.pairs < 1:  # a sample of no pairs checks nothing
         _fail(EXIT_USAGE, f"--pairs must be at least 1, not {args.pairs}")
+    if args.mode == "full":  # refused from the header, before the body is read
+        meta = _import_or_fail(args.file, codefile.read_header)
+        verify.refuse_past_budget(meta["field"], meta["n"], meta["k"], meta["d"], meta["count"],
+                                  args.cap)
     code = _import_or_fail(args.file)
     if args.mode == "full":
         report = verify.full_pairwise_check(code, cap=args.cap)
@@ -307,7 +311,8 @@ def build_parser():
     v.add_argument("--mode", choices=("full", "sample"), default="full")
     v.add_argument("--pairs", type=int, default=10 ** 5)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--cap", type=int, default=verify.FULL_CHECK_CAP)
+    v.add_argument("--cap", type=int, help="refuse a full check past this many words "
+                   "(default: refuse one past the check's memory budget)")
     v.set_defaults(fn=cmd_verify)
 
     b = sub.add_parser("bound", help="print all applicable bounds")

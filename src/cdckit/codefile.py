@@ -99,7 +99,9 @@ def write_code(c: Cdc, fh, order: str | None = None, prov: str | None = None):
         blocks = c.source.packed_blocks()
         if order == "canonical":  # all lines have one length: text order is row order
             words = np.concatenate([np.zeros((0, c.k), np.uint64), *blocks])
-            words = words[np.lexsort(_sort_keys(words, c.n)[::-1])]
+            keys = _sort_keys(words, c.n)
+            words = _key_words(np.sort(keys[0]), c.n, c.k) if len(keys) == 1 \
+                else words[np.lexsort(keys[::-1])]
             blocks = (words[i:i + _BLOCK] for i in range(0, len(words), _BLOCK))
         for block in blocks:
             fh.write(_format_block(block, c.n))
@@ -177,6 +179,12 @@ def _parse_header(fh):
     meta = {"field": field, "n": n, "k": k, "d": d, "count": count,
             "order": header["ORDER"], "prov": header["PROV"]}
     return meta, body_first
+
+
+def read_header(path):
+    """The parsed header of a code file, its body unread."""
+    with open(path, "rb") as fh:
+        return _parse_header(fh)[0]
 
 
 def read_code(fh) -> Cdc:
@@ -311,16 +319,29 @@ def _in_rref(rows, n):
 
 
 def _sort_keys(words, n):
-    """uint64 keys per packed word, the most significant first, each with
-    64 // n rows side by side, row 0 highest: one key when k*n <= 64.  They
-    order words as their text lines sort and are equal exactly when the
-    words are."""
-    per = 64 // n
-    keys = np.zeros((-(-words.shape[1] // per), len(words)), np.uint64)
+    """A list of uint64 key arrays of packed RREF words, the most significant
+    first.  Row j, below 2^(n - j), takes n - j bits; the rows lie side by
+    side, row 0 highest, and a row that does not fit in a key starts the
+    next: one key when kn - k(k - 1)/2 <= 64.  They order words as their
+    text lines sort and are equal exactly when the words are."""
+    keys, used = [], 64
     for j, row in enumerate(words.T):
-        keys[j // per] <<= np.uint64(n)
-        keys[j // per] |= row
+        if used + n - j > 64:
+            keys.append(np.zeros(len(words), np.uint64))
+            used = 0
+        keys[-1] <<= np.uint64(n - j)
+        keys[-1] |= row
+        used += n - j
     return keys
+
+
+def _key_words(keys, n, k):
+    """The (N, k) uint64 words of N one-key _sort_keys: their inverse."""
+    words = np.empty((len(keys), k), np.uint64)
+    for j in reversed(range(k)):
+        words[:, j] = keys & np.uint64((1 << (n - j)) - 1)
+        keys = keys >> np.uint64(n - j)
+    return words
 
 
 def _mix(words):
@@ -334,9 +355,10 @@ def _mix(words):
 
 
 def _word_keys(words, n):
-    """One uint64 key per packed word: its sort key when k*n <= 64, equal
-    exactly when the words are, else the _mix of its rows."""
-    return _sort_keys(words, n)[0] if words.shape[1] * n <= 64 else _mix(words)
+    """One uint64 key per packed RREF word: its sort key when that is one
+    key, equal exactly when the words are, else the _mix of its rows."""
+    k = words.shape[1]
+    return _sort_keys(words, n)[0] if k * n - k * (k - 1) // 2 <= 64 else _mix(words)
 
 
 def _first_repeat(words, n):
@@ -350,7 +372,7 @@ def _first_repeat(words, n):
     if not shared.size:
         return None
     hit = np.flatnonzero(np.isin(_word_keys(words, n), shared))
-    keys = _sort_keys(words[hit], n)
+    keys = np.array(_sort_keys(words[hit], n))
     order = np.lexsort(keys[::-1])
     keys = keys[:, order]
     later = order[1:][(keys[:, 1:] == keys[:, :-1]).all(axis=0)]

@@ -215,9 +215,9 @@ def rref_bits_batch(rows, ncols):
 def spans(words):
     """The 2^k vectors of each word of a (B, k) uint64 array, as (2^k, B),
     zero first: vector m is the XOR of the rows j with bit j of m set."""
-    vecs = np.zeros((1, len(words)), dtype=np.uint64)
-    for row in words.T:
-        vecs = np.vstack([vecs, vecs ^ row])
+    vecs = np.zeros((1 << words.shape[1], len(words)), dtype=np.uint64)
+    for j, row in enumerate(words.T):
+        np.bitwise_xor(vecs[:1 << j], row, out=vecs[1 << j:2 << j])
     return vecs
 
 

@@ -4,9 +4,14 @@ checks, and spread/parallelism coverage checks.
 
 The exact check certifies a GF(2) code with n <= 64 by t-subspace
 packing: two words are closer than the claim exactly when they share a
-t-subspace, so it sorts keys of shared subspaces level by level instead
-of comparing pairs, and measures only the pairs it finds.  Other codes
-compare every pair.
+t-subspace, so it looks for shared subspaces level by level instead of
+comparing pairs, and measures only the pairs it finds.  A level below t
+is first probed on a prefix of the code.  A level built whole is sorted
+in memory when it is small, and otherwise each subspace's exact rank in
+[0, [n, s]_2) (its Schubert cell's offset plus its free entries) is
+test-and-set in a bitmap.  Unless a word cap is given, a code whose
+levels fit neither is refused before it is read (refuse_past_budget).
+Other codes compare every pair, up to FULL_CHECK_CAP words.
 
 Pair sampling is counter-based (splitmix64 over a triangular unranking,
 or past 2^32 words two outputs per pair), so reports are byte-identical
@@ -22,19 +27,21 @@ import math
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import combinations, takewhile
 
 import numpy as np
 
 from .gf import base_field
-from .linalg import (BATCH, gaussian_binomial, pack_row, packable, rank_bits_batch, rref_bits_batch,
-                     spans)
+from .linalg import (BATCH, _leading_bits, gaussian_binomial, pack_row, packable, rank_bits_batch,
+                     rref_bits_batch, spans)
 from .subspace import Subspace, distance, intersection_dim
 
 ENUM_CAP = 10 ** 6
-FULL_CHECK_CAP = 10 ** 5
-KEY_CAP = 1 << 23  # subspace keys per sort in the full check; more go to hash buckets
-KEY_CHUNK = 1 << 14  # subspace keys built per numpy pass
+FULL_CHECK_CAP = 10 ** 5  # words of an exact check over other fields or past n = 64
+KEY_CAP = 1 << 23  # subspace keys of one level sorted in memory; more are ranked into a bitmap
+BITMAP_CAP = 1 << 30  # bits of a ranked level's bitmap, [n, s]_2
+KEY_CHUNK = 1 << 14  # subspace keys built per numpy pass, and by all of a level's probes
+PROBE = 32  # words of a level's first probe
 COVERAGE_CAP = 1 << 22  # vectors of F_q^n counted by coverage_check
 
 
@@ -129,6 +136,38 @@ def _span_indices(k, s):
                      for c in enumerate_subspaces(2, k, s)], dtype=np.intp)
 
 
+def _cells(n, s):
+    """(pivot columns, 2^f) per Schubert cell of the s-subspaces of F_2^n in
+    the order of enumerate_subspaces: pivot sets lexicographically, each
+    with the 2^f RREF matrices of its f free entries."""
+    for piv in combinations(range(n), s):
+        yield piv, 1 << sum(n - 1 - p - (s - 1 - i) for i, p in enumerate(piv))
+
+
+@lru_cache(maxsize=None)
+def _cell_offsets(n, s):
+    """(pivot masks ascending, offsets): the rank of the first s-subspace of
+    each pivot set, column j at bit n - 1 - j.  Lexicographic order of the
+    sets is descending order of their masks."""
+    masks, offsets, total = [], [], 0
+    for piv, size in _cells(n, s):
+        masks.append(sum(1 << (n - 1 - p) for p in piv))
+        offsets.append(total)
+        total += size
+    return np.array(masks[::-1], np.uint64), np.array(offsets[::-1], np.uint64)
+
+
+@lru_cache(maxsize=None)
+def _cell_groups(k, s):
+    """(pivots, group): the s pivots of each pivot set of the s x k RREF
+    matrices C, as a (g, s) array, and the set of each row of
+    _span_indices(k, s).  The key C G of a RREF word G has the pivots of
+    G's rows at C's pivots."""
+    cells = list(_cells(k, s))
+    return (np.array([piv for piv, _ in cells], np.intp).reshape(len(cells), s),
+            np.repeat(np.arange(len(cells)), [size for _, size in cells]))
+
+
 def _key_dtype(s, n):
     """The narrowest unsigned dtype of s n bits; past 64 bits, s rows of
     the narrowest one of n bits read as one void scalar."""
@@ -136,116 +175,223 @@ def _key_dtype(s, n):
         np.dtype((np.void, s * _key_dtype(1, n).itemsize))
 
 
-def _level_keys(words, n, s, passes):
-    """(first word, keys, bucket) per chunk of words.  The key of each
-    s-subspace of each word, subspace-major, is its RREF rows side by side;
-    its bucket is a multiplicative hash of the rows mod passes."""
+def _level_keys(words, n, s):
+    """The key of each s-subspace of each RREF word of a (b, k) array,
+    subspace-major (key x belongs to word x mod b): its RREF rows side by
+    side."""
     table, dtype = _span_indices(words.shape[1], s), _key_dtype(s, n)
-    step = max(1, KEY_CHUNK // len(table))
-    for lo in range(0, len(words), step):
-        vecs = spans(words[lo:lo + step])
-        cols = [vecs[c].ravel() for c in table.T]  # row i of every key
-        if dtype.kind == "V":
-            keys = np.stack(cols, axis=1).astype(_key_dtype(1, n)).view(dtype).ravel()
-        else:
-            keys = reduce(lambda key, col: key << np.uint64(n) | col, cols).astype(dtype)
-        bucket = None
-        if passes > 1:
-            h = reduce(lambda h, col: (h ^ col) * np.uint64(0x9E3779B97F4A7C15), cols, np.uint64(0))
-            bucket = (h >> np.uint64(32)) % np.uint64(passes)
-        yield lo, keys, bucket
+    vecs = spans(words)
+    cols = [vecs[c].ravel() for c in table.T]  # row i of every key
+    if dtype.kind == "V":
+        return np.stack(cols, axis=1).astype(_key_dtype(1, n)).view(dtype).ravel()
+    return reduce(lambda key, col: key << np.uint64(n) | col, cols).astype(dtype)
 
 
-def _shared_keys(words, n, s, first):
-    """The keys of the s-subspaces that two or more words share, sorted in
-    hash buckets of about KEY_CAP keys; with first, one such key at most."""
-    total = len(words) * gaussian_binomial(words.shape[1], s, 2)
-    passes = -(-total // KEY_CAP)
-    sizes = [total] if passes == 1 else sum(
-        np.bincount(b, minlength=passes) for *_, b in _level_keys(words, n, s, passes))
-    found = []
-    for p in range(passes):
-        keys, pos = np.empty(sizes[p], dtype=_key_dtype(s, n)), 0
-        for _, chunk, bucket in _level_keys(words, n, s, passes):
-            chunk = chunk if bucket is None else chunk[bucket == p]
+def _level_ranks(words, n, s):
+    """The rank in [0, [n, s]_2) of each s-subspace of each RREF word, laid
+    out as _level_keys: in the order of enumerate_subspaces, the offset of
+    its pivot set plus its free entries read as bits, row 0 highest, with
+    the pivot columns squeezed out.  Squeezing is linear, so for each pivot
+    set g of the matrices C the word's rows are squeezed once and spanned."""
+    (masks, offsets), (pivots, group) = _cell_offsets(n, s), _cell_groups(words.shape[1], s)
+    g, b, k, table = len(pivots), len(words), words.shape[1], _span_indices(words.shape[1], s)
+    top = _leading_bits(words, n).T[pivots]  # (g, s, b): the keys' pivot bits, highest first
+    free = np.broadcast_to(words, (g, b, k))
+    for j in range(s):  # the lower pivots keep their bit positions
+        low = top[:, j, :, None] - np.uint64(1)
+        free = free >> np.uint64(1) & ~low | free & low
+    vecs = spans(free.reshape(g * b, k)).reshape(-1, b)  # row v g + c: vector v of set c
+    widths = np.bitwise_count(top - np.uint64(1)).astype(np.uint64) \
+        - np.arange(s - 1, -1, -1, dtype=np.uint64)[:, None]  # free entries of each key row
+    ranks = offsets[np.searchsorted(masks, np.bitwise_or.reduce(top, axis=1))][group]
+    shift = np.zeros((g, b), np.uint64)
+    for i in reversed(range(s)):
+        ranks += vecs[table[:, i] * g + group] << shift[group]
+        shift += widths[:, i]
+    return ranks.ravel()
+
+
+def _chunks(code, words, s):
+    """(first index, RREF (b, k) uint64 words) over the whole code in index
+    order, b words to about KEY_CHUNK of their s-subspaces: slices of words,
+    the code gathered once, or else of the code's block stream."""
+    step, lo = max(1, KEY_CHUNK // gaussian_binomial(code.k, s, 2)), 0
+    blocks = [words] if words is not None else \
+        (rref_bits_batch(block, code.n)[0] for block in code.source.packed_blocks())
+    for block in blocks:
+        for at in range(0, len(block), step):
+            yield lo + at, block[at:at + step]
+        lo += len(block)
+
+
+def _probe_shares(code, words, s):
+    """Whether two of the first words share an s-subspace: tried on the
+    first PROBE words, then on twice as many, up to the most words whose
+    keys fit in KEY_CHUNK.  A code not gathered is gathered per probe."""
+    top = min(KEY_CHUNK // gaussian_binomial(code.k, s, 2), code.size)
+    p = min(PROBE, top)
+    while p >= 2:
+        prefix = words[:p] if words is not None else \
+            rref_bits_batch(code.packed_at_batch(np.arange(p)), code.n)[0]
+        keys = np.sort(_level_keys(prefix, code.n, s))
+        if (keys[1:] == keys[:-1]).any():
+            return True
+        if p == top:
+            break
+        p = min(2 * p, top)
+    return False
+
+
+def _shared_keys(code, words, s, ranked, first):
+    """The keys of the s-subspaces that two or more words share; with first,
+    enough of them to show that there are some.  A level not ranked is
+    sorted in memory.  A ranked level streams its ranks chunk by chunk
+    into a bitmap of [n, s]_2 bits: a rank whose bit is set, or that
+    repeats in its sorted chunk, is shared, and each byte takes the OR of
+    its chunk's bits at once (a fancy |= would drop all but one bit per
+    repeated byte)."""
+    if not ranked:
+        keys, pos = np.empty(code.size * gaussian_binomial(code.k, s, 2), _key_dtype(s, code.n)), 0
+        for _, chunk in _chunks(code, words, s):
+            chunk = _level_keys(chunk, code.n, s)
             keys[pos:pos + len(chunk)] = chunk
             pos += len(chunk)
         keys.sort()
-        found.append(keys[1:][keys[1:] == keys[:-1]])
+        return keys[1:][keys[1:] == keys[:-1]]
+    seen, found = np.zeros(-(-gaussian_binomial(code.n, s, 2) // 8), np.uint8), []
+    for _, chunk in _chunks(code, words, s):
+        ranks = np.sort(_level_ranks(chunk, code.n, s))
+        byte, bit = ranks >> np.uint64(3), np.left_shift(1, ranks & np.uint64(7)).astype(np.uint8)
+        found.append(np.concatenate([ranks[1:][ranks[1:] == ranks[:-1]],
+                                     ranks[(seen[byte] & bit) != 0]]))
         if first and len(found[-1]):
             break
+        start = np.flatnonzero(np.r_[True, byte[1:] != byte[:-1]])
+        seen[byte[start]] |= np.bitwise_or.reduceat(bit, start)
     return np.concatenate(found)
 
 
-def _sharing_pairs(words, n, s, shared):
+def _sharing_pairs(code, words, s, shared, ranked):
     """(i, j), i < j, in (i, j) order and once each: the pairs of words
-    that share an s-subspace keyed in shared."""
-    m, keys, owners = gaussian_binomial(words.shape[1], s, 2), [], []
+    that share an s-subspace keyed in shared, found by a pass that keeps
+    only the keys in shared with their owners."""
+    level, keys, owners, N = _level_ranks if ranked else _level_keys, [], [], code.size
     shared = np.unique(shared)  # sorted once, searched by every chunk
-    for lo, chunk, _ in _level_keys(words, n, s, 1):
+    for lo, chunk in _chunks(code, words, s):
+        b, chunk = len(chunk), level(chunk, code.n, s)
         near = np.searchsorted(shared, chunk).clip(max=len(shared) - 1)
         hit = np.flatnonzero(shared[near] == chunk)
         keys.append(chunk[hit])
-        owners.append(lo + hit % (len(chunk) // m))
+        owners.append(lo + hit % b)
     order = np.argsort(np.concatenate(keys))
     keys, owners = np.concatenate(keys)[order], np.concatenate(owners)[order]
     at, off, pairs = np.flatnonzero(keys[1:] == keys[:-1]), 1, []
     while at.size:  # keys[at] == keys[at + off]: both ends lie in one run
         a, b = owners[at], owners[at + off]
-        pairs.append(np.minimum(a, b) * len(words) + np.maximum(a, b))
+        pairs.append(np.minimum(a, b) * N + np.maximum(a, b))
         off += 1
         at = at[at + off < len(keys)]
         at = at[keys[at + off] == keys[at]]
-    return np.divmod(np.unique(np.concatenate(pairs)), len(words))
+    return np.divmod(np.unique(np.concatenate(pairs)), N)
+
+
+def _ranked(n, k, s, N):
+    """Whether level s of N words is ranked into a bitmap: past KEY_CAP keys,
+    with [n, s]_2 <= BITMAP_CAP."""
+    return N * gaussian_binomial(k, s, 2) > KEY_CAP and gaussian_binomial(n, s, 2) <= BITMAP_CAP
+
+
+def _levels(k, d, N):
+    """(t, the levels s that the climb of the exact check can reach: 1, ...,
+    t, at most k, while a level has no more keys than the code has pairs).
+    Unless t >= 1 and they reach min(t, k), every pair is measured."""
+    t = k + 1 + (-d // 2)  # d(U, W) < d iff dim(U ∩ W) >= t
+    return t, list(takewhile(lambda s: 2 * gaussian_binomial(k, s, 2) <= N - 1,
+                             range(1, min(t, k) + 1)))
+
+
+def refuse_past_budget(field, n, k, d, N, cap=None):
+    """Raise CapExceeded unless the exact check of N words fits.  Given a
+    cap, N <= cap.  Else a code that packs, and whose climb settles the
+    check, must fit every level it can reach into the in-memory sort
+    (KEY_CAP keys) or a bitmap of BITMAP_CAP bits; a check that measures
+    every pair (other fields, n > 64, a claim past 2k, too few words for a
+    level) must have N <= FULL_CHECK_CAP."""
+    t, levels = _levels(k, d, N)
+    if cap is None and packable(field, n, k) and 1 <= t and len(levels) == min(t, k):
+        for s in levels:
+            keys, bits = N * gaussian_binomial(k, s, 2), gaussian_binomial(n, s, 2)
+            if keys > KEY_CAP and bits > BITMAP_CAP:
+                raise CapExceeded(
+                    f"{N} codewords exceed the full check's memory budget: level {s} has "
+                    f"{keys} keys, past the sort cap {KEY_CAP}, and [{n},{s}]_2 = {bits} "
+                    f"ranks, past the bitmap cap {BITMAP_CAP}; such a code needs a "
+                    f"structural certificate (a planned verify mode) or --mode sample")
+        return
+    cap = FULL_CHECK_CAP if cap is None else cap
+    if N > cap:
+        raise CapExceeded(f"{N} codewords exceeds full-check cap {cap}")
 
 
 def _packed_check(code):
     """(exact minimum distance, [i, j, d] below the claim in (i, j) order)
     of a code that packs."""
     n, k, N, d_claim = code.n, code.k, code.size, code.d_claim
-    words = rref_bits_batch(code.packed_at_batch(np.arange(N)), n)[0]
 
-    def measured(i, j):  # (min, [i, j, d] for d < d_claim) over the pairs (i, j)
-        d = 2 * rank_bits_batch(np.hstack([words[i], words[j]]), n) - 2 * k
+    def measured(i, j, a, b):  # (min, [i, j, d] for d < d_claim) over pairs (i, j) of words a, b
+        d = 2 * rank_bits_batch(np.hstack([a, b]), n) - 2 * k
         return int(d.min()), np.stack([i, j, d], axis=1)[d < d_claim].tolist()
 
-    t = k + 1 + (-d_claim // 2)  # d(U, W) < d_claim iff dim(U ∩ W) >= t
-    for s in range(1, min(t, k) + 1):
-        if 2 * gaussian_binomial(k, s, 2) > N - 1:
-            break  # more keys than pairs: measure every pair
-        shared = _shared_keys(words, n, s, first=s < t)
+    t, levels = _levels(k, d_claim, N)
+    # a code whose levels are all sorted in memory is gathered once; a ranked one streams
+    words = None if any(_ranked(n, k, s, N) for s in levels) else \
+        rref_bits_batch(code.packed_at_batch(np.arange(N)), n)[0]
+    for s in levels:
+        if s < t and _probe_shares(code, words, s):
+            continue
+        ranked = _ranked(n, k, s, N)
+        shared = _shared_keys(code, words, s, ranked, first=s < t)
         if not len(shared):  # no two words share an s-subspace
             return 2 * (k - s + 1), []
         if s == t:
-            return measured(*_sharing_pairs(words, n, s, shared))
-    else:
-        if t > k:  # every level shares: equal words, which a claim <= 0 allows
-            return 0, []
-    low, bad = 2 * k, []
-    for i in range(N - 1):
-        m, rows = measured(np.full(N - 1 - i, i), np.arange(i + 1, N))
+            i, j = _sharing_pairs(code, words, s, shared, ranked)
+            return measured(i, j, code.packed_at_batch(i), code.packed_at_batch(j))
+    if t > k and len(levels) == k:  # every level shares: equal words, which a claim <= 0 allows
+        return 0, []
+    words, low, bad = code.packed_at_batch(np.arange(N)), 2 * k, []
+    for i in range(N - 1):  # more keys than pairs, or a claim past 2k: measure every pair
+        m, rows = measured(np.full(N - 1 - i, i), np.arange(i + 1, N),
+                           np.broadcast_to(words[i], (N - 1 - i, k)), words[i + 1:])
         low = min(low, m)
         bad += rows
     return low, bad
 
 
-def full_pairwise_check(code, cap: int = FULL_CHECK_CAP) -> VerificationReport:
+def full_pairwise_check(code, cap: int | None = None) -> VerificationReport:
     """Exact minimum distance over all N (N - 1) / 2 pairs, and every pair
     closer than the claim d with its exact distance, in (i, j) order.
 
     GF(2) with n <= 64 takes time linear in N: d(U, W) < d exactly when U
     and W share a t-subspace, t = k - ceil(d/2) + 1 (Kohnert and Kurz,
-    2008).  Levels s = 1, 2, ... sort the keys of every s-subspace of every
-    word; the first level with no equal keys ends the climb, and the last
-    one with some, s*, gives the minimum 2k - 2 s*.  Equal keys at level t
-    name the violations.  Memory: the words, one level's keys (KEY_CAP per
-    hash bucket) and the violations.  Every pair is measured when that is
-    fewer than a level's keys or when d > 2k, over other fields and past
-    n = 64."""
+    2008).  Levels s = 1, 2, ... look for two words that share an
+    s-subspace.  Below t a level is first probed on prefixes of the code,
+    and built whole only when they share nothing; the first level built
+    whole that shares nothing ends the climb, and the minimum is
+    2k - 2 (s - 1).  Level t, built whole, names the violations.  A level of
+    at most KEY_CAP keys is sorted in memory; a larger one streams the
+    exact rank of each key into a bitmap of [n, s]_2 bits, stops below t at
+    the first collision, and at t finds the owners of the colliding ranks
+    in a second pass.  Memory: a code whose levels are all sorted is
+    gathered once, beside one level's keys; a ranked code streams, beside
+    one bitmap and one chunk; and the violations.  Every pair is measured
+    when that is fewer than a level's keys or when d > 2k, over other
+    fields and past n = 64.
+
+    cap=None refuses a code past refuse_past_budget's memory budget; a cap
+    refuses one of more than cap words."""
     start = time.monotonic()
     N = code.size
-    if N > cap:
-        raise CapExceeded(f"{N} codewords exceeds full-check cap {cap}")
+    refuse_past_budget(code.field, code.n, code.k, code.d_claim, N, cap)
     total_pairs = N * (N - 1) // 2
     if N < 2:
         return VerificationReport("full", 0, None, [],

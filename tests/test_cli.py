@@ -132,6 +132,27 @@ def test_verify_full_flags_distance_below_an_odd_claim(tmp_path, capsys):
     assert main(["verify", "--file", str(out), "--mode", "sample", "--pairs", "10"]) == 1
 
 
+def test_verify_full_refuses_from_the_header(tmp_path, capsys):
+    # a COUNT past the memory budget exits 4 before the body is read, here
+    # over a one-line body; one within it goes on to read the body, which is
+    # short (exit 3); --cap refuses by word count, also from the header
+    import time
+    line = "|".join("".join(str(int(j == i)) for j in range(12)) for i in range(6))
+    f = tmp_path / "h.cdc"
+    f.write_text(f"#Q=2\n#P=2\n#E=1\n#MOD=0,1\n#N=12\n#K=6\n#D=6\n#COUNT=16865629\n"
+                 f"#ORDER=generation\n#PROV=header\n{line}\n")
+    start = time.monotonic()
+    assert main(["verify", "--file", str(f), "--mode", "full"]) == 4
+    assert time.monotonic() - start < 0.5
+    assert "memory budget" in capsys.readouterr().err
+    assert main(["verify", "--file", str(f), "--mode", "sample"]) == 3
+    f.write_text(f.read_text().replace("#D=6", "#D=8"))  # the budget of (12,8;6) codes
+    assert main(["verify", "--file", str(f), "--mode", "full"]) == 3
+    assert "header count 16865629" in capsys.readouterr().err
+    assert main(["verify", "--file", str(f), "--mode", "full", "--cap", "1000"]) == 4
+    assert "full-check cap 1000" in capsys.readouterr().err
+
+
 def test_verify_corrupted_file_is_io_error(tmp_path, capsys):
     bad = tmp_path / "bad.cdc"
     bad.write_text("#Q=2\nnot a code file\n")

@@ -580,16 +580,25 @@ def test_reader_packs_rows_past_57_bits(n):
     assert [tuple(w) for w in code.source.packed.tolist()] == want
 
 
-@pytest.mark.parametrize("n,k", [(3, 7), (9, 4), (12, 6), (24, 5), (33, 2), (40, 3), (64, 2)])
+@pytest.mark.parametrize("n,k", [(3, 3), (9, 4), (12, 6), (24, 5), (33, 2), (40, 3), (64, 2)])
 def test_sort_keys_order_words_as_their_rows(n, k):
-    # the canonical writer sorts on these keys: the order of lexsort over the k rows
-    from cdckit.codefile import _sort_keys
+    # the canonical writer sorts on these keys of RREF words: the order of
+    # lexsort over the k rows, one key exactly when kn - k(k - 1)/2 <= 64
+    from cdckit.codefile import _key_words, _sort_keys
+    from cdckit.linalg import rref_bits_batch
     rng = np.random.default_rng(n * k)
-    words = rng.integers(0, 1 << min(n, 63), (3000, k), dtype=np.uint64)
-    words[::3, 0] = words[1::3, 0]  # ties on row 0
+    top = np.uint64((1 << min(n - k, 63)) - 1) if n > k else np.uint64(0)
+    lifted = rng.integers(0, 1 << 63, (1500, k), dtype=np.uint64) & top \
+        | (np.uint64(1) << np.arange(n - 1, n - 1 - k, -1).astype(np.uint64))  # [I | M]
+    lifted[::3, :-1] = lifted[1::3, :-1]  # ties on every row but the last
+    words, ranks = rref_bits_batch(rng.integers(0, 1 << min(n, 63), (3000, k), dtype=np.uint64)
+                                   << np.uint64(max(n - 63, 0)), n)
+    words = np.concatenate([lifted, words[ranks == k][:1500]])
     keys = _sort_keys(words, n)
-    assert len(keys) == -(-k // (64 // n))
+    assert (len(keys) == 1) == (k * n - k * (k - 1) // 2 <= 64)
     assert np.array_equal(np.lexsort(keys[::-1]), np.lexsort(words.T[::-1]))
+    if len(keys) == 1:
+        assert np.array_equal(_key_words(keys[0], n, k), words)
 
 
 def test_screen_collisions_decide_nothing(monkeypatch, tmp_path):
@@ -597,7 +606,7 @@ def test_screen_collisions_decide_nothing(monkeypatch, tmp_path):
     # reports a duplicate, and it names the first repeated line
     import cdckit.codefile as codefile
     monkeypatch.setattr(codefile, "_mix", lambda words: np.zeros(len(words), np.uint64))
-    c = lifted_mrd(2, 12, 6, 12)  # k*n = 72
+    c = lifted_mrd(2, 16, 8, 16)  # sort keys of kn - k(k - 1)/2 = 100 bits: screened by _mix
     text = dumps(c)
     assert dumps(loads(text)) == text
     lines = text.splitlines(keepends=True)
@@ -605,11 +614,11 @@ def test_screen_collisions_decide_nothing(monkeypatch, tmp_path):
         loads(text + lines[20] + lines[12])
     parent, sub = tmp_path / "c.cdc", tmp_path / "sub.cdc"
     export(c, parent)
-    export(Cdc(c.field, 12, 6, 12, words=c.words()[9:3:-2]), sub)
+    export(Cdc(c.field, 16, 8, 16, words=c.words()[9:3:-2]), sub)
     assert import_with_subcode(parent, sub)[1].size == 3
     from cdckit.subspace import Subspace
-    hole = Subspace(c.field, 12, [tuple(int(j == i) for j in range(12)) for i in range(6, 12)])
-    export(Cdc(c.field, 12, 6, 12, words=[c.at(0), hole]), sub)
+    hole = Subspace(c.field, 16, [tuple(int(j == i) for j in range(16)) for i in range(8, 16)])
+    export(Cdc(c.field, 16, 8, 16, words=[c.at(0), hole]), sub)
     with pytest.raises(SubcodeError, match=hole.serialize()):
         import_with_subcode(parent, sub)
 

@@ -15,10 +15,11 @@ import pytest
 from cdckit.cdc import Cdc, ListSource, PackedSource, lifted_mrd
 from cdckit.constructions import recipe_8_4_4
 from cdckit.gf import field_new
-from cdckit.verify import (CapExceeded, _pair_chunks, _unrank_pair, _unrank_pairs,
-                           enumerate_subspaces, full_pairwise_check, meet_dims,
-                           sample_pairs, sampled_check)
-from cdckit.linalg import gaussian_binomial, rank_bits, rref_bits, unpack_row
+from cdckit.verify import (CapExceeded, _level_ranks, _pair_chunks, _probe_shares, _unrank_pair,
+                           _unrank_pairs, enumerate_subspaces, full_pairwise_check, meet_dims,
+                           refuse_past_budget, sample_pairs, sampled_check)
+from cdckit.linalg import (gaussian_binomial, rank_bits, rank_bits_batch, rref_bits,
+                           rref_bits_batch, unpack_row)
 from cdckit.subspace import Subspace, intersection_dim
 
 
@@ -101,6 +102,31 @@ def test_full_check_cap():
     big, _ = recipe_8_4_4(2)
     with pytest.raises(CapExceeded):
         full_pairwise_check(big, cap=100)
+
+
+@pytest.mark.parametrize("n, k, d, size, refusal", [
+    (12, 4, 4, 19660413, None),   # 12_4_4_thm: level 3 ranked into 408,345,795 bits
+    (10, 5, 4, 1178312, None),    # 10_4_5: level 4 ranked into 53,743,987 bits
+    (12, 6, 8, 262165, None),     # 12_8_6: level 3 ranked
+    (12, 6, 6, 16865629, "memory budget"),  # 12_6_6: level 4 needs 1.39e10 bits
+    (24, 4, 4, 239000, None),     # 8.4M level-2 keys, sorted in memory
+    (24, 4, 4, 240000, "memory budget"),  # past KEY_CAP, and [24,2]_2 past the bitmap cap
+    (12, 4, 9, 10 ** 5, None),    # a claim past 2k measures every pair: the word cap
+    (12, 4, 9, 10 ** 5 + 1, "full-check cap 100000"),
+    (12, 4, 4, 30, None),         # 30 words: fewer pairs than level-2 keys
+    (64, 20, 4, 10 ** 5 + 1, "full-check cap 100000"),  # 2^20 - 1 points per word
+])
+def test_memory_budget_of_the_full_check(n, k, d, size, refusal):
+    f = field_new(2, 1)
+    if refusal is None:
+        refuse_past_budget(f, n, k, d, size)
+    else:
+        with pytest.raises(CapExceeded, match=refusal):
+            refuse_past_budget(f, n, k, d, size)
+    with pytest.raises(CapExceeded, match="full-check cap"):
+        refuse_past_budget(f, n, k, d, size, cap=size - 1)
+    with pytest.raises(CapExceeded, match="full-check cap"):  # codes that do not pack
+        refuse_past_budget(field_new(3, 1), n, k, d, 10 ** 5 + 1)
 
 
 def test_report_json_field_order():
@@ -280,14 +306,53 @@ def test_full_check_equals_scalar_reference(n, k, size, d_claim, dups):
     assert _without_time(full_pairwise_check(code)) == _reference_report(code)
 
 
-def test_full_check_equals_reference_across_hash_buckets(monkeypatch):
-    # a key cap of 64 splits every level over many hash-bucket passes
+def test_full_check_equals_reference_on_the_rank_path(monkeypatch):
+    # a key cap of 64 ranks every level into a bitmap, in chunks of a few
+    # words: ranks repeat within a chunk and across chunks
     import cdckit.verify as verify
     code = _code(8, 4, 4, _sharing_words(3, 8, 4, 100, dups=2))
     expected = _reference_report(code)
+    ranked = []
     monkeypatch.setattr(verify, "KEY_CAP", 64)
     monkeypatch.setattr(verify, "KEY_CHUNK", 50)
+    monkeypatch.setattr(verify, "_level_ranks",
+                        lambda *a: ranked.append(a[2]) or _level_ranks(*a))
     assert _without_time(full_pairwise_check(code)) == expected
+    assert 3 in ranked  # level t = 3 was ranked
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_ranks_enumerate_every_subspace_in_order(n):
+    # the rank of the s-subspace U (a word of k = s rows, whose only key is
+    # U) is its index in enumerate_subspaces, for every s
+    for s in range(1, n + 1):
+        bits = np.array([w.gen.rows for w in enumerate_subspaces(2, n, s)], np.uint64)
+        words = (bits << np.arange(n - 1, -1, -1, dtype=np.uint64)).sum(axis=2, dtype=np.uint64)
+        assert np.array_equal(_level_ranks(words, n, s), np.arange(gaussian_binomial(n, s, 2)))
+
+
+@pytest.mark.parametrize("key_cap", [1 << 23, 64])  # the sort path, the rank path
+def test_a_share_past_the_probes_still_decides_the_level(monkeypatch, key_cap):
+    # the 85 lines of a 2-spread of F_2^8 share no point; one more line, put
+    # last, meets line 0 in a point, past the 32-word probe of level 1
+    import cdckit.verify as verify
+    from cdckit.cdc import spread
+    sp = spread(2, 8, 2)
+    words = [sp.packed_at(i) for i in range(sp.size)]
+    rng = random.Random(2)
+    while True:
+        rows, _ = rref_bits([words[0][0], rng.getrandbits(8)], 8)
+        if len(rows) == 2 and tuple(rows) not in words:
+            break
+    code = _code(8, 2, 2, words + [tuple(rows)])
+    monkeypatch.setattr(verify, "KEY_CHUNK", 120)
+    monkeypatch.setattr(verify, "KEY_CAP", key_cap)
+    probed = []
+    monkeypatch.setattr(verify, "_probe_shares", lambda *a: probed.append(_probe_shares(*a))
+                        or probed[-1])
+    rep = _without_time(full_pairwise_check(code))
+    assert probed == [False]
+    assert rep == _reference_report(code) and rep["min_distance_found"] == 2
 
 
 def test_full_check_of_a_spread_is_2k():
@@ -337,6 +402,30 @@ def test_full_check_finds_an_injected_word_with_its_pairs():
     assert len(expected) >= 1
     assert rep.violations == expected and rep.min_distance_found == 2
     assert rep.pairs_checked == code.size * (code.size - 1) // 2
+
+
+def test_whole_10_4_5_code_finds_an_injected_word_with_its_pairs():
+    # a word that meets word 600,000 of the 1,178,312-word (10,4;5) code in
+    # 4 dimensions, inserted there: the whole code is checked on the rank
+    # path (level 4 has 36.5M keys) and reports exactly that word's pairs
+    from cdckit.constructions import RECIPES
+    base, _ = RECIPES["10_4_5"](2)
+    words = np.concatenate(list(base.source.packed_blocks()))
+    x, rng = 600_000, np.random.default_rng(0)
+    while True:
+        bad, rank = rref_bits_batch(np.append(words[x, :4], rng.integers(1, 1 << 10))[None], 10)
+        if rank[0] == 5 and not (words == bad).all(axis=1).any():
+            break
+    packed = np.insert(words, x, bad[0], axis=0).astype(np.uint16)
+    code = Cdc(base.field, 10, 5, 4, stream=PackedSource(base.field, 10, packed))
+    d = 2 * rank_bits_batch(np.hstack([packed, np.repeat(bad, len(packed), axis=0)]), 10) - 10
+    near = [y for y in np.flatnonzero(d < 4).tolist() if y != x]
+    rep = full_pairwise_check(code)
+    assert len(near) >= 1 and rep.min_distance_found == 2
+    assert rep.violations == [
+        {"pair": [code.at(min(x, y)).serialize(), code.at(max(x, y)).serialize()],
+         "distance": int(d[y])} for y in near]
+    assert code.source._words is None  # no Subspace list was made
 
 
 def test_full_check_memory_is_bounded():
