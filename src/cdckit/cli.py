@@ -255,6 +255,7 @@ def cmd_oracle(args):
         report = verify.coverage_check(code)
         print(report)
         return EXIT_OK if report["ok"] else EXIT_VIOLATION
+    _check_q(args.q)
     bits = args.q.bit_length() - 1  # q >= 2^bits: q^e >= 2^(e bits)
     try:
         if args.kind == "subspace-count":

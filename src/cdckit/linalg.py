@@ -214,9 +214,10 @@ def rref_bits_batch(rows, ncols):
 
 def spans(words):
     """The 2^k vectors of each word of a (B, k) uint64 array, as (2^k, B),
-    zero first: vector m is the XOR of the rows j with bit j of m set."""
+    zero first: vector m is the XOR of the rows j with bit k - 1 - j of m
+    set, so a coefficient row packed like a word's rows indexes its vector."""
     vecs = np.zeros((1 << words.shape[1], len(words)), dtype=np.uint64)
-    for j, row in enumerate(words.T):
+    for j, row in enumerate(words.T[::-1]):
         np.bitwise_xor(vecs[:1 << j], row, out=vecs[1 << j:2 << j])
     return vecs
 

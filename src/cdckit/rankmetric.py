@@ -9,13 +9,14 @@ low coefficients are zero (rep = 0) and a coset's are those of rep.
 
 A rank filter keeps the words of rank <= cap.  At q = 2 it solves for
 their indices, one affine solution space per (a - cap)-subspace that
-annihilates a word's rows; at q > 2 it ranks the parent word by word, up
-to SCAN_CAP words.
+annihilates a word's rows, the subspaces read from verify.subspace_bases;
+at q > 2 it ranks the parent word by word.  Either lists at most SCAN_CAP
+words: kept words by formula at q = 2, parent words at q > 2.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import product
 from operator import xor
 
@@ -24,10 +25,10 @@ import numpy as np
 from .gf import base_field, ext_field
 from .linalg import (BATCH, _leading_bits, checked_indices, gaussian_binomial, pack_row,
                      rank_rows, rref_bits_batch, spans, unpack_row)
-from .verify import CapExceeded, enumerate_subspaces
+from .verify import CapExceeded, subspace_bases
 
 TABLE_BITS = 12  # index bits per XOR table; the lowest table is one block
-SCAN_CAP = 10 ** 7  # parent words a q > 2 rank filter may rank one by one
+SCAN_CAP = 10 ** 7  # parent words a q > 2 rank filter ranks, or words a q = 2 one lists
 
 
 class RankCodeError(ValueError):
@@ -212,19 +213,10 @@ class GabidulinHandle(RankCodeHandle):
             yield low ^ reduce(xor, parts, 0)
 
 
-@lru_cache(maxsize=None)
-def _subspace_bases(n, k):
-    """The packed RREF basis rows of every k-subspace of F_2^n, a (count, k)
-    uint64 array in the order of verify.enumerate_subspaces, which refuses
-    more than its ENUM_CAP subspaces."""
-    return np.array([[pack_row(r) for r in s.gen.rows] for s in enumerate_subspaces(2, n, k)],
-                    dtype=np.uint64)
-
-
 def _low_rank_indices(offset, basis, ncols, cap):
     """The sorted int64 indices i whose word, offset XOR the rows basis[u] of
     each set bit u of i, has rank <= cap; offset is an (a,) and basis a
-    (tb, a) uint64 array of ncols-bit packed rows, tb + 1 <= 64.
+    (tb, a) uint64 array of ncols-bit packed rows, tb <= 63.
 
     A word has rank <= cap exactly when some (a - cap)-subspace V of F_2^a
     annihilates its rows.  The indices one V annihilates solve (a - cap) *
@@ -239,7 +231,7 @@ def _low_rank_indices(offset, basis, ncols, cap):
     # vector of V, packed like V's basis rows, XOR the units of its rows
     unit = (((basis.T[:, :, None] >> cols) & 1) * (bit[:, None] << 1)).sum(axis=1, dtype=np.uint64)
     unit |= (offset[:, None] >> cols) & 1
-    vectors, spaces = spans(unit[::-1].T), _subspace_bases(a, a - cap)
+    vectors, spaces = spans(unit.T), subspace_bases(a, a - cap)
     parts = [np.empty(0, dtype=np.uint64)]
     for lo in range(0, len(spaces), BATCH):  # bounds the (B, rows, tb) arrays below
         eqs = vectors[spaces[lo:lo + BATCH]]
@@ -282,10 +274,16 @@ class RankFilteredHandle(RankCodeHandle):
 
     def indices(self):
         """Parent indices of the kept words, as a sorted int64 array: solved
-        for at q = 2 (_low_rank_indices), a scan of at most SCAN_CAP parent
-        words at q > 2."""
+        for at q = 2 (_low_rank_indices) up to 63 index bits and SCAN_CAP
+        words by formula, a scan of at most SCAN_CAP parent words at q > 2."""
         if self._indices is None:
             if self.q == 2:
+                if self.parent.size > 1 << 63:  # 2^tb words: a system row holds tb + 1 bits
+                    raise CapExceeded(f"a rank filter over {self.parent.size} words exceeds "
+                                      f"the solve's 63 index bits")
+                if self.size is not None and self.size > SCAN_CAP:
+                    raise CapExceeded(f"a rank filter keeping {self.size} words exceeds "
+                                      f"the listing cap {SCAN_CAP}")
                 # rank is invariant under transposition, so internal rows suffice
                 indices = _low_rank_indices(*self.parent._affine(), max(self.m, self.n), self.cap)
             else:

@@ -1,6 +1,8 @@
-"""Verification oracles: subspace enumeration, the meet dimensions of a
-code's words with one subspace, the exact and the sampled minimum-distance
-checks, and spread/parallelism coverage checks.
+"""Verification oracles: subspace listings, the meet dimensions of a code's
+words with one subspace, the exact and the sampled minimum-distance checks,
+and spread/parallelism coverage checks.  Subspaces are listed Schubert cell
+by cell in one canonical order (_cells), each cell's RREF matrices as one
+numpy block; subspace_bases packs the GF(2) listings once.
 
 The exact check certifies a GF(2) code with n <= 64 by t-subspace
 packing: two words are closer than the claim exactly when they share a
@@ -32,8 +34,8 @@ from itertools import combinations, takewhile
 import numpy as np
 
 from .gf import base_field
-from .linalg import (BATCH, _leading_bits, gaussian_binomial, pack_row, packable, rank_bits_batch,
-                     rref_bits_batch, spans)
+from .linalg import (BATCH, _leading_bits, gaussian_binomial, packable, rank_bits_batch,
+                     rref_bits_batch, spans, word_tuples)
 from .subspace import Subspace, distance, intersection_dim
 
 ENUM_CAP = 10 ** 6
@@ -77,30 +79,45 @@ class VerificationReport:
 # subspace enumeration
 # ----------------------------------------------------------------------
 
-def enumerate_subspaces(q: int, n: int, k: int):
-    """Every k-subspace of F_q^n exactly once, in canonical order:
-    pivot-column sets lexicographically, free entries in base-q order."""
+def _cells(n, s):
+    """(pivots, free entries (i, j) row by row) per Schubert cell of the
+    s-subspaces of F_q^n, in canonical order: pivot sets lexicographically,
+    then the free entries as base-q digits, the last entry lowest."""
+    for piv in combinations(range(n), s):
+        yield piv, [(i, j) for i in range(s) for j in range(piv[i] + 1, n) if j not in piv]
+
+
+def _cell_blocks(q, n, k):
+    """The (q^f, k, n) block of each cell's RREF matrices in canonical order;
+    more than ENUM_CAP k-subspaces are refused before the first."""
     # q^(k(n-k)) <= [n, k]_q: a huge count is refused before it is formed
     if q ** min(k * (n - k), ENUM_CAP.bit_length()) > ENUM_CAP \
             or gaussian_binomial(n, k, q) > ENUM_CAP:
         raise CapExceeded(f"the {k}-subspaces of F_{q}^{n} exceed the cap {ENUM_CAP}")
+    for piv, free in _cells(n, k):
+        block = np.zeros((q ** len(free), k, n), np.min_scalar_type(q - 1))
+        block[:, np.arange(k), list(piv)] = 1
+        rows, cols = np.array(free, np.intp).reshape(-1, 2).T
+        block[:, rows, cols] = np.indices((q,) * len(free)).reshape(len(free), len(block)).T
+        yield block
+
+
+def enumerate_subspaces(q: int, n: int, k: int):
+    """Every k-subspace of F_q^n exactly once, in the canonical order of _cells."""
     field = base_field(q)
-    if k == 0:
-        yield Subspace(field, n, [])
-        return
-    for pivots in combinations(range(n), k):
-        pivot_set = set(pivots)
-        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n)
-                if j not in pivot_set]
-        for idx in range(q ** len(free)):
-            rows = [[0] * n for _ in range(k)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            rest = idx
-            for (i, j) in reversed(free):
-                rest, dig = divmod(rest, q)
-                rows[i][j] = dig
-            yield Subspace(field, n, [tuple(r) for r in rows])
+    for block in _cell_blocks(q, n, k):  # k = 0: one empty matrix
+        for rows in zip(*(word_tuples(block[:, i]) for i in range(k))) if k else [()]:
+            yield Subspace(field, n, rows)
+
+
+@lru_cache(maxsize=None)
+def subspace_bases(n, s):
+    """The packed RREF rows (column j at bit n - 1 - j) of every s-subspace
+    of F_2^n, an (M, s) uint64 array in the order of enumerate_subspaces,
+    which refuses more than ENUM_CAP of them as well."""
+    weights = np.uint64(1) << np.arange(n - 1, -1, -1, dtype=np.uint64)
+    return np.concatenate([(block * weights).sum(axis=2, dtype=np.uint64)
+                           for block in _cell_blocks(2, n, s)])
 
 
 # ----------------------------------------------------------------------
@@ -128,44 +145,25 @@ def _pair_rows_report(code, i, j):
 
 
 @lru_cache(maxsize=None)
-def _span_indices(k, s):
-    """(m, s) span indices, one row per s x k GF(2) matrix C in RREF: row i
-    of C picks span vector sum_j C[i, j] 2^j.  C G is in RREF when G is, so
-    these read every s-subspace of a RREF word G off its span, canonically."""
-    return np.array([[pack_row(r[::-1]) for r in c.gen.rows]
-                     for c in enumerate_subspaces(2, k, s)], dtype=np.intp)
-
-
-def _cells(n, s):
-    """(pivot columns, 2^f) per Schubert cell of the s-subspaces of F_2^n in
-    the order of enumerate_subspaces: pivot sets lexicographically, each
-    with the 2^f RREF matrices of its f free entries."""
-    for piv in combinations(range(n), s):
-        yield piv, 1 << sum(n - 1 - p - (s - 1 - i) for i, p in enumerate(piv))
-
-
-@lru_cache(maxsize=None)
 def _cell_offsets(n, s):
     """(pivot masks ascending, offsets): the rank of the first s-subspace of
     each pivot set, column j at bit n - 1 - j.  Lexicographic order of the
     sets is descending order of their masks."""
-    masks, offsets, total = [], [], 0
-    for piv, size in _cells(n, s):
-        masks.append(sum(1 << (n - 1 - p) for p in piv))
-        offsets.append(total)
-        total += size
-    return np.array(masks[::-1], np.uint64), np.array(offsets[::-1], np.uint64)
+    cells = list(_cells(n, s))
+    masks = [sum(1 << (n - 1 - p) for p in piv) for piv, _ in cells]
+    sizes = [0] + [1 << len(free) for _, free in cells[:-1]]
+    return np.array(masks[::-1], np.uint64), np.cumsum(sizes, dtype=np.uint64)[::-1]
 
 
 @lru_cache(maxsize=None)
 def _cell_groups(k, s):
     """(pivots, group): the s pivots of each pivot set of the s x k RREF
     matrices C, as a (g, s) array, and the set of each row of
-    _span_indices(k, s).  The key C G of a RREF word G has the pivots of
+    subspace_bases(k, s).  The key C G of a RREF word G has the pivots of
     G's rows at C's pivots."""
     cells = list(_cells(k, s))
     return (np.array([piv for piv, _ in cells], np.intp).reshape(len(cells), s),
-            np.repeat(np.arange(len(cells)), [size for _, size in cells]))
+            np.repeat(np.arange(len(cells)), [1 << len(free) for _, free in cells]))
 
 
 def _key_dtype(s, n):
@@ -179,7 +177,7 @@ def _level_keys(words, n, s):
     """The key of each s-subspace of each RREF word of a (b, k) array,
     subspace-major (key x belongs to word x mod b): its RREF rows side by
     side."""
-    table, dtype = _span_indices(words.shape[1], s), _key_dtype(s, n)
+    table, dtype = subspace_bases(words.shape[1], s).astype(np.intp), _key_dtype(s, n)
     vecs = spans(words)
     cols = [vecs[c].ravel() for c in table.T]  # row i of every key
     if dtype.kind == "V":
@@ -194,7 +192,7 @@ def _level_ranks(words, n, s):
     the pivot columns squeezed out.  Squeezing is linear, so for each pivot
     set g of the matrices C the word's rows are squeezed once and spanned."""
     (masks, offsets), (pivots, group) = _cell_offsets(n, s), _cell_groups(words.shape[1], s)
-    g, b, k, table = len(pivots), len(words), words.shape[1], _span_indices(words.shape[1], s)
+    g, b, k = len(pivots), len(words), words.shape[1]
     top = _leading_bits(words, n).T[pivots]  # (g, s, b): the keys' pivot bits, highest first
     free = np.broadcast_to(words, (g, b, k))
     for j in range(s):  # the lower pivots keep their bit positions
@@ -204,9 +202,10 @@ def _level_ranks(words, n, s):
     widths = np.bitwise_count(top - np.uint64(1)).astype(np.uint64) \
         - np.arange(s - 1, -1, -1, dtype=np.uint64)[:, None]  # free entries of each key row
     ranks = offsets[np.searchsorted(masks, np.bitwise_or.reduce(top, axis=1))][group]
+    rows = subspace_bases(k, s).astype(np.intp) * g + group[:, None]  # C's rows in vecs
     shift = np.zeros((g, b), np.uint64)
     for i in reversed(range(s)):
-        ranks += vecs[table[:, i] * g + group] << shift[group]
+        ranks += vecs[rows[:, i]] << shift[group]
         shift += widths[:, i]
     return ranks.ravel()
 

@@ -59,6 +59,17 @@ def test_oracle_enumerate_at_a_huge_prime_q(capsys):
     assert time.monotonic() - start < 1.0
     assert capsys.readouterr().out.strip() == "1"
 
+
+@pytest.mark.parametrize("kind", ["subspace-count", "enumerate", "rank-distribution", "mrd-size"])
+@pytest.mark.parametrize("q", ["1", "0", "-2", "6"])
+def test_oracle_refuses_a_q_that_is_no_field(kind, q, capsys):
+    # every counting kind checks --q as construct, bound and formula do: q = 1
+    # divides by zero in no count, and q = 6 prints none
+    assert main(["oracle", "--kind", kind, "--q", q, "--n", "4", "--k", "2",
+                 "--m", "4", "--dr", "2", "--r", "2"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("cdckit: ") and err.count("\n") == 1
+
 def test_construct_parametric_requires_k(capsys):
     assert main(["construct", "--recipe", "4k_2k_2k", "--q", "2"]) == 2
     assert main(["construct", "--recipe", "4k_2k_2k", "--q", "2",

@@ -3,7 +3,8 @@ imports sit at module level, every source of packed words has a batched gather, 
 another module's private attributes, packed arrays become word tuples
 through linalg.word_tuples alone, the construction modules import no
 rank kernel of their own, constructions keys no set or dict on generator
-rows, and the CLI names no recipe or formula."""
+rows, the CLI names no recipe or formula, and Subspace listings stay at
+their two edges."""
 
 import ast
 import importlib
@@ -144,3 +145,23 @@ def test_cli_names_no_recipe_or_formula():
                     and isinstance(node.value, str) and (node.value in RECIPES
                                                          or node.value in FORMULAS)})
     assert not found, f"cli.py names {found}"
+
+
+def _calls(node, owner):
+    """(name of the innermost enclosing function, call) for each call under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        if isinstance(child, ast.Call):
+            yield owner, child
+        yield from _calls(child, inner)
+
+
+def test_subspaces_are_listed_only_at_their_edges():
+    # packed consumers read verify.subspace_bases; Subspace objects are
+    # listed only where they are the output: the lines of the q^4
+    # parallelism search and the CLI's enumerate oracle
+    callers = sorted(f"{path.stem}.{owner}" for path in MODULES
+                     for owner, call in _calls(ast.parse(path.read_text()), "<module>")
+                     if getattr(call.func, "id", getattr(call.func, "attr", None))
+                     == "enumerate_subspaces")
+    assert callers == ["cdc.parallelism_2_of_F_q4", "cli.cmd_oracle"]

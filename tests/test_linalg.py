@@ -3,6 +3,8 @@ trials, bit-packed kernels vs the generic path, Gaussian binomials."""
 
 import itertools
 import random
+from functools import reduce
+from operator import xor
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ import pytest
 from cdckit.gf import field_new
 from cdckit.linalg import (MatrixGF, PivotVector, gaussian_binomial, inverse,
                            matmul, pack_row, rank, rank_bits, rank_bits_batch,
-                           rank_rows, rref, rref_bits, rref_bits_batch, unpack_row)
+                           rank_rows, rref, rref_bits, rref_bits_batch, spans, unpack_row)
+from cdckit.verify import subspace_bases
 
 FIELDS = [field_new(2, 1), field_new(3, 1), field_new(2, 2), field_new(5, 1)]
 
@@ -162,6 +165,33 @@ def test_batch_kernels_at_dtype_boundaries(ncols):
         assert got_ranks.tolist() == ranks, name
         assert [row[:r] for row, r in zip(got.tolist(), ranks)] == rrefs, name
         assert not any(any(row[r:]) for row, r in zip(got.tolist(), ranks)), name
+
+
+def test_spans_read_row_j_at_bit_k_minus_1_minus_j():
+    # vector m XORs row j when bit k - 1 - j of m is set, so the identity
+    # word's vector m is m itself; the second word was summed by hand
+    vecs = spans(np.array([[0b100, 0b010, 0b001], [0b110, 0b011, 0b111]], np.uint64))
+    assert vecs.dtype == np.uint64 and vecs.shape == (8, 2)
+    assert vecs[:, 0].tolist() == list(range(8))
+    assert vecs[:, 1].tolist() == [0b000, 0b111, 0b011, 0b100, 0b110, 0b001, 0b101, 0b010]
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_spans_at_packed_rref_matrices_are_rref_rows(k):
+    # for RREF words G and every s x k RREF matrix C, row r of
+    # spans(G)[subspace_bases(k, s)] is row r of RREF(C G): the subspace
+    # keys of the exact check and the rank filter's systems rest on it
+    n, rng = 9, np.random.default_rng(k)
+    words, ranks = rref_bits_batch(rng.integers(0, 1 << n, (60, k), dtype=np.uint64), n)
+    words = words[ranks == k]
+    vecs = spans(words)
+    for s in range(1, k + 1):
+        for C in subspace_bases(k, s).tolist():
+            got = vecs[C].T.tolist()  # (words, s)
+            for G, rows in zip(words.tolist(), got):
+                product = [reduce(xor, (G[j] for j in range(k) if c >> (k - 1 - j) & 1), 0)
+                           for c in C]
+                assert rows == rref_bits(product, n)[0]
 
 
 def test_pack_unpack_roundtrip():

@@ -218,6 +218,27 @@ def test_q3_rank_filter_refuses_a_parent_past_the_scan_cap():
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize("m, n, cap, match", [(8, 8, 4, "63 index bits"), (8, 8, 1, "63 index bits"),
+                                               (7, 7, 4, "listing cap")])
+def test_q2_rank_filter_refuses_before_it_solves(monkeypatch, m, n, cap, match):
+    # a 2^64-word parent's index bit 63 has no room in a system row of
+    # uint64, and the (7 x 7, 1) filter at cap 4 would list about 2.8e12
+    # kept words: both are refused before a system is built
+    monkeypatch.setattr(rankmetric, "_low_rank_indices", lambda *a: pytest.fail("solved"))
+    filt = rank_filtered(gabidulin_mrd(2, m, n, 1), cap)
+    with pytest.raises(CapExceeded, match=match):
+        filt.indices()
+
+
+def test_q2_rank_filter_solves_over_63_index_bits():
+    # (7 x 9, 1) has 2^63 words: bit 62 is the top coefficient of its
+    # systems, and the 64,898 kept words match the formula
+    filt = rank_filtered(gabidulin_mrd(2, 7, 9, 1), 1)
+    assert filt.parent.size == 1 << 63 and filt.size == 1 + 127 * 511
+    idx = filt.indices()
+    assert len(idx) == filt.size and idx.max() >= 1 << 62
+    assert all(filt.parent.rank_of(int(i)) <= 1 for i in idx[::997])
+
 def test_linearity_q2():
     # Gabidulin codes are F_q-linear: XOR of two codewords is a codeword
     h = gabidulin_mrd(2, 3, 3, 2)

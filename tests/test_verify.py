@@ -17,7 +17,7 @@ from cdckit.constructions import recipe_8_4_4
 from cdckit.gf import field_new
 from cdckit.verify import (CapExceeded, _level_ranks, _pair_chunks, _probe_shares, _unrank_pair,
                            _unrank_pairs, enumerate_subspaces, full_pairwise_check, meet_dims,
-                           refuse_past_budget, sample_pairs, sampled_check)
+                           refuse_past_budget, sample_pairs, sampled_check, subspace_bases)
 from cdckit.linalg import (gaussian_binomial, rank_bits, rank_bits_batch, rref_bits,
                            rref_bits_batch, unpack_row)
 from cdckit.subspace import Subspace, intersection_dim
@@ -31,6 +31,37 @@ def test_enumeration_agrees_with_gaussian_binomial():
                 assert len(subs) == gaussian_binomial(n, k, q)
                 assert len(set(s.gen.rows for s in subs)) == len(subs)
                 assert all(s.k == k for s in subs)
+
+
+# (count, SHA-256 of the serialized words, one per line) of enumerate_subspaces(q, n, k):
+# q > 2, q = 4 (a field that is not prime, entries up to 3), k = 0 and k = n
+ENUMERATION_PINS = {
+    (2, 6, 3): (1395, "af7a0120d47c4ddc9ac8c17d5d15c76323d159ff3778c32e182ecab0f09b4939"),
+    (3, 4, 2): (130, "af91053738f5f0b3f724d53be7586b006de5ff752be98d36e00b01632fce2d41"),
+    (4, 4, 2): (357, "8c16dc2ddbcaf4e09e31fc78e0ea4b1271fd59c0c277339c639366dec8907de0"),
+    (5, 3, 1): (31, "da3952c32df107883590f1e1089c65f0a36523d155c967f0049214d3f0aa8c5d"),
+    (2, 5, 0): (1, "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
+    (3, 3, 3): (1, "b70166d0e7833733135b26fae75a31f2451112c6b2d2fc564cdccb6f7532f43b"),
+}
+
+
+@pytest.mark.parametrize("q, n, k", sorted(ENUMERATION_PINS))
+def test_enumeration_pinned(q, n, k):
+    words = list(enumerate_subspaces(q, n, k))
+    text = "".join(w.serialize() + "\n" for w in words)
+    assert (len(words), hashlib.sha256(text.encode()).hexdigest()) == ENUMERATION_PINS[q, n, k]
+    if k:  # each word is already the canonical RREF of its rows
+        assert all(w == Subspace.from_rows(w.field, w.gen.rows, n) for w in words)
+    else:
+        assert [w.gen.rows for w in words] == [()]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_subspace_bases_pack_the_enumeration(n):
+    for s in range(n + 1):
+        bases = subspace_bases(n, s)
+        assert bases.dtype == np.uint64 and bases.shape == (gaussian_binomial(n, s, 2), s)
+        assert bases.tolist() == [list(w.packed_rows()) for w in enumerate_subspaces(2, n, s)]
 
 
 def test_meet_dims_over_gf3_equals_intersection_dim():
@@ -51,6 +82,8 @@ def test_meet_dims_over_gf3_equals_intersection_dim():
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
         list(enumerate_subspaces(2, 30, 15))
+    with pytest.raises(CapExceeded):
+        subspace_bases(30, 15)
 
 
 def test_sampled_check_deterministic():
