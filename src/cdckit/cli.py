@@ -152,6 +152,8 @@ def _import_or_fail(path, read=None):  # import_code is looked up per call
 def cmd_verify(args):
     if args.mode == "sample" and args.pairs < 1:  # a sample of no pairs checks nothing
         _fail(EXIT_USAGE, f"--pairs must be at least 1, not {args.pairs}")
+    if args.mode == "sample" and not 0 <= args.seed < 1 << 64:  # the sampler's state is 64 bits
+        _fail(EXIT_USAGE, f"--seed must be in [0, 2^64), not {args.seed}")
     if args.mode == "full":  # refused from the header, before the body is read
         meta = _import_or_fail(args.file, codefile.read_header)
         verify.refuse_past_budget(meta["field"], meta["n"], meta["k"], meta["d"], meta["count"],

@@ -448,7 +448,7 @@ def _combined(coeffs, basis, width):
     rows = np.zeros_like(coeffs)
     for c in range(width):
         bit = (coeffs >> np.uint64(width - 1 - c)) & np.uint64(1)
-        rows ^= np.where(bit != 0, basis[..., c, None], np.uint64(0))
+        rows ^= bit * basis[..., c, None]
     return rows
 
 

@@ -242,8 +242,8 @@ def _low_rank_indices(offset, basis, ncols, cap):
         particular = (lead * (rows & 1)).sum(axis=1, dtype=np.uint64)
         pivots = lead.sum(axis=1, dtype=np.uint64)
         # free variable u's null vector: u and the pivot of each row holding u
-        null = np.where(coef[:, :, None] & bit != 0, lead[:, :, None], 0)
-        null = np.where(pivots[:, None] & bit == 0, null.sum(axis=1, dtype=np.uint64) | bit, 0)
+        null = (coef[:, :, None] & bit != 0) * lead[:, :, None]
+        null = (pivots[:, None] & bit == 0) * (null.sum(axis=1, dtype=np.uint64) | bit)
         free = np.count_nonzero(null, axis=1)
         for k in sorted(set(free[solvable].tolist())):
             sel = solvable & (free == k)

@@ -101,6 +101,26 @@ def test_verify_sample_needs_a_pair(tmp_path, capsys, pairs):
     assert main(["verify", "--file", str(out), "--mode", "sample", "--pairs", "1"]) == 0
 
 
+@pytest.mark.parametrize("seed", ["18446744073709551617", "-1"])
+def test_verify_sample_seed_is_64_bits(tmp_path, capsys, seed):
+    # the sampler reduces its seed mod 2^64: 2^64 + 1 would draw the pairs
+    # of seed 1 and -1 those of 2^64 - 1, under a report naming another seed
+    out = tmp_path / "lm.cdc"
+    from cdckit.cdc import lifted_mrd
+    from cdckit.codefile import export
+    export(lifted_mrd(2, 6, 3, 4), out)
+    capsys.readouterr()
+    assert main(["verify", "--file", str(out), "--mode", "sample", "--pairs", "10",
+                 "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("cdckit: ")
+    assert captured.err.count("\n") == 1 and seed in captured.err
+    top = str(2 ** 64 - 1)
+    assert main(["verify", "--file", str(out), "--mode", "sample", "--pairs", "10",
+                 "--seed", top]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 2 ** 64 - 1
+
+
 def test_verify_full_small(tmp_path, capsys):
     out = tmp_path / "lm.cdc"
     from cdckit.cdc import lifted_mrd

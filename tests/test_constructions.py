@@ -21,9 +21,9 @@ from cdckit.constructions import (CompositionProfile, ConstructionError,
                                   recipe_9_4_3, size_10_4_5_claimed,
                                   size_10_4_5_linkage, size_12_4_4_cor,
                                   size_12_4_4_thm, size_12_6_6, size_12_8_6,
-                                  size_8_4_4, xi_extension, _duplication_over,
-                                  _indices_in, _sequence_entry_from_code,
-                                  _single_full)
+                                  size_8_4_4, xi_extension, _combined,
+                                  _duplication_over, _indices_in,
+                                  _sequence_entry_from_code, _single_full)
 from cdckit.gf import field_new
 from cdckit.rankmetric import gabidulin_mrd
 from cdckit.subspace import Subspace, distance
@@ -209,6 +209,34 @@ def test_duplication_small_instance():
     c = duplication(part, seq, A)
     assert c.size == 1 + 8 * 64 + 56 * 64 == 4097
     assert (c.n, c.k) == (9, 3)
+
+
+def _xor_of_basis_rows(coeff, basis, width):
+    acc = 0
+    for c in range(width):
+        if coeff >> (width - 1 - c) & 1:
+            acc ^= basis[c]
+    return acc
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_combined_xors_the_basis_rows_of_each_set_column(width):
+    # both basis shapes its callers pass: one (width,) basis for every word
+    # (_reembedded), and one (B, width) basis per word (packed_at_batch)
+    rng = np.random.default_rng(width)
+    coeffs = rng.integers(0, 1 << width, (155, 3), dtype=np.uint64)
+    coeffs[0] = 0
+    coeffs[1] = (1 << width) - 1
+    shared = rng.integers(0, 1 << 63, width, dtype=np.uint64)
+    got = _combined(coeffs, shared, width)
+    assert got.dtype == np.uint64 and got.shape == coeffs.shape
+    assert got.tolist() == [[_xor_of_basis_rows(g, shared.tolist(), width) for g in word]
+                            for word in coeffs.tolist()]
+    per_word = rng.integers(0, 1 << 63, (len(coeffs), width), dtype=np.uint64)
+    got = _combined(coeffs, per_word, width)
+    assert got.dtype == np.uint64 and got.shape == coeffs.shape
+    assert got.tolist() == [[_xor_of_basis_rows(g, basis, width) for g in word]
+                            for word, basis in zip(coeffs.tolist(), per_word.tolist())]
 
 
 def test_partition_and_sequence_validation():

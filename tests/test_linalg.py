@@ -167,6 +167,26 @@ def test_batch_kernels_at_dtype_boundaries(ncols):
         assert not any(any(row[r:]) for row, r in zip(got.tolist(), ranks)), name
 
 
+@pytest.mark.parametrize("ncols", [13, 21, 33, 64])
+@pytest.mark.parametrize("batch", [1, 155])
+def test_batch_kernels_on_tall_systems(ncols, batch):
+    # the rank-filter solve eliminates (a - cap) * ncols rows of tb + 1 bits
+    # at once, taller than any word: 9 to 40 rows, with zero, duplicate and
+    # dependent rows, agree with the scalar kernels
+    rng = random.Random(1000 * ncols + batch)
+    for a in (9, 10, 15, 24, 40):
+        mats = []
+        for _ in range(batch):
+            m = [rng.getrandbits(ncols) for _ in range(a)]
+            m[rng.randrange(a)] = 0  # a zero row
+            m[rng.randrange(a)] = m[rng.randrange(a)]  # a duplicate row
+            i, j, k = rng.sample(range(a), 3)
+            m[k] = m[i] ^ m[j]  # a dependent row
+            mats.append(m)
+        _batch_agrees_with_scalar(mats, ncols)
+        _rref_batch_agrees_with_scalar(mats, ncols)
+
+
 def test_spans_read_row_j_at_bit_k_minus_1_minus_j():
     # vector m XORs row j when bit k - 1 - j of m is set, so the identity
     # word's vector m is m itself; the second word was summed by hand
