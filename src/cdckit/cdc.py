@@ -3,7 +3,8 @@
 
 A Cdc keeps its codewords in one source: a ListSource of Subspace values,
 a PackedSource of GF(2) words read from a file, or a computed stream with
-exact size and random access by index.
+exact size and random access by index.  A partial-spread subcode is
+chosen by index in verify.canonical_order: its parent is never listed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .linalg import (BATCH, MatrixGF, checked_indices, rref_bits, rref_bits_batc
                      rref_rows, unpack_row, word_tuples)
 from .rankmetric import GabidulinHandle, RankCodeHandle, gabidulin_mrd, nested_subcode
 from .subspace import Subspace
-from .verify import enumerate_subspaces, meet_dims
+from .verify import canonical_order, enumerate_subspaces, meet_dims
 
 MATERIALIZE_CAP = 10 ** 5
 
@@ -433,26 +434,28 @@ def parallelism_2_of_F_q4(q: int) -> SpreadFamily:
 def partial_spread_subcode(c: Cdc, strategy: str = "lmrd_nested") -> Cdc:
     """A subcode with pairwise distance 2k (pairwise trivial intersections):
     the seeds (the lifted nested k-subcode for "lmrd_nested", none for
-    "greedy"), then greedily in sort order the words of c, listed up to
-    MATERIALIZE_CAP; each kept word masks out, by one meet_dims scan, the
-    rest of c that meets it, itself included."""
-    k = c.k
+    "greedy"), then greedily the words of c in canonical order, over a
+    listed code or a stream of at most MATERIALIZE_CAP words; each kept
+    word masks out, by one meet_dims scan of the indices left, the rest of
+    c that meets it, itself included."""
+    k, greedy = c.k, c.materialized or c.size <= MATERIALIZE_CAP
     if strategy == "lmrd_nested":
         handle = getattr(c, "lmrd_handle", None)
         if handle is None or not isinstance(handle, GabidulinHandle):
             raise CdcError("no lifted-MRD provenance on this code")
         sub = handle if handle.d_r == k else nested_subcode(handle, k)
         chosen = list(_lifted(c.field.q, sub).iter_subspaces())
-        words = c.words() if c.materialized or c.size <= MATERIALIZE_CAP else []
     elif strategy == "greedy":
-        chosen, words = [], c.words()
+        if not greedy:
+            raise CdcError(f"size {c.size} exceeds materialization cap {MATERIALIZE_CAP}")
+        chosen = []
     else:
         raise CdcError(f"unknown strategy {strategy!r}")
-    rest = np.array(sorted(range(len(words)), key=lambda i: words[i].sort_key()), dtype=np.int64)
+    rest = canonical_order(c) if greedy else np.empty(0, dtype=np.int64)
     for w in chosen:
         rest = rest[meet_dims(c, w, rest) == 0]
     while len(rest):
-        chosen.append(words[rest[0]])
+        chosen.append(c.at(int(rest[0])))
         rest = rest[1:][meet_dims(c, chosen[-1], rest[1:]) == 0]
     return Cdc(c.field, c.n, k, 2 * k, words=chosen,
                provenance={"kind": "partial_spread_subcode", "strategy": strategy,

@@ -40,7 +40,7 @@ import numpy as np
 
 from .cdc import Cdc, ListSource, PackedSource
 from .gf import FieldSpec
-from .linalg import _leading_bits, find_words, packable, rref_bits_batch
+from .linalg import _leading_bits, find_words, packable, rref_bits_batch, sort_keys
 from .subspace import Subspace
 from .verify import full_pairwise_check
 
@@ -99,7 +99,7 @@ def write_code(c: Cdc, fh, order: str | None = None, prov: str | None = None):
         blocks = c.source.packed_blocks()
         if order == "canonical":  # all lines have one length: text order is row order
             words = np.concatenate([np.zeros((0, c.k), np.uint64), *blocks])
-            keys = _sort_keys(words, c.n)
+            keys = sort_keys(words, c.n)
             words = _key_words(np.sort(keys[0]), c.n, c.k) if len(keys) == 1 \
                 else words[np.lexsort(keys[::-1])]
             blocks = (words[i:i + _BLOCK] for i in range(0, len(words), _BLOCK))
@@ -318,25 +318,8 @@ def _in_rref(rows, n):
     return ok
 
 
-def _sort_keys(words, n):
-    """A list of uint64 key arrays of packed RREF words, the most significant
-    first.  Row j, below 2^(n - j), takes n - j bits; the rows lie side by
-    side, row 0 highest, and a row that does not fit in a key starts the
-    next: one key when kn - k(k - 1)/2 <= 64.  They order words as their
-    text lines sort and are equal exactly when the words are."""
-    keys, used = [], 64
-    for j, row in enumerate(words.T):
-        if used + n - j > 64:
-            keys.append(np.zeros(len(words), np.uint64))
-            used = 0
-        keys[-1] <<= np.uint64(n - j)
-        keys[-1] |= row
-        used += n - j
-    return keys
-
-
 def _key_words(keys, n, k):
-    """The (N, k) uint64 words of N one-key _sort_keys: their inverse."""
+    """The (N, k) uint64 words of N one-key sort_keys: their inverse."""
     words = np.empty((len(keys), k), np.uint64)
     for j in reversed(range(k)):
         words[:, j] = keys & np.uint64((1 << (n - j)) - 1)
@@ -358,7 +341,7 @@ def _word_keys(words, n):
     """One uint64 key per packed RREF word: its sort key when that is one
     key, equal exactly when the words are, else the _mix of its rows."""
     k = words.shape[1]
-    return _sort_keys(words, n)[0] if k * n - k * (k - 1) // 2 <= 64 else _mix(words)
+    return sort_keys(words, n)[0] if k * n - k * (k - 1) // 2 <= 64 else _mix(words)
 
 
 def _first_repeat(words, n):
@@ -372,7 +355,7 @@ def _first_repeat(words, n):
     if not shared.size:
         return None
     hit = np.flatnonzero(np.isin(_word_keys(words, n), shared))
-    keys = np.array(_sort_keys(words[hit], n))
+    keys = np.array(sort_keys(words[hit], n))
     order = np.lexsort(keys[::-1])
     keys = keys[:, order]
     later = order[1:][(keys[:, 1:] == keys[:, :-1]).all(axis=0)]

@@ -3,6 +3,11 @@ rank-metric codes into larger ones, plus the named parameter recipes.
 
 All builders are deterministic: streams are enumerated block-major, and
 within a block in mixed-radix order over the constituent factors.
+
+A duplication reads its base by index: the partition's parts are index
+arrays, and the sequence member "base minus one word" is a MinusSource
+view of the base's source, chosen in verify.canonical_order with
+meet_dims scans, so no base is listed or copied.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from .linalg import (MatrixGF, checked_indices, find_words, inverse, pack_row, r
 from .rankmetric import (GabidulinHandle, gabidulin_mrd, mrd_size, nested_subcode,
                          rank_distribution, rank_filtered)
 from .subspace import Subspace, distance, intersection_dim, orthogonal_complement
-from .verify import FULL_CHECK_CAP, CapExceeded, full_pairwise_check, meet_dims
+from .verify import (FULL_CHECK_CAP, CapExceeded, canonical_order, full_pairwise_check,
+                     meet_dims)
 
 
 class ConstructionError(ValueError):
@@ -136,8 +142,6 @@ class NdkSequence:
                 raise ConstructionError(f"witness subspace {i} has wrong dimension")
             if self._is_lmrd_with_hole(e):
                 continue  # structural: lifted words avoid the hole entirely
-            if e.code.size > MATERIALIZE_CAP:
-                raise ConstructionError(f"sequence member {i} too large to scan")
             if (meet_dims(e.code, e.witness_s) > i).any():
                 raise ConstructionError(f"sequence member {i}: codeword meets S in dim > {i}")
             if e.witness_u.k != e.code.k or (meet_dims(e.code, e.witness_u) < e.code.k).all():
@@ -169,24 +173,6 @@ def _lmrd_entry(lm: Cdc) -> SeqEntry:
 # ----------------------------------------------------------------------
 # the multi-block linkage builder
 # ----------------------------------------------------------------------
-
-class _DropFirst:
-    """Restricted view of an enumerable handle without its first element
-    (for rank-filtered handles: without the zero matrix)."""
-
-    def __init__(self, view):
-        self.view = view
-        self.size = view.size - 1
-
-    def packed_at(self, i):
-        return self.view.packed_at(i + 1)
-
-    def packed_at_batch(self, idx):
-        return self.view.packed_at_batch(checked_indices(idx, self.size) + 1)
-
-    def rows_at(self, i):
-        return self.view.rows_at(i + 1)
-
 
 def multiblock_linkage(profile: CompositionProfile, C, M, left=None) -> Cdc:
     """Union of the l linkage blocks; exact size by the product-sum rule."""
@@ -563,6 +549,34 @@ class UnionSource(StreamSource):
         return chain.from_iterable(p.iter_packed() for p in self.parts)
 
 
+class MinusSource(StreamSource):
+    """Word i of a parent (a stream source or a rank-metric handle) without
+    the words at the sorted int64 indices removed: parent word
+    i + #{j : removed[j] - j <= i}, found by np.searchsorted for a batch and
+    bisect for one index."""
+
+    def __init__(self, parent, removed):
+        self.parent, self.n = parent, parent.n
+        self.field = getattr(parent, "field", None)  # a handle is read only as a factor
+        self.shift = np.asarray(removed, dtype=np.int64) - np.arange(len(removed))
+        self.size = parent.size - len(removed)
+
+    def _parent_index(self, i):
+        if not 0 <= i < self.size:
+            raise IndexError(i)
+        return i + bisect_right(self.shift, i)
+
+    def packed_at(self, i):
+        return self.parent.packed_at(self._parent_index(i))
+
+    def packed_at_batch(self, idx):
+        idx = checked_indices(idx, self.size)
+        return self.parent.packed_at_batch(idx + np.searchsorted(self.shift, idx, side="right"))
+
+    def rows_at(self, i):
+        return self.parent.rows_at(self._parent_index(i))
+
+
 def _dual_spread(sp: Cdc) -> Cdc:
     words = [orthogonal_complement(w) for w in sp.words()]
     return Cdc(sp.field, sp.n, sp.n - sp.k, sp.d_claim, words=words,
@@ -706,17 +720,19 @@ def recipe_8_4_4(q):
 
 
 def _sequence_entry_from_code(code: Cdc) -> SeqEntry:
-    """Drop the smallest codeword (in sort order) that is disjoint from
-    another one; the removed word is the witness subspace, the smallest
-    codeword disjoint from it the witness."""
-    words = code.words()
-    order = np.array(sorted(range(len(words)), key=lambda i: words[i].sort_key()), dtype=np.int64)
+    """Remove the first codeword in canonical order that is disjoint from
+    another one; the removed word is the witness subspace, the first
+    codeword disjoint from it the witness.  The code left is a view of
+    code's source without that index."""
+    order = canonical_order(code)
     for i in order.tolist():
-        disjoint = order[meet_dims(code, words[i], order) == 0]  # never i itself
+        removed = code.at(i)
+        disjoint = order[meet_dims(code, removed)[order] == 0]  # never i itself
         if len(disjoint):
-            d_code = Cdc(code.field, code.n, code.k, code.d_claim, words=words[:i] + words[i + 1:],
+            d_code = Cdc(code.field, code.n, code.k, code.d_claim,
+                         stream=MinusSource(code.source, [i]),
                          provenance={"kind": "reduced", "parent": code.provenance})
-            return SeqEntry(d_code, words[disjoint[0]], words[i])
+            return SeqEntry(d_code, code.at(int(disjoint[0])), removed)
     raise ConstructionError("no pair of disjoint codewords")
 
 
@@ -745,7 +761,7 @@ def recipe_12_6_6(q):
     profile = CompositionProfile(q, 6, 6, (6, 6), (3, 3), (1, 2))
     C = [_single_full(q, 6), _single_full(q, 6)]
     M = [gabidulin_mrd(q, 6, 6, 3), gabidulin_mrd(q, 6, 6, 3)]
-    left = [_DropFirst(rank_filtered(M[0], 3)), _DropFirst(rank_filtered(M[1], 3))]
+    left = [MinusSource(rank_filtered(mi, 3), [0]) for mi in M]
     linkage = multiblock_linkage(profile, C, M, left=left)
     addon = coset_addon(profile)
     ext = xi_extension(profile, addon)
@@ -791,9 +807,20 @@ def recipe_16_4_4(q):
     return None, size_16_4_4(q)
 
 
+def _imports_over(q, *codes, duplicated=False):
+    """Refuse an imported code that is not over GF(q), and a duplication
+    over them at q != 2, before any word is read."""
+    for code in codes:
+        if code is not None and code.field.q != q:
+            raise ConstructionError(f"imported code is over GF({code.field.q}), not GF({q})")
+    if duplicated and q != 2:
+        raise ConstructionError("duplication streaming is implemented for q = 2")
+
+
 def recipe_3k_4_k(q, k, base: Cdc | None = None):
     if base is None:
         raise MissingImportError("a (2k, Lambda, 4; k) base-code import is required")
+    _imports_over(q, base)
     if base.n != 2 * k or base.k != k or base.d_claim < 4:
         raise ConstructionError("imported base must be a (2k, *, 4; k) code")
     return None, size_3k_4_k(q, k, base.size)
@@ -803,6 +830,7 @@ def recipe_9_4_3(q, base: Cdc | None = None, base_subcode: Cdc | None = None):
     """Needs an imported (6, q^6+2q^2+2q+1, 4; 3) record code."""
     if base is None:
         raise MissingImportError("a (6, *, 4; 3) record-code import is required")
+    _imports_over(q, base, base_subcode, duplicated=True)
     expected_base = q ** 6 + 2 * q * q + 2 * q + 1
     if base.n != 6 or base.k != 3 or base.size != expected_base:
         raise ConstructionError(
@@ -820,6 +848,7 @@ def recipe_10_4_3(q, base: Cdc | None = None, base_subcode: Cdc | None = None,
     if base is None or seq_base is None:
         raise MissingImportError(
             "imports required: a (7, *, 4; 3) base and a (6, *, 4; 3) sequence code")
+    _imports_over(q, base, base_subcode, seq_base, duplicated=True)
     expected_base = q ** 8 + q ** 5 + q ** 4 + q * q - q
     if base.n != 7 or base.k != 3 or base.size != expected_base:
         raise ConstructionError(

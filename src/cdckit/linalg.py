@@ -108,6 +108,23 @@ def find_words(blocks, targets):
     return found[back]
 
 
+def sort_keys(words, n):
+    """A list of uint64 key arrays of packed RREF words, the most significant
+    first.  Row j, below 2^(n - j), takes n - j bits; the rows lie side by
+    side, row 0 highest, and a row that does not fit in a key starts the
+    next: one key when kn - k(k - 1)/2 <= 64.  They order words as their
+    text lines sort and are equal exactly when the words are."""
+    keys, used = [], 64
+    for j, row in enumerate(words.T):
+        if used + n - j > 64:
+            keys.append(np.zeros(len(words), np.uint64))
+            used = 0
+        keys[-1] <<= np.uint64(n - j)
+        keys[-1] |= row
+        used += n - j
+    return keys
+
+
 def pack_row(row) -> int:
     x = 0
     for v in row:

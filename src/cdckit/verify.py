@@ -1,5 +1,6 @@
 """Verification oracles: subspace listings, the meet dimensions of a code's
-words with one subspace, the exact and the sampled minimum-distance checks,
+words with one subspace, the canonical order of a code's words (the order
+of their text lines), the exact and the sampled minimum-distance checks,
 and spread/parallelism coverage checks.  Subspaces are listed Schubert cell
 by cell in one canonical order (_cells), each cell's RREF matrices as one
 numpy block; subspace_bases packs the GF(2) listings once.
@@ -29,13 +30,13 @@ import math
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, reduce
-from itertools import combinations, takewhile
+from itertools import chain, combinations, takewhile
 
 import numpy as np
 
 from .gf import base_field
 from .linalg import (BATCH, _leading_bits, gaussian_binomial, packable, rank_bits_batch,
-                     rref_bits_batch, spans, word_tuples)
+                     rref_bits_batch, sort_keys, spans, word_tuples)
 from .subspace import Subspace, distance, intersection_dim
 
 ENUM_CAP = 10 ** 6
@@ -138,6 +139,19 @@ def meet_dims(code, W: Subspace, idx=None):
         ranks[lo:lo + len(words)] = rank_bits_batch(
             np.hstack([words, np.tile(w, (len(words), 1))]), code.n)
     return code.k + W.k - ranks
+
+
+def canonical_order(code):
+    """The int64 indices of code's words in the order of their text lines.
+    Over GF(2) with n <= 64 the linalg.sort_keys of the block stream are
+    argsorted (keys differ as words do), or lexsorted past one key a word;
+    other codes are sorted on Subspace.sort_key."""
+    if not packable(code.field, code.n, code.k):
+        return np.array(sorted(range(code.size), key=lambda i: code.at(i).sort_key()),
+                        dtype=np.int64)
+    blocks = chain([np.zeros((0, code.k), np.uint64)], code.source.packed_blocks())
+    keys = [np.concatenate(key) for key in zip(*(sort_keys(b, code.n) for b in blocks))]
+    return np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
 
 
 def _pair_rows_report(code, i, j):

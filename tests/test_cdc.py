@@ -86,7 +86,7 @@ def test_cdc_container_invariants():
 
 def _product_cases():
     from cdckit.cdc import ListSource, ProductSource, _single_full
-    from cdckit.constructions import _DropFirst
+    from cdckit.constructions import MinusSource
     from cdckit.rankmetric import gabidulin_mrd, rank_filtered
     f2 = field_new(2, 1)
     full = lambda n: _single_full(2, n).source
@@ -97,7 +97,7 @@ def _product_cases():
             f2, [rank_filtered(gabidulin_mrd(2, 2, 2, 1), 1), full(2),
                  gabidulin_mrd(2, 2, 2, 1)], (2, 2, 2), reduce=True),
         "rank-filtered head": ProductSource(
-            f2, [_DropFirst(rank_filtered(gabidulin_mrd(2, 3, 3, 2), 2)), full(3)],
+            f2, [MinusSource(rank_filtered(gabidulin_mrd(2, 3, 3, 2), 2), [0]), full(3)],
             (3, 3), reduce=True),
         "empty factor": ProductSource(f2, [ListSource(f2, 3, []), gabidulin_mrd(2, 3, 3, 2)],
                                       (3, 3)),

@@ -422,3 +422,35 @@ def test_non_ascii_byte_in_a_code_file_is_a_parse_failure(tmp_path, capsys, wher
     assert "parse failure" in err and "\\xe9" in err
     _fails_cleanly(["construct", "--recipe", "9_4_3", "--q", "2", "--import", f"base={bad}"],
                    3, capsys)
+
+
+@pytest.mark.parametrize("recipe, args", [
+    ("3k_4_k", ["--k", "5", "--import", "base={d}/lm10.cdc"]),
+    ("9_4_3", ["--import", "base={d}/lm6.cdc"]),
+    ("10_4_3", ["--import", "base={d}/lm7.cdc", "--import", "seq_base={d}/lm6.cdc"]),
+], ids=["3k_4_k", "9_4_3", "10_4_3"])
+def test_construct_refuses_imports_over_another_field(recipe, args, tmp_path, capsys):
+    # GF(2) imports into a q = 3 recipe: a q = 3 formula or duplication
+    # over a GF(2) code is refused, not computed
+    from cdckit.cdc import lifted_mrd
+    from cdckit.codefile import export
+    for n, k, d in [(6, 3, 4), (7, 3, 4), (10, 5, 10)]:
+        export(lifted_mrd(2, n, k, d), tmp_path / f"lm{n}.cdc")
+    argv = ["construct", "--recipe", recipe, "--q", "3", *(a.format(d=tmp_path) for a in args)]
+    err = _fails_cleanly(argv, 4, capsys)
+    assert "imported code is over GF(2), not GF(3)" in err
+
+
+def test_construct_duplication_over_gf3_fails_cleanly(tmp_path, capsys):
+    # a (6, 754; 3) code over GF(3) passes the import checks; the
+    # duplication, implemented for q = 2, refuses it before its words are read
+    from itertools import islice
+    from cdckit.cdc import Cdc
+    from cdckit.codefile import export
+    from cdckit.gf import field_new
+    from cdckit.verify import enumerate_subspaces
+    f = tmp_path / "b3.cdc"
+    export(Cdc(field_new(3, 1), 6, 3, 4, words=islice(enumerate_subspaces(3, 6, 3), 754)), f)
+    err = _fails_cleanly(["construct", "--recipe", "9_4_3", "--q", "3", "--import", f"base={f}"],
+                         4, capsys)
+    assert "implemented for q = 2" in err

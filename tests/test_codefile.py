@@ -584,8 +584,8 @@ def test_reader_packs_rows_past_57_bits(n):
 def test_sort_keys_order_words_as_their_rows(n, k):
     # the canonical writer sorts on these keys of RREF words: the order of
     # lexsort over the k rows, one key exactly when kn - k(k - 1)/2 <= 64
-    from cdckit.codefile import _key_words, _sort_keys
-    from cdckit.linalg import rref_bits_batch
+    from cdckit.codefile import _key_words
+    from cdckit.linalg import rref_bits_batch, sort_keys
     rng = np.random.default_rng(n * k)
     top = np.uint64((1 << min(n - k, 63)) - 1) if n > k else np.uint64(0)
     lifted = rng.integers(0, 1 << 63, (1500, k), dtype=np.uint64) & top \
@@ -594,7 +594,7 @@ def test_sort_keys_order_words_as_their_rows(n, k):
     words, ranks = rref_bits_batch(rng.integers(0, 1 << min(n, 63), (3000, k), dtype=np.uint64)
                                    << np.uint64(max(n - 63, 0)), n)
     words = np.concatenate([lifted, words[ranks == k][:1500]])
-    keys = _sort_keys(words, n)
+    keys = sort_keys(words, n)
     assert (len(keys) == 1) == (k * n - k * (k - 1) // 2 <= 64)
     assert np.array_equal(np.lexsort(keys[::-1]), np.lexsort(words.T[::-1]))
     if len(keys) == 1:

@@ -22,7 +22,7 @@ from cdckit.constructions import (CompositionProfile, ConstructionError,
                                   size_10_4_5_linkage, size_12_4_4_cor,
                                   size_12_4_4_thm, size_12_6_6, size_12_8_6,
                                   size_8_4_4, xi_extension, _combined,
-                                  _duplication_over, _indices_in,
+                                  _duplication_over, _indices_in, _lmrd_entry as _lmrd_entry_of,
                                   _sequence_entry_from_code, _single_full)
 from cdckit.gf import field_new
 from cdckit.rankmetric import gabidulin_mrd
@@ -300,6 +300,53 @@ def test_duplication_from_imported_base_pinned():
     text = dumps(c, order="generation")
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == \
         "6e768118f1a476eb15e478966ee2234a18429bc5ad5fda9b19c4ca366414700b"
+
+
+CHOOSER_PINS = {  # SHA-256 of each subcode's lines; the sequence witnesses (U, S)
+    "8_4_4": ("c8a42245576813d3248f441b9eac000469e777c8e45488fb7412e5a39cbe2095",
+              "db502a27956f2528dbd524dc16463e63c22b199ea6e7b0c17b7699899c74162e",
+              "10000000|01000000|00100000|00010000", "00001000|00000100|00000010|00000001"),
+    "lifted (8,4), q = 2": (
+        "d21d5043293efa93312db1b4163476fe25dc57f8d1c67d3f29edb5c3c8ff3cd8",
+        "606a9e477981e30f1d796f314ec76b23c641c88f1c4145b2f33c35d91a16e88a",
+        "10000001|01000010|00100100|00011010", "10000000|01000000|00100000|00010000"),
+    "lifted (4,2), q = 3": (
+        "436a3ab6e74646a2fb7d7acbab3dfb762b361396cad5e73aabb2f4596111b243",
+        "9b10a7cd2286c9d47bd9e2debc1d9efb712ff0d9c1ef8c271e97c8f19d7193c3",
+        "1001|0110", "1000|0100"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHOOSER_PINS))
+def test_subcodes_and_sequence_witnesses_pinned(name):
+    # both partial-spread strategies and the removed word of the sequence
+    # member, chosen in canonical order; the member is the code without it
+    code = {"8_4_4": lambda: recipe_8_4_4(2)[0],
+            "lifted (8,4), q = 2": lambda: lifted_mrd(2, 8, 4, 4),
+            "lifted (4,2), q = 3": lambda: lifted_mrd(3, 4, 2, 2)}[name]()
+    subs = [partial_spread_subcode(code, strategy) for strategy in ("lmrd_nested", "greedy")]
+    shas = [hashlib.sha256("\n".join(w.serialize() for w in sub).encode()).hexdigest()
+            for sub in subs]
+    entry = _sequence_entry_from_code(code)
+    assert (*shas, entry.witness_u.serialize(), entry.witness_s.serialize()) == CHOOSER_PINS[name]
+    assert list(entry.code) == [w for w in code if w != entry.witness_s]
+
+
+def test_sequence_member_of_the_streamed_10_4_5_code():
+    # the member is the 1,178,312-word stream without one word, a view that
+    # is never listed; validate shows that it meets its removed word S in
+    # dimension <= 3, so S is not in it
+    from cdckit.constructions import recipe_10_4_5
+    base, _ = recipe_10_4_5(2)
+    member = _sequence_entry_from_code(base)
+    S = member.witness_s
+    assert member.code.size == base.size - 1 == 1178311 and not member.code.materialized
+    assert distance(member.witness_u, S) == 10
+    entry = _lmrd_entry_of(lifted_mrd(2, 10, 5, 4))
+    NdkSequence([entry, entry, entry, member]).validate()
+    with pytest.raises(ConstructionError, match="member 2: codeword meets S in dim > 2"):
+        NdkSequence([entry, entry, member]).validate()
+
 
 def test_partition_prefix_past_2000_words_is_certified():
     # the last prefix union has 4,097 words, one pair at distance 2 < 4

@@ -13,7 +13,7 @@ import pytest
 
 from cdckit.cdc import (Cdc, ListSource, PackedSource, ProductSource, _single_full, lifted_mrd,
                         spread)
-from cdckit.constructions import (CompositionProfile, UnionSource, _DropFirst, multiblock_linkage,
+from cdckit.constructions import (CompositionProfile, MinusSource, UnionSource, multiblock_linkage,
                                   recipe_10_4_5, recipe_12_4_4_thm)
 from cdckit.gf import field_new
 from cdckit.rankmetric import (coset_partition, gabidulin_mrd, nested_subcode,
@@ -56,7 +56,7 @@ def _sources():
         "nested": lambda: nested_subcode(gabidulin_mrd(2, 4, 4, 1), 2),
         "coset": lambda: coset_partition(big, nested_subcode(big, 2))[5],
         "rank-filtered": lambda: rank_filtered(gabidulin_mrd(2, 4, 4, 2), 3),
-        "drop-first": lambda: _DropFirst(rank_filtered(gabidulin_mrd(2, 3, 3, 2), 2)),
+        "drop-first": lambda: MinusSource(rank_filtered(gabidulin_mrd(2, 3, 3, 2), 2), [0]),
         "product": lambda: lifted_mrd(2, 9, 6, 4).source,
         "product, reduced": lambda: linkage.parts[1],
         "union": lambda: linkage,

@@ -165,13 +165,14 @@ def test_cli_names_no_recipe_or_formula():
     assert not found, f"cli.py names {found}"
 
 
-def _calls(node, owner):
-    """(name of the innermost enclosing function, call) for each call under node."""
+def _owned(node, owner):
+    """(dotted name of the innermost enclosing class or function, node) for
+    each node under node."""
     for child in ast.iter_child_nodes(node):
-        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
-        if isinstance(child, ast.Call):
-            yield owner, child
-        yield from _calls(child, inner)
+        inner = f"{owner}.{child.name}".removeprefix("<module>.") \
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else owner
+        yield owner, child
+        yield from _owned(child, inner)
 
 
 def test_subspaces_are_listed_only_at_their_edges():
@@ -179,7 +180,31 @@ def test_subspaces_are_listed_only_at_their_edges():
     # listed only where they are the output: the lines of the q^4
     # parallelism search and the CLI's enumerate oracle
     callers = sorted(f"{path.stem}.{owner}" for path in MODULES
-                     for owner, call in _calls(ast.parse(path.read_text()), "<module>")
-                     if getattr(call.func, "id", getattr(call.func, "attr", None))
+                     for owner, call in _owned(ast.parse(path.read_text()), "<module>")
+                     if isinstance(call, ast.Call)
+                     and getattr(call.func, "id", getattr(call.func, "attr", None))
                      == "enumerate_subspaces")
     assert callers == ["cdc.parallelism_2_of_F_q4", "cli.cmd_oracle"]
+
+
+CHOOSERS = ["cdc.partial_spread_subcode", "constructions._sequence_entry_from_code",
+            "constructions.NdkSequence.validate", "constructions.duplication",
+            "constructions._duplication_over", "constructions._reembedded"]
+
+
+def test_duplication_paths_list_no_code_and_sort_one_way():
+    # the choosers and the duplication read words by index, through
+    # meet_dims and the gathers: no .words() list of a whole code; and the
+    # one canonical order of words is verify.canonical_order, which only
+    # pairing_construction's listed spreads bypass
+    nodes = [(f"{path.stem}.{owner}", node) for path in MODULES
+             for owner, node in _owned(ast.parse(path.read_text()), "<module>")]
+    owners = {owner for owner, _ in nodes}
+    assert set(CHOOSERS) <= owners
+    listed = sorted(f"{owner}: {ast.unparse(node)}" for owner, node in nodes
+                    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "words"
+                    and any(owner == c or owner.startswith(c + ".") for c in CHOOSERS))
+    assert not listed, f"whole-code listings on the duplication paths: {listed}"
+    sorters = sorted({owner for owner, node in nodes
+                      if isinstance(node, ast.Attribute) and node.attr == "sort_key"})
+    assert sorters == ["constructions.pairing_construction", "verify.canonical_order"]

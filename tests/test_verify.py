@@ -16,8 +16,9 @@ from cdckit.cdc import Cdc, ListSource, PackedSource, lifted_mrd
 from cdckit.constructions import recipe_8_4_4
 from cdckit.gf import field_new
 from cdckit.verify import (CapExceeded, _level_ranks, _pair_chunks, _probe_shares, _unrank_pair,
-                           _unrank_pairs, enumerate_subspaces, full_pairwise_check, meet_dims,
-                           refuse_past_budget, sample_pairs, sampled_check, subspace_bases)
+                           _unrank_pairs, canonical_order, enumerate_subspaces,
+                           full_pairwise_check, meet_dims, refuse_past_budget, sample_pairs,
+                           sampled_check, subspace_bases)
 from cdckit.linalg import (gaussian_binomial, rank_bits, rank_bits_batch, rref_bits,
                            rref_bits_batch, unpack_row)
 from cdckit.subspace import Subspace, intersection_dim
@@ -77,6 +78,22 @@ def test_meet_dims_over_gf3_equals_intersection_dim():
         assert meet_dims(code, W, idx).tolist() == [dims[i] for i in idx]
         seen.update(dims)
     assert seen == {0, 1, 2}
+
+
+@pytest.mark.parametrize("case", ["8_4_4 listed", "lifted stream", "two keys a word",
+                                  "imported file", "lifted stream, q = 3"])
+def test_canonical_order_sorts_by_sort_key(case):
+    # the packed keys of each block stream order GF(2) words as their rows do
+    from cdckit.codefile import dumps, loads
+    code = {"8_4_4 listed": lambda: recipe_8_4_4(2)[0],
+            "lifted stream": lambda: lifted_mrd(2, 6, 3, 4),
+            "two keys a word": lambda: lifted_mrd(2, 16, 8, 16),
+            "imported file": lambda: loads(dumps(recipe_8_4_4(2)[0], order="generation")),
+            "lifted stream, q = 3": lambda: lifted_mrd(3, 4, 2, 2)}[case]()
+    order = canonical_order(code)
+    assert order.dtype == np.int64
+    assert order.tolist() == sorted(range(code.size), key=lambda i: code.at(i).sort_key())
+    assert order.tolist() != list(range(code.size))
 
 
 def test_enumeration_cap():
