@@ -1,10 +1,11 @@
 """Constant-dimension codes: containers, lifted MRD codes, spreads,
 2-parallelisms of F_q^4, and partial-spread subcode extraction.
 
-A Cdc keeps its codewords in one source: a ListSource of Subspace values,
-a PackedSource of GF(2) words read from a file, or a computed stream with
-exact size and random access by index.  A partial-spread subcode is
-chosen by index in verify.canonical_order: its parent is never listed.
+A Cdc keeps its codewords in one source: a ListSource of Subspace values
+or of packed GF(2) words, a PackedSource of GF(2) words read from a file,
+or a computed stream with exact size and random access by index.  A
+partial-spread subcode is chosen by index in verify.canonical_order: its
+parent is never listed.
 """
 
 from __future__ import annotations
@@ -64,50 +65,12 @@ class StreamSource:
                 for w in self.iter_packed())
 
 
-class ListSource(StreamSource):
-    """Listed codewords: the Subspace list it is given, packed here once
-    over GF(2)."""
+class ListedSource(StreamSource):
+    """A source that lists its words.  Its Subspace list `words` is the one
+    it was given, or else is built once, when first read; until then `at`
+    and iteration build a Subspace per word read."""
 
-    def __init__(self, field, n, words):
-        self.field, self.n = field, n
-        self.words = list(words)
-        self.packed = [w.packed_rows() for w in self.words] if field.q == 2 else None
-        self.size = len(self.words)
-
-    def packed_at(self, i):
-        return self.packed[i]
-
-    def packed_at_batch(self, idx):  # from the tuples: no second copy of the code
-        idx, k = checked_indices(idx, self.size), len(self.packed[0]) if self.size else 0
-        if len(idx) and (np.diff(idx) == 1).all():  # a slice, as streams and writes ask
-            words = self.packed[idx[0]:idx[-1] + 1]
-        else:
-            words = map(self.packed.__getitem__, idx.tolist())
-        rows = np.fromiter(chain.from_iterable(words), np.uint64, count=len(idx) * k)
-        return rows.reshape(len(idx), k)
-
-    def rows_at(self, i):
-        return self.words[i].gen.rows
-
-    def iter_packed(self):
-        return iter(self.packed)
-
-    def subspace_at(self, i) -> Subspace:
-        return self.words[i]
-
-    def iter_subspaces(self):
-        return iter(self.words)
-
-
-class PackedSource(StreamSource):
-    """GF(2) words read from a file: one C-contiguous (N, k) array of the
-    narrowest unsigned dtype holding n <= 64 bits, whose Subspace list
-    `words` is built once, when first read."""
-
-    def __init__(self, field, n, packed):
-        self.field, self.n, self.packed = field, n, packed
-        self.size = len(packed)
-        self._words = None
+    _words = None
 
     @property
     def words(self):
@@ -115,17 +78,66 @@ class PackedSource(StreamSource):
             self._words = list(super().iter_subspaces())
         return self._words
 
-    def packed_at(self, i):
-        return tuple(self.packed[i].tolist())
-
-    def packed_at_batch(self, idx):
-        return self.packed[checked_indices(idx, self.size)].astype(np.uint64)
+    def rows_at(self, i):
+        return super().rows_at(i) if self._words is None else self._words[i].gen.rows
 
     def subspace_at(self, i) -> Subspace:
         return super().subspace_at(i) if self._words is None else self._words[i]
 
     def iter_subspaces(self):
         return super().iter_subspaces() if self._words is None else iter(self._words)
+
+
+class ListSource(ListedSource):
+    """Listed codewords: a Subspace list, packed here once over GF(2), or
+    GF(2) words given as an (N, k) uint64 array.  packed_at and iter_packed
+    read the packed words as int tuples; gathers and the block stream read
+    the array, made from the tuples on first use when not given."""
+
+    def __init__(self, field, n, words):
+        self.field, self.n, self._array = field, n, None
+        if isinstance(words, np.ndarray):
+            self._array = np.ascontiguousarray(words, dtype=np.uint64)
+            self.packed = list(word_tuples(self._array))
+        else:
+            self._words = list(words)
+            self.packed = [w.packed_rows() for w in self._words] if field.q == 2 else None
+        self.size = len(self._words if self._array is None else self._array)
+
+    @property
+    def array(self):
+        if self._array is None:
+            k = len(self.packed[0]) if self.size else 0
+            self._array = np.fromiter(chain.from_iterable(self.packed), np.uint64,
+                                      count=self.size * k).reshape(self.size, k)
+        return self._array
+
+    def packed_at(self, i):
+        return self.packed[i]
+
+    def packed_at_batch(self, idx):
+        return np.take(self.array, checked_indices(idx, self.size), axis=0)
+
+    def packed_blocks(self):
+        return (self.array[lo:lo + BATCH] for lo in range(0, self.size, BATCH))
+
+    def iter_packed(self):
+        return iter(self.packed)
+
+
+class PackedSource(ListedSource):
+    """GF(2) words read from a file: one C-contiguous (N, k) array of the
+    narrowest unsigned dtype holding n <= 64 bits."""
+
+    def __init__(self, field, n, packed):
+        self.field, self.n, self.packed = field, n, packed
+        self.size = len(packed)
+
+    def packed_at(self, i):
+        return tuple(self.packed[i].tolist())
+
+    def packed_at_batch(self, idx):
+        return self.packed[checked_indices(idx, self.size)].astype(np.uint64)
 
 
 class ProductSource(StreamSource):
@@ -205,8 +217,9 @@ class ProductSource(StreamSource):
 
 class Cdc:
     """A set of k-subspaces of F_q^n with claimed minimum distance d, kept in
-    one source: `words` are listed in a ListSource, a `stream` is kept as
-    given."""
+    one source: `words` (Subspace values, or over GF(2) an (N, k) uint64
+    array of packed RREF words) are listed in a ListSource, a `stream` is
+    kept as given."""
 
     def __init__(self, field: FieldSpec, n: int, k: int, d_claim: int,
                  words=None, stream: StreamSource | None = None,
@@ -219,14 +232,17 @@ class Cdc:
         self.d_claim = d_claim
         self.provenance = provenance or {}
         if words is not None:
-            words = list(words)
-            for w in words:
-                if w.n != n or w.k != k or w.field != field:
-                    raise CdcError(f"codeword {w!r} does not fit ({n},{k}) over GF({field.q})")
+            if not isinstance(words, np.ndarray):
+                words = list(words)
+                for w in words:
+                    if w.n != n or w.k != k or w.field != field:
+                        raise CdcError(f"codeword {w!r} does not fit ({n},{k}) over GF({field.q})")
+            elif field.q != 2 or words.shape[1:] != (k,):
+                raise CdcError(f"packed words {words.shape} do not fit ({n},{k}) over GF({field.q})")
             # over GF(2) the ListSource packs the words once: streams, exports
             # and random access read them, and they are the duplicate keys
             stream = ListSource(field, n, words)
-            keys = stream.packed or [w.gen.rows for w in words]
+            keys = stream.packed or [w.gen.rows for w in stream.words]
             if len(set(keys)) != len(keys):
                 raise CdcError("duplicate codeword")
         self.source = stream
@@ -238,7 +254,7 @@ class Cdc:
     @property
     def materialized(self) -> bool:
         """Listed codewords, not a computed stream."""
-        return isinstance(self.source, (ListSource, PackedSource))
+        return isinstance(self.source, ListedSource)
 
     def __len__(self):
         return self.size

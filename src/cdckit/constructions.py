@@ -27,7 +27,7 @@ from .linalg import (MatrixGF, checked_indices, find_words, inverse, pack_row, r
                      rref_bits_batch)
 from .rankmetric import (GabidulinHandle, gabidulin_mrd, mrd_size, nested_subcode,
                          rank_distribution, rank_filtered)
-from .subspace import Subspace, distance, intersection_dim, orthogonal_complement
+from .subspace import Subspace, intersection_dim, orthogonal_complement
 from .verify import (FULL_CHECK_CAP, CapExceeded, canonical_order, full_pairwise_check,
                      meet_dims)
 
@@ -144,7 +144,7 @@ class NdkSequence:
                 continue  # structural: lifted words avoid the hole entirely
             if (meet_dims(e.code, e.witness_s) > i).any():
                 raise ConstructionError(f"sequence member {i}: codeword meets S in dim > {i}")
-            if e.witness_u.k != e.code.k or (meet_dims(e.code, e.witness_u) < e.code.k).all():
+            if e.witness_u.k != e.code.k or not _holds(e.code, e.witness_u):
                 raise ConstructionError(f"witness codeword {i} not in the code")
 
     @staticmethod
@@ -156,6 +156,14 @@ class NdkSequence:
             return False
         ref = _lmrd_entry(code)
         return (e.witness_u, e.witness_s) == (ref.witness_u, ref.witness_s)
+
+
+def _holds(code: Cdc, U: Subspace) -> bool:
+    """Whether the k-subspace U is a word of code: found in its block stream
+    by linalg.find_words over GF(2), else met in dimension k by a word."""
+    if code.field.q != 2:
+        return bool((meet_dims(code, U) == code.k).any())
+    return find_words(code.source.packed_blocks(), np.array([U.packed_rows()], np.uint64))[0] >= 0
 
 
 def _coordinate_subspace(field, n, cols):
@@ -256,11 +264,33 @@ def _refuse_past_cap(size):
         raise ConstructionError(f"the addon has {size} words, past MATERIALIZE_CAP")
 
 
+def _direct_sums(parts):
+    """One word of each part with their rows side by side, for every choice
+    in mixed-radix order with the last part fastest; parts are (m_i, a_i)
+    uint64 arrays of packed words, each already in its own columns."""
+    picks = np.indices([len(p) for p in parts]).reshape(len(parts), -1)
+    return np.hstack([p[g] for p, g in zip(parts, picks)])
+
+
+def _check_cross_families(profile, families, field):
+    """Families j1 < j2 of block i are 2 a_i - 2 b_i apart: no member meets
+    a member of a later family in dimension > b_i (one meet_dims each)."""
+    for i, fams in enumerate(families):
+        ni, a, b = profile.nbar[i], profile.abar[i], profile.bbar[i]
+        block = Cdc(field, ni, a, 0, stream=ListSource(field, ni, chain.from_iterable(fams)))
+        fam = np.repeat(np.arange(len(fams)), list(map(len, fams)))  # each member's family
+        for x, u in enumerate(block):
+            if (top := meet_dims(block, u, np.flatnonzero(fam > fam[x])).max(initial=b)) > b:
+                raise ConstructionError(f"cross-family distance {2 * a - 2 * top} < "
+                                        f"{2 * a - 2 * b} in block {i}")
+
+
 def product_addon(profile: CompositionProfile, families, verify_cross=True) -> Cdc:
     """Direct sums U_1 x ... x U_l over each family index j; compatible by
-    construction with the linkage code on the same profile.  verify_cross
-    checks families of block i pair by pair to be 2 a_i - 2 b_i apart, which
-    families from a search or an import do not guarantee."""
+    construction with the linkage code on the same profile.  Over GF(2) a
+    sum ORs the families' packed rows into their block columns.
+    verify_cross checks families of block i pair by pair to be 2 a_i - 2 b_i
+    apart, which families from a search or an import do not guarantee."""
     profile.validate(with_ab=True)
     field = base_field(profile.q)
     s = len(families[0])
@@ -273,13 +303,16 @@ def product_addon(profile: CompositionProfile, families, verify_cross=True) -> C
                                 f"({profile.nbar[bad]}, *; {profile.abar[bad]}) subspace")
     _refuse_past_cap(sum(prod(len(fams[j]) for fams in families) for j in range(s)))
     if verify_cross:
-        for (i, fams), (j1, j2) in iproduct(enumerate(families), combinations(range(s), 2)):
-            need = 2 * profile.abar[i] - 2 * profile.bbar[i]
-            got = min((distance(u, w) for u in fams[j1] for w in fams[j2]), default=need)
-            if got < need:
-                raise ConstructionError(f"cross-family distance {got} < {need} in block {i}")
-    words = [_direct_sum_subspace(profile, field, pick)
-             for j in range(s) for pick in iproduct(*[fams[j] for fams in families])]
+        _check_cross_families(profile, families, field)
+    if field.q == 2:  # each family's packed rows, shifted into its block's columns
+        parts = [[np.array([w.packed_rows() for w in fam], np.uint64).reshape(len(fam), a)
+                  << np.uint64(profile.n - end) for fam in fams]
+                 for fams, a, end in zip(families, profile.abar, profile.offsets()[1:])]
+        words = np.concatenate([np.empty((0, profile.k), np.uint64),
+                                *(_direct_sums([p[j] for p in parts]) for j in range(s))])
+    else:
+        words = [_direct_sum_subspace(profile, field, pick)
+                 for j in range(s) for pick in iproduct(*[fams[j] for fams in families])]
     return Cdc(field, profile.n, profile.k, profile.d, words=words,
                provenance={"kind": "product_addon", "s": s,
                            "abar": profile.abar, "bbar": profile.bbar})
@@ -321,10 +354,19 @@ def mixed_abar_addons(profiles) -> Cdc:
         if (delta := sum(abs(a - b) for a, b in zip(px.abar, py.abar))) < base.d:
             raise ConstructionError(f"pivot bound between abar={px.abar} and "
                                     f"abar={py.abar} gives only {delta} < {base.d}")
-    words = [w for p in profiles for w in coset_addon(p).words()]
-    return Cdc(base_field(base.q), base.n, base.k, base.d, words=words,
+    return Cdc(base_field(base.q), base.n, base.k, base.d,
+               words=_joined([coset_addon(p) for p in profiles]),
                provenance={"kind": "mixed_abar_addons",
                            "abars": [p.abar for p in profiles]})
+
+
+def _joined(codes):
+    """The words of codes in turn, to be listed in one Cdc: over GF(2) one
+    (N, k) uint64 array of their block streams, else Subspace values."""
+    if codes[0].field.q != 2:
+        return [w for c in codes for w in c]
+    return np.concatenate([np.empty((0, codes[0].k), np.uint64),
+                           *chain.from_iterable(c.source.packed_blocks() for c in codes)])
 
 
 def xi_extension(profile: CompositionProfile, addon: Cdc) -> Cdc:
@@ -573,6 +615,14 @@ class MinusSource(StreamSource):
         idx = checked_indices(idx, self.size)
         return self.parent.packed_at_batch(idx + np.searchsorted(self.shift, idx, side="right"))
 
+    def packed_blocks(self):
+        """The parent's block stream with the removed words dropped."""
+        removed, lo = self.shift + np.arange(len(self.shift)), 0
+        for block in self.parent.packed_blocks():
+            cut = removed[(lo <= removed) & (removed < lo + len(block))] - lo
+            lo += len(block)
+            yield np.delete(block, cut, axis=0) if len(cut) else block
+
     def rows_at(self, i):
         return self.parent.rows_at(self._parent_index(i))
 
@@ -697,21 +747,21 @@ FORMULAS = {name: size for name, (size, _, _) in CATALOG.items()}
 # ----------------------------------------------------------------------
 
 def recipe_8_4_4(q):
-    """Two-block linkage over (4, 4) plus a parallelism-based addon."""
+    """Two-block linkage over (4, 4) plus a parallelism-based addon, listed
+    as packed words (at q > 2 it is past MATERIALIZE_CAP: a union)."""
     profile = CompositionProfile(q, 4, 4, (4, 4), (2, 2), (1, 1))
     C = [_single_full(q, 4), _single_full(q, 4)]
     M = [gabidulin_mrd(q, 4, 4, 2), gabidulin_mrd(q, 4, 4, 2)]
     linkage = multiblock_linkage(profile, C, M)
     par = parallelism_2_of_F_q4(q)
-    families = [[list(member.words()) for member in par] for _ in range(2)]
+    families = [[list(member) for member in par] for _ in range(2)]
     addon = product_addon(profile, families)
     expected = size_8_4_4(q)
     field = base_field(q)
     prov = {"kind": "recipe_8_4_4", "q": q,
             "blocks": linkage.provenance["blocks"]}
     if linkage.size + addon.size <= MATERIALIZE_CAP:
-        c = Cdc(field, 8, 4, 4, words=linkage.words() + addon.words(),
-                provenance=prov)
+        c = Cdc(field, 8, 4, 4, words=_joined([linkage, addon]), provenance=prov)
     else:
         src = UnionSource([linkage.source, addon.source])
         c = Cdc(field, 8, 4, 4, stream=src, provenance=prov)

@@ -127,18 +127,19 @@ def subspace_bases(n, s):
 
 def meet_dims(code, W: Subspace, idx=None):
     """dim(U ∩ W) for each word U of code at idx (default every word), as
-    an int64 array.  Over GF(2) with n <= 64 each BATCH of words is one
-    gather and one rank_bits_batch of the words stacked on W's rows; other
-    codes go word by word through intersection_dim."""
-    idx = np.arange(code.size) if idx is None else np.asarray(idx, dtype=np.int64)
+    an int64 array.  Over GF(2) with n <= 64 each block of the code's
+    block stream, or each gather of BATCH indices, is one rank_bits_batch
+    of the words stacked on W's rows; other codes go word by word through
+    intersection_dim."""
+    idx = None if idx is None else np.asarray(idx, dtype=np.int64)
     if not packable(code.field, code.n, code.k):
-        return np.array([intersection_dim(code.at(i), W) for i in idx.tolist()], dtype=np.int64)
-    w, ranks = np.array(W.packed_rows(), dtype=np.uint64), np.empty(len(idx), dtype=np.int64)
-    for lo in range(0, len(idx), BATCH):
-        words = code.packed_at_batch(idx[lo:lo + BATCH])
-        ranks[lo:lo + len(words)] = rank_bits_batch(
-            np.hstack([words, np.tile(w, (len(words), 1))]), code.n)
-    return code.k + W.k - ranks
+        at = range(code.size) if idx is None else idx.tolist()
+        return np.array([intersection_dim(code.at(i), W) for i in at], dtype=np.int64)
+    blocks = code.source.packed_blocks() if idx is None else \
+        (code.packed_at_batch(idx[lo:lo + BATCH]) for lo in range(0, len(idx), BATCH))
+    w = np.array(W.packed_rows(), dtype=np.uint64)
+    ranks = [rank_bits_batch(np.hstack([b, np.tile(w, (len(b), 1))]), code.n) for b in blocks]
+    return code.k + W.k - np.concatenate([np.empty(0, np.int64), *ranks])
 
 
 def canonical_order(code):

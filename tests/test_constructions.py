@@ -106,6 +106,39 @@ def test_recipe_8_4_4_size_and_substructure():
     assert not sub["ok"] and sub["checked"] == 4622 and len(sub["failures"]) == 3302
 
 
+def test_recipes_on_the_8_4_4_base_make_few_subspaces(monkeypatch):
+    # the (8,4;4) code is built on packed rows: its Subspace values are the
+    # 35 lines of the parallelism search and the identities, not one for
+    # each of its 4,797 words
+    made = []
+    init = Subspace.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Subspace, "__init__", counted)
+    recipe_8_4_4(2)
+    assert len(made) <= 40
+    made.clear()
+    recipe_12_4_4_thm(2)
+    assert len(made) <= 100
+
+
+def test_8_4_4_lists_its_packed_words_on_demand():
+    # the packed store lists its words on the first words(), once, in
+    # generation order (pinned); at(i) before that builds one word only
+    c, _ = recipe_8_4_4(2)
+    last = c.at(c.size - 1)
+    assert c.materialized and c.source._words is None  # one word built, not the list
+    words = c.words()
+    assert c.words() is words and words[-1] == last and c.at(7) is words[7]
+    assert hashlib.sha256("\n".join(w.serialize() for w in words).encode()).hexdigest() == \
+        "3480d5e5173479bd0b59d74986417d3d26f02c9ece85bb95b4569e6043a5a76e"
+    assert c.source.packed_at_batch([4796, 0]).tolist() == [list(c.packed_at(4796)),
+                                                           list(c.packed_at(0))]
+
+
 def test_linkage_rejects_bad_profiles():
     with pytest.raises(ConstructionError):
         CompositionProfile(2, 4, 4, (4,)).validate()
@@ -175,6 +208,20 @@ def test_product_addon_checks_cross_families():
     with pytest.raises(ConstructionError):
         # the same 2-subspace in both families of block 0: distance 0 < 2
         product_addon(profile, [[[w0], [w0]], [[w0], [w1]]])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_product_addon_names_the_block_of_close_families(q):
+    # block 1's families 0 and 2 share a line; those of block 0, and the
+    # families within one block, are far enough apart
+    f = field_new(q, 1)
+    lines = [Subspace.from_rows(f, [[1 if c == i else 0 for c in range(4)] for i in idxs], 4)
+             for idxs in ([0, 1], [2, 3], [0, 2], [1, 3])]
+    profile = CompositionProfile(q, 4, 4, (4, 4), (2, 2), (1, 1))
+    good = [[lines[0]], [lines[1]], [lines[2], lines[3]]]
+    assert product_addon(profile, [good, good]).size == 1 + 1 + 4
+    with pytest.raises(ConstructionError, match="cross-family distance 0 < 2 in block 1"):
+        product_addon(profile, [good, [[lines[0]], [lines[1]], [lines[0], lines[3]]]])
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from cdckit.cdc import (Cdc, ListSource, PackedSource, ProductSource, _single_full, lifted_mrd,
                         spread)
 from cdckit.constructions import (CompositionProfile, MinusSource, UnionSource, multiblock_linkage,
-                                  recipe_10_4_5, recipe_12_4_4_thm)
+                                  recipe_10_4_5, recipe_12_4_4_thm, recipe_8_4_4)
 from cdckit.gf import field_new
 from cdckit.rankmetric import (coset_partition, gabidulin_mrd, nested_subcode,
                                rank_filtered)
@@ -61,6 +61,10 @@ def _sources():
         "product, reduced": lambda: linkage.parts[1],
         "union": lambda: linkage,
         "list": lambda: ListSource(F2, 6, words),
+        "list, packed rows": lambda: ListSource(F2, 6, np.array([w.packed_rows() for w in words],
+                                                                np.uint64)),
+        "minus, listed parent": lambda: MinusSource(recipe_8_4_4(2)[0].source,  # two blocks
+                                                    [0, 4095, 4096, 4796]),
         "packed": lambda: PackedSource(F2, 6, np.array([w.packed_rows() for w in words],
                                                        np.uint8)),
         "re-embedded": lambda: recipe_12_4_4_thm(2)[0].source.parts[1],
@@ -100,7 +104,7 @@ def test_stream_equals_scalar_access(case):
 
 
 @pytest.mark.parametrize("case", ["product", "product, reduced", "union", "re-embedded",
-                                  "list", "packed"])
+                                  "list", "list, packed rows", "packed", "minus, listed parent"])
 def test_streamed_words_are_int_tuples(case):
     # the stream hands out the same values packed_at does: tuples of Python
     # ints, hashable and comparable with words read from a file
