@@ -137,7 +137,7 @@ class PackedSource(ListedSource):
         return tuple(self.packed[i].tolist())
 
     def packed_at_batch(self, idx):
-        return self.packed[checked_indices(idx, self.size)].astype(np.uint64)
+        return np.take(self.packed, checked_indices(idx, self.size), axis=0).astype(np.uint64)
 
 
 class ProductSource(StreamSource):

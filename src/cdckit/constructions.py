@@ -466,7 +466,8 @@ class _ReembedSource(StreamSource):
 
     def packed_at_batch(self, idx):
         u, j = np.divmod(checked_indices(idx, self.size), len(self.gprime))
-        return rref_bits_batch(_combined(self.gprime[j], self.frames[u], self.frames.shape[1]),
+        return rref_bits_batch(_combined(np.take(self.gprime, j, axis=0),
+                                         np.take(self.frames, u, axis=0), self.frames.shape[1]),
                                self.n)[0]
 
 

@@ -199,16 +199,17 @@ def rank_bits_batch(rows, ncols):
     """Ranks of B bit-packed GF(2) matrices given as a (B, a) uint64 array,
     ncols <= 64, worked on as _work_rows; agrees with rank_bits.
 
-    Row j, once reduced by the rows above it, clears its leading bit from the
-    rows below (picked by multiplying with the mask: a broadcast np.where is
-    about 20x slower); the rank counts the rows that are nonzero at their turn."""
+    Row j, once reduced by the rows above it, clears its lowest set bit from
+    the rows below: a rank needs some pivot bit, and row & -row is 2 array calls
+    where the leading bit is ~11 (-row negates the row array, which wraps; a
+    NumPy scalar would warn).  Rows are picked by multiplying with the mask (a
+    broadcast np.where is about 20x slower); the rank counts the rows left
+    nonzero, as no row changes after its turn."""
     work = _work_rows(rows, ncols)
-    ranks = np.zeros(work.shape[1], dtype=np.int64)
-    for j, row in enumerate(work):
-        ranks += row != 0
+    for j, row in enumerate(work[:-1]):  # the last row has none below it
         below = work[j + 1:]
-        below ^= ((below & _leading_bits(row, ncols)) != 0) * row
-    return ranks
+        below ^= ((below & (row & -row)) != 0) * row
+    return np.count_nonzero(work, axis=0)
 
 
 def rref_bits_batch(rows, ncols):

@@ -5,7 +5,7 @@ streams as the one factor of a product, as the lifted and linked codes
 stream it)."""
 
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
 
 import numpy as np
@@ -33,6 +33,21 @@ def _heads(n, k, count):
     """A ListSource of `count` k-subspaces of F_2^n: the last factor of a
     product streams once under each of them."""
     return ListSource(F2, n, islice(lifted_mrd(2, n, k, 2), count))
+
+
+def _packed(n, k, dtype, count=300):
+    """A PackedSource of `count` distinct words [I_k | M] of F_2^n with random
+    M, held as dtype the way the file reader holds n-bit rows."""
+    rng = random.Random(n)
+    rows = [[(1 << (n - 1 - j)) | rng.getrandbits(n - k) for j in range(k)]
+            for _ in range(count)]
+    return PackedSource(F2, n, np.array(rows, dtype))
+
+
+# (n, k, dtype) of each reader dtype: uint16 holds the 12-column files, and
+# n = 64 sets the top bit of every row
+PACKED_DTYPES = {"packed, uint16": (12, 4, np.uint16), "packed, uint32": (20, 3, np.uint32),
+                 "packed, uint64 top bit": (64, 3, np.uint64)}
 
 
 def _sources():
@@ -68,6 +83,7 @@ def _sources():
         "packed": lambda: PackedSource(F2, 6, np.array([w.packed_rows() for w in words],
                                                        np.uint8)),
         "re-embedded": lambda: recipe_12_4_4_thm(2)[0].source.parts[1],
+        **{case: partial(_packed, *spec) for case, spec in PACKED_DTYPES.items()},
     }
 
 
@@ -116,13 +132,15 @@ def test_streamed_words_are_int_tuples(case):
 
 
 def test_packed_source_hands_out_python_ints():
-    # its rows are uint8, its words tuples of Python ints and its gathers uint64
-    src = _sources()["packed"]()
-    word = src.packed_at(src.size - 1)
-    assert type(word) is tuple and all(type(r) is int for r in word)
-    assert word == src.packed_at(-1) and src.packed.dtype == np.uint8
-    assert src.packed_at_batch([src.size - 1]).tolist() == [list(word)]
-    assert src.words[-1].packed_rows() == word
+    # its rows are the reader's dtype, its words tuples of Python ints and its gathers uint64
+    dtypes = {"packed": np.uint8, **{case: spec[2] for case, spec in PACKED_DTYPES.items()}}
+    for case, dtype in dtypes.items():
+        src = _sources()[case]()
+        word = src.packed_at(src.size - 1)
+        assert type(word) is tuple and all(type(r) is int for r in word)
+        assert word == src.packed_at(-1) and src.packed.dtype == dtype
+        assert src.packed_at_batch([src.size - 1]).tolist() == [list(word)]
+        assert src.words[-1].packed_rows() == word
 
 
 def test_code_gathers_from_its_source():

@@ -77,7 +77,7 @@ def test_rank_bits_batch_all_binary_4x4():
 def test_rank_bits_batch_random_batches():
     rng = random.Random(20)
     for a in range(1, 9):
-        for ncols in (1, 5, 16):
+        for ncols in (1, 5, 16, 32):  # uint8, uint16 and uint32 work rows
             rows = []
             for _ in range(300):
                 m = [rng.getrandbits(ncols) for _ in range(a)]
@@ -89,7 +89,7 @@ def test_rank_bits_batch_random_batches():
 
 
 def test_rank_bits_batch_wide_rows():
-    # the leading bit is found by a smear, not a 2^ncols table: any ncols <= 64
+    # the pivot bit comes from bit operations, not a 2^ncols table: any ncols <= 64
     rng = random.Random(64)
     for ncols in (33, 48, 64):
         for a in (1, 4, 8):

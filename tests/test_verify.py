@@ -260,21 +260,37 @@ def test_unrank_pairs_at_triangular_boundaries():
 CLOSE_REPORT_SHA = "c006d886dcff4b5972d50aaf35d18fcf990d7cff9fe4c47e9364adaf792d2758"
 
 
-def test_sampled_report_with_violations_pinned():
+def _close_code():
     from cdckit.cdc import ListSource, _lifted
     from cdckit.constructions import UnionSource
     from cdckit.rankmetric import gabidulin_mrd
-    from cdckit.subspace import Subspace, intersection_dim
     f = field_new(2, 1)
     close = Subspace(f, 6, [tuple(1 if c == j else 0 for c in range(6)) for j in (0, 1, 3)])
     src = UnionSource([_lifted(2, gabidulin_mrd(2, 3, 3, 2)), ListSource(f, 6, [close])])
-    streamed = Cdc(f, 6, 3, 4, stream=src)
+    return Cdc(f, 6, 3, 4, stream=src)
+
+
+def _assert_close_report(code):
+    report = json.loads(sampled_check(code, 10000, seed=5).to_json())
+    report.pop("wall_time")
+    assert len(report["violations"]) == 13 and report["min_distance_found"] == 2
+    assert hashlib.sha256(json.dumps(report).encode()).hexdigest() == CLOSE_REPORT_SHA
+
+
+def test_sampled_report_with_violations_pinned():
+    streamed = _close_code()
     assert not streamed.materialized
-    for code in (streamed, Cdc(f, 6, 3, 4, words=list(streamed))):
-        report = json.loads(sampled_check(code, 10000, seed=5).to_json())
-        report.pop("wall_time")
-        assert len(report["violations"]) == 13 and report["min_distance_found"] == 2
-        assert hashlib.sha256(json.dumps(report).encode()).hexdigest() == CLOSE_REPORT_SHA
+    for code in (streamed, Cdc(streamed.field, 6, 3, 4, words=list(streamed))):
+        _assert_close_report(code)
+
+
+def test_sampled_report_from_a_file_pinned():
+    # read back in generation order, the words are a uint8 PackedSource whose
+    # gathers give the same report as the stream they were written from
+    from cdckit import codefile
+    code = codefile.loads(codefile.dumps(_close_code(), order="generation"))
+    assert isinstance(code.source, PackedSource) and code.source.packed.dtype == np.uint8
+    _assert_close_report(code)
 
 
 def test_sampled_check_q3_takes_the_rank_path():
