@@ -21,18 +21,21 @@ Files are ASCII: any other byte raises HeaderError in a header line and
 DimensionMismatchError in the body (loads encodes its text as UTF-8).
 
 Over GF(2) with n <= 64 both directions move blocks of at most 2^16 lines
-as bit-packed numpy arrays.  The reader takes the body as bytes.  A block
-laid out as the writer lays it out is checked against a line template and
-packed in a few numpy passes; any other block is first rewritten line by
-line into that layout.  Words already in RREF skip elimination.  The words
-fill one (N, k) array of the narrowest unsigned dtype holding n bits (a
-cdc.PackedSource), sized from the body's length, and one sort of a 64-bit
-key per word screens them for a repeat.  Other fields go line by line
-through Subspace.parse and Subspace.serialize.
+as bit-packed numpy arrays.  The writer gathers lines from cached digit
+tables as bytes, which export writes and write_code decodes.  The reader
+takes the body as bytes.  A block laid out as the writer lays it out is
+checked against a line template and packed in a few numpy passes; any
+other block is first rewritten line by line into that layout.  Words
+already in RREF skip elimination.  The words fill one (N, k) array of the
+narrowest unsigned dtype holding n bits (a cdc.PackedSource), sized from
+the body's length, and one sort of a 64-bit key per word screens them for
+a repeat.  Other fields go line by line through Subspace.parse and
+Subspace.serialize.
 """
 
 from __future__ import annotations
 
+import functools
 import io as _io
 from itertools import chain
 
@@ -77,61 +80,72 @@ class SubcodeError(CodeFileError):
 
 def _header_lines(c: Cdc, order: str, prov: str | None):
     f = c.field
-    mod = ",".join(str(v) for v in f.modulus)
-    if prov is None:
-        prov = str(c.provenance.get("kind", "unknown"))
-    prov = prov.replace("\n", " ").replace("\r", " ").replace("=", ":")
-    values = {"Q": f.q, "P": f.p, "E": f.e, "MOD": mod, "N": c.n, "K": c.k,
-              "D": c.d_claim, "COUNT": c.size, "ORDER": order, "PROV": prov}
+    prov = str(c.provenance.get("kind", "unknown")) if prov is None else prov
+    prov = prov.replace("\n", " ").replace("\r", " ").replace("=", ":") \
+        .encode("ascii", "backslashreplace").decode("ascii")
+    values = {"Q": f.q, "P": f.p, "E": f.e, "MOD": ",".join(map(str, f.modulus)), "N": c.n,
+              "K": c.k, "D": c.d_claim, "COUNT": c.size, "ORDER": order, "PROV": prov}
     return [f"#{key}={values[key]}" for key in HEADER_KEYS]
 
 
-def write_code(c: Cdc, fh, order: str | None = None, prov: str | None = None):
-    """Serialize a code to an open text stream; returns lines written."""
+def _write(c: Cdc, write, order: str | None, prov: str | None):
+    """Pass a code file's bytes to write, a block or a line at a time."""
     if order is None:
         order = "canonical" if c.size <= _SORT_CAP else "generation"
     if order not in ("canonical", "generation"):
         raise HeaderError(f"unknown order {order!r}")
-    for line in _header_lines(c, order, prov):
-        fh.write(line + "\n")
+    write("".join(line + "\n" for line in _header_lines(c, order, prov)).encode("ascii"))
     written = 0
     if packable(c.field, c.n, c.k):
         blocks = c.source.packed_blocks()
         if order == "canonical":  # all lines have one length: text order is row order
             words = np.concatenate([np.zeros((0, c.k), np.uint64), *blocks])
             keys = sort_keys(words, c.n)
-            words = _key_words(np.sort(keys[0]), c.n, c.k) if len(keys) == 1 \
-                else words[np.lexsort(keys[::-1])]
+            words = np.sort(keys.pop()) if len(keys) == 1 else words[np.lexsort(keys[::-1])]
             blocks = (words[i:i + _BLOCK] for i in range(0, len(words), _BLOCK))
-        for block in blocks:
-            fh.write(_format_block(block, c.n))
+        for block in blocks:  # a 1-D block holds sorted one-key words
+            write(_format_block(_key_words(block, c.n, c.k) if block.ndim == 1 else block, c.n))
             written += len(block)
     else:  # '\n' sorts below every digit and separator: it keeps the line order
         lines = (w.serialize() + "\n" for w in c)
         for line in sorted(lines) if order == "canonical" else lines:
-            fh.write(line)
+            write(line.encode("ascii"))
             written += 1
     if written != c.size:
-        raise CountMismatchError(
-            f"stream produced {written} codewords, header promised {c.size}")
+        raise CountMismatchError(f"stream produced {written} codewords, header promised {c.size}")
     return written
 
 
-def _format_block(words, n):
-    """Body lines of (b, k) packed words: n digits per row, '|' between
-    rows, '\\n' after the last."""
-    nbytes = (n + 7) // 8  # the low bytes of each big-endian row hold its n bits
-    low = words.astype(">u8").view(np.uint8).reshape(*words.shape, 8)[..., 8 - nbytes:]
-    out = np.empty((*words.shape, n + 1), np.uint8)
-    out[..., :n] = np.unpackbits(low, axis=-1)[..., 8 * nbytes - n:] + ord("0")
-    out[..., n] = ord("|")
-    out[:, -1, n] = ord("\n")
-    return out.tobytes().decode("ascii")
+def write_code(c: Cdc, fh, order: str | None = None, prov: str | None = None):
+    """Serialize a code to an open text stream; returns lines written."""
+    return _write(c, lambda buf: fh.write(str(buf, "ascii")), order, prov)
 
 
 def export(c: Cdc, path, order: str | None = None, prov: str | None = None):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        return write_code(c, fh, order=order, prov=prov)
+    with open(path, "wb") as fh:
+        return _write(c, fh.write, order, prov)
+
+
+@functools.lru_cache(maxsize=None)
+def _digits(m, sep=True):
+    """The uint8 lines of every m-bit value: its m digits, then '|' if sep."""
+    table = np.full((1 << m, m + sep), ord("|"), np.uint8)
+    table[:, :m] = np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1) & 1 | ord("0")
+    return table
+
+
+def _format_block(words, n):
+    """Body lines of (b, k) packed words as a (b, k, n + 1) uint8 array: rows
+    of n <= 16 bits are gathered with their '|', wider ones 16 digits at a time."""
+    if n <= 16:
+        out = np.take(_digits(n), words, axis=0)
+    else:  # each row's 16-bit chunks, the highest first
+        chunks = np.ascontiguousarray(words, "<u8").view("<u2").reshape(*words.shape, 4)
+        digits = np.take(_digits(16, False), chunks[..., (n - 1) // 16::-1], axis=0)
+        out = np.full((*words.shape, n + 1), ord("|"), np.uint8)
+        out[..., :n] = digits.reshape(*words.shape, -1)[..., -n:]
+    out[:, -1, n] = ord("\n")
+    return out
 
 
 def _parse_header(fh):
@@ -265,7 +279,7 @@ def _read_packed(fh, first, n, k):
         chunk = fh.read(_BLOCK * width)
     words.resize((filled, k), refcheck=False)  # in place: no view of words was kept
     if (i := _first_repeat(words, n)) is not None:
-        line = _format_block(words[i:i + 1], n).strip()
+        line = str(_format_block(words[i:i + 1], n), "ascii").strip()
         raise DuplicateCodewordError(f"duplicate codeword {line!r}")
     if error is not None:
         raise error
@@ -386,9 +400,8 @@ def import_with_subcode(path, subcode_path):
         raise SubcodeError(f"subcode word {sub.at(missing[0]).serialize()} not in parent code")
     report = full_pairwise_check(sub)
     if not report.ok:
-        raise SubcodeError(
-            f"subcode violates claimed distance {sub.d_claim}: "
-            f"min found {report.min_distance_found}")
+        raise SubcodeError(f"subcode violates claimed distance {sub.d_claim}: "
+                           f"min found {report.min_distance_found}")
     return code, sub
 
 

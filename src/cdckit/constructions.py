@@ -274,9 +274,11 @@ def _direct_sums(parts):
 
 def _check_cross_families(profile, families, field):
     """Families j1 < j2 of block i are 2 a_i - 2 b_i apart: no member meets
-    a member of a later family in dimension > b_i (one meet_dims each)."""
-    for i, fams in enumerate(families):
-        ni, a, b = profile.nbar[i], profile.abar[i], profile.bbar[i]
+    a member of a later family in dimension > b_i (one meet_dims each, per distinct block)."""
+    blocks = list(zip(profile.nbar, profile.abar, profile.bbar, families))
+    for i, (ni, a, b, fams) in enumerate(blocks):
+        if blocks[i] in blocks[:i]:
+            continue
         block = Cdc(field, ni, a, 0, stream=ListSource(field, ni, chain.from_iterable(fams)))
         fam = np.repeat(np.arange(len(fams)), list(map(len, fams)))  # each member's family
         for x, u in enumerate(block):

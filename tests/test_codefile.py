@@ -339,6 +339,55 @@ def test_carriage_return_in_provenance_is_replaced(tmp_path):
     assert code.size == 64 and code.provenance["kind"] == "made on host A"
 
 
+def test_non_ascii_provenance_is_escaped(tmp_path):
+    # the header stays ASCII: export writes the whole file, and both
+    # readers give back the escaped provenance
+    c = lifted_mrd(2, 6, 3, 4)
+    path = tmp_path / "c.cdc"
+    export(c, path, prov="café")
+    for code in (import_code(path), loads(dumps(c, prov="café"))):
+        assert code.size == 64 and code.provenance["kind"] == "caf\\xe9"
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 15, 16, 17, 31, 32, 33, 48, 57, 63, 64])
+def test_formatter_lines_at_every_chunk_boundary(n):
+    # rows wider than 16 bits are gathered in 16-bit chunks: each line is
+    # the per-word serializer's, on both sides of every chunk boundary, from
+    # uint64 rows and from the narrowest dtype a file's words are read into
+    import cdckit.codefile as codefile
+    from cdckit.linalg import rref_bits_batch, unpack_row
+    f = field_new(2, 1)
+    rng = np.random.default_rng(n)
+    for k in range(1, min(n, 3) + 1):
+        words, ranks = rref_bits_batch(
+            rng.integers(0, 1 << 64, (300, k), dtype=np.uint64) >> np.uint64(64 - n), n)
+        words = words[ranks == k]
+        want = [Subspace.from_rows(f, [unpack_row(int(r), n) for r in w], n).serialize()
+                for w in words]
+        assert len(want) > 0
+        for rows in (words, words.astype(np.min_scalar_type((1 << n) - 1))):
+            assert str(codefile._format_block(rows, n), "ascii").splitlines() == want
+
+
+@pytest.mark.parametrize("order", ["canonical", "generation"])
+@pytest.mark.parametrize("q", [2, 3])
+def test_export_writes_the_bytes_of_dumps(monkeypatch, tmp_path, q, order):
+    # one formatter, two sinks: the binary file holds the text stream's
+    # bytes, with the GF(2) body split into blocks of at most 5 lines
+    import cdckit.cdc as cdc
+    import cdckit.codefile as codefile
+    c = loads(dumps(lifted_mrd(q, 6, 3, 4), order="generation"))
+    monkeypatch.setattr(codefile, "_BLOCK", 5)
+    monkeypatch.setattr(cdc, "BATCH", 5)
+    blocks = []
+    fmt = codefile._format_block
+    monkeypatch.setattr(codefile, "_format_block", lambda *a: blocks.append(a) or fmt(*a))
+    export(c, tmp_path / "c.cdc", order=order)
+    text = dumps(c, order=order)
+    assert (tmp_path / "c.cdc").read_bytes() == text.encode("ascii")
+    assert len(blocks) == (2 * 13 if q == 2 else 0) and text.count("\n") == 10 + c.size
+
+
 def test_imported_code_behaves_as_a_word_list(tmp_path):
     c = lifted_mrd(2, 6, 3, 4)
     back = loads(dumps(c, order="generation"))
@@ -523,7 +572,7 @@ def _scrambled(args):
     words = np.take_along_axis(words, np.argsort(rng.random(words.shape), axis=1), axis=1)
     add = rng.random(len(words)) < 0.5
     words[add, 0] ^= words[add, 1]
-    return text, codefile._format_block(words, code.n)
+    return text, str(codefile._format_block(words, code.n), "ascii")
 
 
 @pytest.mark.parametrize("block", [5, 1 << 16])

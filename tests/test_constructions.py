@@ -15,7 +15,7 @@ from cdckit.constructions import (CompositionProfile, ConstructionError,
                                   SeqEntry, check_special_substructure,
                                   cor1_bound, coset_addon, duplication,
                                   mixed_abar_addons, multiblock_linkage,
-                                  pairing_construction, product_addon,
+                                  pairing_construction, parallelism_2_of_F_q4, product_addon,
                                   recipe_12_4_4_thm, recipe_12_6_6, recipe_12_8_6, recipe_3k_4_k,
                                   recipe_8_4_4,
                                   recipe_9_4_3, size_10_4_5_claimed,
@@ -222,6 +222,18 @@ def test_product_addon_names_the_block_of_close_families(q):
     assert product_addon(profile, [good, good]).size == 1 + 1 + 4
     with pytest.raises(ConstructionError, match="cross-family distance 0 < 2 in block 1"):
         product_addon(profile, [good, [[lines[0]], [lines[1]], [lines[0], lines[3]]]])
+
+
+def test_recipe_8_4_4_checks_its_equal_blocks_once(monkeypatch):
+    # both blocks take equal parallelism families: the cross-family check
+    # scans block 0, one meet_dims per member, and skips block 1
+    import cdckit.constructions as constructions
+    members = sum(map(len, parallelism_2_of_F_q4(2)))
+    calls = []
+    meet = constructions.meet_dims
+    monkeypatch.setattr(constructions, "meet_dims", lambda *a: calls.append(a) or meet(*a))
+    recipe_8_4_4(2)
+    assert members == 35 and len(calls) == members
 
 
 # ----------------------------------------------------------------------
