@@ -15,7 +15,7 @@ from itertools import chain
 import numpy as np
 
 from .gf import FieldSpec, base_field, ext_field
-from .linalg import (BATCH, MatrixGF, checked_indices, rref_bits, rref_bits_batch,
+from .linalg import (BATCH, checked_indices, rref_bits, rref_bits_batch,
                      rref_rows, unpack_row, word_tuples)
 from .rankmetric import GabidulinHandle, RankCodeHandle, gabidulin_mrd, nested_subcode
 from .subspace import Subspace
@@ -79,7 +79,7 @@ class ListedSource(StreamSource):
         return self._words
 
     def rows_at(self, i):
-        return super().rows_at(i) if self._words is None else self._words[i].gen.rows
+        return super().rows_at(i) if self._words is None else self._words[i].rows
 
     def subspace_at(self, i) -> Subspace:
         return super().subspace_at(i) if self._words is None else self._words[i]
@@ -242,7 +242,7 @@ class Cdc:
             # over GF(2) the ListSource packs the words once: streams, exports
             # and random access read them, and they are the duplicate keys
             stream = ListSource(field, n, words)
-            keys = stream.packed or [w.gen.rows for w in stream.words]
+            keys = stream.packed or [w.rows for w in stream.words]
             if len(set(keys)) != len(keys):
                 raise CdcError("duplicate codeword")
         self.source = stream
@@ -286,7 +286,7 @@ class Cdc:
         if self.size > MATERIALIZE_CAP:
             raise CdcError(f"size {self.size} exceeds materialization cap {MATERIALIZE_CAP}")
         words = list(self)
-        if len(set(w.gen.rows for w in words)) != len(words):
+        if len(set(w.rows for w in words)) != len(words):
             raise CdcError("duplicate codeword in stream")
         return words
 
@@ -298,7 +298,7 @@ class SpreadFamily(list):
 def _single_full(q, n):
     field = base_field(q)
     return Cdc(field, n, n, 2 * n,
-               words=[Subspace(field, n, MatrixGF.identity(field, n).rows)],
+               words=[Subspace(field, n, [tuple(int(i == j) for j in range(n)) for i in range(n)])],
                provenance={"kind": "single_full"})
 
 

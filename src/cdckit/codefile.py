@@ -222,9 +222,9 @@ def read_code(fh) -> Cdc:
             if sub.k != k:
                 raise DimensionMismatchError(
                     f"codeword {line!r} has dimension {sub.k}, header says {k}")
-            if sub.gen.rows in seen:
+            if sub.rows in seen:
                 raise DuplicateCodewordError(f"duplicate codeword {line!r}")
-            seen.add(sub.gen.rows)
+            seen.add(sub.rows)
             words.append(sub)
         if k == 0 and not words and meta["count"] == 1:
             words = [Subspace(field, n, [])]
@@ -394,8 +394,8 @@ def import_with_subcode(path, subcode_path):
         missing = np.flatnonzero(find_words(code.source.packed_blocks(),
                                             sub.packed_at_batch(np.arange(sub.size))) < 0)
     else:
-        parent = set(w.gen.rows for w in code.words())
-        missing = [i for i, w in enumerate(sub) if w.gen.rows not in parent]
+        parent = set(w.rows for w in code.words())
+        missing = [i for i, w in enumerate(sub) if w.rows not in parent]
     if len(missing):
         raise SubcodeError(f"subcode word {sub.at(missing[0]).serialize()} not in parent code")
     report = full_pairwise_check(sub)

@@ -27,7 +27,7 @@ from .linalg import (MatrixGF, checked_indices, find_words, inverse, pack_row, r
                      rref_bits_batch)
 from .rankmetric import (GabidulinHandle, gabidulin_mrd, mrd_size, nested_subcode,
                          rank_distribution, rank_filtered)
-from .subspace import Subspace, intersection_dim, orthogonal_complement
+from .subspace import Subspace, _pivot_col, intersection_dim, orthogonal_complement
 from .verify import (FULL_CHECK_CAP, CapExceeded, canonical_order, full_pairwise_check,
                      meet_dims)
 
@@ -248,15 +248,11 @@ def check_special_substructure(c: Cdc):
 # product-type addons
 # ----------------------------------------------------------------------
 
-def _pivot_col(row):
-    return next(j for j, v in enumerate(row) if v)
-
-
 def _direct_sum_subspace(profile, field, pick):
     """Block-diagonal direct sum of one subspace per block (canonical)."""
     n, offs = profile.n, profile.offsets()
     return Subspace(field, n, [(0,) * offs[j] + tuple(r) + (0,) * (n - offs[j + 1])
-                               for j, w in enumerate(pick) for r in w.gen.rows])
+                               for j, w in enumerate(pick) for r in w.rows])
 
 
 def _refuse_past_cap(size):
@@ -390,12 +386,12 @@ def xi_extension(profile: CompositionProfile, addon: Cdc) -> Cdc:
              for i, a in enumerate(profile.abar)]
     embedded_first = [Cdc(field, n, a, profile.d, words=[
         Subspace(field, n, [(0,) * offs[i] + tuple(r) + (0,) * (n - offs[i + 1])
-                            for r in w.gen.rows]) for w in families[i][0]])
+                            for r in w.rows]) for w in families[i][0]])
         for i, a in enumerate(profile.abar)]
     if any(meet_dims(embedded_first[i], holes[i]).any() for i in range(2)):
         raise ConstructionError("family member meets the lifting hole")
     # the hole of block 1 with the first family of block 2, then the other way round
-    words = [Subspace(field, n, sorted(holes[1 - i].gen.rows + w.gen.rows, key=_pivot_col))
+    words = [Subspace(field, n, sorted(holes[1 - i].rows + w.rows, key=_pivot_col))
              for i in (1, 0) for w in embedded_first[i]]
     return Cdc(field, n, profile.k, profile.d, words=words,
                provenance={"kind": "xi_extension"})
@@ -443,33 +439,33 @@ def pairing_construction(nbar2, abar2, bbar2, C0: Cdc, C1: Cdc, C2: Cdc,
 # ----------------------------------------------------------------------
 
 class _ReembedSource(StreamSource):
-    """For each frame (the rows of U above the unit rows of the s added
-    coordinates) and each G' (a codeword of D in the (U*, S*) basis), the
-    RREF of G' times the frame."""
+    """For each basis M_u (P^-1 times the frame of U: the rows of U above
+    the unit rows of the s added coordinates) and each word D_j of the
+    sequence code's source, the RREF of D_j times M_u."""
 
-    def __init__(self, field, n, frames, gprime):
-        self.field, self.n, self.frames, self.gprime = field, n, frames, gprime
-        self.size = len(frames) * len(gprime)
+    def __init__(self, field, n, bases, member):
+        self.field, self.n, self.bases, self.member = field, n, bases, member
+        self.size = len(bases) * member.size
 
     def packed_at(self, i):
         if not 0 <= i < self.size:
             raise IndexError(i)
-        u, j = divmod(i, len(self.gprime))
-        frame = self.frames[u].tolist()
-        width = len(frame)
+        u, j = divmod(i, self.member.size)
+        basis = self.bases[u].tolist()
+        width = len(basis)
         rows = []
-        for g in self.gprime[j].tolist():
+        for g in self.member.packed_at(j):
             acc = 0
             for c in range(width):
                 if (g >> (width - 1 - c)) & 1:
-                    acc ^= frame[c]
+                    acc ^= basis[c]
             rows.append(acc)
         return tuple(rref_bits(rows, self.n)[0])
 
     def packed_at_batch(self, idx):
-        u, j = np.divmod(checked_indices(idx, self.size), len(self.gprime))
-        return rref_bits_batch(_combined(np.take(self.gprime, j, axis=0),
-                                         np.take(self.frames, u, axis=0), self.frames.shape[1]),
+        u, j = np.divmod(checked_indices(idx, self.size), self.member.size)
+        return rref_bits_batch(_combined(self.member.packed_at_batch(j),
+                                         np.take(self.bases, u, axis=0), self.bases.shape[1]),
                                self.n)[0]
 
 
@@ -491,14 +487,14 @@ def _reembedded(entry: SeqEntry, words, field, k, s, t) -> StreamSource:
         # R(I | M) re-embedded above U is [U | M]
         return ProductSource(field, [PackedSource(field, k + t, words), code.lmrd_handle],
                              (k + t, s))
-    # general path: express each codeword in the (U*, S*) basis
-    P = MatrixGF(code.field, entry.witness_u.gen.rows + entry.witness_s.gen.rows,
-                 ncols=k + s)
+    # general path: a word g of D is g P^-1 in the (U*, S*) basis, and
+    # (g P^-1) F_u = g (P^-1 F_u), so P^-1 is folded into each frame F_u once
+    P = MatrixGF(code.field, entry.witness_u.rows + entry.witness_s.rows, ncols=k + s)
     Pinv = np.array([pack_row(rw) for rw in inverse(P).rows], dtype=np.uint64)
-    gprime = _combined(code.packed_at_batch(np.arange(code.size)), Pinv, k + s)
     units = np.uint64(1) << np.arange(s - 1, -1, -1, dtype=np.uint64)
     frames = np.hstack([words << np.uint64(s), np.broadcast_to(units, (len(words), s))])
-    return _ReembedSource(field, k + s + t, frames, gprime)
+    bases = _combined(np.broadcast_to(Pinv, frames.shape), frames, k + s)
+    return _ReembedSource(field, k + s + t, bases, code.source)
 
 
 def duplication(partition: DistancePartition, seq: NdkSequence, A: Cdc) -> Cdc:
@@ -576,7 +572,7 @@ class UnionSource(StreamSource):
     def packed_at_batch(self, idx):
         idx = checked_indices(idx, self.size)
         part = np.searchsorted(self.starts, idx, side="right") - 1
-        blocks = [(part == p, self.parts[p].packed_at_batch(idx[part == p] - self.starts[p]))
+        blocks = [((sel := part == p), self.parts[p].packed_at_batch(idx[sel] - self.starts[p]))
                   for p in np.flatnonzero(np.bincount(part)).tolist()]
         out = np.zeros((len(idx), blocks[0][1].shape[1] if blocks else 0), dtype=np.uint64)
         for sel, block in blocks:

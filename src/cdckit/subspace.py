@@ -1,14 +1,14 @@
 """Canonical subspace values and the subspace metric.
 
-A subspace is stored as its unique reduced-row-echelon generator matrix,
-so equality, hashing, and file ordering are all structural.
+A subspace is stored as the row tuple of its unique reduced-row-echelon
+generator matrix, Subspace.rows, so equality, hashing, and file ordering
+are all structural; Subspace.gen is the same rows as a linalg.MatrixGF.
 """
 
 from __future__ import annotations
 
 from .gf import FieldSpec
-from .linalg import (DimensionError, MatrixGF, PivotVector, pack_row, rank_rows, rref,
-                     rref_rows)
+from .linalg import DimensionError, MatrixGF, PivotVector, pack_row, rank_rows, rref_rows
 
 
 class EmptySubspaceError(ValueError):
@@ -16,16 +16,15 @@ class EmptySubspaceError(ValueError):
 
 
 class Subspace:
-    __slots__ = ("field", "n", "k", "gen", "_pivots", "_packed")
+    __slots__ = ("field", "n", "k", "rows", "_packed")
 
-    def __init__(self, field: FieldSpec, n: int, gen_rows, pivots=None, packed=None):
-        """Internal constructor; gen_rows must already be canonical RREF,
-        and packed, when given, their GF(2) packed_rows."""
+    def __init__(self, field: FieldSpec, n: int, rows, packed=None):
+        """Internal constructor; rows must already be canonical RREF row
+        tuples, and packed, when given, their GF(2) packed_rows."""
         self.field = field
         self.n = n
-        self.gen = MatrixGF(field, gen_rows, ncols=n)
-        self.k = self.gen.nrows
-        self._pivots = pivots
+        self.rows = tuple(rows)
+        self.k = len(self.rows)
         self._packed = packed
 
     @staticmethod
@@ -33,33 +32,36 @@ class Subspace:
         rows = list(rows)
         if any(len(r) != n for r in rows):
             raise DimensionError(f"rows must have {n} entries")
-        gen, _ = rref_rows(field, rows, n)
-        if not gen:
+        canon, _ = rref_rows(field, rows, n)
+        if not canon:
             raise EmptySubspaceError("zero matrix spans no subspace")
-        return Subspace(field, n, gen)
+        return Subspace(field, n, canon)
 
     # -- identity ------------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.n == other.n
-                and self.field == other.field and self.gen.rows == other.gen.rows)
+                and self.field == other.field and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.n, self.gen.rows))
+        return hash((self.n, self.rows))
 
     def __repr__(self):
         return f"Subspace(dim {self.k} of GF({self.field.q})^{self.n})"
 
     @property
+    def gen(self) -> MatrixGF:
+        """The rows as a matrix, for linalg's rref, matmul and inverse."""
+        return MatrixGF(self.field, self.rows, ncols=self.n)
+
+    @property
     def pivots(self) -> PivotVector:
-        if self._pivots is None:
-            self._pivots = rref(self.gen).pivots
-        return self._pivots
+        return PivotVector.from_columns(list(map(_pivot_col, self.rows)), self.n)
 
     def packed_rows(self):
         """The GF(2) rows as a tuple of bit-packed ints, computed once."""
         if self._packed is None:
-            self._packed = tuple(pack_row(r) for r in self.gen.rows)
+            self._packed = tuple(pack_row(r) for r in self.rows)
         return self._packed
 
     # -- serialization -------------------------------------------------
@@ -67,12 +69,12 @@ class Subspace:
     def serialize(self) -> str:
         q = self.field.q
         if q <= 10:
-            return "|".join("".join(str(v) for v in row) for row in self.gen.rows)
-        return "|".join(",".join(str(v) for v in row) for row in self.gen.rows)
+            return "|".join("".join(str(v) for v in row) for row in self.rows)
+        return "|".join(",".join(str(v) for v in row) for row in self.rows)
 
     def sort_key(self):
         """Orders words like serialize(); for q <= 10 (digit entries) the rows do."""
-        return self.gen.rows if self.field.q <= 10 else self.serialize()
+        return self.rows if self.field.q <= 10 else self.serialize()
 
     @staticmethod
     def parse(field: FieldSpec, n: int, text: str) -> "Subspace":
@@ -97,7 +99,7 @@ class Subspace:
         """All vectors of the subspace as coordinate tuples (q^k of them)."""
         f = self.field
         span = [(0,) * self.n]
-        for row in self.gen.rows:
+        for row in self.rows:
             new = []
             for c in range(1, f.q):
                 scaled = tuple(f.mul(c, v) for v in row)
@@ -107,10 +109,15 @@ class Subspace:
         return span
 
 
+def _pivot_col(row):
+    """The first nonzero column of a row: an RREF row's pivot."""
+    return next(j for j, v in enumerate(row) if v)
+
+
 def distance(U: Subspace, W: Subspace) -> int:
     """Subspace distance 2*rank(stack) - dim U - dim W."""
     U._check_ambient(W)
-    r = rank_rows(U.field, U.gen.rows + W.gen.rows, U.n)
+    r = rank_rows(U.field, U.rows + W.rows, U.n)
     return 2 * r - U.k - W.k
 
 
@@ -122,31 +129,25 @@ def pivot_distance_bound(U: Subspace, W: Subspace) -> int:
 
 def intersection_dim(U: Subspace, W: Subspace) -> int:
     U._check_ambient(W)
-    r = rank_rows(U.field, U.gen.rows + W.gen.rows, U.n)
+    r = rank_rows(U.field, U.rows + W.rows, U.n)
     return U.k + W.k - r
 
 
 def span(U: Subspace, W: Subspace) -> Subspace:
     U._check_ambient(W)
-    return Subspace.from_rows(U.field, U.gen.rows + W.gen.rows, U.n)
+    return Subspace.from_rows(U.field, U.rows + W.rows, U.n)
 
 
 def orthogonal_complement(U: Subspace) -> Subspace:
     """Complement under the standard bilinear form sum(u_i v_i)."""
-    f = U.field
-    n = U.n
-    res = rref(U.gen)
-    pivots = [j for j in range(n) if res.pivots.bits[j]]
+    f, n = U.field, U.n
+    pivots = list(map(_pivot_col, U.rows))  # U's rows are in RREF
     basis = []
-    for j in range(n):
-        if res.pivots.bits[j]:
-            continue
+    for j in sorted(set(range(n)) - set(pivots)):
         # free column j: x_j = 1, each pivot variable solves its row's equation
         vec = [0] * n
         vec[j] = 1
-        for r, p in zip(res.matrix.rows, pivots):
+        for r, p in zip(U.rows, pivots):
             vec[p] = f.neg(r[j])
         basis.append(tuple(vec))
-    if not basis:
-        return Subspace(f, n, [])
-    return Subspace.from_rows(f, basis, n)
+    return Subspace.from_rows(f, basis, n) if basis else Subspace(f, n, [])

@@ -523,7 +523,7 @@ def coverage_check(obj):
         seen = {}
         for member in obj:
             for w in member:
-                key = w.gen.rows
+                key = w.rows
                 seen[key] = seen.get(key, 0) + 1
         bad = {k: v for k, v in seen.items() if v != 1}
         return {"mode": "lines", "covered": len(seen),

@@ -14,7 +14,7 @@ def test_lifted_mrd_2_6_3_4():
     assert (c.n, c.k, c.d_claim, c.size) == (6, 3, 4, 64)
     # identity prefix on every codeword
     for w in c:
-        assert all(w.gen.rows[i][j] == (1 if i == j else 0)
+        assert all(w.rows[i][j] == (1 if i == j else 0)
                    for i in range(3) for j in range(3))
     report = full_pairwise_check(c)
     assert report.ok and report.min_distance_found == 4
@@ -146,7 +146,7 @@ def test_word_list_is_packed_at_construction(monkeypatch):
     assert list(c.iter_packed()) == expected == [c.packed_at(i) for i in range(c.size)]
     assert c.packed_at(-1) == expected[-1]
     assert all(type(v) is int for v in c.packed_at(0))
-    twin = Subspace(f, 6, words[0].gen.rows)  # equal rows, nothing packed yet
+    twin = Subspace(f, 6, words[0].rows)  # equal rows, nothing packed yet
     monkeypatch.undo()
     with pytest.raises(CdcError):
         Cdc(f, 6, 3, 4, words=words + [twin])

@@ -25,7 +25,7 @@ def test_roundtrip_lifted_mrd():
     c = lifted_mrd(2, 6, 3, 4)
     c2 = loads(dumps(c))
     assert c2.size == 64 and (c2.n, c2.k, c2.d_claim) == (6, 3, 4)
-    assert set(w.gen.rows for w in c2.words()) == set(w.gen.rows for w in c)
+    assert set(w.rows for w in c2.words()) == set(w.rows for w in c)
     # canonical export is stable under re-export
     assert dumps(c2) == dumps(c)
 
@@ -53,7 +53,7 @@ def test_header_roundtrip_across_fields(q, pe):
     c = spread(q, 4, 2)
     c2 = loads(dumps(c))
     assert c2.field.q == q and (c2.field.p, c2.field.e) == pe
-    assert set(w.gen.rows for w in c2.words()) == set(w.gen.rows for w in c.words())
+    assert set(w.rows for w in c2.words()) == set(w.rows for w in c.words())
 
 
 def test_empty_code_roundtrip():
@@ -255,7 +255,7 @@ def test_dimension_zero_code_roundtrip(count):
     assert text.endswith(f"#COUNT={count}\n#ORDER=canonical\n#PROV=unknown\n" + "\n" * count)
     back = loads(text)
     assert (back.size, back.k) == (count, 0)
-    assert [w.gen.rows for w in back.words()] == [()] * count
+    assert [w.rows for w in back.words()] == [()] * count
     assert dumps(back) == text
     with pytest.raises(CountMismatchError):
         loads(text.replace(f"#COUNT={count}", "#COUNT=2"))
@@ -392,7 +392,7 @@ def test_imported_code_behaves_as_a_word_list(tmp_path):
     c = lifted_mrd(2, 6, 3, 4)
     back = loads(dumps(c, order="generation"))
     assert back.materialized and back.size == 64
-    assert [w.gen.rows for w in back] == [w.gen.rows for w in c]
+    assert [w.rows for w in back] == [w.rows for w in c]
     assert back.at(-1) == c.at(63) and back.words()[5] == c.at(5)
     assert list(back.iter_packed()) == list(c.iter_packed())
 

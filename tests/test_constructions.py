@@ -187,8 +187,8 @@ def test_mixed_abar_rejection_and_frozen_counterexample():
     a1, a2 = coset_addon(p1), coset_addon(p2)
     U1 = _unit([0, 1, 5, 6, 7], 10)
     U2 = _unit([0, 1, 2, 5, 6], 10)
-    assert U1.gen.rows in set(w.gen.rows for w in a1.words())
-    assert U2.gen.rows in set(w.gen.rows for w in a2.words())
+    assert U1.rows in set(w.rows for w in a1.words())
+    assert U2.rows in set(w.rows for w in a2.words())
     assert distance(U1, U2) == 2
 
 
@@ -413,7 +413,7 @@ def test_partition_prefix_past_2000_words_is_certified():
     c0 = _indices_in(lm, partial_spread_subcode(lm, "lmrd_nested"))
     rest = np.setdiff1d(np.arange(lm.size), c0)
     last = lm.at(lm.size - 1)
-    close = Subspace.from_rows(F2, last.gen.rows[:3] + ((0,) * 7 + (1,),), 8)
+    close = Subspace.from_rows(F2, last.rows[:3] + ((0,) * 7 + (1,),), 8)
     assert distance(last, close) == 2
     DistancePartition(lm, [c0, [], rest]).validate()
     base = Cdc(F2, 8, 4, 4, words=lm.words() + [close])
@@ -434,6 +434,29 @@ def test_shared_duplication_over_an_explicit_subcode():
     alien = Cdc(F2, 6, 3, 6, words=[sub.at(0), hole])
     with pytest.raises(ConstructionError, match=f"subcode word {hole.serialize()} is not in"):
         _indices_in(lm, alien)
+
+
+def test_general_reembedding_gathers_no_member_words():
+    # the re-embedded copies read the sequence member by index: building
+    # the duplication gathers none of its words, and a gather of the copies
+    # reads the member's words at the requested indices only
+    lm, _ = _lmrd_entry()
+    entries = _import_entries(lm)
+    member = entries[1].code.source
+    calls = []
+
+    def spy(idx, gather=member.packed_at_batch):
+        calls.append(np.array(idx))
+        return gather(idx)
+
+    member.packed_at_batch = spy
+    c0 = _indices_in(lm, partial_spread_subcode(lm, "lmrd_nested"))
+    c = _duplication_over(lm, c0, entries, _single_full(2, 3))
+    assert calls == []
+    m = member.size
+    copies = c.source.parts[1]
+    assert copies.packed_at_batch(np.array([0, m + 1, 2 * m + 4])).shape == (3, 3)
+    assert [j.tolist() for j in calls] == [[0, 1, 4]]
 
 
 def test_c0_order_is_the_stream_order_of_its_copies():

@@ -4,8 +4,8 @@ another module's private attributes, packed arrays become word tuples
 through linalg.word_tuples alone, the construction modules import no
 rank kernel of their own, the batched GF(2) kernels select rows by
 multiplying, constructions keys no set or dict on generator
-rows, the CLI names no recipe or formula, and Subspace listings stay at
-their two edges."""
+rows, no module reads a Subspace's MatrixGF view, the CLI names no
+recipe or formula, and Subspace listings stay at their two edges."""
 
 import ast
 import importlib
@@ -149,9 +149,18 @@ def test_constructions_key_no_set_on_generator_rows():
     tree = ast.parse((SRC / "constructions.py").read_text(), filename="constructions.py")
     found = sorted(f"{ast.unparse(node)} (line {node.lineno})" for node in ast.walk(tree)
                    if any(isinstance(sub, ast.Attribute) and sub.attr == "rows"
-                          and isinstance(sub.value, ast.Attribute) and sub.value.attr == "gen"
                           for key in _keys(node) for sub in ast.walk(key)))
-    assert not found, f"constructions.py keys a set or dict on .gen.rows: {found}"
+    assert not found, f"constructions.py keys a set or dict on .rows: {found}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_the_matrix_view(path):
+    # a Subspace is its row tuple: Subspace.gen builds a MatrixGF on each
+    # read, for linalg's algebra API, and no module of the package reads it
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "gen"]
+    assert not found, f"{path.name} reads .gen at lines {found}"
 
 
 def test_cli_names_no_recipe_or_formula():

@@ -1,11 +1,16 @@
 """Subspace values and the subspace metric: axioms on seeded triples,
-exhaustive duality at (2,4,2), pivot-vector lower bound."""
+exhaustive duality at (2,4,2), pivot-vector lower bound, and the row
+tuple that every Subspace path reads without a MatrixGF."""
 
 import random
 
 import pytest
 
+from cdckit.cdc import spread
+from cdckit.codefile import dumps, loads
+from cdckit.constructions import recipe_8_4_4
 from cdckit.gf import field_new
+from cdckit.linalg import MatrixGF
 from cdckit.subspace import (EmptySubspaceError, Subspace, distance,
                              intersection_dim, orthogonal_complement,
                              pivot_distance_bound, span)
@@ -57,7 +62,7 @@ def test_duality_preserves_distance_exhaustive_2_4_2():
     assert len(subs) == 35
     duals = [orthogonal_complement(U) for U in subs]
     assert all(D.k == 2 for D in duals)
-    assert len(set(D.gen.rows for D in duals)) == 35
+    assert len(set(D.rows for D in duals)) == 35
     for i in range(35):
         for j in range(i + 1, 35):
             assert distance(subs[i], subs[j]) == distance(duals[i], duals[j])
@@ -71,8 +76,8 @@ def test_complement_is_involutive_and_orthogonal():
             D = orthogonal_complement(U)
             assert D.k == n - U.k
             assert orthogonal_complement(D) == U
-            for u in U.gen.rows:
-                for d in D.gen.rows:
+            for u in U.rows:
+                for d in D.rows:
                     dot = 0
                     for a, b in zip(u, d):
                         dot = field.add(dot, field.mul(a, b))
@@ -86,7 +91,7 @@ def test_canonical_rref_identity():
         U = _random_subspace(rng, F3, 5, 3)
         perm = list(range(U.k))
         rng.shuffle(perm)
-        mixed = [U.gen.rows[p] for p in perm]
+        mixed = [U.rows[p] for p in perm]
         scaled = [[F3.mul(2, v) for v in row] for row in mixed]
         assert Subspace.from_rows(F3, scaled, 5) == U
 
@@ -104,3 +109,28 @@ def test_serialize_parse_roundtrip(q):
 def test_zero_matrix_rejected():
     with pytest.raises(EmptySubspaceError):
         Subspace.from_rows(F2, [[0, 0, 0]], 3)
+
+
+def test_subspace_paths_build_no_matrix(monkeypatch):
+    # a Subspace is its canonical row tuple: listing, reading a q > 2 file,
+    # random access, words(), pivots and duals build no MatrixGF
+    U = Subspace.from_rows(F3, [(1, 2, 0, 1, 0), (0, 0, 1, 2, 2)], 5)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a MatrixGF was built")
+
+    monkeypatch.setattr(MatrixGF, "__init__", refuse)
+    assert sum(1 for _ in enumerate_subspaces(2, 6, 3)) == 1395
+    sp = spread(3, 4, 2)
+    assert set(loads(dumps(sp)).words()) == set(sp.words())
+    code = recipe_8_4_4(2)[0]
+    words = code.words()
+    assert [code.at(i) for i in (0, 1234, code.size - 1)] == \
+        [words[0], words[1234], words[-1]]
+    assert U.pivots.bits == (1, 0, 1, 0, 0)
+    D = orthogonal_complement(U)
+    assert D.k == 3 and all(sum(a * b for a, b in zip(u, d)) % 3 == 0
+                            for u in U.rows for d in D.rows)
+    monkeypatch.undo()
+    # gen is the matrix view of the same rows, for linalg's algebra API
+    assert isinstance(U.gen, MatrixGF) and U.gen.rows == U.rows

@@ -30,7 +30,7 @@ def test_enumeration_agrees_with_gaussian_binomial():
             for k in range(0, min(n, 3) + 1):
                 subs = list(enumerate_subspaces(q, n, k))
                 assert len(subs) == gaussian_binomial(n, k, q)
-                assert len(set(s.gen.rows for s in subs)) == len(subs)
+                assert len(set(s.rows for s in subs)) == len(subs)
                 assert all(s.k == k for s in subs)
 
 
@@ -52,9 +52,9 @@ def test_enumeration_pinned(q, n, k):
     text = "".join(w.serialize() + "\n" for w in words)
     assert (len(words), hashlib.sha256(text.encode()).hexdigest()) == ENUMERATION_PINS[q, n, k]
     if k:  # each word is already the canonical RREF of its rows
-        assert all(w == Subspace.from_rows(w.field, w.gen.rows, n) for w in words)
+        assert all(w == Subspace.from_rows(w.field, w.rows, n) for w in words)
     else:
-        assert [w.gen.rows for w in words] == [()]
+        assert [w.rows for w in words] == [()]
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -392,7 +392,7 @@ def test_ranks_enumerate_every_subspace_in_order(n):
     # the rank of the s-subspace U (a word of k = s rows, whose only key is
     # U) is its index in enumerate_subspaces, for every s
     for s in range(1, n + 1):
-        bits = np.array([w.gen.rows for w in enumerate_subspaces(2, n, s)], np.uint64)
+        bits = np.array([w.rows for w in enumerate_subspaces(2, n, s)], np.uint64)
         words = (bits << np.arange(n - 1, -1, -1, dtype=np.uint64)).sum(axis=2, dtype=np.uint64)
         assert np.array_equal(_level_ranks(words, n, s), np.arange(gaussian_binomial(n, s, 2)))
 
