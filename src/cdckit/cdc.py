@@ -1,11 +1,12 @@
 """Constant-dimension codes: containers, lifted MRD codes, spreads,
 2-parallelisms of F_q^4, and partial-spread subcode extraction.
 
-A Cdc keeps its codewords in one source: a ListSource of Subspace values
-or of packed GF(2) words, a PackedSource of GF(2) words read from a file,
-or a computed stream with exact size and random access by index.  A
-partial-spread subcode is chosen by index in verify.canonical_order: its
-parent is never listed.
+A Cdc keeps its codewords in one source: a ListSource of packed words, a
+PackedSource of GF(2) words read from a file, or a computed stream with
+exact size and random access by index.  Every source hands out linalg
+packed words, at every q, and nothing else: Subspace values come from the
+Cdc, which alone keeps a Subspace list.  A partial-spread subcode is
+chosen by index in verify.canonical_order: its parent is never listed.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from itertools import chain
 import numpy as np
 
 from .gf import FieldSpec, base_field, ext_field
-from .linalg import (BATCH, checked_indices, rref_bits, rref_bits_batch,
-                     rref_rows, unpack_row, word_tuples)
+from .linalg import (BATCH, checked_indices, entry_bits, rref_bits_batch, rref_packed,
+                     unpack_rows, word_tuples)
 from .rankmetric import GabidulinHandle, RankCodeHandle, gabidulin_mrd, nested_subcode
 from .subspace import Subspace
 from .verify import canonical_order, enumerate_subspaces, meet_dims
@@ -31,10 +32,10 @@ class CdcError(ValueError):
 class StreamSource:
     """Deterministic random-access codeword stream (canonical RREF rows).
 
-    A q = 2 source gives bit-packed words one at a time, packed_at(i) -> k
-    row ints, and batched, packed_at_batch(idx) -> (B, k) uint64 array
-    (n <= 64), which its stream reads in chunks; rows_at unpacks them.
-    Sources over larger fields override rows_at."""
+    A source gives linalg packed words at any q, packed_at(i) -> k row ints,
+    and at q = 2 batched, packed_at_batch(idx) -> (B, k) uint64 array
+    (n <= 64), which its stream reads in chunks; over larger fields the
+    stream reads packed_at word by word.  rows_at unpacks packed_at."""
 
     size = 0
 
@@ -45,54 +46,27 @@ class StreamSource:
                 for lo in range(0, self.size, BATCH))
 
     def iter_packed(self):
+        if self.field.q != 2:  # no batched gather over larger fields
+            return map(self.packed_at, range(self.size))
         return chain.from_iterable(map(word_tuples, self.packed_blocks()))
 
     def rows_at(self, i):
-        return tuple(unpack_row(r, self.n) for r in self.packed_at(i))
-
-    def iter_rows(self):
-        return map(self.rows_at, range(self.size))
-
-    def subspace_at(self, i) -> Subspace:
-        return Subspace(self.field, self.n, self.rows_at(i))
-
-    def iter_subspaces(self):
-        field, n = self.field, self.n
-        if field.q != 2:
-            return (Subspace(field, n, rows) for rows in self.iter_rows())
-        # a Cdc built from these words need not pack them again
-        return (Subspace(field, n, tuple(unpack_row(r, n) for r in w), packed=tuple(w))
-                for w in self.iter_packed())
+        return unpack_rows(self.field, self.packed_at(i), self.n)
 
 
-class ListedSource(StreamSource):
-    """A source that lists its words.  Its Subspace list `words` is the one
-    it was given, or else is built once, when first read; until then `at`
-    and iteration build a Subspace per word read."""
-
-    _words = None
-
-    @property
-    def words(self):
-        if self._words is None:
-            self._words = list(super().iter_subspaces())
-        return self._words
-
-    def rows_at(self, i):
-        return super().rows_at(i) if self._words is None else self._words[i].rows
-
-    def subspace_at(self, i) -> Subspace:
-        return super().subspace_at(i) if self._words is None else self._words[i]
-
-    def iter_subspaces(self):
-        return super().iter_subspaces() if self._words is None else iter(self._words)
+def subspaces(source):
+    """The words of a source as Subspace values, in index order; each keeps
+    the packed rows it was unpacked from."""
+    field, n = source.field, source.n
+    return (Subspace(field, n, unpack_rows(field, w, n), packed=tuple(w))
+            for w in source.iter_packed())
 
 
-class ListSource(ListedSource):
-    """Listed codewords: a Subspace list, packed here once over GF(2), or
-    GF(2) words given as an (N, k) uint64 array.  packed_at and iter_packed
-    read the packed words as int tuples; gathers and the block stream read
-    the array, made from the tuples on first use when not given."""
+class ListSource(StreamSource):
+    """Listed codewords: the packed rows of Subspace values, packed here
+    once, or GF(2) words given as an (N, k) uint64 array.  packed_at and
+    iter_packed read the packed words as int tuples; gathers and the block
+    stream read the array, made from the tuples on first use when not given."""
 
     def __init__(self, field, n, words):
         self.field, self.n, self._array = field, n, None
@@ -100,9 +74,8 @@ class ListSource(ListedSource):
             self._array = np.ascontiguousarray(words, dtype=np.uint64)
             self.packed = list(word_tuples(self._array))
         else:
-            self._words = list(words)
-            self.packed = [w.packed_rows() for w in self._words] if field.q == 2 else None
-        self.size = len(self._words if self._array is None else self._array)
+            self.packed = [w.packed_rows() for w in words]
+        self.size = len(self.packed)
 
     @property
     def array(self):
@@ -125,7 +98,7 @@ class ListSource(ListedSource):
         return iter(self.packed)
 
 
-class PackedSource(ListedSource):
+class PackedSource(StreamSource):
     """GF(2) words read from a file: one C-contiguous (N, k) array of the
     narrowest unsigned dtype holding n <= 64 bits."""
 
@@ -156,8 +129,9 @@ class ProductSource(StreamSource):
         for f in self.factors:
             self.size *= f.size
         self.last = self.factors[-1]  # in the lowest columns: no shift
-        # (factor, column shift) of the other factors, right to left
-        self._head = [(f, sum(widths[j + 1:]))
+        # (factor, bit shift of its columns) of the other factors, right to left
+        w = entry_bits(field.q)
+        self._head = [(f, w * sum(widths[j + 1:]))
                       for j, f in reversed(list(enumerate(self.factors[:-1])))]
 
     def packed_at(self, i):
@@ -168,7 +142,7 @@ class ProductSource(StreamSource):
         for f, sh in self._head:
             i, j = divmod(i, f.size)
             rows = [r | (x << sh) for r, x in zip(rows, f.packed_at(j))]
-        return tuple(rref_bits(rows, self.n)[0] if self.reduce else rows)
+        return tuple(rref_packed(self.field, rows, self.n) if self.reduce else rows)
 
     @staticmethod
     def _gather(i, factors):
@@ -201,25 +175,14 @@ class ProductSource(StreamSource):
                     block = block | head
                     yield rref_bits_batch(block, self.n)[0] if self.reduce else block
 
-    def rows_at(self, i):
-        if self.field.q == 2:
-            return super().rows_at(i)
-        if not 0 <= i < self.size:
-            raise IndexError(i)
-        i, j = divmod(i, self.last.size)
-        parts = [self.last.rows_at(j)]
-        for f, _ in self._head:
-            i, j = divmod(i, f.size)
-            parts.append(f.rows_at(j))
-        rows = [sum(map(tuple, row), ()) for row in zip(*reversed(parts))]
-        return tuple(rref_rows(self.field, rows, self.n)[0] if self.reduce else rows)
-
 
 class Cdc:
     """A set of k-subspaces of F_q^n with claimed minimum distance d, kept in
     one source: `words` (Subspace values, or over GF(2) an (N, k) uint64
     array of packed RREF words) are listed in a ListSource, a `stream` is
-    kept as given."""
+    kept as given.  The Cdc alone hands out Subspace values (at, iteration
+    and words()); a listed code keeps one list of them, the one it was given
+    or else the one words() builds on its first call."""
 
     def __init__(self, field: FieldSpec, n: int, k: int, d_claim: int,
                  words=None, stream: StreamSource | None = None,
@@ -231,19 +194,19 @@ class Cdc:
         self.k = k
         self.d_claim = d_claim
         self.provenance = provenance or {}
+        self._words = None
         if words is not None:
             if not isinstance(words, np.ndarray):
-                words = list(words)
+                words = self._words = list(words)
                 for w in words:
                     if w.n != n or w.k != k or w.field != field:
                         raise CdcError(f"codeword {w!r} does not fit ({n},{k}) over GF({field.q})")
             elif field.q != 2 or words.shape[1:] != (k,):
                 raise CdcError(f"packed words {words.shape} do not fit ({n},{k}) over GF({field.q})")
-            # over GF(2) the ListSource packs the words once: streams, exports
-            # and random access read them, and they are the duplicate keys
+            # the ListSource packs the words once: streams, exports and
+            # random access read them, and they are the duplicate keys
             stream = ListSource(field, n, words)
-            keys = stream.packed or [w.rows for w in stream.words]
-            if len(set(keys)) != len(keys):
+            if len(set(stream.packed)) != stream.size:
                 raise CdcError("duplicate codeword")
         self.source = stream
 
@@ -254,7 +217,7 @@ class Cdc:
     @property
     def materialized(self) -> bool:
         """Listed codewords, not a computed stream."""
-        return isinstance(self.source, ListedSource)
+        return isinstance(self.source, (ListSource, PackedSource))
 
     def __len__(self):
         return self.size
@@ -263,7 +226,9 @@ class Cdc:
         return f"Cdc(n={self.n}, k={self.k}, d>={self.d_claim}, q={self.field.q}, size={self.size})"
 
     def at(self, i) -> Subspace:
-        return self.source.subspace_at(i)
+        if self._words is not None:
+            return self._words[i]
+        return Subspace(self.field, self.n, self.source.rows_at(i))
 
     def packed_at(self, i):
         return self.source.packed_at(i)
@@ -275,14 +240,17 @@ class Cdc:
         return self.source.iter_packed()
 
     def __iter__(self):
-        return self.source.iter_subspaces()
+        return subspaces(self.source) if self._words is None else iter(self._words)
 
     def words(self):
-        """The codeword list.  Listed words are the source's own list; a
-        computed stream gives a fresh list on each call, capped at
-        MATERIALIZE_CAP and checked for duplicates."""
-        if self.materialized:  # uncapped
-            return self.source.words
+        """The codeword list.  A listed code builds it once, on the first
+        call unless it was given one, and keeps it; a computed stream gives
+        a fresh list on each call, capped at MATERIALIZE_CAP and checked
+        for duplicates."""
+        if self._words is None and self.materialized:  # uncapped
+            self._words = list(self)
+        if self._words is not None:
+            return self._words
         if self.size > MATERIALIZE_CAP:
             raise CdcError(f"size {self.size} exceeds materialization cap {MATERIALIZE_CAP}")
         words = list(self)
@@ -460,7 +428,7 @@ def partial_spread_subcode(c: Cdc, strategy: str = "lmrd_nested") -> Cdc:
         if handle is None or not isinstance(handle, GabidulinHandle):
             raise CdcError("no lifted-MRD provenance on this code")
         sub = handle if handle.d_r == k else nested_subcode(handle, k)
-        chosen = list(_lifted(c.field.q, sub).iter_subspaces())
+        chosen = list(subspaces(_lifted(c.field.q, sub)))
     elif strategy == "greedy":
         if not greedy:
             raise CdcError(f"size {c.size} exceeds materialization cap {MATERIALIZE_CAP}")

@@ -29,8 +29,8 @@ other block is first rewritten line by line into that layout.  Words
 already in RREF skip elimination.  The words fill one (N, k) array of the
 narrowest unsigned dtype holding n bits (a cdc.PackedSource), sized from
 the body's length, and one sort of a 64-bit key per word screens them for
-a repeat.  Other fields go line by line through Subspace.parse and
-Subspace.serialize.
+a repeat.  Other fields go line by line through Subspace.parse, keeping
+each word's packed rows alone, and Subspace.serialize.
 """
 
 from __future__ import annotations
@@ -210,30 +210,36 @@ def read_code(fh) -> Cdc:
     if packable(field, n, k):
         source = PackedSource(field, n, _read_packed(fh, first, n, k))
     else:
-        words, seen = [], set()
-        for raw in chain([first], fh):  # a non-ASCII byte becomes an escape, not a digit
-            line = raw.rstrip(b"\r\n").decode("ascii", "backslashreplace")
-            if not line:
-                continue
-            try:
-                sub = Subspace.parse(field, n, line)
-            except ValueError as exc:
-                raise DimensionMismatchError(str(exc)) from None
-            if sub.k != k:
-                raise DimensionMismatchError(
-                    f"codeword {line!r} has dimension {sub.k}, header says {k}")
-            if sub.rows in seen:
-                raise DuplicateCodewordError(f"duplicate codeword {line!r}")
-            seen.add(sub.rows)
-            words.append(sub)
-        if k == 0 and not words and meta["count"] == 1:
-            words = [Subspace(field, n, [])]
-        source = ListSource(field, n, words)
+        source = ListSource(field, n, _parsed(chain([first], fh), field, n, k))
+        if k == 0 and not source.size and meta["count"] == 1:
+            source = ListSource(field, n, [Subspace(field, n, [])])
     if source.size != meta["count"]:
         raise CountMismatchError(
             f"header count {meta['count']} but body has {source.size} codewords")
     return Cdc(field, n, k, meta["d"], stream=source,
                provenance={"kind": meta["prov"], "order": meta["order"]})
+
+
+def _parsed(lines, field, n, k):
+    """The words of a body's lines through Subspace.parse, one at a time,
+    so that the ListSource keeps their packed rows alone; a malformed word,
+    one of another dimension or a repeat of an earlier one is refused."""
+    seen = set()
+    for raw in lines:  # a non-ASCII byte becomes an escape, not a digit
+        line = raw.rstrip(b"\r\n").decode("ascii", "backslashreplace")
+        if not line:
+            continue
+        try:
+            sub = Subspace.parse(field, n, line)
+        except ValueError as exc:
+            raise DimensionMismatchError(str(exc)) from None
+        if sub.k != k:
+            raise DimensionMismatchError(
+                f"codeword {line!r} has dimension {sub.k}, header says {k}")
+        if (key := sub.packed_rows()) in seen:
+            raise DuplicateCodewordError(f"duplicate codeword {line!r}")
+        seen.add(key)
+        yield sub
 
 
 def _read_packed(fh, first, n, k):
@@ -394,8 +400,8 @@ def import_with_subcode(path, subcode_path):
         missing = np.flatnonzero(find_words(code.source.packed_blocks(),
                                             sub.packed_at_batch(np.arange(sub.size))) < 0)
     else:
-        parent = set(w.rows for w in code.words())
-        missing = [i for i, w in enumerate(sub) if w.rows not in parent]
+        parent = set(code.iter_packed())
+        missing = [i for i, w in enumerate(sub.iter_packed()) if w not in parent]
     if len(missing):
         raise SubcodeError(f"subcode word {sub.at(missing[0]).serialize()} not in parent code")
     report = full_pairwise_check(sub)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cdc import (Cdc, ListSource, MATERIALIZE_CAP, PackedSource, ProductSource, StreamSource,
                   _lifted, _single_full, lifted_mrd, parallelism_2_of_F_q4,
-                  partial_spread_subcode, spread)
+                  partial_spread_subcode, spread, subspaces)
 from .gf import base_field
 from .linalg import (MatrixGF, checked_indices, find_words, inverse, pack_row, rref_bits,
                      rref_bits_batch)
@@ -275,9 +275,10 @@ def _check_cross_families(profile, families, field):
     for i, (ni, a, b, fams) in enumerate(blocks):
         if blocks[i] in blocks[:i]:
             continue
-        block = Cdc(field, ni, a, 0, stream=ListSource(field, ni, chain.from_iterable(fams)))
+        members = list(chain.from_iterable(fams))
+        block = Cdc(field, ni, a, 0, stream=ListSource(field, ni, members))
         fam = np.repeat(np.arange(len(fams)), list(map(len, fams)))  # each member's family
-        for x, u in enumerate(block):
+        for x, u in enumerate(members):
             if (top := meet_dims(block, u, np.flatnonzero(fam > fam[x])).max(initial=b)) > b:
                 raise ConstructionError(f"cross-family distance {2 * a - 2 * top} < "
                                         f"{2 * a - 2 * b} in block {i}")
@@ -329,8 +330,8 @@ def coset_addon(profile: CompositionProfile) -> Cdc:
     s = min(big.size // sub.size for big, sub in zip(bigs, subs))
     _refuse_past_cap(s * prod(sub.size for sub in subs))  # before any coset or word
     # the first s cosets of coset_partition(big, sub), as views of big
-    families = [[list(_lifted(q, GabidulinHandle(q, big.m, big.n, sub.d_r, big, rep))
-                      .iter_subspaces()) for rep in range(s)] for big, sub in zip(bigs, subs)]
+    families = [[list(subspaces(_lifted(q, GabidulinHandle(q, big.m, big.n, sub.d_r, big, rep))))
+                 for rep in range(s)] for big, sub in zip(bigs, subs)]
     c = product_addon(profile, families, verify_cross=False)
     c.provenance["kind"] = "coset_addon"
     c.addon_families = families
@@ -572,16 +573,14 @@ class UnionSource(StreamSource):
     def packed_at_batch(self, idx):
         idx = checked_indices(idx, self.size)
         part = np.searchsorted(self.starts, idx, side="right") - 1
+        # no indices: part 0 gathers none, which gives the (0, k) shape
+        parts = np.flatnonzero(np.bincount(part)).tolist() or [0]
         blocks = [((sel := part == p), self.parts[p].packed_at_batch(idx[sel] - self.starts[p]))
-                  for p in np.flatnonzero(np.bincount(part)).tolist()]
-        out = np.zeros((len(idx), blocks[0][1].shape[1] if blocks else 0), dtype=np.uint64)
+                  for p in parts]
+        out = np.zeros((len(idx), blocks[0][1].shape[1]), dtype=np.uint64)
         for sel, block in blocks:
             out[sel] = block
         return out
-
-    def rows_at(self, i):
-        p, j = self._locate(i)
-        return p.rows_at(j)
 
     def packed_blocks(self):
         return chain.from_iterable(p.packed_blocks() for p in self.parts)
@@ -597,8 +596,7 @@ class MinusSource(StreamSource):
     bisect for one index."""
 
     def __init__(self, parent, removed):
-        self.parent, self.n = parent, parent.n
-        self.field = getattr(parent, "field", None)  # a handle is read only as a factor
+        self.parent, self.n, self.field = parent, parent.n, parent.field
         self.shift = np.asarray(removed, dtype=np.int64) - np.arange(len(removed))
         self.size = parent.size - len(removed)
 
@@ -621,9 +619,6 @@ class MinusSource(StreamSource):
             cut = removed[(lo <= removed) & (removed < lo + len(block))] - lo
             lo += len(block)
             yield np.delete(block, cut, axis=0) if len(cut) else block
-
-    def rows_at(self, i):
-        return self.parent.rows_at(self._parent_index(i))
 
 
 def _dual_spread(sp: Cdc) -> Cdc:

@@ -1,8 +1,11 @@
 """Matrices over GF(q): RREF, rank, stacking, and Gaussian binomials.
 
-Matrices are immutable; rows are tuples of element indices.  For q = 2 the
-elimination routines work on bit-packed rows (column 0 in the most
-significant bit) so that the distance kernel stays cheap.
+Matrices are immutable; rows are tuples of element indices.  A packed
+row, the one scalar word format at every q, is one int holding entry j of
+an n-entry row in bits [w(n - 1 - j), w(n - j)), w = entry_bits(q); this
+module alone owns that width.  For q = 2 (w = 1, column 0 in the most
+significant bit) the elimination routines work on the packed rows so that
+the distance kernel stays cheap.
 """
 
 from __future__ import annotations
@@ -49,10 +52,6 @@ class MatrixGF:
         self.ncols = ncols
         self.rows = rows
 
-    @staticmethod
-    def identity(field, n):
-        return MatrixGF(field, [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)])
-
     def __eq__(self, other):
         return (isinstance(other, MatrixGF) and self.field == other.field
                 and self.ncols == other.ncols and self.rows == other.rows)
@@ -65,7 +64,8 @@ class MatrixGF:
 
 
 # ----------------------------------------------------------------------
-# bit-packed GF(2) rows: column j lives in bit (ncols - 1 - j)
+# packed rows: entry j in bits [w(ncols - 1 - j), w(ncols - j)), over
+# GF(2) column j in bit (ncols - 1 - j)
 # ----------------------------------------------------------------------
 
 BATCH = 1 << 12  # words, or sampled pairs, per batched call of a stream or check
@@ -125,19 +125,46 @@ def sort_keys(words, n):
     return keys
 
 
-def pack_row(row) -> int:
+def entry_bits(q: int) -> int:
+    """The bits w of one entry of a packed row over GF(q): (q - 1).bit_length()."""
+    return (q - 1).bit_length()
+
+
+def pack_row(row, w=1) -> int:
+    """A row as one int: entry j in bits [w(n - 1 - j), w(n - j))."""
     x = 0
     for v in row:
-        x = (x << 1) | (v & 1)
+        x = (x << w) | v
     return x
 
 
 @lru_cache(maxsize=1 << 12)
-def unpack_row(x: int, n: int):
+def unpack_row(x: int, n: int, w=1):
     # rows repeat across the words of a code: the words listed from one
     # stream share their row tuples, which makes the list cheaper to build
     # and to free
-    return tuple((x >> (n - 1 - j)) & 1 for j in range(n))
+    mask = (1 << w) - 1
+    return tuple((x >> s) & mask for s in range(w * (n - 1), -1, -w))
+
+
+def pack_rows(field: FieldSpec, rows):
+    """The packed rows of a word over field, as a tuple of ints."""
+    w = entry_bits(field.q)
+    return tuple([pack_row(r, w) for r in rows])
+
+
+def unpack_rows(field: FieldSpec, packed, n: int):
+    """The row tuples of a packed word over field."""
+    w = entry_bits(field.q)
+    return tuple([unpack_row(x, n, w) for x in packed])
+
+
+def rref_packed(field: FieldSpec, rows, n: int):
+    """RREF of packed rows, zero rows dropped, as packed rows: rref_bits
+    at q = 2, rref_rows on the unpacked entries otherwise."""
+    if field.q == 2:
+        return rref_bits(rows, n)[0]
+    return pack_rows(field, rref_rows(field, unpack_rows(field, rows, n), n)[0])
 
 
 def rref_bits(rows, n):
@@ -289,10 +316,6 @@ def rref(M: MatrixGF) -> RrefResult:
     rows, pivots = rref_rows(M.field, M.rows, n)
     return RrefResult(MatrixGF(M.field, rows, ncols=n),
                       PivotVector.from_columns(pivots, n), len(rows))
-
-
-def rank(M: MatrixGF) -> int:
-    return rank_rows(M.field, M.rows, M.ncols)
 
 
 def rank_rows(field: FieldSpec, rows, ncols: int) -> int:

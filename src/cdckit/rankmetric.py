@@ -23,8 +23,8 @@ from operator import xor
 import numpy as np
 
 from .gf import base_field, ext_field
-from .linalg import (BATCH, _leading_bits, checked_indices, gaussian_binomial, pack_row,
-                     rank_rows, rref_bits_batch, spans, unpack_row)
+from .linalg import (BATCH, _leading_bits, checked_indices, gaussian_binomial, pack_rows,
+                     rank_rows, rref_bits_batch, spans, unpack_rows)
 from .verify import CapExceeded, subspace_bases
 
 TABLE_BITS = 12  # index bits per XOR table; the lowest table is one block
@@ -68,11 +68,13 @@ def _transpose_block(block, ncols):
 
 
 class RankCodeHandle:
-    """Deterministic enumerable rank-metric code of m x n matrices: rows_at(i)
-    over any field, and at q = 2 packed_at(i) and packed_at_batch(idx)."""
+    """Deterministic enumerable rank-metric code of m x n matrices over
+    field = GF(q): packed_at(i) (linalg packed rows) over any field, and at
+    q = 2 packed_at_batch(idx); rows_at(i) unpacks packed_at(i)."""
 
     def __init__(self, q, m, n, d_r, kind, size):
         self.q = q
+        self.field = base_field(q)
         self.m = m
         self.n = n
         self.d_r = d_r
@@ -85,8 +87,11 @@ class RankCodeHandle:
     def __repr__(self):
         return f"RankCodeHandle({self.kind}, {self.m}x{self.n}, d_r={self.d_r}, q={self.q}, size={self.size})"
 
+    def rows_at(self, i):
+        return unpack_rows(self.field, self.packed_at(i), self.n)
+
     def rank_of(self, i) -> int:
-        return rank_rows(base_field(self.q), self.rows_at(i), self.n)
+        return rank_rows(self.field, self.rows_at(i), self.n)
 
 
 class GabidulinHandle(RankCodeHandle):
@@ -111,7 +116,7 @@ class GabidulinHandle(RankCodeHandle):
         self.step = parent.size // self.size if parent else 1
         self._tables = None  # XOR tables, built on first packed use
         if parent is None:
-            self.ext = ext_field(base_field(q), b)
+            self.ext = ext_field(self.field, b)
             # g_j = alpha^j, j = 0..a-1, and their q-power Frobenius iterates
             self.gpow = []
             for j in range(a):
@@ -129,7 +134,7 @@ class GabidulinHandle(RankCodeHandle):
         for u in range(self.t * self.b):
             coeffs = [0] * self.t
             coeffs[self.t - 1 - u // self.b] = 1 << (u % self.b)
-            basis.append([pack_row(r) for r in self._internal_rows(coeffs)])
+            basis.append(pack_rows(self.field, self._internal_rows(coeffs)))
         return np.array(basis, dtype=np.uint64)
 
     def _internal_rows(self, coeffs):
@@ -176,9 +181,16 @@ class GabidulinHandle(RankCodeHandle):
         return self._tables
 
     def packed_at(self, i):
-        """One table row per index-bit group."""
+        """One table row per index-bit group; at q > 2 a root evaluates the
+        linearized polynomial and a view reads its parent's word."""
         if not 0 <= i < self.size:
             raise IndexError(i)
+        if self.q != 2:
+            if self.parent is not None:
+                return self.parent.packed_at(i * self.step + self.rep)
+            coeffs = [i // self.Q ** s % self.Q for s in reversed(range(self.t))]  # c_0 leads
+            rows = self._internal_rows(coeffs)
+            return pack_rows(self.field, zip(*rows) if self.transposed else rows)
         low, *high = self._xor_tables()
         word = low[i & (len(low) - 1)]
         for table in high:
@@ -193,17 +205,6 @@ class GabidulinHandle(RankCodeHandle):
         for shift, table in zip(range(0, 63, TABLE_BITS), self._xor_tables()):
             words ^= np.take(table, (idx >> shift) & (len(table) - 1), axis=0)
         return words
-
-    def rows_at(self, i):
-        if self.q == 2:
-            return [unpack_row(r, self.n) for r in self.packed_at(i)]
-        if not 0 <= i < self.size:
-            raise IndexError(i)
-        if self.parent is not None:
-            return self.parent.rows_at(i * self.step + self.rep)
-        coeffs = [i // self.Q ** s % self.Q for s in reversed(range(self.t))]  # c_0 leads
-        rows = self._internal_rows(coeffs)
-        return [tuple(r) for r in (zip(*rows) if self.transposed else rows)]
 
     def iter_blocks(self):
         """Blocks of at most 2^TABLE_BITS words: the lowest table XOR the
@@ -290,7 +291,7 @@ class RankFilteredHandle(RankCodeHandle):
                 if self.parent.size > SCAN_CAP:
                     raise CapExceeded(f"a rank filter over {self.parent.size} words exceeds "
                                       f"the q > 2 scan cap {SCAN_CAP}")
-                field, rows_at = base_field(self.q), self.parent.rows_at
+                field, rows_at = self.field, self.parent.rows_at
                 indices = np.array([i for i in range(self.parent.size)
                                     if rank_rows(field, rows_at(i), self.n) <= self.cap],
                                    dtype=np.int64)
@@ -305,9 +306,6 @@ class RankFilteredHandle(RankCodeHandle):
 
     def packed_at_batch(self, idx):
         return self.parent.packed_at_batch(self.indices()[checked_indices(idx, self.size)])
-
-    def rows_at(self, i):
-        return self.parent.rows_at(int(self.indices()[i]))
 
 
 def gabidulin_mrd(q: int, m: int, n: int, d_r: int) -> GabidulinHandle:

@@ -8,7 +8,7 @@ are all structural; Subspace.gen is the same rows as a linalg.MatrixGF.
 from __future__ import annotations
 
 from .gf import FieldSpec
-from .linalg import DimensionError, MatrixGF, PivotVector, pack_row, rank_rows, rref_rows
+from .linalg import DimensionError, MatrixGF, PivotVector, pack_rows, rank_rows, rref_rows
 
 
 class EmptySubspaceError(ValueError):
@@ -20,7 +20,7 @@ class Subspace:
 
     def __init__(self, field: FieldSpec, n: int, rows, packed=None):
         """Internal constructor; rows must already be canonical RREF row
-        tuples, and packed, when given, their GF(2) packed_rows."""
+        tuples, and packed, when given, their packed_rows."""
         self.field = field
         self.n = n
         self.rows = tuple(rows)
@@ -59,9 +59,9 @@ class Subspace:
         return PivotVector.from_columns(list(map(_pivot_col, self.rows)), self.n)
 
     def packed_rows(self):
-        """The GF(2) rows as a tuple of bit-packed ints, computed once."""
+        """The rows as a tuple of linalg packed ints, computed once."""
         if self._packed is None:
-            self._packed = tuple(pack_row(r) for r in self.rows)
+            self._packed = pack_rows(self.field, self.rows)
         return self._packed
 
     # -- serialization -------------------------------------------------

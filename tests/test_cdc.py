@@ -112,12 +112,56 @@ def test_product_source_stream_matches_random_access(case):
     assert len(streamed) == src.size
     assert streamed == [src.packed_at(i) for i in range(src.size)]
     assert streamed == [tuple(pack_row(r) for r in src.rows_at(i)) for i in range(src.size)]
-    assert list(src.iter_rows()) == [src.rows_at(i) for i in range(src.size)]
+    k = len(streamed[0]) if streamed else 0
+    assert [w.rows for w in Cdc(src.field, src.n, k, 0, stream=src)] == \
+        [src.rows_at(i) for i in range(src.size)]
     for i in (-1, src.size):
         with pytest.raises(IndexError):
             src.packed_at(i)
         with pytest.raises(IndexError):
             src.rows_at(i)
+
+
+@pytest.mark.parametrize("reduce", [False, True], ids=["plain", "reduced"])
+@pytest.mark.parametrize("q", [3, 4])
+def test_product_source_over_larger_fields_matches_concatenated_rows(q, reduce):
+    # w = 2 bits an entry at q = 3 and at q = 4, where entries add by XOR;
+    # the reference puts the factors' rows side by side, the last factor
+    # fastest, and brings them to RREF with rref_rows when the product reduces
+    from cdckit.cdc import ProductSource, _single_full
+    from cdckit.gf import base_field
+    from cdckit.linalg import pack_rows, rref_rows
+    from cdckit.rankmetric import gabidulin_mrd, rank_filtered
+    f = base_field(q)
+    transposed = gabidulin_mrd(q, 2, 1, 1)  # 2 x 1 words: m > n
+    assert transposed.transposed
+    if reduce:
+        factors, widths = [rank_filtered(gabidulin_mrd(q, 2, 2, 1), 1),
+                           _single_full(q, 2).source, transposed], (2, 2, 1)
+    else:
+        factors, widths = [_single_full(q, 2).source, transposed,
+                           gabidulin_mrd(q, 2, 2, 2)], (2, 1, 2)
+    src = ProductSource(f, factors, widths, reduce=reduce)
+
+    def reference(i):
+        parts = []
+        for fac in reversed(factors):
+            i, j = divmod(i, fac.size)
+            parts.append(fac.rows_at(j))
+        rows = [sum(map(tuple, row), ()) for row in zip(*reversed(parts))]
+        return tuple(rref_rows(f, rows, src.n)[0] if reduce else rows)
+
+    want = [reference(i) for i in range(src.size)]
+    # 1 + (q + 1)(q^2 - 1) matrices of rank <= 1 in the rank-filtered head
+    assert src.size == ((1 + (q + 1) * (q * q - 1)) * q ** 2 if reduce else q ** 4)
+    assert [src.rows_at(i) for i in range(src.size)] == want
+    assert [src.packed_at(i) for i in range(src.size)] == [pack_rows(f, w) for w in want]
+    assert list(src.iter_packed()) == [src.packed_at(i) for i in range(src.size)]
+    assert [w.rows for w in Cdc(f, src.n, 2, 0, stream=src)] == want
+    assert len(set(want)) == len(want)
+    for i in (-1, src.size):
+        with pytest.raises(IndexError):
+            src.packed_at(i)
 
 
 def test_product_source_sizes_and_rref():
@@ -181,8 +225,8 @@ def test_listed_words_are_the_source_list():
     f = field_new(2, 1)
     words = list(lifted_mrd(2, 6, 3, 4))
     c = Cdc(f, 6, 3, 4, words=iter(words))
-    assert c.materialized and c.words() is c.source.words
-    assert c.words() == words and c.at(-1) is c.source.words[-1]
+    assert c.materialized and c.words() is c.words()
+    assert c.words() == words and c.at(-1) is c.words()[-1]
 
 
 def test_misfit_word_is_refused_before_it_is_packed():

@@ -404,14 +404,19 @@ def test_imported_gf2_code_lists_its_words_once():
     back = loads(dumps(c, order="generation"))
     assert back.at(-1) == c.at(63)
     assert list(back) == list(c)
-    assert back.source._words is None
+    assert back._words is None
     words = back.words()
     assert back.words() is words and back.at(-1) is words[-1]
 
 
 def test_line_reader_code_is_listed_once():
+    # packed words alone until words(), which lists them once: a q > 2 file
+    # never holds a Subspace list beside its packed words unasked
     back = loads(dumps(spread(3, 4, 2)))
-    assert back.materialized and back.words() is back.source.words
+    last = back.at(-1)
+    assert back.materialized and back._words is None
+    words = back.words()
+    assert back.words() is words and words[-1] == last and back.at(-1) is words[-1]
 
 
 def test_reader_gf2_line_needs_exactly_k_rows():

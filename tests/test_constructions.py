@@ -130,7 +130,7 @@ def test_8_4_4_lists_its_packed_words_on_demand():
     # generation order (pinned); at(i) before that builds one word only
     c, _ = recipe_8_4_4(2)
     last = c.at(c.size - 1)
-    assert c.materialized and c.source._words is None  # one word built, not the list
+    assert c.materialized and c._words is None  # one word built, not the list
     words = c.words()
     assert c.words() is words and words[-1] == last and c.at(7) is words[7]
     assert hashlib.sha256("\n".join(w.serialize() for w in words).encode()).hexdigest() == \

@@ -99,7 +99,8 @@ def test_gather_equals_scalar_access(case):
     got = src.packed_at_batch(np.array(idx, dtype=np.int64))
     assert got.dtype == np.uint64 and got.shape[0] == len(idx)
     assert got.tolist() == [list(src.packed_at(i)) for i in idx]
-    assert src.packed_at_batch(np.zeros(0, dtype=np.int64)).tolist() == []
+    empty = src.packed_at_batch(np.zeros(0, dtype=np.int64))
+    assert empty.shape == (0, got.shape[1]) and empty.dtype == np.uint64
     for bad in ([-1], [src.size], [0, src.size + 5]):
         with pytest.raises(IndexError):
             src.packed_at_batch(np.array(bad, dtype=np.int64))
@@ -140,7 +141,7 @@ def test_packed_source_hands_out_python_ints():
         assert type(word) is tuple and all(type(r) is int for r in word)
         assert word == src.packed_at(-1) and src.packed.dtype == dtype
         assert src.packed_at_batch([src.size - 1]).tolist() == [list(word)]
-        assert src.words[-1].packed_rows() == word
+        assert Cdc(src.field, src.n, len(word), 0, stream=src).words()[-1].packed_rows() == word
 
 
 def test_code_gathers_from_its_source():

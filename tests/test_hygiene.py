@@ -1,5 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
-imports sit at module level, every source of packed words has a batched gather, no module reads
+imports sit at module level, every source of packed words has a batched gather,
+sources and handles hand out packed words alone (one derived rows_at each, no
+Subspace listing outside the Cdc), no module reads
 another module's private attributes, packed arrays become word tuples
 through linalg.word_tuples alone, the construction modules import no
 rank kernel of their own, the batched GF(2) kernels select rows by
@@ -60,6 +62,23 @@ def test_every_packed_source_has_a_batched_gather(module):
     missing = sorted(c.__name__ for c in classes if not hasattr(c, "packed_at_batch")
                      or not issubclass(_owner(c, "packed_at_batch"), _owner(c, "packed_at")))
     assert not missing, f"{module}: packed_at without packed_at_batch in {missing}"
+
+
+ROWS_AT = {"cdc": ["StreamSource"], "constructions": [], "rankmetric": ["RankCodeHandle"]}
+
+
+@pytest.mark.parametrize("module", sorted(ROWS_AT))
+def test_sources_hand_out_packed_words_alone(module):
+    # packed_at is the one scalar accessor of a source or handle: rows_at is
+    # derived from it once for streams and once for handles, and Subspace
+    # values come from the Cdc alone, the one class that lists them
+    mod = importlib.import_module(f"cdckit.{module}")
+    classes = [c for _, c in inspect.getmembers(mod, inspect.isclass) if c.__module__ == mod.__name__]
+    assert sorted(c.__name__ for c in classes if "rows_at" in c.__dict__) == ROWS_AT[module]
+    listers = sorted(f"{c.__name__}.{attr}" for c in classes if c.__name__ != "Cdc"
+                     for attr in ("subspace_at", "iter_subspaces", "iter_rows", "words")
+                     if attr in c.__dict__)
+    assert not listers, f"{module}: Subspace or row listings outside the Cdc: {listers}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

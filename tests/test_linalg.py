@@ -4,15 +4,17 @@ trials, bit-packed kernels vs the generic path, Gaussian binomials."""
 import itertools
 import random
 from functools import reduce
+from types import SimpleNamespace
 from operator import xor
 
 import numpy as np
 import pytest
 
 from cdckit.gf import field_new
-from cdckit.linalg import (MatrixGF, PivotVector, gaussian_binomial, inverse,
-                           matmul, pack_row, rank, rank_bits, rank_bits_batch,
-                           rank_rows, rref, rref_bits, rref_bits_batch, spans, unpack_row)
+from cdckit.linalg import (MatrixGF, PivotVector, entry_bits, gaussian_binomial, inverse,
+                           matmul, pack_row, pack_rows, rank_bits, rank_bits_batch,
+                           rank_rows, rref, rref_bits, rref_bits_batch, spans, unpack_row,
+                           unpack_rows)
 from cdckit.verify import subspace_bases
 
 FIELDS = [field_new(2, 1), field_new(3, 1), field_new(2, 2), field_new(5, 1)]
@@ -215,11 +217,21 @@ def test_spans_at_packed_rref_matrices_are_rref_rows(k):
 
 
 def test_pack_unpack_roundtrip():
+    # entry j of a row sits in bits [w(n - 1 - j), w(n - j)), w = (q - 1).bit_length(),
+    # up to 2^62, the largest supported order
     rng = random.Random(2)
-    for _ in range(200):
-        n = rng.randrange(1, 20)
-        row = [rng.randrange(2) for _ in range(n)]
-        assert list(unpack_row(pack_row(row), n)) == row
+    for q in (2, 3, 4, 5, 1 << 62):
+        w = entry_bits(q)
+        assert w == (q - 1).bit_length() and (q > 2 or w == 1)
+        field = SimpleNamespace(q=q)  # the packers read the order alone; GF(2^62) takes seconds
+        for _ in range(200):
+            n = rng.randrange(1, 20)
+            row = [rng.randrange(q) for _ in range(n)]
+            x = pack_row(row, w)
+            assert list(unpack_row(x, n, w)) == row and x < 1 << (w * n)
+            assert all(x >> (w * (n - 1 - j)) & ((1 << w) - 1) == v for j, v in enumerate(row))
+            assert pack_rows(field, [row, row[::-1]]) == (x, pack_row(row[::-1], w))
+            assert unpack_rows(field, (x,), n) == (tuple(row),)
 
 
 def test_matmul_inverse_identity():
@@ -228,7 +240,8 @@ def test_matmul_inverse_identity():
         for _ in range(30):
             r = rng.randrange(1, 5)
             T = _random_invertible(rng, field, r)
-            assert matmul(T, inverse(T)).rows == MatrixGF.identity(field, r).rows
+            assert matmul(T, inverse(T)).rows == \
+                tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
 
 
 def test_gaussian_binomial_recurrence_and_values():

@@ -491,7 +491,7 @@ def test_whole_10_4_5_code_finds_an_injected_word_with_its_pairs():
     assert rep.violations == [
         {"pair": [code.at(min(x, y)).serialize(), code.at(max(x, y)).serialize()],
          "distance": int(d[y])} for y in near]
-    assert code.source._words is None  # no Subspace list was made
+    assert code._words is None  # no Subspace list was made
 
 
 def test_full_check_memory_is_bounded():
