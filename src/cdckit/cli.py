@@ -16,7 +16,7 @@ from functools import cache
 from . import bounds, codefile, constructions, verify
 from .cdc import CdcError
 from .constructions import ConstructionError, MissingImportError
-from .gf import base_field
+from .gf import factor_prime_power
 from .linalg import gaussian_binomial
 from .rankmetric import mrd_size, rank_distribution
 
@@ -58,8 +58,9 @@ def _family_floor(fn, q, k, what):
 
 
 def _check_q(q):
+    # a factorization, not GF(q): building the field searches for a modulus
     try:
-        base_field(q)
+        factor_prime_power(q)
     except ValueError as exc:  # not p^e, or an order past 2^62
         _fail(EXIT_PRECONDITION, str(exc))
 

@@ -1,11 +1,14 @@
-"""Exact arithmetic in GF(p^e) and in extensions GF(q^M).
+"""Exact arithmetic in finite fields, all of them one class, FieldSpec:
+GF(r^degree) over a base field of order r.  The prime field GF(p) is the
+instance with no base, GF(p^e) extends GF(p), and ext_field(base, M) is
+GF(q^M) over any field of order q: field_new(p, M) itself over a prime base,
+a tower otherwise.
 
-One class does both: GF(p^e) is the degree-e extension of the prime field
-GF(p), and GF(q^M) is the degree-M extension of any such field.  Elements
-are plain integers: the base-q digits of the index are the polynomial
-coefficients, constant term in the least significant digit.  For p = 2
-this makes addition a single XOR.  Multiplication uses log/antilog tables
-whenever the field is small enough to afford them.
+Elements are plain integers whose base-r digits are their coordinates over
+the base, constant term least significant.  Each level is coded the same
+way, so the base-p digits are the coordinates over GF(p), and addition is
+digit-wise mod p (an XOR at p = 2) at every level.  Multiplication uses
+log/antilog tables up to order 2^16, and polynomials over the base above.
 """
 
 from __future__ import annotations
@@ -48,34 +51,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class _PrimeField:
-    """GF(p) as the base of a FieldSpec: residues mod p."""
-
-    __slots__ = ("p", "q")
-
-    def __init__(self, p: int):
-        self.p = self.q = p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def inv(self, a: int) -> int:
-        return pow(a, -1, self.p)
-
-
-# ----------------------------------------------------------------------
-# polynomial helpers over a base field, coefficients as tuples
-# (constant first)
-# ----------------------------------------------------------------------
+# polynomials over a base field f: coefficient tuples, constant first
 
 def _digits(x: int, base: int, width: int):
     out = []
@@ -162,13 +138,8 @@ def _is_irreducible(m, f) -> bool:
 
 
 def _smallest_irreducible(f, degree: int):
-    """Lexicographically smallest monic irreducible of the given degree.
-
-    Candidates are ordered by the integer whose base-q digits are
-    (c_0, ..., c_{degree-1}), constant term least significant.
-    """
-    if degree == 1:
-        return (0, 1)
+    """Smallest monic irreducible of degree > 1, candidates ordered by the
+    integer whose base-q digits are c_0, ..., c_{degree-1} (c_0 least)."""
     for idx in range(f.q ** degree):
         cand = _digits(idx, f.q, degree) + (1,)
         if _is_irreducible(cand, f):
@@ -176,71 +147,87 @@ def _smallest_irreducible(f, degree: int):
     raise FieldError(f"no irreducible polynomial of degree {degree} over GF({f.q})")
 
 
-class ExtFieldSpec:
-    """GF(q^M) as polynomials over a base field of order q.
+class FieldSpec:
+    """GF(r^degree) over a base field of order r, by a monic irreducible
+    modulus of that degree: FieldSpec(p, e) is GF(p^e) over GF(p) (GF(p)
+    itself, with no base, at e = 1), FieldSpec(base, M) is GF(base.q^M).
 
-    The basis is the power basis 1, alpha, ..., alpha^(M-1) of a root alpha
-    of the extension modulus; element index = base-q digits of the
-    coordinate vector, constant term least significant.
+    The basis is the power basis 1, alpha, ..., alpha^(degree-1) of a root
+    alpha of the modulus; element index = base-r digits of the coordinate
+    vector, constant term least significant.  p, e and q = p^e describe the
+    field over GF(p) whatever its base.
     """
 
-    __slots__ = ("base", "degree", "order", "modulus", "p", "_log", "_antilog")
+    __slots__ = ("base", "degree", "radix", "p", "e", "q", "order", "modulus", "_log", "_antilog")
 
-    def __init__(self, base, degree: int, modulus=None):
+    def __init__(self, base: FieldSpec | int, degree: int, modulus: Sequence[int] | None = None):
         if degree < 1:
             raise FieldError(f"extension degree must be >= 1, got {degree}")
-        order = base.q ** degree
-        if order > _ORDER_LIMIT:
-            raise FieldError(f"field order {order} exceeds the supported word size")
+        if isinstance(base, FieldSpec):
+            self.p, self.e, self.radix = base.p, base.e * degree, base.q
+        else:
+            if not is_prime(base):
+                raise FieldError(f"p={base} is not prime")
+            self.p, self.e, self.radix = base, degree, base
+            base = field_new(base, 1) if degree > 1 else None
+        self.q = self.order = self.radix ** degree
+        if self.q > _ORDER_LIMIT:
+            raise FieldError(f"field order {self.q} exceeds the supported word size")
         if modulus is None:
-            modulus = _smallest_irreducible(base, degree)
+            modulus = _smallest_irreducible(base, degree) if degree > 1 else (0, 1)
         else:
             modulus = tuple(modulus)
+            text = ",".join(map(str, modulus))
             if len(modulus) != degree + 1 or modulus[-1] != 1:
-                raise FieldError("modulus must be monic of the extension degree")
-            if not _is_irreducible(modulus, base):
-                raise FieldError("modulus is reducible")
-        self.base = base
-        self.degree = degree
-        self.order = order
-        self.modulus = modulus
-        self.p = base.p
-        self._log = None
-        self._antilog = None
-        if order <= _TABLE_LIMIT:
+                raise FieldError(f"modulus {text} is not monic of degree {degree}")
+            if not all(0 <= c < self.radix for c in modulus):
+                raise FieldError(f"modulus {text} has a coefficient outside [0, {self.radix})")
+            if degree == 1 and modulus != (0, 1):
+                raise FieldError(f"modulus {text} of a degree-1 field is not 0,1 (x)")
+            if degree > 1 and not _is_irreducible(modulus, base):
+                raise FieldError(f"modulus {text} is reducible")
+        self.base, self.degree, self.modulus = base, degree, modulus
+        self._log = self._antilog = None
+        if self.q <= _TABLE_LIMIT:
             self._build_tables()
 
     def __repr__(self):
-        return f"ExtFieldSpec(q={self.base.q}, M={self.degree})"
+        return f"FieldSpec(GF({self.radix}^{self.degree}))"
+
+    def __eq__(self, other):
+        return isinstance(other, FieldSpec) and (self.p, self.e, self.modulus, self.base) \
+            == (other.p, other.e, other.modulus, other.base)
+
+    def __hash__(self):
+        return hash((self.p, self.e, self.modulus, self.base))
 
     @property
     def basis(self):
-        """Power basis as element indices: alpha^i <-> q^i."""
-        return tuple(self.base.q ** i for i in range(self.degree))
+        """Power basis as element indices: alpha^i <-> r^i."""
+        return tuple(self.radix ** i for i in range(self.degree))
 
     def elements(self):
-        return range(self.order)
+        return range(self.q)
 
     def element_to_vector(self, x: int):
-        return _digits(x, self.base.q, self.degree)
+        return _digits(x, self.radix, self.degree)
 
     def vector_to_element(self, v) -> int:
         x = 0
         for c in reversed(tuple(v)[: self.degree]):
-            x = x * self.base.q + c
+            x = x * self.radix + c
         return x
 
     def _mul_generic(self, a: int, b: int) -> int:
-        if self.degree == 1:  # the elements are the base's own
-            return self.base.mul(a, b)
-        q = self.base.q
-        pa = _poly_trim(_digits(a, q, self.degree))
-        pb = _poly_trim(_digits(b, q, self.degree))
+        if self.base is None:
+            return a * b % self.p
+        pa = _poly_trim(self.element_to_vector(a))
+        pb = _poly_trim(self.element_to_vector(b))
         red = _poly_mod(_poly_mul(pa, pb, self.base), self.modulus, self.base)
         return self.vector_to_element(red)
 
     def _build_tables(self):
-        n = self.order
+        n = self.q
         target = n - 1
         # the smallest g with g^(target/r) != 1 for each prime r | target (g = 1
         # for GF(2)); pow multiplies through _mul_generic while the tables are unset
@@ -265,37 +252,30 @@ class ExtFieldSpec:
         self._antilog = antilog + antilog
         self._log = log
 
-    def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self.degree == 1:  # the elements are the base's own
-            return self.base.add(a, b)
-        base = self.base
-        q = base.q
-        out = 0
-        mult = 1
-        for _ in range(self.degree):
-            a, ra = divmod(a, q)
-            b, rb = divmod(b, q)
-            out += base.add(ra, rb) * mult
-            mult *= q
+    def _digitwise(self, a: int, b: int, sign: int) -> int:
+        # a + sign * b on the base-p digits, the coordinates over GF(p)
+        p, out, unit = self.p, 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            out += (x + sign * y) % p * unit
+            unit *= p
         return out
 
-    def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        base = self.base
-        q = base.q
-        out = 0
-        mult = 1
-        for _ in range(self.degree):
-            a, r = divmod(a, q)
-            out += base.neg(r) * mult
-            mult *= q
-        return out
+    def add(self, a: int, b: int) -> int:
+        if self.e == 1:
+            return (a + b) % self.p
+        return a ^ b if self.p == 2 else self._digitwise(a, b, 1)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        if self.e == 1:
+            return (a - b) % self.p
+        return a ^ b if self.p == 2 else self._digitwise(a, b, -1)
+
+    def neg(self, a: int) -> int:
+        if self.e == 1:
+            return -a % self.p
+        return a if self.p == 2 else self._digitwise(0, a, -1)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -308,8 +288,8 @@ class ExtFieldSpec:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in a finite field")
         if self._log is not None:
-            return self._antilog[self.order - 1 - self._log[a]]
-        return self.pow(a, self.order - 2)
+            return self._antilog[self.q - 1 - self._log[a]]
+        return self.pow(a, self.q - 2)
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:
@@ -323,29 +303,7 @@ class ExtFieldSpec:
         return out
 
 
-class FieldSpec(ExtFieldSpec):
-    """GF(p^e): the degree-e extension of GF(p) by a monic irreducible modulus."""
-
-    __slots__ = ("e", "q")
-
-    def __init__(self, p: int, e: int, modulus: Sequence[int] | None = None):
-        if not is_prime(p):
-            raise FieldError(f"p={p} is not prime")
-        if modulus is not None:
-            modulus = tuple(int(c) % p for c in modulus)
-        super().__init__(_PrimeField(p), e, modulus)
-        self.e = e
-        self.q = self.order
-
-    def __repr__(self):
-        return f"FieldSpec(p={self.p}, e={self.e})"
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldSpec)
-                and (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus))
-
-    def __hash__(self):
-        return hash((self.p, self.e, self.modulus))
+ExtFieldSpec = FieldSpec  # the class's former name, which perfbench/tracing.py patches
 
 
 @lru_cache(maxsize=None)
@@ -362,21 +320,25 @@ def _integer_root(q: int, e: int) -> int:
     return x
 
 
-def _factor_prime_power(q: int):
-    """(p, e) with q = p^e: p is the integer e-th root of q, prime, and
-    e <= 62, the exponent of the largest supported field order."""
+def factor_prime_power(q: int):
+    """(p, e) with q = p^e a supported field order: p is the integer e-th
+    root of q, prime, and q <= 2^62.  Checks an order without building GF(q)."""
     for e in range(1, min(q.bit_length(), 63) if q > 1 else 1):
         p = _integer_root(q, e)
         if p ** e == q and is_prime(p):
+            if q > _ORDER_LIMIT:
+                raise FieldError(f"field order {q} exceeds the supported word size")
             return p, e
     raise FieldError(f"q={q} is not a prime power p^e with e <= 62")
 
 
 def base_field(q: int) -> FieldSpec:
     """GF(q) for a prime power q, as field_new(p, e)."""
-    return field_new(*_factor_prime_power(q))
+    return field_new(*factor_prime_power(q))
 
 
-def ext_field(base: ExtFieldSpec, degree: int) -> ExtFieldSpec:
-    """Extension GF(q^M) with deterministic modulus and power basis."""
-    return ExtFieldSpec(base, degree)
+@lru_cache(maxsize=None)
+def ext_field(base: FieldSpec, degree: int) -> FieldSpec:
+    """GF(q^M) over base = GF(q), deterministic modulus and power basis:
+    field_new(p, M) itself over a prime base."""
+    return field_new(base.p, degree) if base.e == 1 else FieldSpec(base, degree)

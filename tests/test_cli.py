@@ -60,6 +60,35 @@ def test_oracle_enumerate_at_a_huge_prime_q(capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+@pytest.mark.parametrize("argv", [
+    ["formula", "--name", "A_q(12,8;6)", "--q", str(3 ** 39)],
+    ["formula", "--name", "A_q(12,8;6)", "--q", str(2 ** 62)],
+    ["oracle", "--kind", "subspace-count", "--q", str(3 ** 39), "--n", "4", "--k", "2"],
+    ["oracle", "--kind", "mrd-size", "--q", str(2 ** 62), "--n", "3", "--m", "3", "--dr", "2"],
+    ["bound", "--q", str(3 ** 39), "--n", "6", "--d", "4", "--k", "3"],
+])
+def test_a_huge_prime_power_q_is_checked_without_its_field(argv, capsys, monkeypatch):
+    # a count needs q to be a field order, not GF(q): building GF(3^39)
+    # searches for a degree-39 modulus, which took seconds
+    import time
+    from cdckit import gf
+
+    def build(p, e):
+        raise AssertionError(f"built GF({p}^{e}) to check --q")
+
+    monkeypatch.setattr(gf, "field_new", build)
+    start = time.monotonic()
+    assert main(argv) == 0
+    assert time.monotonic() - start < 1.0
+    assert capsys.readouterr().out.strip()
+
+
+def test_a_prime_power_q_past_2_62_is_refused_by_its_order(capsys):
+    assert main(["formula", "--name", "A_q(12,8;6)", "--q", str(3 ** 40)]) == 4
+    assert capsys.readouterr().err == \
+        f"cdckit: field order {3 ** 40} exceeds the supported word size\n"
+
+
 @pytest.mark.parametrize("kind", ["subspace-count", "enumerate", "rank-distribution", "mrd-size"])
 @pytest.mark.parametrize("q", ["1", "0", "-2", "6"])
 def test_oracle_refuses_a_q_that_is_no_field(kind, q, capsys):
@@ -231,6 +260,21 @@ def test_import_with_subcode_cli(tmp_path, capsys):
     export(c, p1)
     export(sub, p2)
     assert main(["import", "--file", str(p1), "--subcode", str(p2)]) == 0
+
+
+@pytest.mark.parametrize("mod", ["1,1", "3,1"])
+def test_import_refuses_a_gf2_modulus_other_than_x(tmp_path, capsys, mod):
+    # GF(2) has the one modulus x: MOD=1,1 once built a GF(2) unequal to
+    # field_new(2, 1), so a file's own copy failed as its subcode (exit 1),
+    # and MOD=3,1 read as 1,1; both are header errors now (exit 3)
+    import pathlib
+    data = pathlib.Path(__file__).parent / "data" / "lmrd_2_6_3_4.cdc"
+    copy = tmp_path / "m.cdc"
+    copy.write_text(data.read_text().replace("#MOD=0,1", f"#MOD={mod}"))
+    assert main(["import", "--file", str(data), "--subcode", str(copy)]) == 3
+    assert f"modulus {mod} " in capsys.readouterr().err
+    assert main(["import", "--file", str(copy)]) == 3
+    assert f"modulus {mod} " in capsys.readouterr().err
 
 
 def test_oracle_kinds(tmp_path, capsys):

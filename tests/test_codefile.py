@@ -5,6 +5,7 @@ import functools
 import hashlib
 import os
 import pathlib
+import re
 import time
 
 import numpy as np
@@ -86,6 +87,18 @@ def test_hostile_field_header_loads_fast(p, e, mod):
     c = loads(_header(p, e, mod))
     assert time.monotonic() - start < 2
     assert c.size == 0 and c.field.q == p ** e
+
+
+@pytest.mark.parametrize("p,e,mod", [
+    (2, 1, "3,1"),     # read as 1,1 when coefficients were reduced mod p
+    (2, 1, "1,1"),     # a degree-1 modulus other than x
+    (3, 1, "2,1"),
+    (2, 2, "1,3,1"),   # read as x^2 + x + 1
+    (3, 2, "-2,0,1"),  # read as x^2 + 1
+])
+def test_field_header_modulus_outside_the_field_refused(p, e, mod):
+    with pytest.raises(HeaderError, match=f"modulus {re.escape(mod)} "):
+        loads(_header(p, e, mod))
 
 
 def test_huge_extension_degree_rejected_fast():

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from cdckit.gf import (FieldError, FieldSpec, ExtFieldSpec, _PrimeField, _digits,
+from cdckit.gf import (FieldError, FieldSpec, _digits,
                        _is_irreducible, _poly_mod, ext_field, field_new, is_prime)
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
@@ -121,7 +121,7 @@ def _is_irreducible_trial(m, f):
 
 @pytest.mark.parametrize("p,max_deg", [(2, 8), (3, 5)])
 def test_irreducibility_agrees_with_trial_division(p, max_deg):
-    f = _PrimeField(p)
+    f = field_new(p, 1)
     for deg in range(max_deg + 1):
         for idx in range(p ** deg):
             m = _digits(idx, p, deg) + (1,)

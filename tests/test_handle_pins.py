@@ -17,7 +17,19 @@ from cdckit.rankmetric import (GabidulinHandle, RankCodeHandle, RankFilteredHand
 
 
 def handles(q):
-    """One handle of each kind over GF(q), small enough to list."""
+    """One handle of each kind over GF(q), small enough to list.  At q = 4
+    and 9 the words are 2 x 2 and 2 x 3, over the towers GF(q^2) and GF(q^3)
+    of a field that is not prime."""
+    if q in (4, 9):
+        big = gabidulin_mrd(q, 3, 2, 1)  # transposed: m > n
+        return {
+            "square": gabidulin_mrd(q, 2, 2, 2),
+            "transposed": gabidulin_mrd(q, 3, 2, 2),
+            "nested": nested_subcode(gabidulin_mrd(q, 2, 3, 1), 2),
+            "coset": coset_partition(big, nested_subcode(big, 2))[5],
+            "rank-filtered": rank_filtered(gabidulin_mrd(q, 2, 2, 1), 1),
+            "drop-first": MinusSource(rank_filtered(gabidulin_mrd(q, 2, 2, 1), 1), [0]),
+        }
     square = (4, 4) if q == 2 else (3, 3)
     big = gabidulin_mrd(q, 5 if q == 2 else 4, 3, 1)  # transposed: m > n
     return {
@@ -61,10 +73,34 @@ ROWS_SHA = {
         "ce57f70a5d565eddf080826923407bc51a2484c2d73442634a530a5e6b5d2957",
     (3, "drop-first"):
         "49f68c01017139cc2aaaa8676092b30670c7991f0375561f4686d04905b9f51e",
+    (4, "square"):
+        "07425b201517379cb8d2a3bab7eaa39d0b1f16731b5bf0977c7a35668d7e8723",
+    (4, "transposed"):
+        "b6ab055f9423a90518d28b895f5cac0fdb39ed492101381e47ed3dad6a235475",
+    (4, "nested"):
+        "7e82035b9b5b016c1ec64f3cf33195c7af7a0702c9d955f638af0a8e57b07651",
+    (4, "coset"):
+        "91d1f5d714363381f17b260e1d3b395e111c8f55b19ac75402b72726be95b376",
+    (4, "rank-filtered"):
+        "22f752cbd8504f51b6baa93d8c7f79556fd829540ca435843bf3ddb2d25297e2",
+    (4, "drop-first"):
+        "537a33f1abdab987be5025f12ba774c3349ef805e28fcb6a0f37b56aa33d5c69",
+    (9, "square"):
+        "23e11a61bf221991c551a509fd8d74bcb54d91d84773ca2a65cfdb947018985b",
+    (9, "transposed"):
+        "7635d410dbdba9d757aae593427d6c41b739e48fdf13fc2323d5aa634c7f8c3b",
+    (9, "nested"):
+        "b27a3fba235a3dbf328c2f1e8684c2c5fb687a9be81d68087b6956b68138269a",
+    (9, "coset"):
+        "7884a76e86f6b9cb08d1343f0d898f0cb7d69bbe656cc29dcb2f8d7064e35dd2",
+    (9, "rank-filtered"):
+        "e8efe3ec1fe7ed7d85fa4f1f3aba05d51e679d7bb21af5c41238652fb084c882",
+    (9, "drop-first"):
+        "b0481084642e65075a5f4e776ad4199a2da5235028122bb066f1a488d7d925b7",
 }
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_handle_rows_pinned(q):
     got = {kind: _rows_sha(h) for kind, h in handles(q).items()}
     assert got == {kind: sha for (qq, kind), sha in ROWS_SHA.items() if qq == q}

@@ -7,7 +7,8 @@ through linalg.word_tuples alone, the construction modules import no
 rank kernel of their own, the batched GF(2) kernels select rows by
 multiplying, constructions keys no set or dict on generator
 rows, no module reads a Subspace's MatrixGF view, the CLI names no
-recipe or formula, and Subspace listings stay at their two edges."""
+recipe or formula, Subspace listings stay at their two edges, and gf
+has one field class."""
 
 import ast
 import importlib
@@ -241,3 +242,16 @@ def test_duplication_paths_list_no_code_and_sort_one_way():
     sorters = sorted({owner for owner, node in nodes
                       if isinstance(node, ast.Attribute) and node.attr == "sort_key"})
     assert sorters == ["constructions.pairing_construction", "verify.canonical_order"]
+
+
+def test_gf_has_one_field_class():
+    # GF(p), GF(p^e) and every extension GF(q^M) are one FieldSpec: the old
+    # ExtFieldSpec name is the same class, and an extension of a prime field
+    # is the cached field_new(p, M) itself
+    from cdckit import gf
+    classes = sorted(name for name, value in vars(gf).items()
+                     if inspect.isclass(value) and value.__module__ == gf.__name__)
+    assert classes == ["ExtFieldSpec", "FieldError", "FieldSpec"]
+    assert gf.ExtFieldSpec is gf.FieldSpec
+    for p, degree in [(2, 1), (2, 4), (3, 3), (5, 2)]:
+        assert gf.ext_field(gf.field_new(p, 1), degree) is gf.field_new(p, degree)

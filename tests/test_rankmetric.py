@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cdckit import rankmetric
-from cdckit.gf import _factor_prime_power, base_field
+from cdckit.gf import base_field, factor_prime_power
 from cdckit.linalg import rank_bits
 from cdckit.rankmetric import (SCAN_CAP, coset_partition, gabidulin_mrd, mrd_size, nested_subcode,
                                rank_distribution, rank_filtered)
@@ -29,17 +29,17 @@ def test_prime_power_by_integer_roots_agrees_with_trial_division():
         want = _prime_power_trial(q)
         if want is None:
             with pytest.raises(ValueError, match="not a prime power"):
-                _factor_prime_power(q)
+                factor_prime_power(q)
         else:
-            assert _factor_prime_power(q) == want
+            assert factor_prime_power(q) == want
     assert (base_field(3 ** 4).p, base_field(3 ** 4).e) == (3, 4)
-    assert _factor_prime_power(2 ** 62) == (2, 62)
-    assert _factor_prime_power(3 ** 39) == (3, 39)
-    assert _factor_prime_power(1000003 ** 3) == (1000003, 3)
-    assert _factor_prime_power(4294967311) == (4294967311, 1)
+    assert factor_prime_power(2 ** 62) == (2, 62)
+    assert factor_prime_power(3 ** 39) == (3, 39)
+    assert factor_prime_power(1000003 ** 3) == (1000003, 3)
+    assert factor_prime_power(4294967311) == (4294967311, 1)
     for q in (2 ** 62 + 1, 10 ** 30, 1000003 * 1000033, -(10 ** 30)):
         with pytest.raises(ValueError, match="not a prime power"):
-            _factor_prime_power(q)
+            factor_prime_power(q)
 
 
 def test_mrd_size_values():
