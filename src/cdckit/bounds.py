@@ -107,10 +107,10 @@ def johnson_upper(q, n, d, k) -> BoundResult:
 # ----------------------------------------------------------------------
 
 def lower_bound_registry(q, n, d, k):
-    """Every catalog polynomial that bounds (n, d, k), evaluated at q, and
+    """Every registry polynomial that bounds (n, d, k), evaluated at q, and
     the exact value where one is known, in increasing order."""
     out = []
-    for size, params, note in cx.CATALOG.values():
+    for size, params, note in ((c.size, c.params, c.note) for c in cx.REGISTRY if c.formula):
         if callable(params):  # a family, indexed by half its dimension
             if params(k // 2) == (n, d, k):
                 try:

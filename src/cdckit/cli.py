@@ -27,6 +27,10 @@ EXIT_IO = 3
 EXIT_PRECONDITION = 4
 
 COUNT_DIGITS_CAP = 4300  # longest count printed; Python's default int-to-str limit
+# most words construct --out writes (a few GB of text): every shipped q = 2 recipe
+# and the 543,142-word q = 3 8_4_4 code fit, and a larger code is refused before
+# its file is opened
+WRITE_CAP = 10 ** 8
 
 
 class _CliError(Exception):
@@ -51,10 +55,11 @@ def _count_floor(e, what):
     _count(1 << min(max(e, 0), 4 * COUNT_DIGITS_CAP), what)
 
 
-def _family_floor(fn, q, k, what):
-    # the size of a k-family's polynomial or recipe is at least q^floor(k)
-    floor = constructions.FAMILY_FLOORS.get(fn)
-    _count_floor(floor(k) * (q.bit_length() - 1) if floor else 0, what)
+def _family_floor(name, q, k, what):
+    # the k-family of this formula or recipe name has a size of at least q^floor(k)
+    for c in constructions.REGISTRY:
+        if name in (c.formula, c.recipe) and c.floor:
+            _count_floor(c.floor(k) * (q.bit_length() - 1), what)
 
 
 def _check_q(q):
@@ -108,8 +113,7 @@ def cmd_construct(args):
                           f"known: {sorted(constructions.RECIPES)}")
     kwargs = _recipe_kwargs(args, recipe)
     _check_q(args.q)
-    if "k" in kwargs:
-        _family_floor(recipe, args.q, args.k, "expected_size")
+    _family_floor(args.recipe, args.q, args.k, "expected_size")
     try:
         code, expected = recipe(args.q, **kwargs)
     except MissingImportError as exc:
@@ -126,6 +130,9 @@ def cmd_construct(args):
                   f"recipe {args.recipe} does not realize codewords; no file written")
         return EXIT_OK
     generated = code.size
+    if args.out and generated > WRITE_CAP:
+        _fail(EXIT_PRECONDITION, f"the code has {generated} words, past the write cap "
+                                 f"{WRITE_CAP}; no file written")
     if args.out:
         try:
             generated = _write_out(code, args.out, f"recipe_{args.recipe}")
@@ -208,8 +215,7 @@ def cmd_formula(args):
     if takes_k and args.k is None:
         _fail(EXIT_USAGE, f"formula {args.name} requires --k")
     _check_q(args.q)
-    if takes_k:
-        _family_floor(fn, args.q, args.k, args.name)
+    _family_floor(args.name, args.q, args.k, args.name)
     try:
         value = fn(args.q, args.k) if takes_k else fn(args.q)
     except ValueError as exc:

@@ -13,7 +13,9 @@ meet_dims scans, so no base is listed or copied.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import wraps
 from itertools import accumulate, chain, combinations, product as iproduct
 from math import prod
 
@@ -710,32 +712,6 @@ def size_12_4_4_prior(q):
             + 2 * q ** 4 + q ** 2)
 
 
-# formula name -> (size polynomial, the (n, d, k) it bounds, bound-table note);
-# a family's polynomial also takes its index k, and its (n, d, k) is a function of k
-CATALOG = {
-    "A_q(8,4;4)": (size_8_4_4, (8, 4, 4), "two-block linkage with parallelism addon"),
-    "A_q(12,4;4)_cor": (size_12_4_4_cor, (12, 4, 4), "three-block linkage bound"),
-    "A_q(12,4;4)_combined": (size_12_4_4_combined, (12, 4, 4),
-                             "three-block linkage plus disjoint-2-spread addon"),
-    "A_q(12,4;4)_thm": (size_12_4_4_thm, (12, 4, 4), "duplication over the (8, 4; 4) base"),
-    "A_q(12,4;4)_prior": (size_12_4_4_prior, (12, 4, 4), "previously best known value"),
-    "A_q(12,6;6)": (size_12_6_6, (12, 6, 6), "linkage with coset addon and hole extensions"),
-    "A_q(10,4;5)_linkage": (size_10_4_5_linkage, (10, 4, 5), "two-block linkage"),
-    "A_q(10,4;5)_claimed": (size_10_4_5_claimed, (10, 4, 5),
-                            "published value incl. a 2q^9 addon that fails its distance claim"),
-    "A_q(12,8;6)": (size_12_8_6, (12, 8, 6), "pairing construction"),
-    "A_q(16,4;4)": (size_16_4_4, (16, 4, 4), "recursive duplication"),
-    "A_q(9,4;3)": (size_9_4_3, (9, 4, 3), "duplication over an imported (6, *, 4; 3) code"),
-    "A_q(10,4;3)": (size_10_4_3, (10, 4, 3), "duplication over an imported (7, *, 4; 3) code"),
-    "A_q(4k,2k;2k)": (size_4k_2k_2k, lambda k: (4 * k, 2 * k, 2 * k),
-                      "linkage with coset addon, (4k, 2k; 2k)"),
-    "A_q(6k,2k;2k)": (size_6k_2k_2k, lambda k: (6 * k, 2 * k, 2 * k),
-                      "duplication over (4k, 2k; 2k), (6k, 2k; 2k)"),
-}
-
-FORMULAS = {name: size for name, (size, _, _) in CATALOG.items()}
-
-
 # ----------------------------------------------------------------------
 # named recipes
 # ----------------------------------------------------------------------
@@ -744,8 +720,9 @@ def recipe_8_4_4(q):
     """Two-block linkage over (4, 4) plus a parallelism-based addon, listed
     as packed words (at q > 2 it is past MATERIALIZE_CAP: a union)."""
     profile = CompositionProfile(q, 4, 4, (4, 4), (2, 2), (1, 1))
-    C = [_single_full(q, 4), _single_full(q, 4)]
+    # the handles first: a GF(q^4) past 2^62 is refused before GF(q) is built
     M = [gabidulin_mrd(q, 4, 4, 2), gabidulin_mrd(q, 4, 4, 2)]
+    C = [_single_full(q, 4), _single_full(q, 4)]
     linkage = multiblock_linkage(profile, C, M)
     par = parallelism_2_of_F_q4(q)
     families = [[list(member) for member in par] for _ in range(2)]
@@ -794,17 +771,13 @@ def recipe_12_4_4_thm(q):
     return c, size_12_4_4_thm(q)
 
 
-def recipe_12_4_4_cor(q):
-    return None, size_12_4_4_cor(q)
-
-
 def recipe_12_6_6(q):
     """Linkage over (6, 6) plus the coset addon and both hole extensions.
     The second linkage block keeps only nonzero-prefix words, matching the
     closed-form count."""
     profile = CompositionProfile(q, 6, 6, (6, 6), (3, 3), (1, 2))
-    C = [_single_full(q, 6), _single_full(q, 6)]
     M = [gabidulin_mrd(q, 6, 6, 3), gabidulin_mrd(q, 6, 6, 3)]
+    C = [_single_full(q, 6), _single_full(q, 6)]
     left = [MinusSource(rank_filtered(mi, 3), [0]) for mi in M]
     linkage = multiblock_linkage(profile, C, M, left=left)
     addon = coset_addon(profile)
@@ -822,8 +795,8 @@ def recipe_10_4_5(q):
     distance 2 and explicit distance-2 pairs exist, so mixed_abar_addons
     rejects that profile pair."""
     profile = CompositionProfile(q, 5, 4, (5, 5))
-    C = [_single_full(q, 5), _single_full(q, 5)]
     M = [gabidulin_mrd(q, 5, 5, 2), gabidulin_mrd(q, 5, 5, 2)]
+    C = [_single_full(q, 5), _single_full(q, 5)]
     linkage = multiblock_linkage(profile, C, M)
     c = Cdc(base_field(q), 10, 5, 4, stream=linkage.source,
             provenance={"kind": "recipe_10_4_5", "q": q,
@@ -832,23 +805,11 @@ def recipe_10_4_5(q):
 
 
 def recipe_12_8_6(q):
-    C0 = _single_full(q, 6)
-    C1 = spread(q, 6, 2)
+    C1 = spread(q, 6, 2)  # refused by its size before GF(q) is built
     C2 = _dual_spread(C1)
+    C0 = _single_full(q, 6)
     c = pairing_construction((6, 6), (2, 4), (0, 2), C0, C1, C2, d=8)
     return c, size_12_8_6(q)
-
-
-def recipe_4k_2k_2k(q, k):
-    return None, size_4k_2k_2k(q, k)
-
-
-def recipe_6k_2k_2k(q, k):
-    return None, size_6k_2k_2k(q, k)
-
-
-def recipe_16_4_4(q):
-    return None, size_16_4_4(q)
 
 
 def _imports_over(q, *codes, duplicated=False):
@@ -903,22 +864,61 @@ def recipe_10_4_3(q, base: Cdc | None = None, base_subcode: Cdc | None = None,
     return _duplication_over(base, c0, entries, _single_full(q, 3)), size_10_4_3(q)
 
 
-RECIPES = {
-    "8_4_4": recipe_8_4_4,
-    "12_4_4_cor": recipe_12_4_4_cor,
-    "12_4_4_thm": recipe_12_4_4_thm,
-    "12_6_6": recipe_12_6_6,
-    "10_4_5": recipe_10_4_5,
-    "4k_2k_2k": recipe_4k_2k_2k,
-    "12_8_6": recipe_12_8_6,
-    "3k_4_k": recipe_3k_4_k,
-    "16_4_4": recipe_16_4_4,
-    "6k_2k_2k": recipe_6k_2k_2k,
-    "9_4_3": recipe_9_4_3,
-    "10_4_3": recipe_10_4_3,
-}
 
-# both k-families are at least q^(2k(k+1)), so a caller can refuse a huge
-# size from this exponent before the polynomial forms it
-FAMILY_FLOORS = dict.fromkeys((size_4k_2k_2k, size_6k_2k_2k, recipe_4k_2k_2k, recipe_6k_2k_2k),
-                              lambda k: 2 * k * (k + 1))
+
+
+@dataclass(frozen=True)
+class Construction:
+    """A registry row: formula and recipe names (either may be None), size
+    polynomial, the (n, d, k) its formula bounds (for a family, a function of
+    the index k the polynomial also takes) and its bound-table note, builder,
+    and a family's size floor: the size is at least q^floor(k)."""
+    formula: str | None
+    recipe: str | None
+    size: Callable
+    params: tuple | Callable | None = None
+    note: str = ""
+    build: Callable | None = None  # None: the recipe gives its closed form only
+    floor: Callable | None = None
+
+
+def _size_only(size):
+    """A recipe of no code and the size, with the polynomial's signature."""
+    return wraps(size)(lambda q, *args, **kwargs: (None, size(q, *args, **kwargs)))
+
+
+# the formula rows are in bound-table order, which breaks the table's ties;
+# both k-families are at least q^(2k(k+1)), the (4k, 2k; 2k) lifted MRD block
+REGISTRY = (
+    Construction("A_q(8,4;4)", "8_4_4", size_8_4_4, (8, 4, 4),
+                 "two-block linkage with parallelism addon", recipe_8_4_4),
+    Construction("A_q(12,4;4)_cor", "12_4_4_cor", size_12_4_4_cor, (12, 4, 4),
+                 "three-block linkage bound"),
+    Construction("A_q(12,4;4)_combined", None, size_12_4_4_combined, (12, 4, 4),
+                 "three-block linkage plus disjoint-2-spread addon"),
+    Construction("A_q(12,4;4)_thm", "12_4_4_thm", size_12_4_4_thm, (12, 4, 4),
+                 "duplication over the (8, 4; 4) base", recipe_12_4_4_thm),
+    Construction("A_q(12,4;4)_prior", None, size_12_4_4_prior, (12, 4, 4),
+                 "previously best known value"),
+    Construction("A_q(12,6;6)", "12_6_6", size_12_6_6, (12, 6, 6),
+                 "linkage with coset addon and hole extensions", recipe_12_6_6),
+    Construction("A_q(10,4;5)_linkage", "10_4_5", size_10_4_5_linkage, (10, 4, 5),
+                 "two-block linkage", recipe_10_4_5),
+    Construction("A_q(10,4;5)_claimed", None, size_10_4_5_claimed, (10, 4, 5),
+                 "published value incl. a 2q^9 addon that fails its distance claim"),
+    Construction("A_q(12,8;6)", "12_8_6", size_12_8_6, (12, 8, 6),
+                 "pairing construction", recipe_12_8_6),
+    Construction("A_q(16,4;4)", "16_4_4", size_16_4_4, (16, 4, 4), "recursive duplication"),
+    Construction("A_q(9,4;3)", "9_4_3", size_9_4_3, (9, 4, 3),
+                 "duplication over an imported (6, *, 4; 3) code", recipe_9_4_3),
+    Construction("A_q(10,4;3)", "10_4_3", size_10_4_3, (10, 4, 3),
+                 "duplication over an imported (7, *, 4; 3) code", recipe_10_4_3),
+    Construction("A_q(4k,2k;2k)", "4k_2k_2k", size_4k_2k_2k, lambda k: (4 * k, 2 * k, 2 * k),
+                 "linkage with coset addon, (4k, 2k; 2k)", floor=lambda k: 2 * k * (k + 1)),
+    Construction("A_q(6k,2k;2k)", "6k_2k_2k", size_6k_2k_2k, lambda k: (6 * k, 2 * k, 2 * k),
+                 "duplication over (4k, 2k; 2k), (6k, 2k; 2k)", floor=lambda k: 2 * k * (k + 1)),
+    Construction(None, "3k_4_k", size_3k_4_k, build=recipe_3k_4_k),
+)
+
+RECIPES = {c.recipe: c.build or _size_only(c.size) for c in REGISTRY if c.recipe}
+FORMULAS = {c.formula: c.size for c in REGISTRY if c.formula}

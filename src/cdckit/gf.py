@@ -170,9 +170,7 @@ class FieldSpec:
                 raise FieldError(f"p={base} is not prime")
             self.p, self.e, self.radix = base, degree, base
             base = field_new(base, 1) if degree > 1 else None
-        self.q = self.order = self.radix ** degree
-        if self.q > _ORDER_LIMIT:
-            raise FieldError(f"field order {self.q} exceeds the supported word size")
+        self.q = self.order = check_order(self.radix ** degree)
         if modulus is None:
             modulus = _smallest_irreducible(base, degree) if degree > 1 else (0, 1)
         else:
@@ -312,6 +310,14 @@ def field_new(p: int, e: int) -> FieldSpec:
     return FieldSpec(p, e)
 
 
+def check_order(q: int) -> int:
+    """q, refused when it is past 2^62, the order every element's word holds;
+    a caller checks GF(q^b) by its order before it builds GF(q)."""
+    if q > _ORDER_LIMIT:
+        raise FieldError(f"field order {q} exceeds the supported word size")
+    return q
+
+
 def _integer_root(q: int, e: int) -> int:
     """floor(q^(1/e)) by Newton's method from above, exact for any size."""
     x = 1 << -(-q.bit_length() // e)
@@ -326,8 +332,7 @@ def factor_prime_power(q: int):
     for e in range(1, min(q.bit_length(), 63) if q > 1 else 1):
         p = _integer_root(q, e)
         if p ** e == q and is_prime(p):
-            if q > _ORDER_LIMIT:
-                raise FieldError(f"field order {q} exceeds the supported word size")
+            check_order(q)
             return p, e
     raise FieldError(f"q={q} is not a prime power p^e with e <= 62")
 

@@ -22,7 +22,7 @@ from operator import xor
 
 import numpy as np
 
-from .gf import base_field, ext_field
+from .gf import base_field, check_order, ext_field
 from .linalg import (BATCH, _leading_bits, checked_indices, gaussian_binomial, pack_rows,
                      rank_rows, rref_bits_batch, spans, unpack_rows)
 from .verify import CapExceeded, subspace_bases
@@ -312,6 +312,7 @@ def gabidulin_mrd(q: int, m: int, n: int, d_r: int) -> GabidulinHandle:
     """Explicit (m x n, d_r)_q MRD code; enumeration is deterministic."""
     if not 1 <= d_r <= min(m, n):
         raise RankCodeError(f"need 1 <= d_r <= min(m,n)={min(m, n)}, got {d_r}")
+    check_order(q ** max(m, n))  # GF(q^b) before GF(q), whose modulus search can take seconds
     return GabidulinHandle(q, m, n, d_r)
 
 

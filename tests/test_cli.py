@@ -5,6 +5,7 @@ import json
 import pytest
 
 from cdckit.cli import main
+from cdckit.constructions import REGISTRY
 
 
 def test_construct_writes_file_and_reports(tmp_path, capsys):
@@ -34,9 +35,15 @@ def test_construct_missing_import_is_precondition(capsys):
     assert main(["construct", "--recipe", "9_4_3", "--q", "2"]) == 4
 
 
-def test_construct_bound_only_recipe(capsys):
-    assert main(["construct", "--recipe", "16_4_4", "--q", "2"]) == 0
-    assert "closed-form size only" in capsys.readouterr().out
+@pytest.mark.parametrize("row", [c for c in REGISTRY if c.recipe and c.build is None],
+                         ids=lambda c: c.recipe)
+def test_construct_bound_only_recipe(row, capsys):
+    # every registry row with a recipe and no builder prints its closed form
+    family = ["--k", "4"] if callable(row.params) else []
+    assert main(["construct", "--recipe", row.recipe, "--q", "2", *family]) == 0
+    expected = row.size(2, 4) if family else row.size(2)
+    assert capsys.readouterr().out == f"recipe {row.recipe} q=2: closed-form size only, " \
+                                      f"expected_size={expected}\n"
 
 
 
@@ -81,6 +88,34 @@ def test_a_huge_prime_power_q_is_checked_without_its_field(argv, capsys, monkeyp
     assert main(argv) == 0
     assert time.monotonic() - start < 1.0
     assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("recipe", ["8_4_4", "10_4_5", "12_6_6", "12_8_6", "12_4_4_thm"])
+def test_construct_refuses_a_huge_prime_power_q_before_any_field(recipe, tmp_path, capsys,
+                                                                 monkeypatch):
+    # at q = 3^39 every recipe's GF(q^b) is past 2^62 (a spread past its cap), and
+    # each is refused within a second, before GF(q) is built: its modulus search took 8 s
+    from cdckit import gf
+
+    def build(p, e):
+        raise AssertionError(f"built GF({p}^{e}) before refusing q")
+
+    monkeypatch.setattr(gf, "field_new", build)
+    out = tmp_path / "F"
+    _fails_cleanly(["construct", "--recipe", recipe, "--q", str(3 ** 39), "--out", str(out)],
+                   4, capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("recipe, size", [("12_8_6", 387420580), ("10_4_5", 3554718642)])
+def test_construct_refuses_a_code_past_the_write_cap(recipe, size, tmp_path, capsys):
+    # both q = 3 codes build in under a second, but their files would take hours
+    out = tmp_path / "F"
+    err = _fails_cleanly(["construct", "--recipe", recipe, "--q", "3", "--out", str(out)],
+                         4, capsys)
+    assert err == f"cdckit: the code has {size} words, past the write cap 100000000; " \
+                  "no file written\n"
+    assert not out.exists()
 
 
 def test_a_prime_power_q_past_2_62_is_refused_by_its_order(capsys):
@@ -428,16 +463,20 @@ def test_readme_lists_each_recipes_arguments():
     import re
     from cdckit.constructions import RECIPES
     readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
-    listed = {}
+    listed, closed_form_only = {}, set()
     for line in readme.read_text().splitlines():
         cells = [c.strip() for c in line.split("|")[1:-1]]
         if len(cells) == 3 and cells[1] in ("required", "—"):
             for name in re.findall(r"`([^`]+)`", cells[0]):
                 listed[name] = (cells[1] == "required", re.findall(r"`([^`]+)`", cells[2]))
+                if "(closed form only)" in cells[0]:
+                    closed_form_only.add(name)
     signatures = {name: inspect.signature(recipe).parameters for name, recipe in RECIPES.items()}
     assert listed == {name: ("k" in params, [p for p, v in params.items()
                                              if p != "k" and v.default is not v.empty])
                       for name, params in signatures.items()}
+    # and the recipes it marks as closed form only are the registry's rows without a builder
+    assert closed_form_only == {c.recipe for c in REGISTRY if c.recipe and c.build is None}
 
 
 def test_construct_refuses_a_large_coset_addon_before_listing_it(capsys):

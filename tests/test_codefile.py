@@ -703,3 +703,58 @@ def test_non_ascii_is_a_code_file_error(make):
         loads(text[:body] + "é" + text[body + 1:])
     with pytest.raises(DimensionMismatchError):
         loads(text[:body] + "\udce9" + text[body + 1:])  # a lone surrogate
+
+
+HEADER_VALUES = ["", "0", "1", "2", "3", "-1", "5", "6", "9", "64", "65", "27", "10000000000",
+                 "x", "0,1", "1,1", "2,1", "1,0,1", "canonical", "generation"]
+
+
+def _mutant(data, rng):
+    """data with one seeded edit: a byte set to one the format reads (or any
+    byte), a cut, a slice of data inserted, or one header value replaced."""
+    at = rng.randrange(len(data))
+    kind = rng.randrange(4)
+    if kind == 0:
+        byte = rng.choice([rng.choice(b"0123|\n\r#=,- "), rng.randrange(256)])
+        return data[:at] + bytes([byte]) + data[at + 1:]
+    if kind == 1:
+        return data[:at] + data[at + rng.randrange(1, 40):]
+    if kind == 2:
+        start = rng.randrange(len(data))
+        return data[:at] + data[start:start + rng.randrange(1, 40)] + data[at:]
+    lines = data.split(b"\n")
+    i = rng.randrange(10)
+    lines[i] = lines[i].partition(b"=")[0] + b"=" + rng.choice(HEADER_VALUES).encode()
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (DATA / "lmrd_2_6_3_4.cdc").read_bytes(),  # the packed reader
+    lambda: dumps(lifted_mrd(3, 5, 2, 4)).encode(),  # the per-line reader
+], ids=["q2", "q3"])
+def test_read_code_takes_seeded_mutations(make):
+    # each of 300 mutants (1 to 3 seeded edits each) is a CodeFileError or a
+    # code whose canonical export reads back equal, in under a second
+    import io
+    import random
+    from cdckit.codefile import CodeFileError
+    data, rng = make(), random.Random(20)
+    outcomes = set()
+    for _ in range(300):
+        mutant = data
+        for _ in range(rng.randrange(1, 4)):
+            mutant = _mutant(mutant, rng)
+        start = time.monotonic()
+        try:
+            code = read_code(io.BytesIO(mutant))
+        except CodeFileError:
+            outcomes.add("refused")
+        else:
+            outcomes.add("read")
+            text = dumps(code)
+            again = loads(text)
+            assert (again.field, again.n, again.k, again.d_claim, again.size) == \
+                (code.field, code.n, code.k, code.d_claim, code.size)
+            assert dumps(again) == text
+        assert time.monotonic() - start < 1.0, mutant
+    assert outcomes == {"refused", "read"}

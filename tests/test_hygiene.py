@@ -194,6 +194,18 @@ def test_cli_names_no_recipe_or_formula():
     assert not found, f"cli.py names {found}"
 
 
+def test_recipe_facts_are_one_registry():
+    # a closed form, its recipe and its size floor are one registry row: no
+    # parallel table, no size-only stub, and the two name maps are its views
+    from cdckit import constructions as cx
+    gone = ["CATALOG", "FAMILY_FLOORS", "recipe_12_4_4_cor", "recipe_4k_2k_2k",
+            "recipe_6k_2k_2k", "recipe_16_4_4"]
+    assert [name for name in gone if hasattr(cx, name)] == []
+    assert cx.RECIPES.keys() == {c.recipe for c in cx.REGISTRY if c.recipe}
+    assert cx.FORMULAS == {c.formula: c.size for c in cx.REGISTRY if c.formula}
+    assert all(cx.RECIPES[c.recipe] is c.build for c in cx.REGISTRY if c.recipe and c.build)
+
+
 def _owned(node, owner):
     """(dotted name of the innermost enclosing class or function, node) for
     each node under node."""
