@@ -16,7 +16,7 @@ from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import wraps
-from itertools import accumulate, chain, combinations, product as iproduct
+from itertools import accumulate, chain, combinations, pairwise, product as iproduct
 from math import prod
 
 import numpy as np
@@ -26,7 +26,7 @@ from .cdc import (Cdc, ListSource, MATERIALIZE_CAP, PackedSource, ProductSource,
                   partial_spread_subcode, spread, subspaces)
 from .gf import base_field
 from .linalg import (MatrixGF, checked_indices, find_words, inverse, pack_row, rref_bits,
-                     rref_bits_batch)
+                     rref_bits_batch, spans)
 from .rankmetric import (GabidulinHandle, gabidulin_mrd, mrd_size, nested_subcode,
                          rank_distribution, rank_filtered)
 from .subspace import Subspace, _pivot_col, intersection_dim, orthogonal_complement
@@ -444,7 +444,8 @@ def pairing_construction(nbar2, abar2, bbar2, C0: Cdc, C1: Cdc, C2: Cdc,
 class _ReembedSource(StreamSource):
     """For each basis M_u (P^-1 times the frame of U: the rows of U above
     the unit rows of the s added coordinates) and each word D_j of the
-    sequence code's source, the RREF of D_j times M_u."""
+    sequence code's source, the RREF of D_j times M_u.  Row g of D_j M_u is
+    vector g of the spans of M_u (linalg.spans), so each row is one lookup."""
 
     def __init__(self, field, n, bases, member):
         self.field, self.n, self.bases, self.member = field, n, bases, member
@@ -454,32 +455,17 @@ class _ReembedSource(StreamSource):
         if not 0 <= i < self.size:
             raise IndexError(i)
         u, j = divmod(i, self.member.size)
-        basis = self.bases[u].tolist()
-        width = len(basis)
-        rows = []
-        for g in self.member.packed_at(j):
-            acc = 0
-            for c in range(width):
-                if (g >> (width - 1 - c)) & 1:
-                    acc ^= basis[c]
-            rows.append(acc)
-        return tuple(rref_bits(rows, self.n)[0])
+        rows = spans(self.bases[u:u + 1])[list(self.member.packed_at(j)), 0]
+        return tuple(rref_bits(rows.tolist(), self.n)[0])
 
     def packed_at_batch(self, idx):
+        """One spans table per distinct basis of the batch, 2^(k+s) rows
+        each, and one np.take for all rows: memory grows with the batch."""
         u, j = np.divmod(checked_indices(idx, self.size), self.member.size)
-        return rref_bits_batch(_combined(self.member.packed_at_batch(j),
-                                         np.take(self.bases, u, axis=0), self.bases.shape[1]),
-                               self.n)[0]
-
-
-def _combined(coeffs, basis, width):
-    """Each packed row of coeffs as the XOR of the basis rows c where its
-    column c (of width) is set; basis (..., width) broadcasts by row."""
-    rows = np.zeros_like(coeffs)
-    for c in range(width):
-        bit = (coeffs >> np.uint64(width - 1 - c)) & np.uint64(1)
-        rows ^= bit * basis[..., c, None]
-    return rows
+        used, u = np.unique(u, return_inverse=True)
+        coeffs = self.member.packed_at_batch(j).view(np.int64)  # k + s < 63 bits
+        rows = np.take(spans(self.bases[used]), coeffs * len(used) + u[:, None])
+        return rref_bits_batch(rows, self.n)[0]
 
 
 def _reembedded(entry: SeqEntry, words, field, k, s, t) -> StreamSource:
@@ -491,13 +477,13 @@ def _reembedded(entry: SeqEntry, words, field, k, s, t) -> StreamSource:
         return ProductSource(field, [PackedSource(field, k + t, words), code.lmrd_handle],
                              (k + t, s))
     # general path: a word g of D is g P^-1 in the (U*, S*) basis, and
-    # (g P^-1) F_u = g (P^-1 F_u), so P^-1 is folded into each frame F_u once
+    # (g P^-1) F_u = g (P^-1 F_u), so P^-1 is folded into each frame F_u once:
+    # row c of P^-1 F_u is the vector of U picked by the first k bits of row c
+    # of P^-1, above the unit rows picked by its last s bits
     P = MatrixGF(code.field, entry.witness_u.rows + entry.witness_s.rows, ncols=k + s)
     Pinv = np.array([pack_row(rw) for rw in inverse(P).rows], dtype=np.uint64)
-    units = np.uint64(1) << np.arange(s - 1, -1, -1, dtype=np.uint64)
-    frames = np.hstack([words << np.uint64(s), np.broadcast_to(units, (len(words), s))])
-    bases = _combined(np.broadcast_to(Pinv, frames.shape), frames, k + s)
-    return _ReembedSource(field, k + s + t, bases, code.source)
+    bases = spans(words)[Pinv >> s] << s | (Pinv & (1 << s) - 1)[:, None]
+    return _ReembedSource(field, k + s + t, np.ascontiguousarray(bases.T), code.source)
 
 
 def duplication(partition: DistancePartition, seq: NdkSequence, A: Cdc) -> Cdc:
@@ -573,15 +559,23 @@ class UnionSource(StreamSource):
         return p.packed_at(j)
 
     def packed_at_batch(self, idx):
+        """The indices ordered by part with one stable argsort (a radix sort
+        on the narrowest dtype of the part ids), each part's run gathered as
+        one slice, and the words scattered back as one void item per row."""
         idx = checked_indices(idx, self.size)
         part = np.searchsorted(self.starts, idx, side="right") - 1
+        part = part.astype(np.min_scalar_type(len(self.parts)))
+        order = np.argsort(part, kind="stable")
+        bounds = np.searchsorted(part[order], range(len(self.parts) + 1)).tolist()
         # no indices: part 0 gathers none, which gives the (0, k) shape
-        parts = np.flatnonzero(np.bincount(part)).tolist() or [0]
-        blocks = [((sel := part == p), self.parts[p].packed_at_batch(idx[sel] - self.starts[p]))
-                  for p in parts]
-        out = np.zeros((len(idx), blocks[0][1].shape[1]), dtype=np.uint64)
-        for sel, block in blocks:
-            out[sel] = block
+        runs = [(p, lo, hi) for p, (lo, hi) in enumerate(pairwise(bounds)) if hi > lo] \
+            or [(0, 0, 0)]
+        idx = idx[order]
+        words = np.concatenate([self.parts[p].packed_at_batch(idx[lo:hi] - self.starts[p])
+                                for p, lo, hi in runs])
+        out = np.empty_like(words)
+        void = np.dtype((np.void, words.itemsize * words.shape[1]))
+        out.view(void)[order] = words.view(void)
         return out
 
     def packed_blocks(self):

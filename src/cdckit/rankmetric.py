@@ -249,9 +249,11 @@ def _low_rank_indices(offset, basis, ncols, cap):
         for k in sorted(set(free[solvable].tolist())):
             sel = solvable & (free == k)
             parts.append((spans(np.sort(null[sel], axis=1)[:, tb - k:]) ^ particular[sel]).ravel())
-    kept = np.concatenate(parts).astype(np.int64)
+    kept = np.concatenate(parts)
     kept.sort()
-    return kept[np.diff(kept, prepend=-1) != 0]
+    first = np.ones(len(kept), dtype=bool)  # of each run of repeats
+    np.not_equal(kept[1:], kept[:-1], out=first[1:])
+    return kept[first].view(np.int64)
 
 
 class RankFilteredHandle(RankCodeHandle):

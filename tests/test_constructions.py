@@ -21,10 +21,11 @@ from cdckit.constructions import (CompositionProfile, ConstructionError,
                                   recipe_9_4_3, size_10_4_5_claimed,
                                   size_10_4_5_linkage, size_12_4_4_cor,
                                   size_12_4_4_thm, size_12_6_6, size_12_8_6,
-                                  size_8_4_4, xi_extension, _combined,
+                                  size_8_4_4, xi_extension, _ReembedSource,
                                   _duplication_over, _indices_in, _lmrd_entry as _lmrd_entry_of,
                                   _sequence_entry_from_code, _single_full)
 from cdckit.gf import field_new
+from cdckit.linalg import rref_bits
 from cdckit.rankmetric import gabidulin_mrd
 from cdckit.subspace import Subspace, distance
 from cdckit.verify import CapExceeded, coverage_check, full_pairwise_check, sampled_check
@@ -280,22 +281,23 @@ def _xor_of_basis_rows(coeff, basis, width):
 
 @pytest.mark.parametrize("width", range(1, 13))
 def test_combined_xors_the_basis_rows_of_each_set_column(width):
-    # both basis shapes its callers pass: one (width,) basis for every word
-    # (_reembedded), and one (B, width) basis per word (packed_at_batch)
+    # a re-embedded word is the RREF of its coefficient rows, each the XOR of
+    # the basis rows of its set columns: one spans lookup per row, in the
+    # batched gather (random indices reach every basis, several per batch)
+    # and in packed_at
     rng = np.random.default_rng(width)
     coeffs = rng.integers(0, 1 << width, (155, 3), dtype=np.uint64)
     coeffs[0] = 0
     coeffs[1] = (1 << width) - 1
-    shared = rng.integers(0, 1 << 63, width, dtype=np.uint64)
-    got = _combined(coeffs, shared, width)
-    assert got.dtype == np.uint64 and got.shape == coeffs.shape
-    assert got.tolist() == [[_xor_of_basis_rows(g, shared.tolist(), width) for g in word]
-                            for word in coeffs.tolist()]
-    per_word = rng.integers(0, 1 << 63, (len(coeffs), width), dtype=np.uint64)
-    got = _combined(coeffs, per_word, width)
-    assert got.dtype == np.uint64 and got.shape == coeffs.shape
-    assert got.tolist() == [[_xor_of_basis_rows(g, basis, width) for g in word]
-                            for word, basis in zip(coeffs.tolist(), per_word.tolist())]
+    bases = rng.integers(0, 1 << 63, (4, width), dtype=np.uint64)
+    src = _ReembedSource(F2, 63, bases, PackedSource(F2, width, coeffs))
+    want = [tuple(rref_bits([_xor_of_basis_rows(g, basis, width) for g in word], 63)[0])
+            for basis in bases.tolist() for word in coeffs.tolist()]
+    idx = rng.permutation(src.size)
+    got = src.packed_at_batch(idx)
+    assert got.dtype == np.uint64 and got.shape == (src.size, 3)
+    assert [tuple(r for r in row if r) for row in got.tolist()] == [want[i] for i in idx]
+    assert [src.packed_at(i) for i in idx[:50].tolist()] == [want[i] for i in idx[:50]]
 
 
 def test_partition_and_sequence_validation():

@@ -132,15 +132,17 @@ def test_constructions_take_certificates_from_verify(name):
 
 @pytest.mark.parametrize("name, func", [("linalg.py", "rank_bits_batch"),
                                         ("linalg.py", "rref_bits_batch"),
-                                        ("constructions.py", "_combined"),
+                                        ("linalg.py", "spans"),
+                                        ("constructions.py", "_ReembedSource"),
+                                        ("constructions.py", "_reembedded"),
                                         ("rankmetric.py", "_low_rank_indices")])
 def test_batched_kernels_select_rows_by_multiplying(name, func):
-    # a GF(2) row is picked by mask * row, not np.where(mask, row, 0): on
-    # the (11, 4096) uint16 array of one row pass the broadcast np.where
-    # takes about 250 us and the product about 11 us
+    # a GF(2) row is picked by mask * row or a spans lookup, not
+    # np.where(mask, row, 0): on the (11, 4096) uint16 array of one row pass
+    # the broadcast np.where takes about 250 us and the product about 11 us
     tree = ast.parse((SRC / name).read_text(), filename=name)
     fn = next(node for node in ast.walk(tree)
-              if isinstance(node, ast.FunctionDef) and node.name == func)
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == func)
     found = sorted(f"{ast.unparse(node)} (line {node.lineno})" for node in ast.walk(fn)
                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                    and node.func.attr == "where")

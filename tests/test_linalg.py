@@ -124,16 +124,28 @@ def test_rref_bits_batch_all_binary_4x4():
 
 def test_rref_bits_batch_random_batches():
     rng = random.Random(21)
+
+    def batch(a, ncols, size):
+        rows = []
+        for _ in range(size):
+            m = [rng.getrandbits(ncols) for _ in range(a)]
+            m[rng.randrange(a)] = 0  # a zero row
+            src, dst = rng.randrange(a), rng.randrange(a)
+            m[dst] = m[src]  # a duplicate row
+            rows.append(m)
+        return rows
+
     for a in range(1, 9):
         for ncols in (1, 5, 12, 16, 64):
-            rows = []
-            for _ in range(300):
-                m = [rng.getrandbits(ncols) for _ in range(a)]
-                m[rng.randrange(a)] = 0  # a zero row
-                src, dst = rng.randrange(a), rng.randrange(a)
-                m[dst] = m[src]  # a duplicate row
-                rows.append(m)
-            _rref_batch_agrees_with_scalar(rows, ncols)
+            _rref_batch_agrees_with_scalar(batch(a, ncols, 300), ncols)
+    # the rank filter's systems: (a - cap) * ncols rows of tb + 1 bits
+    for a, ncols in itertools.product((10, 18, 32), (21, 25, 41)):
+        _rref_batch_agrees_with_scalar(batch(a, ncols, 60), ncols)
+    # batch sizes around the row network and the stream's 4,096
+    for size in (1, 2, 4097):
+        _rref_batch_agrees_with_scalar(batch(5, 10, size), 10)
+    _rref_batch_agrees_with_scalar([[0] * 6] * 50, 12)
+    _rref_batch_agrees_with_scalar([[rng.getrandbits(12)] * 6 for _ in range(50)], 12)
 
 
 def test_rref_bits_batch_empty():
