@@ -20,17 +20,20 @@ The reader accepts a little more than the writer produces:
 Files are ASCII: any other byte raises HeaderError in a header line and
 DimensionMismatchError in the body (loads encodes its text as UTF-8).
 
-Over GF(2) with n <= 64 both directions move blocks of at most 2^16 lines
-as bit-packed numpy arrays.  The writer gathers lines from cached digit
-tables as bytes, which export writes and write_code decodes.  The reader
-takes the body as bytes.  A block laid out as the writer lays it out is
-checked against a line template and packed in a few numpy passes; any
-other block is first rewritten line by line into that layout.  Words
+Over GF(2) with n <= 64 both directions move the body in chunks of about
+_CHUNK = 2^19 bytes of whole lines, so that numpy passes over one in L2.
+The writer gathers lines from cached digit tables as bytes, which export
+writes and write_code decodes; a canonical export sorts one uint64 key
+per word and decodes the words from the keys a chunk at a time.  The
+reader takes the body as bytes.  A chunk laid out as the writer lays it
+out is checked against a line template and packed in a few numpy passes;
+any other chunk is first rewritten line by line into that layout.  Words
 already in RREF skip elimination.  The words fill one (N, k) array of the
 narrowest unsigned dtype holding n bits (a cdc.PackedSource), sized from
-the body's length, and one sort of a 64-bit key per word screens them for
-a repeat.  Other fields go line by line through Subspace.parse, keeping
-each word's packed rows alone, and Subspace.serialize.
+the body's length.  While their one-key sort keys rise, as in every
+canonical file, no word repeats and only the last key is kept; any other
+body is screened by one sort of a 64-bit key per word.  Other fields go
+line by line through Subspace.parse and Subspace.serialize.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .verify import full_pairwise_check
 
 HEADER_KEYS = ("Q", "P", "E", "MOD", "N", "K", "D", "COUNT", "ORDER", "PROV")
 _SORT_CAP = 10 ** 6
-_BLOCK = 1 << 16  # body lines per block of the packed path
+_CHUNK = 1 << 19  # body bytes per chunk of the packed path: its passes stay in L2
 _SPACE = bytes(c for c in range(128) if chr(c).isspace())  # what str.strip strips of ASCII
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd: multiplying by it permutes uint64
 
@@ -97,14 +100,18 @@ def _write(c: Cdc, write, order: str | None, prov: str | None):
     write("".join(line + "\n" for line in _header_lines(c, order, prov)).encode("ascii"))
     written = 0
     if packable(c.field, c.n, c.k):
+        step = max(_CHUNK // (c.k * (c.n + 1)), 1)  # lines
         blocks = c.source.packed_blocks()
-        if order == "canonical":  # all lines have one length: text order is row order
+        if order == "canonical" and _one_key(c.n, c.k):  # lines of one length sort as their keys
+            keys = np.concatenate([np.zeros(0, np.uint64), *(sort_keys(b, c.n)[0] for b in blocks)])
+            keys.sort()
+            blocks = (_key_words(keys[i:i + step], c.n, c.k) for i in range(0, len(keys), step))
+        elif order == "canonical":  # wider words are gathered whole and lexsorted
             words = np.concatenate([np.zeros((0, c.k), np.uint64), *blocks])
-            keys = sort_keys(words, c.n)
-            words = np.sort(keys.pop()) if len(keys) == 1 else words[np.lexsort(keys[::-1])]
-            blocks = (words[i:i + _BLOCK] for i in range(0, len(words), _BLOCK))
-        for block in blocks:  # a 1-D block holds sorted one-key words
-            write(_format_block(_key_words(block, c.n, c.k) if block.ndim == 1 else block, c.n))
+            blocks = [words[np.lexsort(sort_keys(words, c.n)[::-1])]]
+        for block in blocks:  # in near-equal parts of at most step lines
+            for part in np.array_split(block, -(-len(block) // step) or 1):
+                write(_format_block(part, c.n))
             written += len(block)
     else:  # '\n' sorts below every digit and separator: it keeps the line order
         lines = (w.serialize() + "\n" for w in c)
@@ -136,14 +143,18 @@ def _digits(m, sep=True):
 
 def _format_block(words, n):
     """Body lines of (b, k) packed words as a (b, k, n + 1) uint8 array: rows
-    of n <= 16 bits are gathered with their '|', wider ones 16 digits at a time."""
+    of n <= 16 bits are gathered with their '|', wider ones 8 digits per
+    byte of the row, and each row's last n digits are copied as one item."""
     if n <= 16:
         out = np.take(_digits(n), words, axis=0)
-    else:  # each row's 16-bit chunks, the highest first
-        chunks = np.ascontiguousarray(words, "<u8").view("<u2").reshape(*words.shape, 4)
-        digits = np.take(_digits(16, False), chunks[..., (n - 1) // 16::-1], axis=0)
-        out = np.full((*words.shape, n + 1), ord("|"), np.uint8)
-        out[..., :n] = digits.reshape(*words.shape, -1)[..., -n:]
+    else:  # the big-endian bytes of each row that hold its n bits
+        rows = np.ascontiguousarray(words, ">u8").view(np.uint8).reshape(*words.shape, 8)
+        digits = np.take(_digits(8, False), rows[..., -n // 8:], axis=0)
+        digits = digits.reshape(*words.shape, 8 * digits.shape[2])[..., -n:]
+        out = np.empty((*words.shape, n + 1), np.uint8)
+        out[..., n] = ord("|")
+        line = np.dtype((np.void, n))  # one item per row, not n strided bytes
+        out[..., :n].view(line)[...] = digits.view(line)
     out[:, -1, n] = ord("\n")
     return out
 
@@ -245,31 +256,35 @@ def _parsed(lines, field, n, k):
 def _read_packed(fh, first, n, k):
     """The canonical packed words of a GF(2) body, in file order, as one
     C-contiguous (N, k) array of the narrowest unsigned dtype holding n
-    bits, sized from the body's length.  Reads chunks of _BLOCK lines and
-    stops at the first malformed or rank-deficient line; the words before
-    it are checked for duplicates first, so the first offending line
-    decides the error."""
+    bits, sized from the body's length.  Reads chunks of whole lines and
+    stops at the first malformed or rank-deficient line; the words
+    before it are screened for a repeat first (rising keys need no screen),
+    so the first offending line decides the error."""
     width = k * (n + 1)  # bytes of a word line, its '\n' included
+    step = max(_CHUNK // width, 1) * width  # bytes
     template = np.frombuffer((("0" * n + "|") * k)[:-1].encode() + b"\n", np.uint8)
     mask = np.where(template == ord("0"), 0xFE, 0xFF).astype(np.uint8)  # digits may be 0 or 1
-    at = fh.tell()
+    start = fh.tell() - len(first)  # the body from its first line
     # a word line takes width - 1 bytes and a '\n' unless it is the last
-    words = np.empty(((fh.seek(0, _io.SEEK_END) - at + len(first) + 1) // width, k),
+    words = np.empty(((fh.seek(0, _io.SEEK_END) - start + 1) // width, k),
                      np.min_scalar_type((1 << n) - 1))
-    fh.seek(at)
+    fh.seek(start)
+    out = np.empty((2, step // width, width), np.uint8)  # reused: fresh arrays fault pages in
     filled, error = 0, None
-    chunk = first + fh.read(max(_BLOCK * width - len(first), 0))
+    rising, last = _one_key(n, k), 0  # a word of rank k >= 1 has a key above 0
+    chunk = fh.read(step)
     while chunk and error is None:
         if not chunk.endswith(b"\n"):  # end the chunk at a line end
             chunk += fh.readline()
-        x, cut = _parse(chunk, template, mask)
+        x, cut = _parse(chunk, template, mask, out)
         if x is None or cut < len(x):  # not the writer's bytes: normalize the lines
             lines = [line.strip(_SPACE) for line in chunk.split(b"\n") if line not in (b"", b"\r")]
             cut = next((i for i, line in enumerate(lines) if len(line) != width - 1), len(lines))
-            x, cut = _parse(b"\n".join(lines[:cut] + [b""]), template, mask)
+            x, cut = _parse(b"\n".join(lines[:cut] + [b""]), template, mask, out)
             if cut < len(lines):
                 line = lines[cut].decode("ascii", "backslashreplace")
                 error = DimensionMismatchError(f"bad codeword {line!r} for n={n}, k={k}, q=2")
+        del chunk  # its lines are in x: one chunk's bytes at a time
         rows = _pack(x[:cut], n, words.dtype).T
         if not _in_rref(rows.T, n).all():
             rows, ranks = rref_bits_batch(rows, n)
@@ -280,11 +295,15 @@ def _read_packed(fh, first, n, k):
                 error = DimensionMismatchError(
                     f"codeword {line!r} has dimension {ranks[i]}, header says {k}")
                 rows = rows[:i]
+        if rising and len(rows):
+            keys = sort_keys(rows, n)[0]
+            rising = last < keys[0] and bool((keys[:-1] < keys[1:]).all())
+            last = keys[-1]
         words[filled:filled + len(rows)] = rows
         filled += len(rows)
-        chunk = fh.read(_BLOCK * width)
+        chunk = fh.read(step)
     words.resize((filled, k), refcheck=False)  # in place: no view of words was kept
-    if (i := _first_repeat(words, n)) is not None:
+    if not rising and (i := _first_repeat(words, n)) is not None:
         line = str(_format_block(words[i:i + 1], n), "ascii").strip()
         raise DuplicateCodewordError(f"duplicate codeword {line!r}")
     if error is not None:
@@ -292,14 +311,18 @@ def _read_packed(fh, first, n, k):
     return words
 
 
-def _parse(buf, template, mask):
+def _parse(buf, template, mask, out):
     """buf as lines of len(template) bytes XORed with the template, so the
     digits of a valid line are 0 and 1 and its separators 0; and the number
-    of leading lines that are valid (-1 when buf ends in a partial line)."""
+    of leading lines that are valid (-1 when buf ends in a partial line).
+    Both passes go to the (2, m, len(template)) out when m lines hold buf."""
     if len(buf) % len(template):
         return None, -1
-    x = np.frombuffer(buf, np.uint8).reshape(-1, len(template)) ^ template
-    bad = x & mask
+    lines = np.frombuffer(buf, np.uint8).reshape(-1, len(template))
+    if len(lines) > out.shape[1]:
+        out = np.empty((2, *lines.shape), np.uint8)
+    x = np.bitwise_xor(lines, template, out=out[0, :len(lines)])
+    bad = np.bitwise_and(x, mask, out=out[1, :len(lines)])
     if not bad.any():
         return x, len(x)
     return x, int(np.argmax(bad.any(axis=1)))
@@ -357,11 +380,15 @@ def _mix(words):
     return h
 
 
+def _one_key(n, k):
+    """Whether linalg.sort_keys gives an n-bit RREF word of k rows one key."""
+    return k * n - k * (k - 1) // 2 <= 64
+
+
 def _word_keys(words, n):
     """One uint64 key per packed RREF word: its sort key when that is one
     key, equal exactly when the words are, else the _mix of its rows."""
-    k = words.shape[1]
-    return sort_keys(words, n)[0] if k * n - k * (k - 1) // 2 <= 64 else _mix(words)
+    return sort_keys(words, n)[0] if _one_key(n, words.shape[1]) else _mix(words)
 
 
 def _first_repeat(words, n):

@@ -15,9 +15,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import wraps
+from functools import reduce, wraps
 from itertools import accumulate, chain, combinations, pairwise, product as iproduct
 from math import prod
+from operator import xor
 
 import numpy as np
 
@@ -455,8 +456,10 @@ class _ReembedSource(StreamSource):
         if not 0 <= i < self.size:
             raise IndexError(i)
         u, j = divmod(i, self.member.size)
-        rows = spans(self.bases[u:u + 1])[list(self.member.packed_at(j)), 0]
-        return tuple(rref_bits(rows.tolist(), self.n)[0])
+        basis = self.bases[u].tolist()[::-1]  # vector g of the spans: bit c picks basis[-1 - c]
+        rows = [reduce(xor, (b for c, b in enumerate(basis) if g >> c & 1), 0)
+                for g in self.member.packed_at(j)]
+        return tuple(rref_bits(rows, self.n)[0])
 
     def packed_at_batch(self, idx):
         """One spans table per distinct basis of the batch, 2^(k+s) rows

@@ -390,7 +390,7 @@ def test_export_writes_the_bytes_of_dumps(monkeypatch, tmp_path, q, order):
     import cdckit.cdc as cdc
     import cdckit.codefile as codefile
     c = loads(dumps(lifted_mrd(q, 6, 3, 4), order="generation"))
-    monkeypatch.setattr(codefile, "_BLOCK", 5)
+    monkeypatch.setattr(codefile, "_CHUNK", 5 * 21)  # 5 lines of k(n + 1) = 21 bytes
     monkeypatch.setattr(cdc, "BATCH", 5)
     blocks = []
     fmt = codefile._format_block
@@ -442,7 +442,7 @@ def test_reader_gf2_line_needs_exactly_k_rows():
 def test_reader_blocks_keep_file_order_and_first_error(monkeypatch):
     # small blocks: words, duplicates and errors span block boundaries
     import cdckit.codefile as codefile
-    monkeypatch.setattr(codefile, "_BLOCK", 5)
+    monkeypatch.setattr(codefile, "_CHUNK", 5 * 21)  # 5 lines of k(n + 1) = 21 bytes
     text = _golden_text()
     assert dumps(loads(text.replace(FIRST, FIRST + "\n" * 12))) == text  # an all-blank block
     generation = dumps(lifted_mrd(2, 6, 3, 4), order="generation")
@@ -461,7 +461,7 @@ def test_reader_names_first_duplicate_line(monkeypatch, second_block, offending)
     # a block's words are checked against one another and every earlier
     # block; the error names the first line that repeats a word
     import cdckit.codefile as codefile
-    monkeypatch.setattr(codefile, "_BLOCK", 5)
+    monkeypatch.setattr(codefile, "_CHUNK", 5 * 21)  # 5 lines of k(n + 1) = 21 bytes
     lines = _golden_text().splitlines(keepends=True)
     header, body = lines[:10], lines[10:]
     text = "".join(header + body[:5] + [body[i] for i in second_block])
@@ -489,7 +489,7 @@ def test_reader_leaves_garbage_collector_as_it_was():
 def _blocks_of_five(monkeypatch, body_lines):
     # the golden header over a body read in blocks of five lines
     import cdckit.codefile as codefile
-    monkeypatch.setattr(codefile, "_BLOCK", 5)
+    monkeypatch.setattr(codefile, "_CHUNK", 5 * 21)  # 5 lines of k(n + 1) = 21 bytes
     lines = _golden_text().splitlines(keepends=True)
     return "".join(lines[:10] + body_lines)
 
@@ -553,6 +553,86 @@ def test_gf2_import_holds_one_array(tmp_path):
     assert code.size == 1 << 15 and code.source.packed.dtype == np.uint16
 
 
+# ----------------------------------------------------------------------
+# the sorted-body screen: a canonical body whose keys rise is read without
+# a key array or a sort; any other body is screened whole
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("at", [7, 5], ids=["within", "across"])
+def test_canonical_body_repeat_within_and_across_chunks(monkeypatch, at):
+    # chunks of 5 lines: the repeat of line at - 1 is line at, in its chunk
+    # (lines 5-9) or the first line after the chunk boundary
+    body = _golden_text().splitlines(keepends=True)[10:]
+    text = _blocks_of_five(monkeypatch, body[:at] + [body[at - 1]] + body[at:])
+    with pytest.raises(DuplicateCodewordError, match=repr(body[at - 1].strip())):
+        loads(text)
+
+
+def test_sorted_body_with_a_swap_names_the_first_repeat(monkeypatch):
+    # one adjacent swap breaks the rising keys: the whole body is screened,
+    # and of two later repeats the first in file order is named
+    text = _golden_text()
+    lines = text.splitlines(keepends=True)
+    body = lines[10:]
+    body[11], body[12] = body[12], body[11]
+    assert dumps(loads(_blocks_of_five(monkeypatch, body))) == text
+    body = body[:40] + [body[35]] + body[40:50] + [body[20]] + body[50:]
+    with pytest.raises(DuplicateCodewordError, match=repr(body[35].strip())):
+        loads(_blocks_of_five(monkeypatch, body))
+
+
+def test_canonical_multi_key_body_repeat():
+    # kn - k(k - 1)/2 = 100 bits: no one-key sort key, so even a canonical
+    # body is screened whole
+    text = dumps(lifted_mrd(2, 16, 8, 16))
+    lines = text.splitlines(keepends=True)
+    with pytest.raises(DuplicateCodewordError, match=repr(lines[20].strip())):
+        loads("".join(lines[:21] + lines[20:]))
+
+
+def test_repeat_and_malformed_line_in_a_canonical_body(monkeypatch):
+    # whichever comes first in the file decides the error, in one chunk or two
+    body = _golden_text().splitlines(keepends=True)[10:]
+    for bad in (BAD, LOW):
+        for gap in (0, 3, 8):
+            before = body[:13] + [body[12]] + body[13:13 + gap] + [bad] + body[13 + gap:]
+            with pytest.raises(DuplicateCodewordError, match=repr(body[12].strip())):
+                loads(_blocks_of_five(monkeypatch, before))
+            after = body[:13] + [bad] + body[13:13 + gap] + [body[12]] + body[13 + gap:]
+            with pytest.raises(DimensionMismatchError):
+                loads(_blocks_of_five(monkeypatch, after))
+
+
+def test_canonical_import_holds_no_key_array(tmp_path):
+    # a canonical 32,768-word file: besides the (N, 4) uint16 words, one
+    # chunk's bytes and lines, and no N-word key array or sort
+    import tracemalloc
+    path = tmp_path / "c.cdc"
+    export(lifted_mrd(2, 9, 4, 4), path)
+    tracemalloc.start()
+    try:
+        code = import_code(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code.size == 1 << 15 and peak < code.source.packed.nbytes + (2 << 20), peak
+
+
+def test_canonical_export_holds_keys_not_words(tmp_path):
+    # one uint64 key per word is sorted, and a chunk of words is decoded
+    # from the keys at a time: no (N, k) uint64 copy of the code
+    import tracemalloc
+    c = lifted_mrd(2, 9, 4, 4)
+    tracemalloc.start()
+    try:
+        export(c, tmp_path / "c.cdc")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < c.size * 8 + (2 << 20), peak
+    assert dumps(import_code(tmp_path / "c.cdc")) == dumps(c)
+
+
 def test_wide_gf2_words_are_keyed_by_their_row_bytes(tmp_path):
     # k*n = 72 > 64: no uint64 holds a word, so duplicates and subcode
     # membership are found on the row bytes
@@ -606,7 +686,7 @@ def test_scrambled_rows_read_as_the_canonical_words(monkeypatch, block, args):
     want = loads(head + "".join(lines[10:10 + count])).source.packed
     lines = scrambled.splitlines(keepends=True)[:count]
     assert sum(a != b for a, b in zip(lines, text.splitlines(keepends=True)[10:])) > count // 4
-    monkeypatch.setattr(codefile, "_BLOCK", block)
+    monkeypatch.setattr(codefile, "_CHUNK", block * args[2] * (args[1] + 1))  # lines
     for body in ("".join(lines), "".join(lines).replace("\n", "\r\n"),
                  "\n" + "".join(line + "\n" * (i % 7 == 3) for i, line in enumerate(lines))):
         got = loads(head + body).source.packed
@@ -624,7 +704,7 @@ def test_reader_recovers_the_stride_after_a_crlf_line(monkeypatch):
     # one CRLF line in the first block: that chunk ends a byte short of a
     # line end and is completed; every later block reads as the writer's
     import cdckit.codefile as codefile
-    monkeypatch.setattr(codefile, "_BLOCK", 5)
+    monkeypatch.setattr(codefile, "_CHUNK", 5 * 21)  # 5 lines of k(n + 1) = 21 bytes
     text = _golden_text()
     assert dumps(loads(text.replace(FIRST, FIRST[:-1] + "\r\n"))) == text
     lines = text.splitlines(keepends=True)
