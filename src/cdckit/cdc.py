@@ -1,12 +1,12 @@
 """Constant-dimension codes: containers, lifted MRD codes, spreads,
 2-parallelisms of F_q^4, and partial-spread subcode extraction.
 
-A Cdc keeps its codewords in one source: a ListSource of packed words, a
-PackedSource of GF(2) words read from a file, or a computed stream with
-exact size and random access by index.  Every source hands out linalg
-packed words, at every q, and nothing else: Subspace values come from the
-Cdc, which alone keeps a Subspace list.  A partial-spread subcode is
-chosen by index in verify.canonical_order: its parent is never listed.
+A Cdc keeps its codewords in one linalg.StreamSource: a ListSource of
+packed words, a PackedSource of GF(2) words read from a file, or a computed
+stream over other sources and rank-metric handles.  Every source hands out
+linalg packed words, at every q, and nothing else: Subspace values come
+from the Cdc, which alone keeps a Subspace list.  A partial-spread subcode
+is chosen by index in verify.canonical_order: its parent is never listed.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from itertools import chain
 import numpy as np
 
 from .gf import FieldSpec, base_field, ext_field
-from .linalg import (BATCH, checked_indices, entry_bits, rref_bits_batch, rref_packed,
-                     unpack_rows, word_tuples)
+from .linalg import (BATCH, StreamSource, checked_indices, entry_bits, packed_dtype,
+                     rref_bits_batch, rref_packed, unpack_rows, word_tuples)
 from .rankmetric import GabidulinHandle, RankCodeHandle, gabidulin_mrd, nested_subcode
 from .subspace import Subspace
 from .verify import canonical_order, enumerate_subspaces, meet_dims
@@ -27,31 +27,6 @@ MATERIALIZE_CAP = 10 ** 5
 
 class CdcError(ValueError):
     pass
-
-
-class StreamSource:
-    """Deterministic random-access codeword stream (canonical RREF rows).
-
-    A source gives linalg packed words at any q, packed_at(i) -> k row ints,
-    and at q = 2 batched, packed_at_batch(idx) -> (B, k) uint64 array
-    (n <= 64), which its stream reads in chunks; over larger fields the
-    stream reads packed_at word by word.  rows_at unpacks packed_at."""
-
-    size = 0
-
-    def packed_blocks(self):
-        """C-contiguous (B, k) uint64 arrays of consecutive words in index
-        order, read by streams and writes: here gathers of BATCH words."""
-        return (self.packed_at_batch(np.arange(lo, min(lo + BATCH, self.size)))
-                for lo in range(0, self.size, BATCH))
-
-    def iter_packed(self):
-        if self.field.q != 2:  # no batched gather over larger fields
-            return map(self.packed_at, range(self.size))
-        return chain.from_iterable(map(word_tuples, self.packed_blocks()))
-
-    def rows_at(self, i):
-        return unpack_rows(self.field, self.packed_at(i), self.n)
 
 
 def subspaces(source):
@@ -64,14 +39,14 @@ def subspaces(source):
 
 class ListSource(StreamSource):
     """Listed codewords: the packed rows of Subspace values, packed here
-    once, or GF(2) words given as an (N, k) uint64 array.  packed_at and
-    iter_packed read the packed words as int tuples; gathers and the block
+    once, or words given as an (N, k) array of linalg.packed_dtype.  packed_at
+    and iter_packed read the packed words as int tuples; gathers and the block
     stream read the array, made from the tuples on first use when not given."""
 
     def __init__(self, field, n, words):
         self.field, self.n, self._array = field, n, None
         if isinstance(words, np.ndarray):
-            self._array = np.ascontiguousarray(words, dtype=np.uint64)
+            self._array = np.ascontiguousarray(words, dtype=packed_dtype(field.q, n))
             self.packed = list(word_tuples(self._array))
         else:
             self.packed = [w.packed_rows() for w in words]
@@ -81,7 +56,8 @@ class ListSource(StreamSource):
     def array(self):
         if self._array is None:
             k = len(self.packed[0]) if self.size else 0
-            self._array = np.fromiter(chain.from_iterable(self.packed), np.uint64,
+            dtype = packed_dtype(self.field.q, self.n)
+            self._array = np.fromiter(chain.from_iterable(self.packed), dtype,
                                       count=self.size * k).reshape(self.size, k)
         return self._array
 
@@ -164,22 +140,21 @@ class ProductSource(StreamSource):
     def packed_blocks(self):
         """With a Gabidulin handle (or a view of one) last, each head word
         in turn, ORed into each of the handle's blocks; else gathers."""
-        blocks = getattr(self.last, "iter_blocks", None)
-        if blocks is None:
+        if not isinstance(self.last, GabidulinHandle):
             yield from super().packed_blocks()
             return
         count = self.size // self.last.size
         for lo in range(0, count, BATCH):
             for head in self._gather(np.arange(lo, min(lo + BATCH, count)), self._head):
-                for block in blocks():
+                for block in self.last.packed_blocks():
                     block = block | head
                     yield rref_bits_batch(block, self.n)[0] if self.reduce else block
 
 
 class Cdc:
     """A set of k-subspaces of F_q^n with claimed minimum distance d, kept in
-    one source: `words` (Subspace values, or over GF(2) an (N, k) uint64
-    array of packed RREF words) are listed in a ListSource, a `stream` is
+    one source: `words` (Subspace values, or an (N, k) array of packed RREF
+    words, see ListSource) are listed in a ListSource, a `stream` is
     kept as given.  The Cdc alone hands out Subspace values (at, iteration
     and words()); a listed code keeps one list of them, the one it was given
     or else the one words() builds on its first call."""
@@ -201,7 +176,7 @@ class Cdc:
                 for w in words:
                     if w.n != n or w.k != k or w.field != field:
                         raise CdcError(f"codeword {w!r} does not fit ({n},{k}) over GF({field.q})")
-            elif field.q != 2 or words.shape[1:] != (k,):
+            elif words.shape[1:] != (k,):
                 raise CdcError(f"packed words {words.shape} do not fit ({n},{k}) over GF({field.q})")
             # the ListSource packs the words once: streams, exports and
             # random access read them, and they are the duplicate keys

@@ -2,7 +2,8 @@
 rank-metric codes into larger ones, plus the named parameter recipes.
 
 All builders are deterministic: streams are enumerated block-major, and
-within a block in mixed-radix order over the constituent factors.
+within a block in mixed-radix order over the constituent factors.  Addons
+stack the packed rows of their parts, which are codes, at every q.
 
 A duplication reads its base by index: the partition's parts are index
 arrays, and the sequence member "base minus one word" is a MinusSource
@@ -16,21 +17,20 @@ from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import reduce, wraps
-from itertools import accumulate, chain, combinations, pairwise, product as iproduct
+from itertools import accumulate, chain, combinations, pairwise
 from math import prod
 from operator import xor
 
 import numpy as np
 
-from .cdc import (Cdc, ListSource, MATERIALIZE_CAP, PackedSource, ProductSource, StreamSource,
-                  _lifted, _single_full, lifted_mrd, parallelism_2_of_F_q4,
-                  partial_spread_subcode, spread, subspaces)
+from .cdc import (Cdc, ListSource, MATERIALIZE_CAP, PackedSource, ProductSource, _lifted,
+                  _single_full, lifted_mrd, parallelism_2_of_F_q4, partial_spread_subcode, spread)
 from .gf import base_field
-from .linalg import (MatrixGF, checked_indices, find_words, inverse, pack_row, rref_bits,
-                     rref_bits_batch, spans)
+from .linalg import (MatrixGF, StreamSource, checked_indices, entry_bits, find_words, inverse,
+                     pack_row, packed_dtype, rref_bits, rref_bits_batch, spans)
 from .rankmetric import (GabidulinHandle, gabidulin_mrd, mrd_size, nested_subcode,
                          rank_distribution, rank_filtered)
-from .subspace import Subspace, _pivot_col, intersection_dim, orthogonal_complement
+from .subspace import Subspace, intersection_dim, orthogonal_complement
 from .verify import (FULL_CHECK_CAP, CapExceeded, canonical_order, full_pairwise_check,
                      meet_dims)
 
@@ -251,22 +251,25 @@ def check_special_substructure(c: Cdc):
 # product-type addons
 # ----------------------------------------------------------------------
 
-def _direct_sum_subspace(profile, field, pick):
-    """Block-diagonal direct sum of one subspace per block (canonical)."""
-    n, offs = profile.n, profile.offsets()
-    return Subspace(field, n, [(0,) * offs[j] + tuple(r) + (0,) * (n - offs[j + 1])
-                               for j, w in enumerate(pick) for r in w.rows])
-
-
 def _refuse_past_cap(size):
     if size > MATERIALIZE_CAP:
         raise ConstructionError(f"the addon has {size} words, past MATERIALIZE_CAP")
 
 
+def _placed(words, k, n, end, q):
+    """Packed words of k rows over the columns of a block that ends at column
+    end of F_q^n, as an (N, k) array of linalg.packed_dtype(q, n) in all n
+    columns: each row shifted by w (n - end), w = entry_bits(q)."""
+    dtype = packed_dtype(q, n)
+    words = list(words)
+    return np.array(words, dtype).reshape(len(words), k) \
+        << np.array(entry_bits(q) * (n - end), dtype)
+
+
 def _direct_sums(parts):
     """One word of each part with their rows side by side, for every choice
     in mixed-radix order with the last part fastest; parts are (m_i, a_i)
-    uint64 arrays of packed words, each already in its own columns."""
+    arrays of packed words, each already in its own columns."""
     picks = np.indices([len(p) for p in parts]).reshape(len(parts), -1)
     return np.hstack([p[g] for p, g in zip(parts, picks)])
 
@@ -289,33 +292,30 @@ def _check_cross_families(profile, families, field):
 
 def product_addon(profile: CompositionProfile, families, verify_cross=True) -> Cdc:
     """Direct sums U_1 x ... x U_l over each family index j; compatible by
-    construction with the linkage code on the same profile.  Over GF(2) a
-    sum ORs the families' packed rows into their block columns.
+    construction with the linkage code on the same profile.  Family j of
+    block i is a Cdc of shape (n_i, *; a_i); a sum stacks one packed word of
+    each block's family, its rows shifted into the block's columns.
     verify_cross checks families of block i pair by pair to be 2 a_i - 2 b_i
     apart, which families from a search or an import do not guarantee."""
     profile.validate(with_ab=True)
-    field = base_field(profile.q)
+    q, n = profile.q, profile.n
+    field = base_field(q)
     s = len(families[0])
     if any(len(f) != s for f in families):
         raise ConstructionError("ragged family grid")
-    bad = next((i for i, fams in enumerate(families) for fam in fams for w in fam
-                if w.n != profile.nbar[i] or w.k != profile.abar[i]), None)
+    bad = next((i for i, fams in enumerate(families) for fam in fams
+                if (fam.n, fam.k) != (profile.nbar[i], profile.abar[i])), None)
     if bad is not None:
-        raise ConstructionError(f"family member of block {bad} is not an "
-                                f"({profile.nbar[bad]}, *; {profile.abar[bad]}) subspace")
+        raise ConstructionError(f"family of block {bad} is not an "
+                                f"({profile.nbar[bad]}, *; {profile.abar[bad]}) code")
     _refuse_past_cap(sum(prod(len(fams[j]) for fams in families) for j in range(s)))
     if verify_cross:
         _check_cross_families(profile, families, field)
-    if field.q == 2:  # each family's packed rows, shifted into its block's columns
-        parts = [[np.array([w.packed_rows() for w in fam], np.uint64).reshape(len(fam), a)
-                  << np.uint64(profile.n - end) for fam in fams]
-                 for fams, a, end in zip(families, profile.abar, profile.offsets()[1:])]
-        words = np.concatenate([np.empty((0, profile.k), np.uint64),
-                                *(_direct_sums([p[j] for p in parts]) for j in range(s))])
-    else:
-        words = [_direct_sum_subspace(profile, field, pick)
-                 for j in range(s) for pick in iproduct(*[fams[j] for fams in families])]
-    return Cdc(field, profile.n, profile.k, profile.d, words=words,
+    parts = [[_placed(fam.iter_packed(), a, n, end, q) for fam in fams]
+             for fams, a, end in zip(families, profile.abar, profile.offsets()[1:])]
+    words = np.concatenate([np.empty((0, profile.k), packed_dtype(q, n)),
+                            *(_direct_sums([p[j] for p in parts]) for j in range(s))])
+    return Cdc(field, n, profile.k, profile.d, words=words,
                provenance={"kind": "product_addon", "s": s,
                            "abar": profile.abar, "bbar": profile.bbar})
 
@@ -332,9 +332,10 @@ def coset_addon(profile: CompositionProfile) -> Cdc:
     subs = [big if big.d_r == d // 2 else nested_subcode(big, d // 2) for big in bigs]
     s = min(big.size // sub.size for big, sub in zip(bigs, subs))
     _refuse_past_cap(s * prod(sub.size for sub in subs))  # before any coset or word
-    # the first s cosets of coset_partition(big, sub), as views of big
-    families = [[list(subspaces(_lifted(q, GabidulinHandle(q, big.m, big.n, sub.d_r, big, rep))))
-                 for rep in range(s)] for big, sub in zip(bigs, subs)]
+    # the liftings of the first s cosets of coset_partition(big, sub), as views of big
+    families = [[Cdc(base_field(q), ni, big.m, d,
+                     stream=_lifted(q, GabidulinHandle(q, big.m, big.n, sub.d_r, big, rep)))
+                 for rep in range(s)] for big, sub, ni in zip(bigs, subs, profile.nbar)]
     c = product_addon(profile, families, verify_cross=False)
     c.provenance["kind"] = "coset_addon"
     c.addon_families = families
@@ -363,40 +364,37 @@ def mixed_abar_addons(profiles) -> Cdc:
 
 
 def _joined(codes):
-    """The words of codes in turn, to be listed in one Cdc: over GF(2) one
-    (N, k) uint64 array of their block streams, else Subspace values."""
-    if codes[0].field.q != 2:
-        return [w for c in codes for w in c]
+    """The words of codes in turn, to be listed in one Cdc: one (N, k)
+    array of packed words, their block streams concatenated."""
     return np.concatenate([np.empty((0, codes[0].k), np.uint64),
                            *chain.from_iterable(c.source.packed_blocks() for c in codes)])
 
 
 def xi_extension(profile: CompositionProfile, addon: Cdc) -> Cdc:
     """Spans of each block's lifting hole with the other block's first
-    addon family (two-block profiles only)."""
+    addon family (two-block profiles only): the hole's unit rows stacked
+    with the family word's packed rows in pivot order."""
     if profile.l != 2:
         raise ConstructionError("hole extension is defined for two blocks")
     families = getattr(addon, "addon_families", None)
     if families is None:
         raise ConstructionError("addon lacks lifting-family metadata")
-    field = base_field(profile.q)
-    n = profile.n
-    offs = profile.offsets()
+    q, n = profile.q, profile.n
+    field = base_field(q)
     a1, a2 = profile.abar
     n1, n2 = profile.nbar
     if (n1 - a1) + a2 != profile.k or (n2 - a2) + a1 != profile.k:
         raise ConstructionError("hole + partner dimensions do not give k")
-    holes = [_coordinate_subspace(field, n, range(offs[i] + a, offs[i + 1]))
-             for i, a in enumerate(profile.abar)]
-    embedded_first = [Cdc(field, n, a, profile.d, words=[
-        Subspace(field, n, [(0,) * offs[i] + tuple(r) + (0,) * (n - offs[i + 1])
-                            for r in w.rows]) for w in families[i][0]])
-        for i, a in enumerate(profile.abar)]
-    if any(meet_dims(embedded_first[i], holes[i]).any() for i in range(2)):
+    # block i's hole: its last n_i - a_i coordinates
+    holes = [_coordinate_subspace(field, ni, range(a, ni)) for a, ni in zip(profile.abar, profile.nbar)]
+    if any(meet_dims(fams[0], hole).any() for fams, hole in zip(families, holes)):
         raise ConstructionError("family member meets the lifting hole")
+    ends = profile.offsets()[1:]
+    h1, h2 = (_placed([h.packed_rows()], h.k, n, end, q) for h, end in zip(holes, ends))
+    f1, f2 = (_placed(fams[0].iter_packed(), a, n, end, q)
+              for fams, a, end in zip(families, profile.abar, ends))
     # the hole of block 1 with the first family of block 2, then the other way round
-    words = [Subspace(field, n, sorted(holes[1 - i].rows + w.rows, key=_pivot_col))
-             for i in (1, 0) for w in embedded_first[i]]
+    words = np.concatenate([_direct_sums([h1, f2]), _direct_sums([f1, h2])])
     return Cdc(field, n, profile.k, profile.d, words=words,
                provenance={"kind": "xi_extension"})
 
@@ -408,7 +406,7 @@ def xi_extension(profile: CompositionProfile, addon: Cdc) -> Cdc:
 def pairing_construction(nbar2, abar2, bbar2, C0: Cdc, C1: Cdc, C2: Cdc,
                          d: int) -> Cdc:
     """Lift C0 over the second block and append one-to-one direct sums of
-    C1 and C2 under the canonical serialization numbering."""
+    C1 and C2, the first s words of each in verify.canonical_order."""
     n1, n2 = nbar2
     a1, a2 = abar2
     b1, b2 = bbar2
@@ -423,17 +421,13 @@ def pairing_construction(nbar2, abar2, bbar2, C0: Cdc, C1: Cdc, C2: Cdc,
         raise ConstructionError("C1 must be an (n_1, *, 2a_1-2b_1; a_1) code")
     if C2.n != n2 or C2.k != a2 or C2.d_claim < 2 * a2 - 2 * b2:
         raise ConstructionError("C2 must be an (n_2, *, 2a_2-2b_2; a_2) code")
-    q = C0.field.q
+    q, n = C0.field.q, n1 + n2
     handle = gabidulin_mrd(q, k, n2, d // 2)
     s = min(C1.size, C2.size)
-    ones = sorted(C1.words(), key=Subspace.sort_key)[:s]
-    twos = sorted(C2.words(), key=Subspace.sort_key)[:s]
-    profile = CompositionProfile(q, k, d, (n1, n2), (a1, a2), (b1, b2))
-    sums = [_direct_sum_subspace(profile, C0.field, (u1, u2))
-            for u1, u2 in zip(ones, twos)]
+    sums = np.hstack([_placed(map(C.packed_at, canonical_order(C)[:s].tolist()), C.k, n, end, q)
+                      for C, end in ((C1, n1), (C2, n))])
     lifted = ProductSource(C0.field, [C0.source, handle], (n1, n2))
-    return Cdc(C0.field, n1 + n2, k, d,
-               stream=UnionSource([lifted, ListSource(C0.field, n1 + n2, sums)]),
+    return Cdc(C0.field, n, k, d, stream=UnionSource([lifted, ListSource(C0.field, n, sums)]),
                provenance={"kind": "pairing", "nbar": (n1, n2),
                            "abar": (a1, a2), "bbar": (b1, b2)})
 
@@ -584,12 +578,9 @@ class UnionSource(StreamSource):
     def packed_blocks(self):
         return chain.from_iterable(p.packed_blocks() for p in self.parts)
 
-    def iter_packed(self):
-        return chain.from_iterable(p.iter_packed() for p in self.parts)
-
 
 class MinusSource(StreamSource):
-    """Word i of a parent (a stream source or a rank-metric handle) without
+    """Word i of a parent source (a rank-metric handle included) without
     the words at the sorted int64 indices removed: parent word
     i + #{j : removed[j] - j <= i}, found by np.searchsorted for a batch and
     bisect for one index."""
@@ -722,8 +713,7 @@ def recipe_8_4_4(q):
     C = [_single_full(q, 4), _single_full(q, 4)]
     linkage = multiblock_linkage(profile, C, M)
     par = parallelism_2_of_F_q4(q)
-    families = [[list(member) for member in par] for _ in range(2)]
-    addon = product_addon(profile, families)
+    addon = product_addon(profile, [par, par])
     expected = size_8_4_4(q)
     field = base_field(q)
     prov = {"kind": "recipe_8_4_4", "q": q,

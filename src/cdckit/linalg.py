@@ -1,17 +1,20 @@
-"""Matrices over GF(q): RREF, rank, stacking, and Gaussian binomials.
+"""Matrices over GF(q): RREF, rank, stacking, Gaussian binomials, and the
+StreamSource base of everything that hands out packed words.
 
 Matrices are immutable; rows are tuples of element indices.  A packed
 row, the one scalar word format at every q, is one int holding entry j of
 an n-entry row in bits [w(n - 1 - j), w(n - j)), w = entry_bits(q); this
-module alone owns that width.  For q = 2 (w = 1, column 0 in the most
-significant bit) the elimination routines work on the packed rows so that
-the distance kernel stays cheap.
+module alone owns that width.  An array of packed words is uint64 when
+w * n <= 64 and holds Python ints (dtype object) past that.  For q = 2
+(w = 1, column 0 in the most significant bit) the elimination routines
+work on the packed rows so that the distance kernel stays cheap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -128,6 +131,11 @@ def sort_keys(words, n):
 def entry_bits(q: int) -> int:
     """The bits w of one entry of a packed row over GF(q): (q - 1).bit_length()."""
     return (q - 1).bit_length()
+
+
+def packed_dtype(q: int, n: int):
+    """uint64 when packed n-entry rows over GF(q) fit in 64 bits, else object."""
+    return np.uint64 if entry_bits(q) * n <= 64 else object
 
 
 def pack_row(row, w=1) -> int:
@@ -273,6 +281,32 @@ def spans(words):
     for j, row in enumerate(words.T[::-1]):
         np.bitwise_xor(vecs[:1 << j], row, out=vecs[1 << j:2 << j])
     return vecs
+
+
+class StreamSource:
+    """Deterministic random-access stream of packed words: a source of
+    codewords (canonical RREF rows) or a rank-metric handle (m x n matrices).
+
+    A source gives linalg packed words at any q, packed_at(i) -> one int per
+    row, and at q = 2 batched, packed_at_batch(idx) -> (B, rows) uint64
+    array (n <= 64), which its stream reads in blocks; over larger fields the
+    stream reads packed_at word by word.  rows_at unpacks packed_at."""
+
+    size = 0
+
+    def packed_blocks(self):
+        """C-contiguous (B, rows) uint64 arrays of consecutive words in index
+        order, read by streams and writes: here gathers of BATCH words."""
+        return (self.packed_at_batch(np.arange(lo, min(lo + BATCH, self.size)))
+                for lo in range(0, self.size, BATCH))
+
+    def iter_packed(self):
+        if self.field.q != 2:  # no batched gather over larger fields
+            return map(self.packed_at, range(self.size))
+        return chain.from_iterable(map(word_tuples, self.packed_blocks()))
+
+    def rows_at(self, i):
+        return unpack_rows(self.field, self.packed_at(i), self.n)
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,11 @@
 Codes are exposed as immutable handles with deterministic, restartable
 enumeration: index i maps to the tuple of linearized-polynomial
 coefficients (c_0, ..., c_{t-1}) over GF(q^max(m,n)), c_0 in the most
-significant digit.  A nested subcode or a coset is a view of its parent
-handle: word i is the parent's word i * step + rep, where the subcode's
-low coefficients are zero (rep = 0) and a coset's are those of rep.
+significant digit.  A handle is a linalg.StreamSource of packed m x n
+matrices, so it streams, gathers and sits under any source view like a
+code does.  A nested subcode or a coset is a view of its parent handle:
+word i is the parent's word i * step + rep, where the subcode's low
+coefficients are zero (rep = 0) and a coset's are those of rep.
 
 A rank filter keeps the words of rank <= cap.  At q = 2 it solves for
 their indices, one affine solution space per (a - cap)-subspace that
@@ -23,8 +25,8 @@ from operator import xor
 import numpy as np
 
 from .gf import base_field, check_order, ext_field
-from .linalg import (BATCH, _leading_bits, checked_indices, gaussian_binomial, pack_rows,
-                     rank_rows, rref_bits_batch, spans, unpack_rows)
+from .linalg import (BATCH, StreamSource, _leading_bits, checked_indices, gaussian_binomial,
+                     pack_rows, rank_rows, rref_bits_batch, spans)
 from .verify import CapExceeded, subspace_bases
 
 TABLE_BITS = 12  # index bits per XOR table; the lowest table is one block
@@ -67,10 +69,10 @@ def _transpose_block(block, ncols):
         .sum(axis=2, dtype=np.uint64)
 
 
-class RankCodeHandle:
+class RankCodeHandle(StreamSource):
     """Deterministic enumerable rank-metric code of m x n matrices over
     field = GF(q): packed_at(i) (linalg packed rows) over any field, and at
-    q = 2 packed_at_batch(idx); rows_at(i) unpacks packed_at(i)."""
+    q = 2 packed_at_batch(idx)."""
 
     def __init__(self, q, m, n, d_r, kind, size):
         self.q = q
@@ -86,9 +88,6 @@ class RankCodeHandle:
 
     def __repr__(self):
         return f"RankCodeHandle({self.kind}, {self.m}x{self.n}, d_r={self.d_r}, q={self.q}, size={self.size})"
-
-    def rows_at(self, i):
-        return unpack_rows(self.field, self.packed_at(i), self.n)
 
     def rank_of(self, i) -> int:
         return rank_rows(self.field, self.rows_at(i), self.n)
@@ -206,7 +205,7 @@ class GabidulinHandle(RankCodeHandle):
             words ^= np.take(table, (idx >> shift) & (len(table) - 1), axis=0)
         return words
 
-    def iter_blocks(self):
+    def packed_blocks(self):
         """Blocks of at most 2^TABLE_BITS words: the lowest table XOR the
         XOR of one row from each higher table."""
         low, *high = self._xor_tables()
@@ -293,9 +292,8 @@ class RankFilteredHandle(RankCodeHandle):
                 if self.parent.size > SCAN_CAP:
                     raise CapExceeded(f"a rank filter over {self.parent.size} words exceeds "
                                       f"the q > 2 scan cap {SCAN_CAP}")
-                field, rows_at = self.field, self.parent.rows_at
-                indices = np.array([i for i in range(self.parent.size)
-                                    if rank_rows(field, rows_at(i), self.n) <= self.cap],
+                rank_of = self.parent.rank_of
+                indices = np.array([i for i in range(self.parent.size) if rank_of(i) <= self.cap],
                                    dtype=np.int64)
             if self.size is not None and len(indices) != self.size:
                 raise RankCodeError(

@@ -126,6 +126,24 @@ def test_recipes_on_the_8_4_4_base_make_few_subspaces(monkeypatch):
     assert len(made) <= 100
 
 
+@pytest.mark.parametrize("recipe, q, bound", [("12_6_6", 2, 30), ("12_6_6", 3, 200),
+                                              ("12_8_6", 2, 50)])
+def test_addon_recipes_make_few_subspaces(monkeypatch, recipe, q, bound):
+    # the coset addon, the hole extensions and the pairing's direct sums
+    # stack packed rows: the Subspace values left are the identities, the
+    # holes, the spreads and, over GF(3), the words the hole check meets
+    made = []
+    init = Subspace.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Subspace, "__init__", counted)
+    RECIPES[recipe](q)
+    assert len(made) <= bound
+
+
 def test_8_4_4_lists_its_packed_words_on_demand():
     # the packed store lists its words on the first words(), once, in
     # generation order (pinned); at(i) before that builds one word only
@@ -204,14 +222,14 @@ def test_mixed_abar_accepts_separated_splits():
 
 def test_product_addon_checks_cross_families():
     profile = CompositionProfile(2, 4, 4, (4, 4), (2, 2), (1, 1))
-    w0 = _unit([0, 1], 4)
-    w1 = _unit([2, 3], 4)
+    w0 = Cdc(F2, 4, 2, 4, words=[_unit([0, 1], 4)])
+    w1 = Cdc(F2, 4, 2, 4, words=[_unit([2, 3], 4)])
     with pytest.raises(ConstructionError):
         # the same 2-subspace in both families of block 0: distance 0 < 2
-        product_addon(profile, [[[w0], [w0]], [[w0], [w1]]])
+        product_addon(profile, [[w0, w0], [w0, w1]])
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 257])
 def test_product_addon_names_the_block_of_close_families(q):
     # block 1's families 0 and 2 share a line; those of block 0, and the
     # families within one block, are far enough apart
@@ -219,10 +237,14 @@ def test_product_addon_names_the_block_of_close_families(q):
     lines = [Subspace.from_rows(f, [[1 if c == i else 0 for c in range(4)] for i in idxs], 4)
              for idxs in ([0, 1], [2, 3], [0, 2], [1, 3])]
     profile = CompositionProfile(q, 4, 4, (4, 4), (2, 2), (1, 1))
-    good = [[lines[0]], [lines[1]], [lines[2], lines[3]]]
+
+    def families(*members):
+        return [Cdc(f, 4, 2, 4, words=[lines[i] for i in m]) for m in members]
+
+    good = families([0], [1], [2, 3])
     assert product_addon(profile, [good, good]).size == 1 + 1 + 4
     with pytest.raises(ConstructionError, match="cross-family distance 0 < 2 in block 1"):
-        product_addon(profile, [good, [[lines[0]], [lines[1]], [lines[0], lines[3]]]])
+        product_addon(profile, [good, families([0], [1], [0, 3])])
 
 
 def test_recipe_8_4_4_checks_its_equal_blocks_once(monkeypatch):

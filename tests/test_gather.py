@@ -13,6 +13,7 @@ import pytest
 
 from cdckit.cdc import (Cdc, ListSource, PackedSource, ProductSource, _single_full, lifted_mrd,
                         spread)
+from cdckit.codefile import HEADER_KEYS, dumps
 from cdckit.constructions import (CompositionProfile, MinusSource, UnionSource, multiblock_linkage,
                                   recipe_10_4_5, recipe_12_4_4_thm, recipe_8_4_4)
 from cdckit.gf import field_new
@@ -178,3 +179,20 @@ def test_streams_read_blocks_not_gathers(monkeypatch):
     monkeypatch.setattr(c.source.parts[0].last, "packed_at_batch", refuse)
     assert sum(1 for _ in c.iter_packed()) == c.size
     assert sum(map(len, c.source.packed_blocks())) == c.size
+
+
+@pytest.mark.parametrize("view", ["minus", "union"])
+@pytest.mark.parametrize("handle", ["gabidulin", "rank-filtered"])
+def test_views_over_a_handle_stream_and_export(handle, view):
+    # a handle is a source: a view over it streams and writes through the
+    # handle's block stream, word for word as packed_at gives it, across
+    # the 4,096-word blocks of the 2^14-word handle
+    h = gabidulin_mrd(2, 3, 7, 2)
+    h = h if handle == "gabidulin" else rank_filtered(h, 2)  # 890 words
+    cut = [0, 4095, 4096, h.size - 1] if h.size > 4096 else [0, h.size // 2, h.size - 1]
+    src = MinusSource(h, cut) if view == "minus" else UnionSource([h, h])
+    words = [tuple(src.packed_at(i)) for i in range(src.size)]
+    assert list(src.iter_packed()) == words
+    assert np.concatenate(list(src.packed_blocks())).tolist() == [list(w) for w in words]
+    body = dumps(Cdc(F2, 7, 3, 2, stream=src), order="generation").splitlines()[len(HEADER_KEYS):]
+    assert body == ["|".join(format(r, "07b") for r in w) for w in words]

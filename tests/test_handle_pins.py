@@ -161,7 +161,7 @@ def test_q2_handles_never_run_the_field_engine(monkeypatch):
         assert [[tuple(r) for r in h.rows_at(i)] for i in range(h.size)] == \
             [[unpack_row(r, h.n) for r in w] for w in words]
         if isinstance(h, GabidulinHandle):
-            assert np.concatenate(list(h.iter_blocks())).tolist() == words
+            assert np.concatenate(list(h.packed_blocks())).tolist() == words
         if isinstance(h, RankFilteredHandle):
             assert len(h.indices()) == h.size
     block = next(lifted.source.packed_blocks())

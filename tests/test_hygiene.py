@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
 imports sit at module level, every source of packed words has a batched gather,
-sources and handles hand out packed words alone (one derived rows_at each, no
-Subspace listing outside the Cdc), no module reads
+sources and handles hand out packed words alone (handles are sources, one
+derived rows_at, no Subspace listing outside the Cdc), no module reads
 another module's private attributes, packed arrays become word tuples
 through linalg.word_tuples alone, the construction modules import no
 rank kernel of their own, the batched GF(2) kernels select rows by
@@ -65,14 +65,15 @@ def test_every_packed_source_has_a_batched_gather(module):
     assert not missing, f"{module}: packed_at without packed_at_batch in {missing}"
 
 
-ROWS_AT = {"cdc": ["StreamSource"], "constructions": [], "rankmetric": ["RankCodeHandle"]}
+ROWS_AT = {"cdc": [], "constructions": [], "linalg": ["StreamSource"], "rankmetric": []}
 
 
 @pytest.mark.parametrize("module", sorted(ROWS_AT))
 def test_sources_hand_out_packed_words_alone(module):
     # packed_at is the one scalar accessor of a source or handle: rows_at is
-    # derived from it once for streams and once for handles, and Subspace
-    # values come from the Cdc alone, the one class that lists them
+    # derived from it once, on StreamSource, the base of streams and handles
+    # alike, and Subspace values come from the Cdc alone, the one class that
+    # lists them
     mod = importlib.import_module(f"cdckit.{module}")
     classes = [c for _, c in inspect.getmembers(mod, inspect.isclass) if c.__module__ == mod.__name__]
     assert sorted(c.__name__ for c in classes if "rows_at" in c.__dict__) == ROWS_AT[module]
@@ -208,6 +209,20 @@ def test_recipe_facts_are_one_registry():
     assert all(cx.RECIPES[c.recipe] is c.build for c in cx.REGISTRY if c.recipe and c.build)
 
 
+def test_one_packed_word_source_model():
+    # a rank-metric handle is a StreamSource: it streams through
+    # packed_blocks and unpacks through the one rows_at; the addons stack
+    # packed rows at every field, with no Subspace direct sum
+    from cdckit import cdc, constructions, linalg, rankmetric
+    assert issubclass(rankmetric.RankCodeHandle, linalg.StreamSource)
+    assert cdc.StreamSource is constructions.StreamSource is linalg.StreamSource
+    gone = [(constructions, "_direct_sum_subspace"), (rankmetric.GabidulinHandle, "iter_blocks"),
+            (rankmetric.RankFilteredHandle, "iter_blocks")]
+    assert [name for owner, name in gone if hasattr(owner, name)] == []
+    assert "rows_at" not in rankmetric.RankCodeHandle.__dict__
+    assert "iter_packed" not in constructions.UnionSource.__dict__
+
+
 def _owned(node, owner):
     """(dotted name of the innermost enclosing class or function, node) for
     each node under node."""
@@ -242,8 +257,8 @@ PACKED_BUILDERS = ["constructions.recipe_8_4_4", "constructions.product_addon",
 def test_duplication_paths_list_no_code_and_sort_one_way():
     # the choosers and the duplication read words by index, through
     # meet_dims and the gathers: no .words() list of a whole code; and the
-    # one canonical order of words is verify.canonical_order, which only
-    # pairing_construction's listed spreads bypass
+    # one canonical order of words is verify.canonical_order, which alone
+    # reads Subspace.sort_key
     nodes = [(f"{path.stem}.{owner}", node) for path in MODULES
              for owner, node in _owned(ast.parse(path.read_text()), "<module>")]
     owners = {owner for owner, _ in nodes}
@@ -255,7 +270,7 @@ def test_duplication_paths_list_no_code_and_sort_one_way():
     assert not listed, f"whole-code listings on the duplication paths: {listed}"
     sorters = sorted({owner for owner, node in nodes
                       if isinstance(node, ast.Attribute) and node.attr == "sort_key"})
-    assert sorters == ["constructions.pairing_construction", "verify.canonical_order"]
+    assert sorters == ["verify.canonical_order"]
 
 
 def test_gf_has_one_field_class():

@@ -158,7 +158,7 @@ def test_enumeration_and_rank_filter_match_random_access(kind):
     h = _handle(kind)
     words = [h.packed_at(i) for i in range(h.size)]
     assert h.packed_at_batch(np.arange(h.size)).tolist() == words
-    assert np.concatenate(list(h.iter_blocks())).tolist() == words
+    assert np.concatenate(list(h.packed_blocks())).tolist() == words
     assert len(set(map(tuple, words))) == h.size
     for cap in range(min(h.m, h.n) + 1):
         filt = rank_filtered(h, cap)
@@ -177,7 +177,7 @@ def test_enumeration_and_rank_filter_match_random_access(kind):
 def test_rank_filter_without_formula_solves_once(monkeypatch):
     # no formula: the size comes from the one solve, and nothing scans the parent
     h = _handle("coset")
-    h.iter_blocks = lambda: pytest.fail("a q = 2 rank filter scanned its parent's blocks")
+    h.packed_blocks = lambda: pytest.fail("a q = 2 rank filter scanned its parent's blocks")
     solves = []
     solve = rankmetric._low_rank_indices
     monkeypatch.setattr(rankmetric, "_low_rank_indices",
