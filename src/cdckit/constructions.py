@@ -26,8 +26,8 @@ import numpy as np
 from .cdc import (Cdc, ListSource, MATERIALIZE_CAP, PackedSource, ProductSource, _lifted,
                   _single_full, lifted_mrd, parallelism_2_of_F_q4, partial_spread_subcode, spread)
 from .gf import base_field
-from .linalg import (MatrixGF, StreamSource, checked_indices, entry_bits, find_words, inverse,
-                     pack_row, packed_dtype, rref_bits, rref_bits_batch, spans)
+from .linalg import (StreamSource, checked_indices, entry_bits, find_words, packed_dtype,
+                     rref_bits, rref_bits_batch, spans)
 from .rankmetric import (GabidulinHandle, gabidulin_mrd, mrd_size, nested_subcode,
                          rank_distribution, rank_filtered)
 from .subspace import Subspace, intersection_dim, orthogonal_complement
@@ -476,9 +476,11 @@ def _reembedded(entry: SeqEntry, words, field, k, s, t) -> StreamSource:
     # general path: a word g of D is g P^-1 in the (U*, S*) basis, and
     # (g P^-1) F_u = g (P^-1 F_u), so P^-1 is folded into each frame F_u once:
     # row c of P^-1 F_u is the vector of U picked by the first k bits of row c
-    # of P^-1, above the unit rows picked by its last s bits
-    P = MatrixGF(code.field, entry.witness_u.rows + entry.witness_s.rows, ncols=k + s)
-    Pinv = np.array([pack_row(rw) for rw in inverse(P).rows], dtype=np.uint64)
+    # of P^-1, above the unit rows picked by its last s bits.  The rows of
+    # [P | I] reduce to [I | P^-1]: NdkSequence.validate made P invertible
+    dim, P = k + s, entry.witness_u.packed_rows() + entry.witness_s.packed_rows()
+    inv = rref_bits([row << dim | 1 << dim - 1 - c for c, row in enumerate(P)], 2 * dim)[0]
+    Pinv = np.array([row & (1 << dim) - 1 for row in inv], dtype=np.uint64)
     bases = spans(words)[Pinv >> s] << s | (Pinv & (1 << s) - 1)[:, None]
     return _ReembedSource(field, k + s + t, np.ascontiguousarray(bases.T), code.source)
 
@@ -581,13 +583,15 @@ class UnionSource(StreamSource):
 
 class MinusSource(StreamSource):
     """Word i of a parent source (a rank-metric handle included) without
-    the words at the sorted int64 indices removed: parent word
+    the words at the strictly increasing int64 indices removed: parent word
     i + #{j : removed[j] - j <= i}, found by np.searchsorted for a batch and
     bisect for one index."""
 
     def __init__(self, parent, removed):
         self.parent, self.n, self.field = parent, parent.n, parent.field
-        self.shift = np.asarray(removed, dtype=np.int64) - np.arange(len(removed))
+        self.shift = checked_indices(removed, parent.size) - np.arange(len(removed))
+        if (np.diff(self.shift) < 0).any():  # a removed index repeats or decreases
+            raise ConstructionError("removed indices must increase strictly")
         self.size = parent.size - len(removed)
 
     def _parent_index(self, i):
@@ -849,9 +853,6 @@ def recipe_10_4_3(q, base: Cdc | None = None, base_subcode: Cdc | None = None,
         if base_subcode is None else _indices_in(base, base_subcode)
     entries = [_lmrd_entry(lifted_mrd(q, 6, 3, 4)), _sequence_entry_from_code(seq_base)]
     return _duplication_over(base, c0, entries, _single_full(q, 3)), size_10_4_3(q)
-
-
-
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ row, the one scalar word format at every q, is one int holding entry j of
 an n-entry row in bits [w(n - 1 - j), w(n - j)), w = entry_bits(q); this
 module alone owns that width.  An array of packed words is uint64 when
 w * n <= 64 and holds Python ints (dtype object) past that.  For q = 2
-(w = 1, column 0 in the most significant bit) the elimination routines
-work on the packed rows so that the distance kernel stays cheap.
+(w = 1, column 0 in the most significant bit) elimination works on the
+packed rows by one rule for one word (rref_bits, rank_bits, on Python
+ints) and for a batch (rref_bits_batch, rank_bits_batch, on numpy arrays).
 """
 
 from __future__ import annotations
@@ -176,41 +177,28 @@ def rref_packed(field: FieldSpec, rows, n: int):
 
 
 def rref_bits(rows, n):
-    """RREF of bit-packed GF(2) rows; returns (rows, pivot_columns)."""
-    rows = [r for r in rows if r]
-    out = []
-    pivots = []
-    col = 0
-    while rows and col < n:
-        bit = 1 << (n - 1 - col)
-        piv = None
-        for i, r in enumerate(rows):
-            if r & bit:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        rv = rows.pop(piv)
-        rows = [r ^ rv if r & bit else r for r in rows]
-        out = [r ^ rv if r & bit else r for r in out]
-        out.append(rv)
-        pivots.append(col)
-        col += 1
-        rows = [r for r in rows if r]
-    return out, pivots
+    """RREF of bit-packed GF(2) rows; returns (rows, pivot_columns).  As in
+    rref_bits_batch, each row in turn clears its leading bit from every other
+    row; the nonzero rows, sorted in decreasing order, are in pivot order."""
+    rows = list(rows)
+    for j in range(len(rows)):
+        if row := rows[j]:
+            bit = 1 << (row.bit_length() - 1)
+            rows = [r ^ row if r & bit else r for r in rows]
+            rows[j] = row
+    rows = sorted(filter(None, rows), reverse=True)
+    return rows, [n - r.bit_length() for r in rows]
 
 
 def rank_bits(rows, n) -> int:
-    rows = [r for r in rows if r]
-    rank = 0
-    while rows:
-        rv = rows[0]
-        bit = 1 << (rv.bit_length() - 1)
-        rows = [r ^ rv if r & bit else r for r in rows[1:]]
-        rows = [r for r in rows if r]
-        rank += 1
-    return rank
+    """Rank of bit-packed GF(2) rows: as in rank_bits_batch, each row clears its
+    lowest set bit from the rows below, and the rank counts the rows left nonzero."""
+    rows = list(rows)
+    for j in range(len(rows) - 1):  # the last row has none below it
+        if row := rows[j]:
+            low = row & -row
+            rows[j + 1:] = [r ^ row if r & low else r for r in rows[j + 1:]]
+    return len(rows) - rows.count(0)
 
 
 def _leading_bits(x, ncols):

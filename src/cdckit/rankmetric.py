@@ -302,6 +302,8 @@ class RankFilteredHandle(RankCodeHandle):
         return self._indices
 
     def packed_at(self, i):
+        if not 0 <= i < self.size:
+            raise IndexError(i)
         return self.parent.packed_at(int(self.indices()[i]))
 
     def packed_at_batch(self, idx):

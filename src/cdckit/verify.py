@@ -19,8 +19,8 @@ Other codes compare every pair, up to FULL_CHECK_CAP words.
 Pair sampling is counter-based (splitmix64 over a triangular unranking,
 or past 2^32 words two outputs per pair), so reports are byte-identical
 across platforms for a fixed seed.  Pairs are drawn and checked in numpy
-chunks; over GF(2) with n <= 64 each chunk is one packed_at_batch gather
-and one rank_bits_batch.
+chunks; every distance check ranks packed words (_gather, _ranks), one
+rank_bits_batch a chunk over GF(2) with n <= 64, else one rank_rows a stack.
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ from itertools import chain, combinations, takewhile
 import numpy as np
 
 from .gf import base_field
-from .linalg import (BATCH, _leading_bits, gaussian_binomial, packable, rank_bits_batch,
-                     rref_bits_batch, sort_keys, spans, word_tuples)
-from .subspace import Subspace, distance, intersection_dim
+from .linalg import (BATCH, _leading_bits, gaussian_binomial, packable, packed_dtype,
+                     rank_bits_batch, rank_rows, rref_bits_batch, sort_keys, spans, unpack_rows,
+                     word_tuples)
+from .subspace import Subspace
 
 ENUM_CAP = 10 ** 6
 FULL_CHECK_CAP = 10 ** 5  # words of an exact check over other fields or past n = 64
@@ -125,20 +126,36 @@ def subspace_bases(n, s):
 # pairwise distance kernels
 # ----------------------------------------------------------------------
 
+def _gather(code, idx):
+    """The packed words of code at the int64 indices idx, a (B, k) array: the
+    source's gather where the code packs, else packed_at as packed_dtype."""
+    if packable(code.field, code.n, code.k):
+        return code.packed_at_batch(idx)
+    words = list(map(code.packed_at, idx.tolist()))
+    return np.array(words, packed_dtype(code.field.q, code.n)).reshape(len(words), code.k)
+
+
+def _ranks(code, stacks):
+    """The rank of each row of a (B, a) array of packed words in code's space:
+    rank_bits_batch where the code packs, else rank_rows of each stack."""
+    field, n = code.field, code.n
+    if packable(field, n, code.k):
+        return rank_bits_batch(stacks, n)
+    return np.array([rank_rows(field, unpack_rows(field, s, n), n) for s in word_tuples(stacks)],
+                    dtype=np.int64)
+
+
 def meet_dims(code, W: Subspace, idx=None):
-    """dim(U ∩ W) for each word U of code at idx (default every word), as
-    an int64 array.  Over GF(2) with n <= 64 each block of the code's
-    block stream, or each gather of BATCH indices, is one rank_bits_batch
-    of the words stacked on W's rows; other codes go word by word through
-    intersection_dim."""
-    idx = None if idx is None else np.asarray(idx, dtype=np.int64)
-    if not packable(code.field, code.n, code.k):
-        at = range(code.size) if idx is None else idx.tolist()
-        return np.array([intersection_dim(code.at(i), W) for i in at], dtype=np.int64)
-    blocks = code.source.packed_blocks() if idx is None else \
-        (code.packed_at_batch(idx[lo:lo + BATCH]) for lo in range(0, len(idx), BATCH))
-    w = np.array(W.packed_rows(), dtype=np.uint64)
-    ranks = [rank_bits_batch(np.hstack([b, np.tile(w, (len(b), 1))]), code.n) for b in blocks]
+    """dim(U ∩ W) for each word U of code at idx (default every word), as an
+    int64 array: the _ranks of the words on W's rows, per _gather of BATCH
+    indices or, for a code that packs given no idx, per block of its stream."""
+    if idx is None and packable(code.field, code.n, code.k):
+        blocks = code.source.packed_blocks()
+    else:
+        idx = np.arange(code.size) if idx is None else np.asarray(idx, dtype=np.int64)
+        blocks = (_gather(code, idx[lo:lo + BATCH]) for lo in range(0, len(idx), BATCH))
+    w = np.array(W.packed_rows(), dtype=packed_dtype(code.field.q, code.n))
+    ranks = [_ranks(code, np.hstack([b, np.tile(w, (len(b), 1))])) for b in blocks]
     return code.k + W.k - np.concatenate([np.empty(0, np.int64), *ranks])
 
 
@@ -347,18 +364,20 @@ def refuse_past_budget(field, n, k, d, N, cap=None):
         raise CapExceeded(f"{N} codewords exceeds full-check cap {cap}")
 
 
-def _packed_check(code):
-    """(exact minimum distance, [i, j, d] below the claim in (i, j) order)
-    of a code that packs."""
+def _exact_check(code):
+    """(exact minimum distance, [i, j, d] below the claim in (i, j) order):
+    the climb where the code packs, else every pair measured."""
     n, k, N, d_claim = code.n, code.k, code.size, code.d_claim
 
     def measured(i, j, a, b):  # (min, [i, j, d] for d < d_claim) over pairs (i, j) of words a, b
-        d = 2 * rank_bits_batch(np.hstack([a, b]), n) - 2 * k
+        d = 2 * _ranks(code, np.hstack([a, b])) - 2 * k
         return int(d.min()), np.stack([i, j, d], axis=1)[d < d_claim].tolist()
 
     t, levels = _levels(k, d_claim, N)
+    if not packable(code.field, n, k):  # no levels: every pair is measured
+        levels = []
     # a code whose levels are all sorted in memory is gathered once; a ranked one streams
-    words = None if any(_ranked(n, k, s, N) for s in levels) else \
+    words = None if not levels or any(_ranked(n, k, s, N) for s in levels) else \
         rref_bits_batch(code.packed_at_batch(np.arange(N)), n)[0]
     for s in levels:
         if s < t and _probe_shares(code, words, s):
@@ -372,7 +391,7 @@ def _packed_check(code):
             return measured(i, j, code.packed_at_batch(i), code.packed_at_batch(j))
     if t > k and len(levels) == k:  # every level shares: equal words, which a claim <= 0 allows
         return 0, []
-    words, low, bad = code.packed_at_batch(np.arange(N)), 2 * k, []
+    words, low, bad = _gather(code, np.arange(N)), 2 * k, []
     for i in range(N - 1):  # more keys than pairs, or a claim past 2k: measure every pair
         m, rows = measured(np.full(N - 1 - i, i), np.arange(i + 1, N),
                            np.broadcast_to(words[i], (N - 1 - i, k)), words[i + 1:])
@@ -410,15 +429,7 @@ def full_pairwise_check(code, cap: int | None = None) -> VerificationReport:
     if N < 2:
         return VerificationReport("full", 0, None, [],
                                   wall_time=time.monotonic() - start)
-    if packable(code.field, code.n, code.k):
-        min_dist, bad = _packed_check(code)
-    else:
-        words, min_dist, bad = list(code), 2 * code.k, []
-        for i, j in combinations(range(N), 2):
-            d = distance(words[i], words[j])
-            min_dist = min(min_dist, d)
-            if d < code.d_claim:
-                bad.append((i, j, d))
+    min_dist, bad = _exact_check(code)
     violations = [{"pair": _pair_rows_report(code, i, j), "distance": d} for i, j, d in bad]
     return VerificationReport("full", total_pairs, min_dist, violations,
                               wall_time=time.monotonic() - start)
@@ -499,12 +510,8 @@ def sampled_check(code, pairs: int, seed: int = 0) -> VerificationReport:
                                   wall_time=time.monotonic() - start)
     lows, violations = [], []
     for a, b in _pair_chunks(N, pairs, seed):
-        if packable(code.field, code.n, code.k):
-            words = code.packed_at_batch(np.concatenate([a, b]))
-            d = 2 * rank_bits_batch(np.hstack(np.split(words, 2)), code.n) - 2 * code.k
-        else:
-            d = np.array([distance(code.at(i), code.at(j))
-                          for i, j in zip(a.tolist(), b.tolist())])
+        words = _gather(code, np.concatenate([a, b]))
+        d = 2 * _ranks(code, np.hstack(np.split(words, 2))) - 2 * code.k
         lows.append(int(d.min()))
         violations += [{"pair": _pair_rows_report(code, int(a[x]), int(b[x])),
                         "distance": int(d[x])} for x in np.flatnonzero(d < code.d_claim)]

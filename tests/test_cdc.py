@@ -21,7 +21,8 @@ def test_lifted_mrd_2_6_3_4():
     assert report.pairs_checked == 64 * 63 // 2
 
 
-@pytest.mark.parametrize("q,n,k", [(2, 4, 2), (2, 6, 2), (2, 8, 4), (3, 4, 2)])
+@pytest.mark.parametrize("q,n,k", [(2, 4, 2), (2, 6, 2), (2, 8, 4), (3, 4, 2), (2, 4, 4),
+                                   (3, 3, 3)])
 def test_spread_covers_every_vector_once(q, n, k):
     sp = spread(q, n, k)
     assert sp.size == (q ** n - 1) // (q ** k - 1)

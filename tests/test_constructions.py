@@ -10,7 +10,7 @@ import pytest
 from cdckit.cdc import Cdc, PackedSource, lifted_mrd, partial_spread_subcode, spread
 from cdckit.codefile import dumps
 from cdckit.constructions import (CompositionProfile, ConstructionError,
-                                  DistancePartition, FORMULAS,
+                                  DistancePartition, FORMULAS, MinusSource,
                                   MissingImportError, NdkSequence, RECIPES,
                                   SeqEntry, check_special_substructure,
                                   cor1_bound, coset_addon, duplication,
@@ -22,13 +22,15 @@ from cdckit.constructions import (CompositionProfile, ConstructionError,
                                   size_10_4_5_linkage, size_12_4_4_cor,
                                   size_12_4_4_thm, size_12_6_6, size_12_8_6,
                                   size_8_4_4, xi_extension, _ReembedSource,
-                                  _duplication_over, _indices_in, _lmrd_entry as _lmrd_entry_of,
-                                  _sequence_entry_from_code, _single_full)
+                                  UnionSource, _dual_spread, _duplication_over, _indices_in,
+                                  _lmrd_entry as _lmrd_entry_of, _sequence_entry_from_code,
+                                  _single_full)
 from cdckit.gf import field_new
 from cdckit.linalg import rref_bits
-from cdckit.rankmetric import gabidulin_mrd
-from cdckit.subspace import Subspace, distance
-from cdckit.verify import CapExceeded, coverage_check, full_pairwise_check, sampled_check
+from cdckit.rankmetric import gabidulin_mrd, rank_filtered
+from cdckit.subspace import Subspace, distance, intersection_dim
+from cdckit.verify import (CapExceeded, coverage_check, enumerate_subspaces, full_pairwise_check,
+                           sampled_check)
 
 F2 = field_new(2, 1)
 
@@ -600,3 +602,65 @@ def test_streamed_recipe_index_range(name):
             c.packed_at(i)
         with pytest.raises(IndexError):
             c.at(i)
+
+
+@pytest.mark.parametrize("removed, error", [([0, 531], IndexError), ([-1], IndexError),
+                                            ([3, 3], ConstructionError),
+                                            ([5, 2], ConstructionError)],
+                         ids=["past the end", "negative", "repeated", "decreasing"])
+def test_minus_source_refuses_removed_indices_out_of_range_or_order(removed, error):
+    # each of these once made a view whose size, stream and words disagreed
+    with pytest.raises(error):
+        MinusSource(rank_filtered(gabidulin_mrd(2, 4, 4, 2), 2), removed)
+
+
+def test_minus_source_drops_the_removed_words():
+    parent = rank_filtered(gabidulin_mrd(2, 4, 4, 2), 2)
+    view = MinusSource(parent, [2, 5, 525])
+    kept = [tuple(parent.packed_at(i)) for i in range(parent.size) if i not in (2, 5, 525)]
+    assert view.size == len(kept) == 523
+    assert [tuple(view.packed_at(i)) for i in range(view.size)] == kept
+    assert list(view.iter_packed()) == kept
+
+
+def test_sequence_member_over_gf3_holds_its_witness():
+    # past GF(2) a witness is found by meeting it with every word in dimension k
+    entry = _sequence_entry_from_code(spread(3, 4, 2))
+    NdkSequence([entry]).validate()
+    words = set(entry.code)
+    other = next(U for U in enumerate_subspaces(3, 4, 2)
+                 if intersection_dim(U, entry.witness_s) == 0 and U not in words)
+    with pytest.raises(ConstructionError, match="not in the code"):
+        NdkSequence([SeqEntry(entry.code, other, entry.witness_s)]).validate()
+
+
+def _pairing_inputs():
+    C1 = spread(2, 6, 2)
+    return dict(nbar2=(6, 6), abar2=(2, 4), bbar2=(0, 2), C0=_single_full(2, 6), C1=C1,
+                C2=_dual_spread(C1), d=8)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"abar2": (3, 3)}, "a_1 <= k - d/2"),
+    ({"bbar2": (0, 1)}, "b_1 \\+ b_2 = k - d/2"),
+    ({"C0": "C1"}, "C0 must be"),
+    ({"C1": "C2"}, "C1 must be"),
+    ({"C2": "C1"}, "C2 must be"),
+])
+def test_pairing_construction_refuses_unfit_parts(change, message):
+    args = _pairing_inputs()
+    args.update({key: args[value] if isinstance(value, str) else value
+                 for key, value in change.items()})
+    with pytest.raises(ConstructionError, match=message):
+        pairing_construction(**args)
+
+
+def test_recipe_8_4_4_past_the_listing_cap_is_a_union():
+    # over GF(3) the linkage and the addon are 543,142 words: a stream of two parts
+    c, expected = recipe_8_4_4(3)
+    assert c.size == expected == size_8_4_4(3) == 543_142
+    assert not c.materialized and isinstance(c.source, UnionSource)
+    linkage, addon = c.source.parts
+    assert (linkage.size, addon.size) == (541_842, 1_300)
+    assert c.packed_at(linkage.size) == addon.packed_at(0)
+    assert c.at(0).serialize() == "10000000|01000000|00100000|00010000"

@@ -1,8 +1,7 @@
 """The batched gather: packed_at_batch(idx) equals [packed_at(i) for i in
 idx] on every q = 2 source and rank-metric handle, and the block stream
-that iter_packed reads equals the gathered and the scalar words (a handle
-streams as the one factor of a product, as the lifted and linked codes
-stream it)."""
+that iter_packed reads equals the gathered and the scalar words, on the
+handles and the views of a parent's words as well."""
 
 import random
 from functools import lru_cache, partial
@@ -107,11 +106,9 @@ def test_gather_equals_scalar_access(case):
             src.packed_at_batch(np.array(bad, dtype=np.int64))
 
 
-@pytest.mark.parametrize("case", [c for c in CASES if c != "drop-first"])  # a view, no stream
+@pytest.mark.parametrize("case", CASES)
 def test_stream_equals_scalar_access(case):
     src = _sources()[case]()
-    if not hasattr(src, "iter_packed"):  # a rank-metric handle
-        src = ProductSource(F2, [src], [src.n])
     n = min(src.size, 5000)  # past the first 4,096-word chunk where there is one
     streamed = []
     for word in src.iter_packed():

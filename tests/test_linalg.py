@@ -65,6 +65,45 @@ def test_rref_bits_matches_generic_q2():
         assert rank_bits([pack_row(row) for row in M.rows], c) == res.rank
 
 
+def _span(rows):
+    """Every XOR of a subset of rows: their row space, by definition."""
+    span = {0}
+    for row in rows:
+        span |= {v ^ row for v in span}
+    return span
+
+
+def _assert_scalar_kernels_by_definition(rows, ncols):
+    # rref_bits's rows are in RREF (pivots increasing, each pivot bit set in
+    # its own row alone), lie in the row space and are as many as its
+    # dimension, so they span it; 2^rank_bits is the size of the row space
+    out, pivots = rref_bits(rows, ncols)
+    span = _span(rows)
+    assert all(0 < r < 1 << ncols for r in out)
+    assert pivots == [ncols - r.bit_length() for r in out] == sorted(set(pivots))
+    assert all((r >> (ncols - 1 - p) & 1) == (i == j)
+               for i, r in enumerate(out) for j, p in enumerate(pivots))
+    assert set(out) <= span and 1 << len(out) == len(span)
+    assert 1 << rank_bits(rows, ncols) == len(span)
+
+
+def test_scalar_kernels_on_every_binary_4x4_matrix():
+    for m in range(1 << 16):
+        _assert_scalar_kernels_by_definition([m >> s & 15 for s in (12, 8, 4, 0)], 4)
+
+
+@pytest.mark.parametrize("a, ncols", [(1, 1), (3, 2), (5, 4), (4, 8), (6, 12), (8, 16),
+                                      (12, 12), (12, 33), (12, 64)])
+def test_scalar_kernels_by_definition_on_seeded_shapes(a, ncols):
+    # a rows drawn from the span of r random rows, r up to a: most matrices
+    # are rank deficient, with zero, repeated and dependent rows
+    rng = random.Random(100 * a + ncols)
+    for _ in range(200):
+        basis = [rng.getrandbits(ncols) for _ in range(rng.randrange(a + 1))]
+        rows = [reduce(xor, (b for b in basis if rng.getrandbits(1)), 0) for _ in range(a)]
+        _assert_scalar_kernels_by_definition(rows, ncols)
+
+
 def _batch_agrees_with_scalar(rows, ncols):
     batch = np.array(rows, dtype=np.uint64).reshape(len(rows), -1)
     got = rank_bits_batch(batch, ncols)

@@ -15,6 +15,15 @@ from cdckit.rankmetric import (SCAN_CAP, coset_partition, gabidulin_mrd, mrd_siz
 from cdckit.verify import CapExceeded
 
 
+def test_rank_filtered_access_is_range_checked():
+    # -1 is out of range, as on every stream, not the last kept word
+    f = rank_filtered(gabidulin_mrd(2, 4, 4, 2), 2)
+    assert f.size == 526
+    for i in (-1, f.size):
+        with pytest.raises(IndexError):
+            f.packed_at(i)
+
+
 def _prime_power_trial(q):
     """(p, e) with q = p^e by trial division, or None."""
     p = next((p for p in range(2, q + 1) if q % p == 0), None)

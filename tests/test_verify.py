@@ -21,7 +21,7 @@ from cdckit.verify import (CapExceeded, _level_ranks, _pair_chunks, _probe_share
                            sampled_check, subspace_bases)
 from cdckit.linalg import (gaussian_binomial, rank_bits, rank_bits_batch, rref_bits,
                            rref_bits_batch, unpack_row)
-from cdckit.subspace import Subspace, intersection_dim
+from cdckit.subspace import Subspace, distance, intersection_dim
 
 
 def test_enumeration_agrees_with_gaussian_binomial():
@@ -441,6 +441,22 @@ def test_claim_past_2k_reports_every_pair_exactly():
     ternary = list(enumerate_subspaces(3, 3, 1))[:5]
     rep3 = full_pairwise_check(Cdc(f3, 3, 1, 3, words=ternary))
     assert len(rep3.violations) == rep3.pairs_checked == 10
+
+
+def test_checks_past_64_columns_rank_unpacked_stacks():
+    # GF(2) words of 66 columns do not pack into uint64: both checks gather
+    # them as Python ints and rank each stack through rank_rows, and
+    # meet_dims does the same at the given indices
+    code = _code(66, 3, 6, _sharing_words(66, 66, 3, 40, dups=1))
+    assert code.source.array.dtype == object
+    assert _without_time(full_pairwise_check(code)) == _reference_report(code)
+    report = sampled_check(code, 300, seed=2)
+    want = [(a, b, distance(code.at(a), code.at(b))) for a, b in sample_pairs(code.size, 300, 2)]
+    assert report.min_distance_found == min(d for _, _, d in want) == 0
+    assert report.violations == [{"pair": [code.at(a).serialize(), code.at(b).serialize()],
+                                  "distance": d} for a, b, d in want if d < 6]
+    W, idx = code.at(7), np.array([39, 7, 0, 7], dtype=np.int64)
+    assert meet_dims(code, W, idx).tolist() == [intersection_dim(code.at(i), W) for i in idx]
 
 
 def test_full_check_finds_an_injected_word_with_its_pairs():
