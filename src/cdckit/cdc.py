@@ -16,8 +16,8 @@ from itertools import chain
 import numpy as np
 
 from .gf import FieldSpec, base_field, ext_field
-from .linalg import (BATCH, StreamSource, checked_indices, entry_bits, packed_dtype,
-                     rref_bits_batch, rref_packed, unpack_rows, word_tuples)
+from .linalg import (BATCH, PackedSource, StreamSource, checked_indices, entry_bits,
+                     packed_dtype, rref_bits_batch, rref_packed, unpack_rows, word_tuples)
 from .rankmetric import GabidulinHandle, RankCodeHandle, gabidulin_mrd, nested_subcode
 from .subspace import Subspace
 from .verify import canonical_order, enumerate_subspaces, meet_dims
@@ -72,21 +72,6 @@ class ListSource(StreamSource):
 
     def iter_packed(self):
         return iter(self.packed)
-
-
-class PackedSource(StreamSource):
-    """GF(2) words read from a file: one C-contiguous (N, k) array of the
-    narrowest unsigned dtype holding n <= 64 bits."""
-
-    def __init__(self, field, n, packed):
-        self.field, self.n, self.packed = field, n, packed
-        self.size = len(packed)
-
-    def packed_at(self, i):
-        return tuple(self.packed[i].tolist())
-
-    def packed_at_batch(self, idx):
-        return np.take(self.packed, checked_indices(idx, self.size), axis=0).astype(np.uint64)
 
 
 class ProductSource(StreamSource):

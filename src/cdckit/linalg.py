@@ -36,9 +36,6 @@ class PivotVector:
         bits = tuple(1 if j in set(cols) else 0 for j in range(n))
         return PivotVector(bits, len(cols))
 
-    def hamming(self, other: "PivotVector") -> int:
-        return sum(1 for a, b in zip(self.bits, other.bits) if a != b)
-
 
 class MatrixGF:
     __slots__ = ("field", "nrows", "ncols", "rows")
@@ -295,6 +292,22 @@ class StreamSource:
 
     def rows_at(self, i):
         return unpack_rows(self.field, self.packed_at(i), self.n)
+
+
+class PackedSource(StreamSource):
+    """GF(2) words held in one C-contiguous (N, k) array of the narrowest
+    unsigned dtype holding n <= 64 bits: a file's words, or those that the
+    exact check's lifted-block verdict leaves to its climb."""
+
+    def __init__(self, field, n, packed):
+        self.field, self.n, self.packed = field, n, packed
+        self.size = len(packed)
+
+    def packed_at(self, i):
+        return tuple(self.packed[i].tolist())
+
+    def packed_at_batch(self, idx):
+        return np.take(self.packed, checked_indices(idx, self.size), axis=0).astype(np.uint64)
 
 
 # ----------------------------------------------------------------------

@@ -195,7 +195,7 @@ class GabidulinHandle(RankCodeHandle):
         for table in high:
             i >>= TABLE_BITS
             word = word ^ table[i & (len(table) - 1)]
-        return word.tolist()
+        return tuple(word.tolist())
 
     def packed_at_batch(self, idx):
         """One XOR-table row per index-bit group (indices stay below 2^63)."""

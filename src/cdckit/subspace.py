@@ -121,12 +121,6 @@ def distance(U: Subspace, W: Subspace) -> int:
     return 2 * r - U.k - W.k
 
 
-def pivot_distance_bound(U: Subspace, W: Subspace) -> int:
-    """Hamming distance of pivot vectors; a lower bound on distance()."""
-    U._check_ambient(W)
-    return U.pivots.hamming(W.pivots)
-
-
 def intersection_dim(U: Subspace, W: Subspace) -> int:
     U._check_ambient(W)
     r = rank_rows(U.field, U.rows + W.rows, U.n)

@@ -9,18 +9,23 @@ The exact check certifies a GF(2) code with n <= 64 by t-subspace
 packing: two words are closer than the claim exactly when they share a
 t-subspace, so it looks for shared subspaces level by level instead of
 comparing pairs, and measures only the pairs it finds.  A level below t
-is first probed on a prefix of the code.  A level built whole is sorted
-in memory when it is small, and otherwise each subspace's exact rank in
-[0, [n, s]_2) (its Schubert cell's offset plus its free entries) is
-test-and-set in a bitmap.  Unless a word cap is given, a code whose
-levels fit neither is refused before it is read (refuse_past_budget).
+is first probed on words spread over the whole code.  A level built whole
+is sorted in memory when it is small, and otherwise each subspace's exact
+rank in [0, [n, s]_2) (its Schubert cell's offset plus its free entries)
+is test-and-set in a bitmap.  Where that climb would stream a ranked
+level, a lifted block [I_k | M] whose M's form a linear space is first
+certified by its own algebra and only the other words climb
+(_lifted_block); any failed condition leaves the climb over the whole
+code.  Unless a word cap is given, a code whose levels fit neither the
+sort nor a bitmap is refused before it is read (refuse_past_budget).
 Other codes compare every pair, up to FULL_CHECK_CAP words.
 
 Pair sampling is counter-based (splitmix64 over a triangular unranking,
 or past 2^32 words two outputs per pair), so reports are byte-identical
 across platforms for a fixed seed.  Pairs are drawn and checked in numpy
 chunks; every distance check ranks packed words (_gather, _ranks), one
-rank_bits_batch a chunk over GF(2) with n <= 64, else one rank_rows a stack.
+rank_bits_batch a chunk over GF(2) with n <= 64, one rank_bits a stack of
+Python ints past that, and one rank_rows a stack over other fields.
 """
 
 from __future__ import annotations
@@ -31,20 +36,21 @@ import time
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, reduce
 from itertools import chain, combinations, takewhile
+from operator import xor
 
 import numpy as np
 
 from .gf import base_field
-from .linalg import (BATCH, _leading_bits, gaussian_binomial, packable, packed_dtype,
-                     rank_bits_batch, rank_rows, rref_bits_batch, sort_keys, spans, unpack_rows,
-                     word_tuples)
+from .linalg import (BATCH, PackedSource, _leading_bits, gaussian_binomial, packable,
+                     packed_dtype, rank_bits, rank_bits_batch, rank_rows, rref_bits,
+                     rref_bits_batch, sort_keys, spans, unpack_rows, word_tuples)
 from .subspace import Subspace
 
 ENUM_CAP = 10 ** 6
 FULL_CHECK_CAP = 10 ** 5  # words of an exact check over other fields or past n = 64
 KEY_CAP = 1 << 23  # subspace keys of one level sorted in memory; more are ranked into a bitmap
 BITMAP_CAP = 1 << 30  # bits of a ranked level's bitmap, [n, s]_2
-KEY_CHUNK = 1 << 14  # subspace keys built per numpy pass, and by all of a level's probes
+KEY_CHUNK = 1 << 14  # subspace keys (or a block's M's) per numpy pass; keys of a level's probes
 PROBE = 32  # words of a level's first probe
 COVERAGE_CAP = 1 << 22  # vectors of F_q^n counted by coverage_check
 
@@ -61,6 +67,7 @@ class VerificationReport:
     violations: list = dc_field(default_factory=list)
     seed: int | None = None
     wall_time: float = 0.0
+    certificate: str | None = None  # a full check's "exhaustive" or "lifted_block"; not in to_json
 
     @property
     def ok(self):
@@ -137,12 +144,14 @@ def _gather(code, idx):
 
 def _ranks(code, stacks):
     """The rank of each row of a (B, a) array of packed words in code's space:
-    rank_bits_batch where the code packs, else rank_rows of each stack."""
+    rank_bits_batch where the code packs, rank_bits of each stack of Python
+    ints over GF(2) past 64 columns, else rank_rows of each stack."""
     field, n = code.field, code.n
     if packable(field, n, code.k):
         return rank_bits_batch(stacks, n)
-    return np.array([rank_rows(field, unpack_rows(field, s, n), n) for s in word_tuples(stacks)],
-                    dtype=np.int64)
+    ranks = (rank_bits(s, n) if field.q == 2 else rank_rows(field, unpack_rows(field, s, n), n)
+             for s in word_tuples(stacks))
+    return np.fromiter(ranks, np.int64, len(stacks))
 
 
 def meet_dims(code, W: Subspace, idx=None):
@@ -256,15 +265,17 @@ def _chunks(code, words, s):
 
 
 def _probe_shares(code, words, s):
-    """Whether two of the first words share an s-subspace: tried on the
-    first PROBE words, then on twice as many, up to the most words whose
-    keys fit in KEY_CHUNK.  A code not gathered is gathered per probe."""
+    """Whether two of p words spread over the code, at indices
+    i (N - 1) // (p - 1) for i < p, share an s-subspace: tried for
+    p = PROBE, then twice as many, up to the most words whose keys fit in
+    KEY_CHUNK.  A code not gathered is gathered per probe."""
     top = min(KEY_CHUNK // gaussian_binomial(code.k, s, 2), code.size)
     p = min(PROBE, top)
     while p >= 2:
-        prefix = words[:p] if words is not None else \
-            rref_bits_batch(code.packed_at_batch(np.arange(p)), code.n)[0]
-        keys = np.sort(_level_keys(prefix, code.n, s))
+        idx = np.arange(p) * (code.size - 1) // (p - 1)
+        probe = words[idx] if words is not None else \
+            rref_bits_batch(code.packed_at_batch(idx), code.n)[0]
+        keys = np.sort(_level_keys(probe, code.n, s))
         if (keys[1:] == keys[:-1]).any():
             return True
         if p == top:
@@ -364,7 +375,17 @@ def refuse_past_budget(field, n, k, d, N, cap=None):
         raise CapExceeded(f"{N} codewords exceeds full-check cap {cap}")
 
 
-def _exact_check(code):
+def _climb_plan(code):
+    """(t, the levels of code's climb, whether the climb streams a ranked
+    level); no levels where the code does not pack."""
+    n, k, N = code.n, code.k, code.size
+    t, levels = _levels(k, code.d_claim, N)
+    if not packable(code.field, n, k):  # no levels: every pair is measured
+        levels = []
+    return t, levels, any(_ranked(n, k, s, N) for s in levels)
+
+
+def _climb(code):
     """(exact minimum distance, [i, j, d] below the claim in (i, j) order):
     the climb where the code packs, else every pair measured."""
     n, k, N, d_claim = code.n, code.k, code.size, code.d_claim
@@ -373,11 +394,9 @@ def _exact_check(code):
         d = 2 * _ranks(code, np.hstack([a, b])) - 2 * k
         return int(d.min()), np.stack([i, j, d], axis=1)[d < d_claim].tolist()
 
-    t, levels = _levels(k, d_claim, N)
-    if not packable(code.field, n, k):  # no levels: every pair is measured
-        levels = []
+    t, levels, streamed = _climb_plan(code)
     # a code whose levels are all sorted in memory is gathered once; a ranked one streams
-    words = None if not levels or any(_ranked(n, k, s, N) for s in levels) else \
+    words = None if not levels or streamed else \
         rref_bits_batch(code.packed_at_batch(np.arange(N)), n)[0]
     for s in levels:
         if s < t and _probe_shares(code, words, s):
@@ -400,6 +419,106 @@ def _exact_check(code):
     return low, bad
 
 
+def _cross_bounds(words, n, k):
+    """2 (k - j) for each RREF word of a (B, k) uint64 array with j pivots in
+    the first k columns: the Hamming distance of its identifying vector to
+    1^k 0^(n - k), so at most its distance to every word [I_k | M]
+    (Etzion and Silberstein, 2009)."""
+    return 2 * (k - np.count_nonzero(words >> np.uint64(n - k), axis=1))
+
+
+def _split(code):
+    """One streamed pass over code's RREF words: (the M of each block word
+    [I_k | M], its rows side by side in k (n - k) bits; the least rank of a
+    nonzero M, n - k + 1 if none; the rest as one (R, k) array; their least
+    _cross_bounds, 2k if none).  Both arrays are the written prefixes of
+    arrays of N rows, whose other pages are never touched."""
+    n, k, h, N = code.n, code.k, code.n - code.k, code.size
+    hole = np.uint64((1 << h) - 1)  # the last n - k columns
+    eye = np.uint64(1) << np.arange(n - 1, h - 1, -1, dtype=np.uint64)  # row i's pivot bit
+    ms, rest = np.empty(N, np.min_scalar_type((1 << k * h) - 1)), \
+        np.empty((N, k), np.min_scalar_type((1 << n) - 1))
+    nm = nr = 0
+    rank, cross = h + 1, 2 * k
+    for block in code.source.packed_blocks():
+        words = rref_bits_batch(block, n)[0]
+        lifted = ((words & ~hole) == eye).all(axis=1)
+        m, other = words[lifted] & hole, words[~lifted]
+        ranks = rank_bits_batch(m, h)
+        rank = int(ranks[ranks > 0].min(initial=rank))
+        ms[nm:nm + len(m)] = reduce(lambda acc, row: acc << np.uint64(h) | row, m.T,
+                                    np.zeros(len(m), np.uint64))
+        rest[nr:nr + len(other)] = other
+        cross = int(_cross_bounds(other, n, k).min(initial=cross))
+        nm, nr = nm + len(m), nr + len(other)
+    return ms[:nm], rank, rest[:nr], cross
+
+
+def _is_linear(ms, width):
+    """Whether ms, 2^r values of width bits, width + r <= 64, are the
+    distinct vectors of an r-dimensional GF(2)-space.  The RREF basis of a
+    seeded sample of r + 64 values (which spans such a space but with
+    probability < 2^-64) grows by each value it leaves unreduced.  Byte j
+    of a value indexes a table whose entry v XORs, for each basis row i with
+    its pivot at a set bit of v, row i above b = len(basis) bits and bit i
+    below them: the XOR s of a value's entries has the value above b bits
+    exactly when the value is in the span, and below them its coordinates."""
+    r, v = len(ms).bit_length() - 1, np.arange(256, dtype=np.uint64)
+    basis = rref_bits(ms[np.random.default_rng(0).integers(len(ms), size=r + 64)].tolist(),
+                      width)[0]
+    while len(basis) <= r:
+        b, tables = np.uint64(len(basis)), {}
+        for i, row in enumerate(basis):
+            j, pivot = divmod(row.bit_length() - 1, 8)
+            tables[j] = tables.get(j, 0) ^ (v >> np.uint64(pivot) & np.uint64(1)) \
+                * np.uint64((row << len(basis)) | (1 << i))
+        seen = np.zeros(1 << len(basis), bool)
+        for lo in range(0, len(ms), KEY_CHUNK):
+            x = ms[lo:lo + KEY_CHUNK].astype(np.uint64)
+            s = reduce(xor, (t[x >> np.uint64(8 * j) & np.uint64(255)] for j, t in tables.items()),
+                       np.zeros(len(x), np.uint64))
+            if (off := np.flatnonzero(s >> b != x)).size:
+                basis = rref_bits(basis + [int(x[off[0]] ^ (s[off[0]] >> b))], width)[0]
+                break
+            seen[s & np.uint64(len(seen) - 1)] = True
+        else:
+            return len(basis) == r and bool(seen.all())
+    return False
+
+
+def _lifted_block(code):
+    """The lifted-block verdict on code's minimum distance (see
+    full_pairwise_check), or None where one of its conditions fails: a
+    block of 2^r >= 2 M's that _is_linear, so that its least distance is
+    2 x the least nonzero rank (d(U, U') = 2 rank(M - M'), Silva,
+    Kschischang and Kotter, 2008), at least the claim; a rest that climbs
+    with no violation; cross bounds no lower than the verdict; and
+    k (n - k) + r <= 64."""
+    n, k, d = code.n, code.k, code.d_claim
+    width = k * (n - k)
+    if width >= 64:  # _split packs each M into one uint64
+        return None
+    ms, rank, rest, cross = _split(code)
+    r = len(ms).bit_length() - 1
+    if len(ms) < 2 or len(ms) != 1 << r or width + r > 64 or min(2 * rank, cross) < d \
+            or not _is_linear(ms, width):
+        return None
+    # a code of code's class over the rest (cdc, which defines the class, imports this module)
+    low, bad = _climb(type(code)(code.field, n, k, d, stream=PackedSource(code.field, n, rest))) \
+        if len(rest) > 1 else (2 * k, [])
+    low = min(low, 2 * rank)
+    return low if not bad and cross >= low else None
+
+
+def _exact_check(code):
+    """(exact minimum distance, [i, j, d] below the claim in (i, j) order,
+    certificate): "lifted_block" where the climb would stream a ranked
+    level and _lifted_block gives a verdict, else "exhaustive", the climb."""
+    if _climb_plan(code)[2] and (low := _lifted_block(code)) is not None:
+        return low, [], "lifted_block"
+    return *_climb(code), "exhaustive"
+
+
 def full_pairwise_check(code, cap: int | None = None) -> VerificationReport:
     """Exact minimum distance over all N (N - 1) / 2 pairs, and every pair
     closer than the claim d with its exact distance, in (i, j) order.
@@ -407,18 +526,30 @@ def full_pairwise_check(code, cap: int | None = None) -> VerificationReport:
     GF(2) with n <= 64 takes time linear in N: d(U, W) < d exactly when U
     and W share a t-subspace, t = k - ceil(d/2) + 1 (Kohnert and Kurz,
     2008).  Levels s = 1, 2, ... look for two words that share an
-    s-subspace.  Below t a level is first probed on prefixes of the code,
-    and built whole only when they share nothing; the first level built
-    whole that shares nothing ends the climb, and the minimum is
-    2k - 2 (s - 1).  Level t, built whole, names the violations.  A level of
-    at most KEY_CAP keys is sorted in memory; a larger one streams the
-    exact rank of each key into a bitmap of [n, s]_2 bits, stops below t at
-    the first collision, and at t finds the owners of the colliding ranks
-    in a second pass.  Memory: a code whose levels are all sorted is
+    s-subspace.  Below t a level is first probed on words spread over the
+    whole code, and built whole only when they share nothing; the first
+    level built whole that shares nothing ends the climb, and the minimum
+    is 2k - 2 (s - 1).  Level t, built whole, names the violations.  A
+    level of at most KEY_CAP keys is sorted in memory; a larger one streams
+    the exact rank of each key into a bitmap of [n, s]_2 bits, stops below
+    t at the first collision, and at t finds the owners of the colliding
+    ranks in a second pass.  Memory: a code whose levels are all sorted is
     gathered once, beside one level's keys; a ranked code streams, beside
     one bitmap and one chunk; and the violations.  Every pair is measured
     when that is fewer than a level's keys or when d > 2k, over other
     fields and past n = 64.
+
+    Where the climb would stream a ranked level, the lifted-block verdict
+    (_lifted_block) is tried first: one streamed pass splits off the words
+    [I_k | M], and if their M's are the 2^r >= 2 distinct vectors of an
+    r-dimensional space, the claim holds inside the block, the other words
+    climb with no violation, and each of those has few enough pivots in
+    the first k columns, the minimum is min(2 x the least nonzero rank of
+    an M, the others' minimum) and no pair of the block is keyed.  The
+    report's certificate is then "lifted_block"; otherwise the climb runs
+    over the whole code as above, and it is "exhaustive".  The verdict
+    holds the M's and the other words in memory, beside one byte for each
+    of the 2^r vectors of the space.
 
     cap=None refuses a code past refuse_past_budget's memory budget; a cap
     refuses one of more than cap words."""
@@ -427,12 +558,12 @@ def full_pairwise_check(code, cap: int | None = None) -> VerificationReport:
     refuse_past_budget(code.field, code.n, code.k, code.d_claim, N, cap)
     total_pairs = N * (N - 1) // 2
     if N < 2:
-        return VerificationReport("full", 0, None, [],
-                                  wall_time=time.monotonic() - start)
-    min_dist, bad = _exact_check(code)
+        return VerificationReport("full", 0, None, [], wall_time=time.monotonic() - start,
+                                  certificate="exhaustive")
+    min_dist, bad, certificate = _exact_check(code)
     violations = [{"pair": _pair_rows_report(code, i, j), "distance": d} for i, j, d in bad]
     return VerificationReport("full", total_pairs, min_dist, violations,
-                              wall_time=time.monotonic() - start)
+                              wall_time=time.monotonic() - start, certificate=certificate)
 
 
 # ----------------------------------------------------------------------

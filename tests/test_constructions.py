@@ -623,6 +623,14 @@ def test_minus_source_drops_the_removed_words():
     assert list(view.iter_packed()) == kept
 
 
+def test_handle_words_are_hashable_tuples_as_streamed():
+    # a GF(2) handle's packed_at hands out the stream's word type, a tuple
+    view = MinusSource(rank_filtered(gabidulin_mrd(2, 4, 4, 2), 2), [0])
+    word = view.packed_at(0)
+    assert word == next(iter(view.iter_packed())) and type(word) is tuple
+    assert {word: 0}[word] == 0
+
+
 def test_sequence_member_over_gf3_holds_its_witness():
     # past GF(2) a witness is found by meeting it with every word in dimension k
     entry = _sequence_entry_from_code(spread(3, 4, 2))

@@ -9,7 +9,7 @@ import pytest
 
 from cdckit import rankmetric
 from cdckit.gf import base_field, factor_prime_power
-from cdckit.linalg import rank_bits
+from cdckit.linalg import rank_bits, word_tuples
 from cdckit.rankmetric import (SCAN_CAP, coset_partition, gabidulin_mrd, mrd_size, nested_subcode,
                                rank_distribution, rank_filtered)
 from cdckit.verify import CapExceeded
@@ -166,15 +166,16 @@ def _handle(kind):
 def test_enumeration_and_rank_filter_match_random_access(kind):
     h = _handle(kind)
     words = [h.packed_at(i) for i in range(h.size)]
-    assert h.packed_at_batch(np.arange(h.size)).tolist() == words
-    assert np.concatenate(list(h.packed_blocks())).tolist() == words
+    assert list(word_tuples(h.packed_at_batch(np.arange(h.size)))) == words
+    assert list(word_tuples(np.concatenate(list(h.packed_blocks())))) == words
     assert len(set(map(tuple, words))) == h.size
     for cap in range(min(h.m, h.n) + 1):
         filt = rank_filtered(h, cap)
         oracle = [i for i in range(h.size) if rank_bits(h.packed_at(i), h.n) <= cap]
         assert filt.size == len(oracle)
         assert filt.indices().tolist() == oracle
-        assert filt.packed_at_batch(np.arange(filt.size)).tolist() == [words[i] for i in oracle]
+        assert list(word_tuples(filt.packed_at_batch(np.arange(filt.size)))) == \
+            [words[i] for i in oracle]
         handed = []
         parent_packed_at = h.packed_at
         h.packed_at = lambda i: handed.append(i) or parent_packed_at(i)

@@ -1,9 +1,11 @@
 """Subspace values and the subspace metric: axioms on seeded triples,
-exhaustive duality at (2,4,2), pivot-vector lower bound, and the row
-tuple that every Subspace path reads without a MatrixGF."""
+exhaustive duality at (2,4,2), the lifted-block verdict's pivot lower
+bound, and the row tuple that every Subspace path reads without a
+MatrixGF."""
 
 import random
 
+import numpy as np
 import pytest
 
 from cdckit.cdc import spread
@@ -12,9 +14,8 @@ from cdckit.constructions import recipe_8_4_4
 from cdckit.gf import field_new
 from cdckit.linalg import MatrixGF
 from cdckit.subspace import (EmptySubspaceError, Subspace, distance,
-                             intersection_dim, orthogonal_complement,
-                             pivot_distance_bound, span)
-from cdckit.verify import enumerate_subspaces
+                             intersection_dim, orthogonal_complement, span)
+from cdckit.verify import _cross_bounds, enumerate_subspaces
 
 F2 = field_new(2, 1)
 F3 = field_new(3, 1)
@@ -49,12 +50,21 @@ def test_metric_axioms_seeded_triples():
                 assert distance(U, V) % 2 == 0
 
 
-def test_pivot_bound_never_exceeds_distance():
+def test_cross_bound_never_exceeds_distance():
+    # the lifted-block verdict's bound on packed words: a k-subspace W with
+    # j pivots in the first k columns is at least 2 (k - j) from every
+    # [I_k | M], and the bound is the Hamming distance of pivot vectors
     rng = random.Random(1)
     for _ in range(500):
-        U = _random_subspace(rng, F2, 7, 5)
-        V = _random_subspace(rng, F2, 7, 5)
-        assert pivot_distance_bound(U, V) <= distance(U, V)
+        k = rng.randrange(1, 7)
+        U = Subspace.from_rows(F2, [[int(i == j) for j in range(k)]
+                                    + [rng.randrange(2) for _ in range(7 - k)]
+                                    for i in range(k)], 7)
+        while (W := _random_subspace(rng, F2, 7, k)).k != k:
+            pass
+        bound = _cross_bounds(np.array([W.packed_rows()], np.uint64), 7, k)[0]
+        assert bound == sum(a != b for a, b in zip(U.pivots.bits, W.pivots.bits))
+        assert bound <= distance(U, W)
 
 
 def test_duality_preserves_distance_exhaustive_2_4_2():

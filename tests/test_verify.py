@@ -400,7 +400,8 @@ def test_ranks_enumerate_every_subspace_in_order(n):
 @pytest.mark.parametrize("key_cap", [1 << 23, 64])  # the sort path, the rank path
 def test_a_share_past_the_probes_still_decides_the_level(monkeypatch, key_cap):
     # the 85 lines of a 2-spread of F_2^8 share no point; one more line, put
-    # last, meets line 0 in a point, past the 32-word probe of level 1
+    # at index 1, meets line 0 in a point, and the probes of level 1, spread
+    # over the code (indices i * 85 // 31 and i * 85 // 39), skip it
     import cdckit.verify as verify
     from cdckit.cdc import spread
     sp = spread(2, 8, 2)
@@ -410,7 +411,7 @@ def test_a_share_past_the_probes_still_decides_the_level(monkeypatch, key_cap):
         rows, _ = rref_bits([words[0][0], rng.getrandbits(8)], 8)
         if len(rows) == 2 and tuple(rows) not in words:
             break
-    code = _code(8, 2, 2, words + [tuple(rows)])
+    code = _code(8, 2, 2, words[:1] + [tuple(rows)] + words[1:])
     monkeypatch.setattr(verify, "KEY_CHUNK", 120)
     monkeypatch.setattr(verify, "KEY_CAP", key_cap)
     probed = []
@@ -445,8 +446,8 @@ def test_claim_past_2k_reports_every_pair_exactly():
 
 def test_checks_past_64_columns_rank_unpacked_stacks():
     # GF(2) words of 66 columns do not pack into uint64: both checks gather
-    # them as Python ints and rank each stack through rank_rows, and
-    # meet_dims does the same at the given indices
+    # them as Python ints and rank each stack of packed rows with rank_bits,
+    # and meet_dims does the same at the given indices
     code = _code(66, 3, 6, _sharing_words(66, 66, 3, 40, dups=1))
     assert code.source.array.dtype == object
     assert _without_time(full_pairwise_check(code)) == _reference_report(code)
@@ -508,6 +509,130 @@ def test_whole_10_4_5_code_finds_an_injected_word_with_its_pairs():
         {"pair": [code.at(min(x, y)).serialize(), code.at(max(x, y)).serialize()],
          "distance": int(d[y])} for y in near]
     assert code._words is None  # no Subspace list was made
+
+
+# ----------------------------------------------------------------------
+# the lifted-block verdict, forced onto the (8,4;4) code's streamed path
+# ----------------------------------------------------------------------
+
+def _batched_reference(code):
+    """_reference_report from one rank_bits_batch per word i over its pairs
+    (i, j), j > i: every pair measured, for codes of thousands of words."""
+    words, N = code.packed_at_batch(np.arange(code.size)), code.size
+    low, bad = None, []
+    for i in range(N - 1):
+        d = 2 * rank_bits_batch(np.hstack([np.repeat(words[i:i + 1], N - 1 - i, axis=0),
+                                           words[i + 1:]]), code.n) - 2 * code.k
+        low = int(d.min()) if low is None else min(low, int(d.min()))
+        bad += [{"pair": [code.at(i).serialize(), code.at(i + 1 + x).serialize()],
+                 "distance": int(d[x])} for x in np.flatnonzero(d < code.d_claim)]
+    return {"mode": "full", "pairs_checked": N * (N - 1) // 2,
+            "min_distance_found": low, "violations": bad, "seed": None}
+
+
+def _word_reference(code, x):
+    """_reference_report of the (8,4;4) code with word x changed or added:
+    every other pair is at distance 4 or more, some at 4
+    (test_lifted_block_verdict_equals_the_reference), so the pairs of word
+    x, ranked by one rank_bits_batch, decide the minimum and the violations."""
+    words, N = code.packed_at_batch(np.arange(code.size)), code.size
+    d = 2 * rank_bits_batch(np.hstack([np.repeat(words[x:x + 1], N, axis=0), words]),
+                            code.n) - 2 * code.k
+    others = np.delete(np.arange(N), x)
+    return {"mode": "full", "pairs_checked": N * (N - 1) // 2,
+            "min_distance_found": min(4, int(d[others].min())),
+            "violations": [{"pair": [code.at(min(x, y)).serialize(),
+                                     code.at(max(x, y)).serialize()], "distance": int(d[y])}
+                           for y in others[d[others] < code.d_claim].tolist()],
+            "seed": None}
+
+
+@pytest.fixture
+def streamed_8_4_4(monkeypatch):
+    """The packed words of the (8,4;4) code, 4,096 lifted-block words [I_4 | M]
+    and then 701 others, with caps that stream every level of its climb; a
+    list of the calls of _split and _is_linear."""
+    import cdckit.verify as verify
+    base, _ = recipe_8_4_4(2)
+    monkeypatch.setattr(verify, "KEY_CAP", 64)
+    monkeypatch.setattr(verify, "KEY_CHUNK", 1 << 10)
+    calls = []
+    for name in ("_split", "_is_linear"):
+        monkeypatch.setattr(verify, name, lambda *a, f=getattr(verify, name), name=name:
+                            calls.append(name) or f(*a))
+    return [tuple(w) for w in base.packed_at_batch(np.arange(base.size)).tolist()], calls
+
+
+@pytest.mark.parametrize("case", ["whole code", "block and one other word"])
+def test_lifted_block_verdict_equals_the_reference(streamed_8_4_4, case):
+    # with one word outside the block, nothing climbs, and the block alone
+    # sets the minimum, 4, below that word's cross bound
+    words, calls = streamed_8_4_4
+    if case == "whole code":
+        small = _code(8, 4, 4, _sharing_words(4, 8, 4, 60, dups=1))
+        assert _batched_reference(small) == _reference_report(small)
+    code = _code(8, 4, 4, words if case == "whole code" else words[:4097])
+    rep = full_pairwise_check(code)
+    assert rep.certificate == "lifted_block" and calls == ["_split", "_is_linear"]
+    expected = _batched_reference(code) if case == "whole code" else _word_reference(code, 4096)
+    assert _without_time(rep) == expected
+    assert rep.min_distance_found == 4 and "certificate" not in json.loads(rep.to_json())
+
+
+@pytest.mark.parametrize("change", ["flipped block bit", "repeated block word",
+                                    "repeated other word"])
+def test_a_changed_word_falls_back(streamed_8_4_4, change):
+    # the M of word 1000 flips its last bit, and the block's M's span 13
+    # dimensions; word 1000 repeats word 1001, and 4,096 M's in 12
+    # dimensions miss one vector of the space; or word 4100, outside the
+    # block, is repeated last, and the climb of the words outside the
+    # block finds the pair
+    words, calls = streamed_8_4_4
+    x = 4797 if change == "repeated other word" else 1000
+    if change == "flipped block bit":
+        words[1000] = words[1000][:3] + (words[1000][3] ^ 1,)
+    elif change == "repeated block word":
+        words[1000] = words[1001]
+    else:
+        words.append(words[4100])
+    code = _code(8, 4, 4, words)
+    rep = full_pairwise_check(code)
+    assert rep.certificate == "exhaustive" and calls == ["_split", "_is_linear"]
+    expected = _word_reference(code, x)
+    assert _without_time(rep) == expected
+    assert expected["min_distance_found"] == (2 if change == "flipped block bit" else 0)
+
+
+@pytest.mark.parametrize("d_claim", [4, 2])
+def test_a_word_close_to_the_block_falls_back_with_its_cross_pairs(streamed_8_4_4, d_claim):
+    # rows 0, 2 and 3 of block word 7 and the vector 00000010 of H, the last
+    # 4 columns: the word meets H in 1 < 4/2 dimensions, block word 7 in 3
+    # and no word outside the block in more than 2.  Claiming 4, the cross
+    # bound 2 fails at once; claiming 2, it fails only against the
+    # verdict, 4, after the block and the rest are checked
+    words, calls = streamed_8_4_4
+    rows, _ = rref_bits([words[7][0], words[7][2], words[7][3], 0b10], 8)
+    rest = np.array(words[4096:], np.uint64)
+    assert len(rows) == 4 and tuple(rows) not in words and rank_bits_batch(
+        np.hstack([rest, np.tile(np.array(rows, np.uint64), (len(rest), 1))]), 8).min() == 6
+    code = _code(8, 4, d_claim, words + [tuple(rows)])
+    rep = full_pairwise_check(code)
+    assert rep.certificate == "exhaustive"
+    assert calls == (["_split"] if d_claim == 4 else ["_split", "_is_linear"])
+    expected = _word_reference(code, 4797)
+    assert _without_time(rep) == expected and expected["min_distance_found"] == 2
+    close, added = [v["pair"] for v in expected["violations"]], code.at(4797).serialize()
+    assert all(pair[1] == added for pair in close)
+    assert ([code.at(7).serialize(), added] in close) == (d_claim == 4)
+
+
+def test_a_block_of_no_power_of_two_falls_back_before_linearity(streamed_8_4_4):
+    words, calls = streamed_8_4_4
+    code = _code(8, 4, 4, words[:1000] + words[1001:])  # 4,095 block words
+    rep = full_pairwise_check(code)
+    assert rep.certificate == "exhaustive" and calls == ["_split"]
+    assert rep.ok and rep.min_distance_found == 4  # a subcode keeps pairs at distance 4
+    assert rep.pairs_checked == 4796 * 4795 // 2
 
 
 def test_full_check_memory_is_bounded():
