@@ -1,12 +1,14 @@
 """Constant-dimension codes: containers, lifted MRD codes, spreads,
 2-parallelisms of F_q^4, and partial-spread subcode extraction.
 
-A Cdc keeps its codewords in one linalg.StreamSource: a ListSource of
-packed words, a PackedSource of GF(2) words read from a file, or a computed
-stream over other sources and rank-metric handles.  Every source hands out
-linalg packed words, at every q, and nothing else: Subspace values come
-from the Cdc, which alone keeps a Subspace list.  A partial-spread subcode
-is chosen by index in verify.canonical_order: its parent is never listed.
+A Cdc keeps its codewords in one linalg.StreamSource and nothing else: a
+ListSource of packed words, a PackedSource of GF(2) words read from a
+file, or a computed stream over other sources and rank-metric handles.
+Every source hands out linalg packed words, at every q, and nothing else;
+Subspace values are views that the Cdc builds on demand (at, iteration,
+words()) and never keeps.  Builders emit packed rows.  A partial-spread
+subcode is chosen by index in verify.canonical_order: its parent is never
+listed.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from itertools import chain
 import numpy as np
 
 from .gf import FieldSpec, base_field, ext_field
-from .linalg import (BATCH, PackedSource, StreamSource, checked_indices, entry_bits,
-                     packed_dtype, rref_bits_batch, rref_packed, unpack_rows, word_tuples)
+from .linalg import (BATCH, PackedSource, StreamSource, checked_indices, entry_bits, in_rref,
+                     pack_rows, packed_dtype, rref_bits_batch, rref_packed, unpack_rows,
+                     word_tuples)
 from .rankmetric import GabidulinHandle, RankCodeHandle, gabidulin_mrd, nested_subcode
 from .subspace import Subspace
 from .verify import canonical_order, enumerate_subspaces, meet_dims
@@ -29,27 +32,18 @@ class CdcError(ValueError):
     pass
 
 
-def subspaces(source):
-    """The words of a source as Subspace values, in index order; each keeps
-    the packed rows it was unpacked from."""
-    field, n = source.field, source.n
-    return (Subspace(field, n, unpack_rows(field, w, n), packed=tuple(w))
-            for w in source.iter_packed())
-
-
 class ListSource(StreamSource):
-    """Listed codewords: the packed rows of Subspace values, packed here
-    once, or words given as an (N, k) array of linalg.packed_dtype.  packed_at
-    and iter_packed read the packed words as int tuples; gathers and the block
-    stream read the array, made from the tuples on first use when not given."""
+    """Listed codewords, packed: an (N, k) array of linalg.packed_dtype or
+    an iterable of int tuples.  packed_at and iter_packed read the words as
+    int tuples; gathers and the block stream read the array, made from the
+    tuples on first use when not given."""
 
     def __init__(self, field, n, words):
         self.field, self.n, self._array = field, n, None
         if isinstance(words, np.ndarray):
             self._array = np.ascontiguousarray(words, dtype=packed_dtype(field.q, n))
-            self.packed = list(word_tuples(self._array))
-        else:
-            self.packed = [w.packed_rows() for w in words]
+            words = word_tuples(self._array)
+        self.packed = list(words)
         self.size = len(self.packed)
 
     @property
@@ -138,11 +132,11 @@ class ProductSource(StreamSource):
 
 class Cdc:
     """A set of k-subspaces of F_q^n with claimed minimum distance d, kept in
-    one source: `words` (Subspace values, or an (N, k) array of packed RREF
-    words, see ListSource) are listed in a ListSource, a `stream` is
-    kept as given.  The Cdc alone hands out Subspace values (at, iteration
-    and words()); a listed code keeps one list of them, the one it was given
-    or else the one words() builds on its first call."""
+    one source: `words` are listed in a ListSource, packed once (Subspace
+    values, checked to fit first, or an (N, k) array of packed RREF words;
+    over GF(2) with n <= 64 the array is checked to be in RREF, over larger
+    fields that is the builder's contract); a `stream` is kept as given.
+    Subspace values are views built on demand (at, iteration, words())."""
 
     def __init__(self, field: FieldSpec, n: int, k: int, d_claim: int,
                  words=None, stream: StreamSource | None = None,
@@ -154,16 +148,18 @@ class Cdc:
         self.k = k
         self.d_claim = d_claim
         self.provenance = provenance or {}
-        self._words = None
         if words is not None:
             if not isinstance(words, np.ndarray):
-                words = self._words = list(words)
+                words = list(words)
                 for w in words:
                     if w.n != n or w.k != k or w.field != field:
                         raise CdcError(f"codeword {w!r} does not fit ({n},{k}) over GF({field.q})")
+                words = [w.packed_rows() for w in words]
             elif words.shape[1:] != (k,):
                 raise CdcError(f"packed words {words.shape} do not fit ({n},{k}) over GF({field.q})")
-            # the ListSource packs the words once: streams, exports and
+            elif field.q == 2 and n <= 64 and not in_rref(words.T, n).all():
+                raise CdcError("packed words not in RREF")
+            # the ListSource keeps the words once: streams, exports and
             # random access read them, and they are the duplicate keys
             stream = ListSource(field, n, words)
             if len(set(stream.packed)) != stream.size:
@@ -186,8 +182,6 @@ class Cdc:
         return f"Cdc(n={self.n}, k={self.k}, d>={self.d_claim}, q={self.field.q}, size={self.size})"
 
     def at(self, i) -> Subspace:
-        if self._words is not None:
-            return self._words[i]
         return Subspace(self.field, self.n, self.source.rows_at(i))
 
     def packed_at(self, i):
@@ -200,21 +194,20 @@ class Cdc:
         return self.source.iter_packed()
 
     def __iter__(self):
-        return subspaces(self.source) if self._words is None else iter(self._words)
+        """The words as Subspace views in index order; each keeps the
+        packed rows it was unpacked from."""
+        field, n = self.field, self.n
+        return (Subspace(field, n, unpack_rows(field, w, n), packed=tuple(w))
+                for w in self.source.iter_packed())
 
     def words(self):
-        """The codeword list.  A listed code builds it once, on the first
-        call unless it was given one, and keeps it; a computed stream gives
-        a fresh list on each call, capped at MATERIALIZE_CAP and checked
-        for duplicates."""
-        if self._words is None and self.materialized:  # uncapped
-            self._words = list(self)
-        if self._words is not None:
-            return self._words
-        if self.size > MATERIALIZE_CAP:
+        """A fresh list of the words as Subspace views: uncapped for a
+        listed code; a computed stream is capped at MATERIALIZE_CAP and
+        checked for duplicates."""
+        if not self.materialized and self.size > MATERIALIZE_CAP:
             raise CdcError(f"size {self.size} exceeds materialization cap {MATERIALIZE_CAP}")
         words = list(self)
-        if len(set(w.rows for w in words)) != len(words):
+        if not self.materialized and len(set(w.rows for w in words)) != len(words):
             raise CdcError("duplicate codeword in stream")
         return words
 
@@ -225,8 +218,8 @@ class SpreadFamily(list):
 
 def _single_full(q, n):
     field = base_field(q)
-    return Cdc(field, n, n, 2 * n,
-               words=[Subspace(field, n, [tuple(int(i == j) for j in range(n)) for i in range(n)])],
+    eye = pack_rows(field, [[int(i == j) for j in range(n)] for i in range(n)])
+    return Cdc(field, n, n, 2 * n, words=np.array([eye], packed_dtype(q, n)),
                provenance={"kind": "single_full"})
 
 
@@ -260,7 +253,7 @@ def spread(q: int, n: int, k: int) -> Cdc:
     field = base_field(q)
     t = n // k
     if t == 1:
-        return Cdc(field, n, k, 2 * k, words=_single_full(q, n).words(),
+        return Cdc(field, n, k, 2 * k, stream=_single_full(q, n).source,
                    provenance={"kind": "spread", "q": q, "n": n, "k": k})
     ext = ext_field(field, k)
     words = []
@@ -280,8 +273,8 @@ def spread(q: int, n: int, k: int) -> Cdc:
                 for coord in point:
                     vec.extend(ext.element_to_vector(ext.mul(scale, coord)))
                 rows.append(tuple(vec))
-            words.append(Subspace.from_rows(field, rows, n))
-    return Cdc(field, n, k, 2 * k, words=words,
+            words.append(rref_packed(field, pack_rows(field, rows), n))
+    return Cdc(field, n, k, 2 * k, words=np.array(words, packed_dtype(q, n)),
                provenance={"kind": "spread", "q": q, "n": n, "k": k})
 
 
@@ -388,7 +381,7 @@ def partial_spread_subcode(c: Cdc, strategy: str = "lmrd_nested") -> Cdc:
         if handle is None or not isinstance(handle, GabidulinHandle):
             raise CdcError("no lifted-MRD provenance on this code")
         sub = handle if handle.d_r == k else nested_subcode(handle, k)
-        chosen = list(subspaces(_lifted(c.field.q, sub)))
+        chosen = list(_lifted(c.field.q, sub).iter_packed())
     elif strategy == "greedy":
         if not greedy:
             raise CdcError(f"size {c.size} exceeds materialization cap {MATERIALIZE_CAP}")
@@ -399,8 +392,9 @@ def partial_spread_subcode(c: Cdc, strategy: str = "lmrd_nested") -> Cdc:
     for w in chosen:
         rest = rest[meet_dims(c, w, rest) == 0]
     while len(rest):
-        chosen.append(c.at(int(rest[0])))
+        chosen.append(c.packed_at(int(rest[0])))
         rest = rest[1:][meet_dims(c, chosen[-1], rest[1:]) == 0]
-    return Cdc(c.field, c.n, k, 2 * k, words=chosen,
+    return Cdc(c.field, c.n, k, 2 * k,
+               words=np.array(chosen, packed_dtype(c.field.q, c.n)).reshape(len(chosen), k),
                provenance={"kind": "partial_spread_subcode", "strategy": strategy,
                            "parent": c.provenance})

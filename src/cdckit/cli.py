@@ -321,8 +321,8 @@ def build_parser():
     v.add_argument("--mode", choices=("full", "sample"), default="full")
     v.add_argument("--pairs", type=int, default=10 ** 5)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--cap", type=int, help="refuse a full check past this many words "
-                   "(default: refuse one past the check's memory budget)")
+    v.add_argument("--cap", type=int, help="refuse a full check past this many words, "
+                   "as well as one past the check's memory budget")
     v.set_defaults(fn=cmd_verify)
 
     b = sub.add_parser("bound", help="print all applicable bounds")

@@ -32,8 +32,9 @@ already in RREF skip elimination.  The words fill one (N, k) array of the
 narrowest unsigned dtype holding n bits (a cdc.PackedSource), sized from
 the body's length.  While their one-key sort keys rise, as in every
 canonical file, no word repeats and only the last key is kept; any other
-body is screened by one sort of a 64-bit key per word.  Other fields go
-line by line through Subspace.parse and Subspace.serialize.
+body is screened by one sort of a 64-bit key per word.  Other fields, and
+n > 64, go line by line through Subspace.parse and Subspace.serialize;
+the reader keeps each word's packed rows alone, in a cdc.ListSource.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 
 from .cdc import Cdc, ListSource, PackedSource
 from .gf import FieldSpec
-from .linalg import _leading_bits, find_words, packable, rref_bits_batch, sort_keys
+from .linalg import find_words, in_rref, packable, rref_bits_batch, sort_keys
 from .subspace import Subspace
 from .verify import full_pairwise_check
 
@@ -223,7 +224,7 @@ def read_code(fh) -> Cdc:
     else:
         source = ListSource(field, n, _parsed(chain([first], fh), field, n, k))
         if k == 0 and not source.size and meta["count"] == 1:
-            source = ListSource(field, n, [Subspace(field, n, [])])
+            source = ListSource(field, n, [()])
     if source.size != meta["count"]:
         raise CountMismatchError(
             f"header count {meta['count']} but body has {source.size} codewords")
@@ -232,9 +233,9 @@ def read_code(fh) -> Cdc:
 
 
 def _parsed(lines, field, n, k):
-    """The words of a body's lines through Subspace.parse, one at a time,
-    so that the ListSource keeps their packed rows alone; a malformed word,
-    one of another dimension or a repeat of an earlier one is refused."""
+    """The packed rows of a body's words through Subspace.parse, one line
+    at a time; a malformed word, one of another dimension or a repeat of
+    an earlier one is refused."""
     seen = set()
     for raw in lines:  # a non-ASCII byte becomes an escape, not a digit
         line = raw.rstrip(b"\r\n").decode("ascii", "backslashreplace")
@@ -250,7 +251,7 @@ def _parsed(lines, field, n, k):
         if (key := sub.packed_rows()) in seen:
             raise DuplicateCodewordError(f"duplicate codeword {line!r}")
         seen.add(key)
-        yield sub
+        yield key
 
 
 def _read_packed(fh, first, n, k):
@@ -286,7 +287,7 @@ def _read_packed(fh, first, n, k):
                 error = DimensionMismatchError(f"bad codeword {line!r} for n={n}, k={k}, q=2")
         del chunk  # its lines are in x: one chunk's bytes at a time
         rows = _pack(x[:cut], n, words.dtype).T
-        if not _in_rref(rows.T, n).all():
+        if not in_rref(rows.T, n).all():
             rows, ranks = rref_bits_batch(rows, n)
             low = np.flatnonzero(ranks < k)
             if low.size:
@@ -346,19 +347,6 @@ def _pack(x, n, dtype):
             row |= bits[at + 8::n + 1][:groups] >> np.uint64(8 - shift)
         rows[:, t] = row >> np.uint64(64 - n)
     return rows.reshape(-1)[:len(x) * k].reshape(-1, k).T.copy()
-
-
-def _in_rref(rows, n):
-    """Whether each word of a (k, m) row array is in RREF already: each row
-    nonzero and below the previous row's leading bit, which no row above
-    it has."""
-    lead = _leading_bits(rows, n)
-    ok = rows[-1] != 0
-    for j in range(1, len(rows)):
-        ok &= rows[j] < lead[j - 1]
-        for i in range(j):
-            ok &= (rows[i] & lead[j]) == 0
-    return ok
 
 
 def _key_words(keys, n, k):

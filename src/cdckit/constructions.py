@@ -145,7 +145,7 @@ class NdkSequence:
                 raise ConstructionError(f"witness subspace {i} has wrong dimension")
             if self._is_lmrd_with_hole(e):
                 continue  # structural: lifted words avoid the hole entirely
-            if (meet_dims(e.code, e.witness_s) > i).any():
+            if (meet_dims(e.code, e.witness_s.packed_rows()) > i).any():
                 raise ConstructionError(f"sequence member {i}: codeword meets S in dim > {i}")
             if e.witness_u.k != e.code.k or not _holds(e.code, e.witness_u):
                 raise ConstructionError(f"witness codeword {i} not in the code")
@@ -165,7 +165,7 @@ def _holds(code: Cdc, U: Subspace) -> bool:
     """Whether the k-subspace U is a word of code: found in its block stream
     by linalg.find_words over GF(2), else met in dimension k by a word."""
     if code.field.q != 2:
-        return bool((meet_dims(code, U) == code.k).any())
+        return bool((meet_dims(code, U.packed_rows()) == code.k).any())
     return find_words(code.source.packed_blocks(), np.array([U.packed_rows()], np.uint64))[0] >= 0
 
 
@@ -242,7 +242,7 @@ def check_special_substructure(c: Cdc):
         idx = np.arange(meta["start"],
                         meta["start"] + min(meta["count"], MATERIALIZE_CAP - checked))
         outside = _coordinate_subspace(c.field, c.n, [*range(lo), *range(hi, c.n)])
-        failures += idx[meet_dims(c, outside, idx) != 0].tolist()
+        failures += idx[meet_dims(c, outside.packed_rows(), idx) != 0].tolist()
         checked += len(idx)
     return {"checked": checked, "failures": failures, "ok": not failures}
 
@@ -281,7 +281,7 @@ def _check_cross_families(profile, families, field):
     for i, (ni, a, b, fams) in enumerate(blocks):
         if blocks[i] in blocks[:i]:
             continue
-        members = list(chain.from_iterable(fams))
+        members = list(chain.from_iterable(f.iter_packed() for f in fams))
         block = Cdc(field, ni, a, 0, stream=ListSource(field, ni, members))
         fam = np.repeat(np.arange(len(fams)), list(map(len, fams)))  # each member's family
         for x, u in enumerate(members):
@@ -387,7 +387,7 @@ def xi_extension(profile: CompositionProfile, addon: Cdc) -> Cdc:
         raise ConstructionError("hole + partner dimensions do not give k")
     # block i's hole: its last n_i - a_i coordinates
     holes = [_coordinate_subspace(field, ni, range(a, ni)) for a, ni in zip(profile.abar, profile.nbar)]
-    if any(meet_dims(fams[0], hole).any() for fams, hole in zip(families, holes)):
+    if any(meet_dims(fams[0], hole.packed_rows()).any() for fams, hole in zip(families, holes)):
         raise ConstructionError("family member meets the lifting hole")
     ends = profile.offsets()[1:]
     h1, h2 = (_placed([h.packed_rows()], h.k, n, end, q) for h, end in zip(holes, ends))
@@ -616,8 +616,7 @@ class MinusSource(StreamSource):
 
 
 def _dual_spread(sp: Cdc) -> Cdc:
-    words = [orthogonal_complement(w) for w in sp.words()]
-    return Cdc(sp.field, sp.n, sp.n - sp.k, sp.d_claim, words=words,
+    return Cdc(sp.field, sp.n, sp.n - sp.k, sp.d_claim, words=map(orthogonal_complement, sp),
                provenance={"kind": "dual_spread"})
 
 
@@ -738,13 +737,12 @@ def _sequence_entry_from_code(code: Cdc) -> SeqEntry:
     code's source without that index."""
     order = canonical_order(code)
     for i in order.tolist():
-        removed = code.at(i)
-        disjoint = order[meet_dims(code, removed)[order] == 0]  # never i itself
+        disjoint = order[meet_dims(code, code.packed_at(i))[order] == 0]  # never i itself
         if len(disjoint):
             d_code = Cdc(code.field, code.n, code.k, code.d_claim,
                          stream=MinusSource(code.source, [i]),
                          provenance={"kind": "reduced", "parent": code.provenance})
-            return SeqEntry(d_code, code.at(int(disjoint[0])), removed)
+            return SeqEntry(d_code, code.at(int(disjoint[0])), code.at(i))
     raise ConstructionError("no pair of disjoint codewords")
 
 

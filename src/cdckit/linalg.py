@@ -209,6 +209,19 @@ def _leading_bits(x, ncols):
     return x ^ (x >> 1)
 
 
+def in_rref(rows, n):
+    """Whether each GF(2) word of a (k, m) array of n-bit rows is in RREF:
+    its last row nonzero, and each row below the previous row's leading bit,
+    which no row above it has."""
+    lead = _leading_bits(rows, n)
+    ok = (rows[-1:] != 0).all(axis=0)
+    for j in range(1, len(rows)):
+        ok &= rows[j] < lead[j - 1]
+        for i in range(j):
+            ok &= (rows[i] & lead[j]) == 0
+    return ok
+
+
 def _work_rows(rows, ncols):
     """A (B, a) batch of bit-packed matrices as a C-contiguous (a, B) array (row j
     of every matrix in one run) of the narrowest unsigned dtype holding ncols bits."""

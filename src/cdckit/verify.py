@@ -1,9 +1,10 @@
 """Verification oracles: subspace listings, the meet dimensions of a code's
-words with one subspace, the canonical order of a code's words (the order
-of their text lines), the exact and the sampled minimum-distance checks,
-and spread/parallelism coverage checks.  Subspaces are listed Schubert cell
-by cell in one canonical order (_cells), each cell's RREF matrices as one
-numpy block; subspace_bases packs the GF(2) listings once.
+words with one subspace given by packed rows, the canonical order of a
+code's words (the order of their text lines), the exact and the sampled
+minimum-distance checks, and spread/parallelism coverage checks.
+Subspaces are listed Schubert cell by cell in one canonical order
+(_cells), each cell's RREF matrices as one numpy block; subspace_bases
+packs the GF(2) listings once.
 
 The exact check certifies a GF(2) code with n <= 64 by t-subspace
 packing: two words are closer than the claim exactly when they share a
@@ -16,9 +17,9 @@ is test-and-set in a bitmap.  Where that climb would stream a ranked
 level, a lifted block [I_k | M] whose M's form a linear space is first
 certified by its own algebra and only the other words climb
 (_lifted_block); any failed condition leaves the climb over the whole
-code.  Unless a word cap is given, a code whose levels fit neither the
-sort nor a bitmap is refused before it is read (refuse_past_budget).
-Other codes compare every pair, up to FULL_CHECK_CAP words.
+code.  A code whose levels fit neither the sort nor a bitmap is refused
+before it is read, whatever its word cap (refuse_past_budget).  Other
+codes compare every pair, up to FULL_CHECK_CAP words or the given cap.
 
 Pair sampling is counter-based (splitmix64 over a triangular unranking,
 or past 2^32 words two outputs per pair), so reports are byte-identical
@@ -33,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, reduce
 from itertools import chain, combinations, takewhile
@@ -154,18 +156,20 @@ def _ranks(code, stacks):
     return np.fromiter(ranks, np.int64, len(stacks))
 
 
-def meet_dims(code, W: Subspace, idx=None):
+def meet_dims(code, rows, idx=None):
     """dim(U ∩ W) for each word U of code at idx (default every word), as an
-    int64 array: the _ranks of the words on W's rows, per _gather of BATCH
-    indices or, for a code that packs given no idx, per block of its stream."""
+    int64 array, W spanned by the packed rows of a basis (a packed word, or
+    Subspace.packed_rows()): the _ranks of the words on those rows, per
+    _gather of BATCH indices or, for a code that packs given no idx, per
+    block of its stream."""
     if idx is None and packable(code.field, code.n, code.k):
         blocks = code.source.packed_blocks()
     else:
         idx = np.arange(code.size) if idx is None else np.asarray(idx, dtype=np.int64)
         blocks = (_gather(code, idx[lo:lo + BATCH]) for lo in range(0, len(idx), BATCH))
-    w = np.array(W.packed_rows(), dtype=packed_dtype(code.field.q, code.n))
+    w = np.array(rows, dtype=packed_dtype(code.field.q, code.n))
     ranks = [_ranks(code, np.hstack([b, np.tile(w, (len(b), 1))])) for b in blocks]
-    return code.k + W.k - np.concatenate([np.empty(0, np.int64), *ranks])
+    return code.k + len(w) - np.concatenate([np.empty(0, np.int64), *ranks])
 
 
 def canonical_order(code):
@@ -354,25 +358,25 @@ def _levels(k, d, N):
 
 def refuse_past_budget(field, n, k, d, N, cap=None):
     """Raise CapExceeded unless the exact check of N words fits.  Given a
-    cap, N <= cap.  Else a code that packs, and whose climb settles the
-    check, must fit every level it can reach into the in-memory sort
+    cap, N <= cap.  A code that packs, and whose climb settles the check,
+    must also fit every level it can reach into the in-memory sort
     (KEY_CAP keys) or a bitmap of BITMAP_CAP bits; a check that measures
     every pair (other fields, n > 64, a claim past 2k, too few words for a
-    level) must have N <= FULL_CHECK_CAP."""
+    level) must have N <= FULL_CHECK_CAP unless a cap is given."""
     t, levels = _levels(k, d, N)
-    if cap is None and packable(field, n, k) and 1 <= t and len(levels) == min(t, k):
-        for s in levels:
-            keys, bits = N * gaussian_binomial(k, s, 2), gaussian_binomial(n, s, 2)
-            if keys > KEY_CAP and bits > BITMAP_CAP:
-                raise CapExceeded(
-                    f"{N} codewords exceed the full check's memory budget: level {s} has "
-                    f"{keys} keys, past the sort cap {KEY_CAP}, and [{n},{s}]_2 = {bits} "
-                    f"ranks, past the bitmap cap {BITMAP_CAP}; such a code needs a "
-                    f"structural certificate (a planned verify mode) or --mode sample")
-        return
-    cap = FULL_CHECK_CAP if cap is None else cap
-    if N > cap:
+    climbs = packable(field, n, k) and 1 <= t and len(levels) == min(t, k)
+    if cap is None and not climbs:
+        cap = FULL_CHECK_CAP
+    if cap is not None and N > cap:
         raise CapExceeded(f"{N} codewords exceeds full-check cap {cap}")
+    for s in levels if climbs else []:
+        keys, bits = N * gaussian_binomial(k, s, 2), gaussian_binomial(n, s, 2)
+        if keys > KEY_CAP and bits > BITMAP_CAP:
+            raise CapExceeded(
+                f"{N} codewords exceed the full check's memory budget: level {s} has "
+                f"{keys} keys, past the sort cap {KEY_CAP}, and [{n},{s}]_2 = {bits} "
+                f"ranks, past the bitmap cap {BITMAP_CAP}; such a code needs a "
+                f"structural certificate (a planned verify mode) or --mode sample")
 
 
 def _climb_plan(code):
@@ -551,8 +555,8 @@ def full_pairwise_check(code, cap: int | None = None) -> VerificationReport:
     holds the M's and the other words in memory, beside one byte for each
     of the 2^r vectors of the space.
 
-    cap=None refuses a code past refuse_past_budget's memory budget; a cap
-    refuses one of more than cap words."""
+    A code past refuse_past_budget's memory budget is refused, and given a
+    cap, so is one of more than cap words."""
     start = time.monotonic()
     N = code.size
     refuse_past_budget(code.field, code.n, code.k, code.d_claim, N, cap)
@@ -657,15 +661,11 @@ def sampled_check(code, pairs: int, seed: int = 0) -> VerificationReport:
 def coverage_check(obj):
     """Exact-once coverage: nonzero vectors for a claimed spread, lines for
     a list of disjoint spreads, such as a parallelism's cdc.SpreadFamily."""
-    if isinstance(obj, list):
-        seen = {}
-        for member in obj:
-            for w in member:
-                key = w.rows
-                seen[key] = seen.get(key, 0) + 1
-        bad = {k: v for k, v in seen.items() if v != 1}
+    if isinstance(obj, list):  # each line keyed by its packed word
+        seen = Counter(chain.from_iterable(member.iter_packed() for member in obj))
+        bad = sum(v != 1 for v in seen.values())
         return {"mode": "lines", "covered": len(seen),
-                "multiplicity_violations": len(bad), "ok": not bad}
+                "multiplicity_violations": bad, "ok": not bad}
     code = obj
     q, n = code.field.q, code.n
     # q^m > COVERAGE_CAP for m = its bit length, so q^n need not be formed

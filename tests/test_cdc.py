@@ -1,5 +1,6 @@
 """CDC containers, lifted MRD codes, spreads, and parallelisms."""
 
+import numpy as np
 import pytest
 
 from cdckit.cdc import (Cdc, CdcError, lifted_mrd, parallelism_2_of_F_q4,
@@ -226,8 +227,31 @@ def test_listed_words_are_the_source_list():
     f = field_new(2, 1)
     words = list(lifted_mrd(2, 6, 3, 4))
     c = Cdc(f, 6, 3, 4, words=iter(words))
-    assert c.materialized and c.words() is c.words()
-    assert c.words() == words and c.at(-1) is c.words()[-1]
+    assert c.materialized and c.words() == c.words() == words
+    assert c.at(-1) == words[-1]
+
+
+def test_a_code_keeps_its_source_alone():
+    # at, iteration and words() build Subspace views and keep none: the
+    # attributes of a Cdc are its parameters, provenance and one source
+    f = field_new(2, 1)
+    words = list(lifted_mrd(2, 6, 3, 4))
+    codes = [Cdc(f, 6, 3, 4, words=words), Cdc(f, 6, 3, 4, stream=lifted_mrd(2, 6, 3, 4).source)]
+    for c in codes:
+        assert c.at(5) == words[5] and list(c) == c.words() == words
+        assert set(vars(c)) == {"field", "n", "k", "d_claim", "provenance", "source"}
+
+
+def test_packed_gf2_words_must_be_in_rref():
+    # 1100|0100 spans the same plane as 1000|0100: an array word not in RREF
+    # is refused, so no subspace is listed twice under two row sets
+    f = field_new(2, 1)
+    words = np.array([[0b1100, 0b0100], [0b1000, 0b0100]], np.uint64)
+    with pytest.raises(CdcError, match="RREF"):
+        Cdc(f, 4, 2, 2, words=words)
+    assert Cdc(f, 4, 2, 2, words=words[1:]).size == 1
+    with pytest.raises(CdcError, match="RREF"):  # a zero row
+        Cdc(f, 4, 2, 2, words=np.array([[0b1000, 0]], np.uint64))
 
 
 def test_misfit_word_is_refused_before_it_is_packed():

@@ -248,6 +248,20 @@ def test_verify_full_refuses_from_the_header(tmp_path, capsys):
     assert "full-check cap 1000" in capsys.readouterr().err
 
 
+def test_verify_full_with_a_large_cap_still_refuses_from_the_header(tmp_path, capsys):
+    # a word cap past COUNT lifts no memory budget: the (12,6;6) header is
+    # refused before its one-line body is read, as without a cap
+    import time
+    line = "|".join("".join(str(int(j == i)) for j in range(12)) for i in range(6))
+    f = tmp_path / "h.cdc"
+    f.write_text(f"#Q=2\n#P=2\n#E=1\n#MOD=0,1\n#N=12\n#K=6\n#D=6\n#COUNT=16865629\n"
+                 f"#ORDER=generation\n#PROV=header\n{line}\n")
+    start = time.monotonic()
+    assert main(["verify", "--file", str(f), "--mode", "full", "--cap", "100000000"]) == 4
+    assert time.monotonic() - start < 0.5
+    assert "memory budget" in capsys.readouterr().err
+
+
 def test_verify_corrupted_file_is_io_error(tmp_path, capsys):
     bad = tmp_path / "bad.cdc"
     bad.write_text("#Q=2\nnot a code file\n")

@@ -411,25 +411,23 @@ def test_imported_code_behaves_as_a_word_list(tmp_path):
 
 
 def test_imported_gf2_code_lists_its_words_once():
-    # packed words alone until words(): at and iteration build short-lived
-    # Subspace values, and words() builds the list once and keeps it
+    # packed words alone: at, iteration and words() build Subspace views
+    # from them and keep none
     c = lifted_mrd(2, 6, 3, 4)
     back = loads(dumps(c, order="generation"))
     assert back.at(-1) == c.at(63)
     assert list(back) == list(c)
-    assert back._words is None
     words = back.words()
-    assert back.words() is words and back.at(-1) is words[-1]
+    assert back.words() == words == list(c) and back.at(-1) == words[-1]
 
 
 def test_line_reader_code_is_listed_once():
-    # packed words alone until words(), which lists them once: a q > 2 file
-    # never holds a Subspace list beside its packed words unasked
+    # a q > 2 file keeps its packed words alone: words() lists views of them
     back = loads(dumps(spread(3, 4, 2)))
     last = back.at(-1)
-    assert back.materialized and back._words is None
+    assert back.materialized
     words = back.words()
-    assert back.words() is words and words[-1] == last and back.at(-1) is words[-1]
+    assert back.words() == words and words[-1] == last and back.at(-1) == words[-1]
 
 
 def test_reader_gf2_line_needs_exactly_k_rows():

@@ -32,7 +32,7 @@ def _linkage():
 def _heads(n, k, count):
     """A ListSource of `count` k-subspaces of F_2^n: the last factor of a
     product streams once under each of them."""
-    return ListSource(F2, n, islice(lifted_mrd(2, n, k, 2), count))
+    return ListSource(F2, n, islice(lifted_mrd(2, n, k, 2).iter_packed(), count))
 
 
 def _packed(n, k, dtype, count=300):
@@ -75,7 +75,7 @@ def _sources():
         "product": lambda: lifted_mrd(2, 9, 6, 4).source,
         "product, reduced": lambda: linkage.parts[1],
         "union": lambda: linkage,
-        "list": lambda: ListSource(F2, 6, words),
+        "list": lambda: ListSource(F2, 6, [w.packed_rows() for w in words]),
         "list, packed rows": lambda: ListSource(F2, 6, np.array([w.packed_rows() for w in words],
                                                                 np.uint64)),
         "minus, listed parent": lambda: MinusSource(recipe_8_4_4(2)[0].source,  # two blocks

@@ -20,7 +20,7 @@ from cdckit.verify import (CapExceeded, _level_ranks, _pair_chunks, _probe_share
                            full_pairwise_check, meet_dims, refuse_past_budget, sample_pairs,
                            sampled_check, subspace_bases)
 from cdckit.linalg import (gaussian_binomial, rank_bits, rank_bits_batch, rref_bits,
-                           rref_bits_batch, unpack_row)
+                           rref_bits_batch)
 from cdckit.subspace import Subspace, distance, intersection_dim
 
 
@@ -73,9 +73,9 @@ def test_meet_dims_over_gf3_equals_intersection_dim():
     idx = np.array([39, 0, 5, 5, 17], dtype=np.int64)
     seen = set()
     for W in words[::13]:
-        dims = meet_dims(code, W).tolist()
+        dims = meet_dims(code, W.packed_rows()).tolist()
         assert dims == [intersection_dim(w, W) for w in words[:40]]
-        assert meet_dims(code, W, idx).tolist() == [dims[i] for i in idx]
+        assert meet_dims(code, W.packed_rows(), idx).tolist() == [dims[i] for i in idx]
         seen.update(dims)
     assert seen == {0, 1, 2}
 
@@ -179,6 +179,17 @@ def test_memory_budget_of_the_full_check(n, k, d, size, refusal):
         refuse_past_budget(field_new(3, 1), n, k, d, 10 ** 5 + 1)
 
 
+@pytest.mark.parametrize("n, k, d, size", [(12, 6, 6, 16865629), (24, 4, 4, 240000)])
+def test_a_word_cap_keeps_the_memory_budget(n, k, d, size):
+    # a cap past the code's size lifts no memory budget: a climb whose
+    # level fits neither the sort nor a bitmap is refused all the same,
+    # while the cap replaces FULL_CHECK_CAP where every pair is measured
+    f = field_new(2, 1)
+    with pytest.raises(CapExceeded, match="memory budget"):
+        refuse_past_budget(f, n, k, d, size, cap=10 ** 8)
+    refuse_past_budget(f, 12, 4, 9, 10 ** 5 + 1, cap=10 ** 8)
+
+
 def test_report_json_field_order():
     c = lifted_mrd(2, 6, 3, 4)
     r = sampled_check(c, 10, seed=0)
@@ -266,7 +277,8 @@ def _close_code():
     from cdckit.rankmetric import gabidulin_mrd
     f = field_new(2, 1)
     close = Subspace(f, 6, [tuple(1 if c == j else 0 for c in range(6)) for j in (0, 1, 3)])
-    src = UnionSource([_lifted(2, gabidulin_mrd(2, 3, 3, 2)), ListSource(f, 6, [close])])
+    src = UnionSource([_lifted(2, gabidulin_mrd(2, 3, 3, 2)),
+                       ListSource(f, 6, [close.packed_rows()])])
     return Cdc(f, 6, 3, 4, stream=src)
 
 
@@ -333,8 +345,7 @@ def _without_time(report):
 def _code(n, k, d_claim, packed):
     """A listed GF(2) code of packed RREF words; a word may repeat."""
     f = field_new(2, 1)
-    words = [Subspace(f, n, [unpack_row(r, n) for r in w]) for w in packed]
-    return Cdc(f, n, k, d_claim, stream=ListSource(f, n, words))
+    return Cdc(f, n, k, d_claim, stream=ListSource(f, n, packed))
 
 
 def _sharing_words(seed, n, k, size, dups=0):
@@ -457,7 +468,8 @@ def test_checks_past_64_columns_rank_unpacked_stacks():
     assert report.violations == [{"pair": [code.at(a).serialize(), code.at(b).serialize()],
                                   "distance": d} for a, b, d in want if d < 6]
     W, idx = code.at(7), np.array([39, 7, 0, 7], dtype=np.int64)
-    assert meet_dims(code, W, idx).tolist() == [intersection_dim(code.at(i), W) for i in idx]
+    assert meet_dims(code, W.packed_rows(), idx).tolist() == \
+        [intersection_dim(code.at(i), W) for i in idx]
 
 
 def test_full_check_finds_an_injected_word_with_its_pairs():
@@ -508,7 +520,7 @@ def test_whole_10_4_5_code_finds_an_injected_word_with_its_pairs():
     assert rep.violations == [
         {"pair": [code.at(min(x, y)).serialize(), code.at(max(x, y)).serialize()],
          "distance": int(d[y])} for y in near]
-    assert code._words is None  # no Subspace list was made
+    assert set(vars(code)) == {"field", "n", "k", "d_claim", "provenance", "source"}
 
 
 # ----------------------------------------------------------------------
