@@ -13,11 +13,13 @@ comparing pairs, and measures only the pairs it finds.  A level below t
 is first probed on words spread over the whole code.  A level built whole
 is sorted in memory when it is small, and otherwise each subspace's exact
 rank in [0, [n, s]_2) (its Schubert cell's offset plus its free entries)
-is test-and-set in a bitmap.  Where that climb would stream a ranked
-level, a lifted block [I_k | M] whose M's form a linear space is first
+is test-and-set in a bitmap.  A lifted block [I_k | M] whose N_b M's
+span ceil(log2 N_b) dimensions, more than half of that span, is
 certified by its own algebra and only the other words climb
-(_lifted_block); any failed condition leaves the climb over the whole
-code.  A code whose levels fit neither the sort nor a bitmap is refused
+(_lifted_block): first where the climb would stream a ranked level, and
+on a gathered code at the first level below t whose probe shares
+nothing.  Any failed condition resumes the climb over the whole code.  A
+code whose levels fit neither the sort nor a bitmap is refused
 before it is read, whatever its word cap (refuse_past_budget).  Other
 codes compare every pair, up to FULL_CHECK_CAP words or the given cap.
 
@@ -389,9 +391,14 @@ def _climb_plan(code):
     return t, levels, any(_ranked(n, k, s, N) for s in levels)
 
 
-def _climb(code):
-    """(exact minimum distance, [i, j, d] below the claim in (i, j) order):
-    the climb where the code packs, else every pair measured."""
+def _climb(code, lifted=False):
+    """(exact minimum distance, [i, j, d] below the claim in (i, j) order,
+    certificate): the climb where the code packs, else every pair measured,
+    "exhaustive".  With lifted, the lifted-block verdict (_lifted_block) is
+    tried once: first where the climb would stream a ranked level, and on
+    a gathered code at the first level below t whose probe shares nothing,
+    before that level is built whole.  A verdict ends the check as
+    "lifted_block"; a failed one resumes the climb where it stood."""
     n, k, N, d_claim = code.n, code.k, code.size, code.d_claim
 
     def measured(i, j, a, b):  # (min, [i, j, d] for d < d_claim) over pairs (i, j) of words a, b
@@ -399,28 +406,34 @@ def _climb(code):
         return int(d.min()), np.stack([i, j, d], axis=1)[d < d_claim].tolist()
 
     t, levels, streamed = _climb_plan(code)
+    if lifted and streamed and (low := _lifted_block(code)) is not None:
+        return low, [], "lifted_block"
     # a code whose levels are all sorted in memory is gathered once; a ranked one streams
     words = None if not levels or streamed else \
         rref_bits_batch(code.packed_at_batch(np.arange(N)), n)[0]
     for s in levels:
         if s < t and _probe_shares(code, words, s):
             continue
+        if lifted and s < t and not streamed:
+            lifted = False
+            if (low := _lifted_block(code, words)) is not None:
+                return low, [], "lifted_block"
         ranked = _ranked(n, k, s, N)
         shared = _shared_keys(code, words, s, ranked, first=s < t)
         if not len(shared):  # no two words share an s-subspace
-            return 2 * (k - s + 1), []
+            return 2 * (k - s + 1), [], "exhaustive"
         if s == t:
             i, j = _sharing_pairs(code, words, s, shared, ranked)
-            return measured(i, j, code.packed_at_batch(i), code.packed_at_batch(j))
+            return *measured(i, j, code.packed_at_batch(i), code.packed_at_batch(j)), "exhaustive"
     if t > k and len(levels) == k:  # every level shares: equal words, which a claim <= 0 allows
-        return 0, []
+        return 0, [], "exhaustive"
     words, low, bad = _gather(code, np.arange(N)), 2 * k, []
     for i in range(N - 1):  # more keys than pairs, or a claim past 2k: measure every pair
         m, rows = measured(np.full(N - 1 - i, i), np.arange(i + 1, N),
                            np.broadcast_to(words[i], (N - 1 - i, k)), words[i + 1:])
         low = min(low, m)
         bad += rows
-    return low, bad
+    return low, bad, "exhaustive"
 
 
 def _cross_bounds(words, n, k):
@@ -431,53 +444,63 @@ def _cross_bounds(words, n, k):
     return 2 * (k - np.count_nonzero(words >> np.uint64(n - k), axis=1))
 
 
-def _split(code):
-    """One streamed pass over code's RREF words: (the M of each block word
-    [I_k | M], its rows side by side in k (n - k) bits; the least rank of a
-    nonzero M, n - k + 1 if none; the rest as one (R, k) array; their least
-    _cross_bounds, 2k if none).  Both arrays are the written prefixes of
-    arrays of N rows, whose other pages are never touched."""
+def _split(code, words=None):
+    """One pass over code's RREF words, the gathered (N, k) array words or
+    else the code's block stream: (the M of each block word [I_k | M], its
+    rows side by side in k (n - k) bits, row 0 highest; the rest as one
+    (R, k) array; their least _cross_bounds, 2k if none).  Both arrays are
+    the written prefixes of arrays of N rows, whose other pages are never
+    touched."""
     n, k, h, N = code.n, code.k, code.n - code.k, code.size
     hole = np.uint64((1 << h) - 1)  # the last n - k columns
     eye = np.uint64(1) << np.arange(n - 1, h - 1, -1, dtype=np.uint64)  # row i's pivot bit
     ms, rest = np.empty(N, np.min_scalar_type((1 << k * h) - 1)), \
         np.empty((N, k), np.min_scalar_type((1 << n) - 1))
     nm = nr = 0
-    rank, cross = h + 1, 2 * k
-    for block in code.source.packed_blocks():
-        words = rref_bits_batch(block, n)[0]
-        lifted = ((words & ~hole) == eye).all(axis=1)
-        m, other = words[lifted] & hole, words[~lifted]
-        ranks = rank_bits_batch(m, h)
-        rank = int(ranks[ranks > 0].min(initial=rank))
+    cross = 2 * k
+    blocks = [words] if words is not None else \
+        (rref_bits_batch(block, n)[0] for block in code.source.packed_blocks())
+    for block in blocks:
+        lifted = ((block & ~hole) == eye).all(axis=1)
+        m, other = block[lifted] & hole, block[~lifted]
         ms[nm:nm + len(m)] = reduce(lambda acc, row: acc << np.uint64(h) | row, m.T,
                                     np.zeros(len(m), np.uint64))
         rest[nr:nr + len(other)] = other
         cross = int(_cross_bounds(other, n, k).min(initial=cross))
         nm, nr = nm + len(m), nr + len(other)
-    return ms[:nm], rank, rest[:nr], cross
+    return ms[:nm], rest[:nr], cross
 
 
-def _is_linear(ms, width):
-    """Whether ms, 2^r values of width bits, width + r <= 64, are the
-    distinct vectors of an r-dimensional GF(2)-space.  The RREF basis of a
-    seeded sample of r + 64 values (which spans such a space but with
-    probability < 2^-64) grows by each value it leaves unreduced.  Byte j
-    of a value indexes a table whose entry v XORs, for each basis row i with
-    its pivot at a set bit of v, row i above b = len(basis) bits and bit i
-    below them: the XOR s of a value's entries has the value above b bits
-    exactly when the value is in the span, and below them its coordinates."""
-    r, v = len(ms).bit_length() - 1, np.arange(256, dtype=np.uint64)
-    basis = rref_bits(ms[np.random.default_rng(0).integers(len(ms), size=r + 64)].tolist(),
-                      width)[0]
-    while len(basis) <= r:
+def _is_linear(ms, k, h, need):
+    """The least rank of a nonzero vector of the span of ms, N_b >= 2 k x h
+    matrices packed as _split packs them, k h + r <= 64, where they are N_b
+    distinct vectors of an r-dimensional GF(2)-space, r = ceil(log2 N_b);
+    else, or once a vector of rank below need turns up, None.  Such a set
+    fills more than half of its span, so every nonzero vector x of the span
+    is a difference of two of them: |C & (C + x)| >= 2 N_b - 2^r > 0.
+
+    The RREF basis of r + 64 values spread over ms, at i (N_b - 1) //
+    (r + 63), grows by each value it leaves unreduced.  Byte j of a value
+    indexes a table whose entry v XORs, for each basis row i with its pivot
+    at a set bit of v, row i above b = len(basis) bits and bit i below
+    them: the XOR s of a value's entries has the value above b bits exactly
+    when the value is in the span, and below them its coordinates, of
+    which one mark each shows that the values are distinct.  The span is
+    then ranked in chunks of at most KEY_CHUNK vectors: the spans table of
+    the low basis rows XOR one combination of the others."""
+    N, width = len(ms), k * h
+    r, v = (N - 1).bit_length(), np.arange(256, dtype=np.uint64)
+    basis = rref_bits(ms[np.arange(r + 64) * (N - 1) // (r + 63)].tolist(), width)[0]
+    while True:
+        if len(basis) > r:
+            return None
         b, tables = np.uint64(len(basis)), {}
         for i, row in enumerate(basis):
             j, pivot = divmod(row.bit_length() - 1, 8)
             tables[j] = tables.get(j, 0) ^ (v >> np.uint64(pivot) & np.uint64(1)) \
                 * np.uint64((row << len(basis)) | (1 << i))
         seen = np.zeros(1 << len(basis), bool)
-        for lo in range(0, len(ms), KEY_CHUNK):
+        for lo in range(0, N, KEY_CHUNK):
             x = ms[lo:lo + KEY_CHUNK].astype(np.uint64)
             s = reduce(xor, (t[x >> np.uint64(8 * j) & np.uint64(255)] for j, t in tables.items()),
                        np.zeros(len(x), np.uint64))
@@ -486,41 +509,43 @@ def _is_linear(ms, width):
                 break
             seen[s & np.uint64(len(seen) - 1)] = True
         else:
-            return len(basis) == r and bool(seen.all())
-    return False
+            break
+    if np.count_nonzero(seen) < N:  # repeated values, or fewer than r dimensions
+        return None
+    cut = min(r, KEY_CHUNK.bit_length() - 1)  # the basis rows of one chunk's table
+    table, tops = (spans(np.array([rows], np.uint64))[:, 0] for rows in (basis[:cut], basis[cut:]))
+    hole, least = np.uint64((1 << h) - 1), min(k, h)
+    for top in tops:
+        x = table ^ top
+        ranks = rank_bits_batch(np.stack([x >> np.uint64(h * (k - 1 - i)) & hole
+                                          for i in range(k)], axis=1), h)
+        least = int(ranks[ranks > 0].min(initial=least))
+        if least < need:
+            return None
+    return least
 
 
-def _lifted_block(code):
+def _lifted_block(code, words=None):
     """The lifted-block verdict on code's minimum distance (see
     full_pairwise_check), or None where one of its conditions fails: a
-    block of 2^r >= 2 M's that _is_linear, so that its least distance is
-    2 x the least nonzero rank (d(U, U') = 2 rank(M - M'), Silva,
-    Kschischang and Kotter, 2008), at least the claim; a rest that climbs
-    with no violation; cross bounds no lower than the verdict; and
-    k (n - k) + r <= 64."""
+    block of N_b >= 2 words whose M's _is_linear, so that its least
+    distance is 2 x the least nonzero rank over their span (d(U, U') =
+    2 rank(M - M'), Silva, Kschischang and Kotter, 2008), at least the
+    claim; a rest that climbs with no violation; cross bounds no lower
+    than the verdict; and k (n - k) + r <= 64.  A gathered code passes its
+    RREF words, which _split then reads instead of the stream."""
     n, k, d = code.n, code.k, code.d_claim
-    width = k * (n - k)
-    if width >= 64:  # _split packs each M into one uint64
+    if k * (n - k) >= 64:  # _split packs each M into one uint64
         return None
-    ms, rank, rest, cross = _split(code)
-    r = len(ms).bit_length() - 1
-    if len(ms) < 2 or len(ms) != 1 << r or width + r > 64 or min(2 * rank, cross) < d \
-            or not _is_linear(ms, width):
+    ms, rest, cross = _split(code, words)
+    if len(ms) < 2 or k * (n - k) + (len(ms) - 1).bit_length() > 64 or cross < d \
+            or (rank := _is_linear(ms, k, n - k, -(-d // 2))) is None:
         return None
     # a code of code's class over the rest (cdc, which defines the class, imports this module)
-    low, bad = _climb(type(code)(code.field, n, k, d, stream=PackedSource(code.field, n, rest))) \
-        if len(rest) > 1 else (2 * k, [])
+    low, bad, _ = _climb(type(code)(code.field, n, k, d, stream=PackedSource(code.field, n, rest))) \
+        if len(rest) > 1 else (2 * k, [], None)
     low = min(low, 2 * rank)
     return low if not bad and cross >= low else None
-
-
-def _exact_check(code):
-    """(exact minimum distance, [i, j, d] below the claim in (i, j) order,
-    certificate): "lifted_block" where the climb would stream a ranked
-    level and _lifted_block gives a verdict, else "exhaustive", the climb."""
-    if _climb_plan(code)[2] and (low := _lifted_block(code)) is not None:
-        return low, [], "lifted_block"
-    return *_climb(code), "exhaustive"
 
 
 def full_pairwise_check(code, cap: int | None = None) -> VerificationReport:
@@ -543,17 +568,20 @@ def full_pairwise_check(code, cap: int | None = None) -> VerificationReport:
     when that is fewer than a level's keys or when d > 2k, over other
     fields and past n = 64.
 
-    Where the climb would stream a ranked level, the lifted-block verdict
-    (_lifted_block) is tried first: one streamed pass splits off the words
-    [I_k | M], and if their M's are the 2^r >= 2 distinct vectors of an
-    r-dimensional space, the claim holds inside the block, the other words
-    climb with no violation, and each of those has few enough pivots in
-    the first k columns, the minimum is min(2 x the least nonzero rank of
-    an M, the others' minimum) and no pair of the block is keyed.  The
-    report's certificate is then "lifted_block"; otherwise the climb runs
-    over the whole code as above, and it is "exhaustive".  The verdict
-    holds the M's and the other words in memory, beside one byte for each
-    of the 2^r vectors of the space.
+    The lifted-block verdict (_lifted_block) is tried first where the
+    climb would stream a ranked level, and on a gathered code at the first
+    level below t whose probe shares nothing, before that level is built
+    whole.  One pass splits off the words [I_k | M]; if their N_b >= 2 M's
+    are distinct and span r = ceil(log2 N_b) dimensions, every nonzero
+    vector of the span is the difference of two of them (N_b > 2^(r-1)),
+    so twice the least nonzero rank over the span is the block's minimum.
+    If that is at least the claim, the other words climb with no
+    violation, and each of those has few enough pivots in the first k
+    columns, the minimum is min(that, the others' minimum) and no pair of
+    the block is keyed.  The report's certificate is then "lifted_block";
+    otherwise the climb resumes where it stood, and it is "exhaustive".
+    The verdict holds the M's and the other words in memory, beside one
+    byte for each of the 2^r vectors of the span and one chunk of them.
 
     A code past refuse_past_budget's memory budget is refused, and given a
     cap, so is one of more than cap words."""
@@ -564,7 +592,7 @@ def full_pairwise_check(code, cap: int | None = None) -> VerificationReport:
     if N < 2:
         return VerificationReport("full", 0, None, [], wall_time=time.monotonic() - start,
                                   certificate="exhaustive")
-    min_dist, bad, certificate = _exact_check(code)
+    min_dist, bad, certificate = _climb(code, lifted=True)
     violations = [{"pair": _pair_rows_report(code, i, j), "distance": d} for i, j, d in bad]
     return VerificationReport("full", total_pairs, min_dist, violations,
                               wall_time=time.monotonic() - start, certificate=certificate)

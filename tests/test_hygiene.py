@@ -7,13 +7,16 @@ through linalg.word_tuples alone, the construction modules import no
 rank kernel of their own, the batched GF(2) kernels select rows by
 multiplying, constructions keys no set or dict on generator
 rows, no module reads a Subspace's MatrixGF view, the CLI names no
-recipe or formula, Subspace listings stay at their two edges, and gf
-has one field class."""
+recipe or formula, Subspace listings stay at their two edges, gf has one
+field class, and builds and exact checks never load numpy.random."""
 
 import ast
 import importlib
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -284,3 +287,31 @@ def test_gf_has_one_field_class():
     assert gf.ExtFieldSpec is gf.FieldSpec
     for p, degree in [(2, 1), (2, 4), (3, 3), (5, 2)]:
         assert gf.ext_field(gf.field_new(p, 1), degree) is gf.field_new(p, degree)
+
+
+def test_builds_and_exact_checks_never_load_numpy_random():
+    # importing numpy.random adds several MB of RSS to a process that has
+    # not loaded it: a fresh interpreter builds and fully checks the
+    # (12,8;6) prefix (the lifted-block verdict on a gathered code) and the
+    # whole (8,4;4) code (the climb) without it
+    script = """
+import sys
+import numpy as np
+from cdckit.cdc import Cdc
+from cdckit.constructions import RECIPES
+from cdckit.linalg import PackedSource
+from cdckit.verify import full_pairwise_check
+code, _ = RECIPES["12_8_6"](2)
+prefix = Cdc(code.field, 12, 6, 8,
+             stream=PackedSource(code.field, 12, code.packed_at_batch(np.arange(3000))))
+reports = [full_pairwise_check(prefix), full_pairwise_check(RECIPES["8_4_4"](2)[0])]
+assert [r.certificate for r in reports] == ["lifted_block", "exhaustive"]
+assert [r.min_distance_found for r in reports] == [10, 4]
+print("numpy.random" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

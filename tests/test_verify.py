@@ -412,7 +412,9 @@ def test_ranks_enumerate_every_subspace_in_order(n):
 def test_a_share_past_the_probes_still_decides_the_level(monkeypatch, key_cap):
     # the 85 lines of a 2-spread of F_2^8 share no point; one more line, put
     # at index 1, meets line 0 in a point, and the probes of level 1, spread
-    # over the code (indices i * 85 // 31 and i * 85 // 39), skip it
+    # over the code (indices i * 85 // 31 and i * 85 // 39), skip it.  The
+    # full check certifies the 65 lines [I_2 | M] by the lifted-block
+    # verdict, so the climb alone is run to see the level decide
     import cdckit.verify as verify
     from cdckit.cdc import spread
     sp = spread(2, 8, 2)
@@ -428,8 +430,8 @@ def test_a_share_past_the_probes_still_decides_the_level(monkeypatch, key_cap):
     probed = []
     monkeypatch.setattr(verify, "_probe_shares", lambda *a: probed.append(_probe_shares(*a))
                         or probed[-1])
+    assert verify._climb(code) == (2, [], "exhaustive") and probed == [False]
     rep = _without_time(full_pairwise_check(code))
-    assert probed == [False]
     assert rep == _reference_report(code) and rep["min_distance_found"] == 2
 
 
@@ -638,32 +640,95 @@ def test_a_word_close_to_the_block_falls_back_with_its_cross_pairs(streamed_8_4_
     assert ([code.at(7).serialize(), added] in close) == (d_claim == 4)
 
 
-def test_a_block_of_no_power_of_two_falls_back_before_linearity(streamed_8_4_4):
+def test_a_block_of_no_power_of_two_is_certified(streamed_8_4_4):
+    # 4,095 M's in 12 dimensions fill more than half of their span, so every
+    # nonzero vector of it is still a difference of two of them
     words, calls = streamed_8_4_4
     code = _code(8, 4, 4, words[:1000] + words[1001:])  # 4,095 block words
     rep = full_pairwise_check(code)
-    assert rep.certificate == "exhaustive" and calls == ["_split"]
+    assert rep.certificate == "lifted_block" and calls == ["_split", "_is_linear"]
     assert rep.ok and rep.min_distance_found == 4  # a subcode keeps pairs at distance 4
     assert rep.pairs_checked == 4796 * 4795 // 2
 
 
-def test_full_check_memory_is_bounded():
-    # the 3,000-word prefix of the (12,8;6) pairing code climbs to its
-    # 1.95M level-2 keys; an n = 24 code never holds 2^n bits per word
-    import tracemalloc
+def test_a_block_of_half_its_span_falls_back(streamed_8_4_4):
+    # the M's of words 0-2046 span 11 dimensions and word 4095's a twelfth:
+    # 2,048 M's fill only half of their span, where a difference can be
+    # missing, so the climb decides
+    words, calls = streamed_8_4_4
+    code = _code(8, 4, 4, words[:2047] + [words[4095]])
+    ms = [sum((row & 15) << 4 * (3 - i) for i, row in enumerate(w)) for w in code.iter_packed()]
+    assert rank_bits(ms[:-1], 16) == 11 and rank_bits(ms, 16) == 12
+    rep = full_pairwise_check(code)
+    assert rep.certificate == "exhaustive" and calls == ["_split", "_is_linear"]
+    assert _without_time(rep) == _batched_reference(code)
+
+
+def _prefix(recipe, size):
+    """The gathered code of the first size words of a GF(2) recipe."""
     from cdckit.constructions import RECIPES
-    code, _ = RECIPES["12_8_6"](2)
-    prefix = Cdc(code.field, 12, 6, 8, stream=PackedSource(
-        code.field, 12, code.packed_at_batch(np.arange(3000)).astype(np.uint16)))
+    code, _ = RECIPES[recipe](2)
+    return Cdc(code.field, code.n, code.k, code.d_claim, stream=PackedSource(
+        code.field, code.n, code.packed_at_batch(np.arange(size)).astype(np.uint16)))
+
+
+@pytest.mark.parametrize("recipe, size, low", [("12_8_6", 3000, 10), ("10_4_5", 4000, 6)])
+def test_a_gathered_prefix_is_certified_where_its_probes_share_nothing(recipe, size, low):
+    # the prefixes perfbench checks: the climb's probes share nothing at a
+    # level below t, which the verdict settles instead of keying it whole
+    import cdckit.verify as verify
+    code = _prefix(recipe, size)
+    rep = full_pairwise_check(code)
+    assert rep.certificate == "lifted_block" and rep.ok and rep.min_distance_found == low
+    assert rep.pairs_checked == size * (size - 1) // 2
+    assert verify._climb(code) == (low, [], "exhaustive")
+
+
+def test_a_gathered_prefix_with_a_changed_word_resumes_the_climb(monkeypatch):
+    # word 1000 of the (12,8;6) prefix with its last bit flipped, put in
+    # after it: its M leaves the span, the verdict steps aside at the level
+    # it was tried on, and the climb goes on from there to the new word's
+    # violations, one at distance 2
+    import cdckit.verify as verify
+    base = _prefix("12_8_6", 3000)
+    words = base.packed_at_batch(np.arange(3000))
+    words = np.insert(words, 1001, words[1000] ^ np.uint64(1), axis=0)
+    code = Cdc(base.field, 12, 6, 8, stream=PackedSource(base.field, 12, words))
+    calls = []
+    monkeypatch.setattr(verify, "_is_linear", lambda *a, f=verify._is_linear:
+                        calls.append(a[3]) or f(*a))
+    low, bad, certificate = verify._climb(code)
+    assert calls == [] and certificate == "exhaustive" and low == 2 and bad
+    rep = full_pairwise_check(code)
+    assert rep.certificate == "exhaustive" and calls == [4]
+    assert rep.min_distance_found == low and rep.violations == [
+        {"pair": [code.at(i).serialize(), code.at(j).serialize()], "distance": d}
+        for i, j, d in bad]
+    assert [1000, 1001, 2] in bad and all(1001 in (i, j) for i, j, _ in bad)
+
+
+def test_full_check_memory_is_bounded():
+    # the 3,000-word prefix of the (12,8;6) pairing code is certified by the
+    # lifted-block verdict, and its climb alone reaches 1.95M level-2 keys;
+    # an n = 24 code never holds 2^n bits per word
+    import tracemalloc
+    import cdckit.verify as verify
+    prefix = _prefix("12_8_6", 3000)
     wide = _code(24, 4, 4, _sharing_words(1, 24, 4, 80))
     full_pairwise_check(wide)  # the subspace tables are cached on first use
-    for c, limit in ((prefix, 16 << 20), (wide, (1 << 24) // 8)):
+    outs = []
+    for c, check, limit in ((prefix, full_pairwise_check, 16 << 20),
+                            (prefix, verify._climb, 16 << 20),
+                            (wide, full_pairwise_check, (1 << 24) // 8)):
         tracemalloc.start()
         try:
-            rep = full_pairwise_check(c)
+            outs.append(check(c))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rep.pairs_checked == c.size * (c.size - 1) // 2
-        assert peak < limit, (c.n, peak)
-    assert rep.min_distance_found == _reference_report(wide)["min_distance_found"]
+        assert peak < limit, (c.n, check.__name__, peak)
+    rep, climbed, rep_wide = outs
+    assert rep.pairs_checked == 3000 * 2999 // 2 and rep.certificate == "lifted_block"
+    assert climbed == (rep.min_distance_found, [], "exhaustive")
+    assert rep_wide.pairs_checked == wide.size * (wide.size - 1) // 2
+    assert rep_wide.min_distance_found == _reference_report(wide)["min_distance_found"]
