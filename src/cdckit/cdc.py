@@ -14,6 +14,7 @@ listed.
 from __future__ import annotations
 
 from itertools import chain
+from math import prod
 
 import numpy as np
 
@@ -36,7 +37,7 @@ class ListSource(StreamSource):
     """Listed codewords, packed: an (N, k) array of linalg.packed_dtype or
     an iterable of int tuples.  packed_at and iter_packed read the words as
     int tuples; gathers and the block stream read the array, made from the
-    tuples on first use when not given."""
+    tuples when not given: at once over GF(2) with n <= 64, else on first use."""
 
     def __init__(self, field, n, words):
         self.field, self.n, self._array = field, n, None
@@ -45,12 +46,13 @@ class ListSource(StreamSource):
             words = word_tuples(self._array)
         self.packed = list(words)
         self.size = len(self.packed)
+        if field.q == 2 and n <= 64:  # no gather, stream or export pays for it later
+            self._array = self.array
 
     @property
     def array(self):
         if self._array is None:
-            k = len(self.packed[0]) if self.size else 0
-            dtype = packed_dtype(self.field.q, self.n)
+            k, dtype = len(self.packed[0]) if self.size else 0, packed_dtype(self.field.q, self.n)
             self._array = np.fromiter(chain.from_iterable(self.packed), dtype,
                                       count=self.size * k).reshape(self.size, k)
         return self._array
@@ -80,9 +82,7 @@ class ProductSource(StreamSource):
         self.factors = list(factors)
         self.n = sum(widths)
         self.reduce = reduce
-        self.size = 1
-        for f in self.factors:
-            self.size *= f.size
+        self.size = prod(f.size for f in self.factors)
         self.last = self.factors[-1]  # in the lowest columns: no shift
         # (factor, bit shift of its columns) of the other factors, right to left
         w = entry_bits(field.q)
@@ -102,15 +102,26 @@ class ProductSource(StreamSource):
     @staticmethod
     def _gather(i, factors):
         """The OR of one word of each (factor, shift), right to left, for mixed-radix
-        indices i; a factor is read as one range when that is no longer than i."""
-        rows = np.zeros((len(i), 1), np.uint64)
-        for f, sh in factors:
-            i, j = np.divmod(i, f.size)
-            lo, hi = j.min(initial=0), j.max(initial=-1) + 1
-            words = np.take(f.packed_at_batch(np.arange(lo, hi)), j - lo, axis=0) \
-                if hi - lo <= len(j) else f.packed_at_batch(j)
-            rows = rows | (words << np.uint64(sh))
-        return rows
+        indices i, into the first factor's words: a one-word factor as one row, a size 2^m
+        split off by shift and mask, a listed factor read at its indices, and another one
+        read as one range when that is no longer than i."""
+        rows, b = np.zeros((1, 1), np.uint64), len(i)  # zero words where no factor is
+        for x, (f, sh) in enumerate(factors):
+            if f.size == 1:
+                words = f.packed_at_batch(np.zeros(1, np.int64))
+            else:
+                i, j = (i >> (f.size.bit_length() - 1), i & (f.size - 1)) \
+                    if f.size > 1 and not f.size & (f.size - 1) else np.divmod(i, f.size)
+                lo, hi = j.min(initial=0), j.max(initial=-1) + 1
+                words = f.packed_at_batch(j) \
+                    if isinstance(f, (ListSource, PackedSource)) or hi - lo > len(j) \
+                    else np.take(f.packed_at_batch(np.arange(lo, hi)), j - lo, axis=0)
+            if sh:  # into its columns
+                words <<= np.uint64(sh)
+            if x:  # ORed into rows, or into the words while rows is one broadcast row
+                words = np.bitwise_or(rows, words, out=rows if len(rows) == b else words)
+            rows = words
+        return rows if len(rows) == b else np.repeat(rows, b, axis=0)
 
     def packed_at_batch(self, idx):
         rows = self._gather(checked_indices(idx, self.size), [(self.last, 0), *self._head])
@@ -159,8 +170,7 @@ class Cdc:
                 raise CdcError(f"packed words {words.shape} do not fit ({n},{k}) over GF({field.q})")
             elif field.q == 2 and n <= 64 and not in_rref(words.T, n).all():
                 raise CdcError("packed words not in RREF")
-            # the ListSource keeps the words once: streams, exports and
-            # random access read them, and they are the duplicate keys
+            # listed once: streams, exports, random access and the duplicate keys read them
             stream = ListSource(field, n, words)
             if len(set(stream.packed)) != stream.size:
                 raise CdcError("duplicate codeword")
@@ -181,8 +191,9 @@ class Cdc:
     def __repr__(self):
         return f"Cdc(n={self.n}, k={self.k}, d>={self.d_claim}, q={self.field.q}, size={self.size})"
 
-    def at(self, i) -> Subspace:
-        return Subspace(self.field, self.n, self.source.rows_at(i))
+    def at(self, i) -> Subspace:  # a view that keeps its packed rows, as iteration's do
+        w = tuple(self.source.packed_at(i))
+        return Subspace(self.field, self.n, unpack_rows(self.field, w, self.n), packed=w)
 
     def packed_at(self, i):
         return self.source.packed_at(i)

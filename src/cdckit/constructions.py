@@ -17,7 +17,7 @@ from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import reduce, wraps
-from itertools import accumulate, chain, combinations, pairwise
+from itertools import accumulate, chain, combinations
 from math import prod
 from operator import xor
 
@@ -546,35 +546,23 @@ class UnionSource(StreamSource):
         self.field, self.n = parts[0].field, parts[0].n  # the parts share one space
         self.starts = list(accumulate((p.size for p in parts), initial=0))  # of each part
         self.size = self.starts[-1]
+        self.largest = max(range(len(parts)), key=lambda p: parts[p].size)
 
-    def _locate(self, i):
+    def packed_at(self, i):
         if not 0 <= i < self.size:
             raise IndexError(i)
         p = bisect_right(self.starts, i) - 1
-        return self.parts[p], i - self.starts[p]
-
-    def packed_at(self, i):
-        p, j = self._locate(i)
-        return p.packed_at(j)
+        return self.parts[p].packed_at(i - self.starts[p])
 
     def packed_at_batch(self, idx):
-        """The indices ordered by part with one stable argsort (a radix sort
-        on the narrowest dtype of the part ids), each part's run gathered as
-        one slice, and the words scattered back as one void item per row."""
-        idx = checked_indices(idx, self.size)
-        part = np.searchsorted(self.starts, idx, side="right") - 1
-        part = part.astype(np.min_scalar_type(len(self.parts)))
-        order = np.argsort(part, kind="stable")
-        bounds = np.searchsorted(part[order], range(len(self.parts) + 1)).tolist()
-        # no indices: part 0 gathers none, which gives the (0, k) shape
-        runs = [(p, lo, hi) for p, (lo, hi) in enumerate(pairwise(bounds)) if hi > lo] \
-            or [(0, 0, 0)]
-        idx = idx[order]
-        words = np.concatenate([self.parts[p].packed_at_batch(idx[lo:hi] - self.starts[p])
-                                for p, lo, hi in runs])
-        out = np.empty_like(words)
-        void = np.dtype((np.void, words.itemsize * words.shape[1]))
-        out.view(void)[order] = words.view(void)
+        """The largest part gathered at every index, clamped into its range,
+        straight into the output; then the rows whose indices fall in another
+        part, found by range comparisons, overwritten by that part's gather."""
+        idx, big, s = checked_indices(idx, self.size), self.largest, self.starts
+        out = self.parts[big].packed_at_batch(np.clip(idx, s[big], s[big + 1] - 1) - s[big])
+        for p, part in enumerate(self.parts):
+            if p != big and len(at := np.flatnonzero((s[p] <= idx) & (idx < s[p + 1]))):
+                out[at] = part.packed_at_batch(idx[at] - s[p])
         return out
 
     def packed_blocks(self):
@@ -594,13 +582,10 @@ class MinusSource(StreamSource):
             raise ConstructionError("removed indices must increase strictly")
         self.size = parent.size - len(removed)
 
-    def _parent_index(self, i):
+    def packed_at(self, i):
         if not 0 <= i < self.size:
             raise IndexError(i)
-        return i + bisect_right(self.shift, i)
-
-    def packed_at(self, i):
-        return self.parent.packed_at(self._parent_index(i))
+        return self.parent.packed_at(i + bisect_right(self.shift, i))
 
     def packed_at_batch(self, idx):
         idx = checked_indices(idx, self.size)

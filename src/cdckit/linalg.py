@@ -222,15 +222,20 @@ def in_rref(rows, n):
     return ok
 
 
-def _work_rows(rows, ncols):
-    """A (B, a) batch of bit-packed matrices as a C-contiguous (a, B) array (row j
-    of every matrix in one run) of the narrowest unsigned dtype holding ncols bits."""
-    return np.asarray(rows, np.uint64).T.astype(np.min_scalar_type((1 << ncols) - 1), order="C")
+def _work_rows(rows, ncols, below=None):
+    """B bit-packed matrices, a (B, a) array over below ((B, b), or (1, b) under all),
+    written into a C-contiguous (a + b, B) array, row j of each in one run, of the
+    narrowest dtype holding ncols bits."""
+    rows = rows if isinstance(rows, np.ndarray) else np.array(rows, np.uint64)
+    a, b = rows.shape[1], 0 if below is None else below.shape[1]
+    work = np.empty((a + b, len(rows)), np.min_scalar_type((1 << ncols) - 1))
+    work[:a], work[a:] = rows.T, 0 if below is None else below.T
+    return work
 
 
-def rank_bits_batch(rows, ncols):
-    """Ranks of B bit-packed GF(2) matrices given as a (B, a) uint64 array,
-    ncols <= 64, worked on as _work_rows; agrees with rank_bits.
+def rank_bits_batch(rows, ncols, below=None):
+    """Ranks of B bit-packed GF(2) matrices given as a (B, a) uint64 array over
+    the rows of below, ncols <= 64, worked on as _work_rows; agrees with rank_bits.
 
     Row j, once reduced by the rows above it, clears its lowest set bit from
     the rows below: a rank needs some pivot bit, and row & -row is 2 array calls
@@ -238,10 +243,10 @@ def rank_bits_batch(rows, ncols):
     NumPy scalar would warn).  Rows are picked by multiplying with the mask (a
     broadcast np.where is about 20x slower); the rank counts the rows left
     nonzero, as no row changes after its turn."""
-    work = _work_rows(rows, ncols)
+    work = _work_rows(rows, ncols, below)
     for j, row in enumerate(work[:-1]):  # the last row has none below it
-        below = work[j + 1:]
-        below ^= ((below & (row & -row)) != 0) * row
+        rest = work[j + 1:]
+        rest ^= ((rest & (row & -row)) != 0) * row
     return np.count_nonzero(work, axis=0)
 
 
@@ -286,9 +291,9 @@ class StreamSource:
     codewords (canonical RREF rows) or a rank-metric handle (m x n matrices).
 
     A source gives linalg packed words at any q, packed_at(i) -> one int per
-    row, and at q = 2 batched, packed_at_batch(idx) -> (B, rows) uint64
-    array (n <= 64), which its stream reads in blocks; over larger fields the
-    stream reads packed_at word by word.  rows_at unpacks packed_at."""
+    row, and at q = 2 batched, packed_at_batch(idx) -> a fresh (B, rows) uint64
+    array (n <= 64) that the caller may write, which its stream reads in blocks;
+    over larger fields it reads packed_at word by word.  rows_at unpacks packed_at."""
 
     size = 0
 
@@ -320,7 +325,7 @@ class PackedSource(StreamSource):
         return tuple(self.packed[i].tolist())
 
     def packed_at_batch(self, idx):
-        return np.take(self.packed, checked_indices(idx, self.size), axis=0).astype(np.uint64)
+        return np.take(self.packed, checked_indices(idx, self.size), 0).astype(np.uint64, copy=False)
 
 
 # ----------------------------------------------------------------------

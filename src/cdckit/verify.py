@@ -26,9 +26,9 @@ codes compare every pair, up to FULL_CHECK_CAP words or the given cap.
 Pair sampling is counter-based (splitmix64 over a triangular unranking,
 or past 2^32 words two outputs per pair), so reports are byte-identical
 across platforms for a fixed seed.  Pairs are drawn and checked in numpy
-chunks; every distance check ranks packed words (_gather, _ranks), one
-rank_bits_batch a chunk over GF(2) with n <= 64, one rank_bits a stack of
-Python ints past that, and one rank_rows a stack over other fields.
+chunks; every distance check ranks packed words (_gather, _ranks of a's
+rows on b's), one rank_bits_batch a chunk over GF(2) with n <= 64, one
+rank_bits a stack of Python ints past that, and one rank_rows over others.
 """
 
 from __future__ import annotations
@@ -146,16 +146,16 @@ def _gather(code, idx):
     return np.array(words, packed_dtype(code.field.q, code.n)).reshape(len(words), code.k)
 
 
-def _ranks(code, stacks):
-    """The rank of each row of a (B, a) array of packed words in code's space:
-    rank_bits_batch where the code packs, rank_bits of each stack of Python
-    ints over GF(2) past 64 columns, else rank_rows of each stack."""
+def _ranks(code, a, b):
+    """The rank in code's space of row x of the (B, k) array a stacked on row
+    x of b, or on b's one row: rank_bits_batch where the code packs, else
+    rank_bits of each stack of Python ints over GF(2), rank_rows otherwise."""
     field, n = code.field, code.n
     if packable(field, n, code.k):
-        return rank_bits_batch(stacks, n)
+        return rank_bits_batch(a, n, b)
     ranks = (rank_bits(s, n) if field.q == 2 else rank_rows(field, unpack_rows(field, s, n), n)
-             for s in word_tuples(stacks))
-    return np.fromiter(ranks, np.int64, len(stacks))
+             for s in word_tuples(np.hstack([a, np.broadcast_to(b, (len(a), b.shape[1]))])))
+    return np.fromiter(ranks, np.int64, len(a))
 
 
 def meet_dims(code, rows, idx=None):
@@ -169,9 +169,9 @@ def meet_dims(code, rows, idx=None):
     else:
         idx = np.arange(code.size) if idx is None else np.asarray(idx, dtype=np.int64)
         blocks = (_gather(code, idx[lo:lo + BATCH]) for lo in range(0, len(idx), BATCH))
-    w = np.array(rows, dtype=packed_dtype(code.field.q, code.n))
-    ranks = [_ranks(code, np.hstack([b, np.tile(w, (len(b), 1))])) for b in blocks]
-    return code.k + len(w) - np.concatenate([np.empty(0, np.int64), *ranks])
+    w = np.array(rows, dtype=packed_dtype(code.field.q, code.n)).reshape(1, -1)
+    return code.k + w.shape[1] - np.concatenate([np.empty(0, np.int64),
+                                                 *(_ranks(code, b, w) for b in blocks)])
 
 
 def canonical_order(code):
@@ -401,8 +401,8 @@ def _climb(code, lifted=False):
     "lifted_block"; a failed one resumes the climb where it stood."""
     n, k, N, d_claim = code.n, code.k, code.size, code.d_claim
 
-    def measured(i, j, a, b):  # (min, [i, j, d] for d < d_claim) over pairs (i, j) of words a, b
-        d = 2 * _ranks(code, np.hstack([a, b])) - 2 * k
+    def measured(i, j, a, b):  # (min, [i, j, d] for d < d_claim) over pairs (i, j): _ranks(a, b)
+        d = 2 * _ranks(code, a, b) - 2 * k
         return int(d.min()), np.stack([i, j, d], axis=1)[d < d_claim].tolist()
 
     t, levels, streamed = _climb_plan(code)
@@ -429,8 +429,7 @@ def _climb(code, lifted=False):
         return 0, [], "exhaustive"
     words, low, bad = _gather(code, np.arange(N)), 2 * k, []
     for i in range(N - 1):  # more keys than pairs, or a claim past 2k: measure every pair
-        m, rows = measured(np.full(N - 1 - i, i), np.arange(i + 1, N),
-                           np.broadcast_to(words[i], (N - 1 - i, k)), words[i + 1:])
+        m, rows = measured(np.full(N - 1 - i, i), np.arange(i + 1, N), words[i + 1:], words[[i]])
         low = min(low, m)
         bad += rows
     return low, bad, "exhaustive"
@@ -674,7 +673,7 @@ def sampled_check(code, pairs: int, seed: int = 0) -> VerificationReport:
     lows, violations = [], []
     for a, b in _pair_chunks(N, pairs, seed):
         words = _gather(code, np.concatenate([a, b]))
-        d = 2 * _ranks(code, np.hstack(np.split(words, 2))) - 2 * code.k
+        d = 2 * _ranks(code, words[:len(a)], words[len(a):]) - 2 * code.k
         lows.append(int(d.min()))
         violations += [{"pair": _pair_rows_report(code, int(a[x]), int(b[x])),
                         "distance": int(d[x])} for x in np.flatnonzero(d < code.d_claim)]

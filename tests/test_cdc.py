@@ -242,6 +242,34 @@ def test_a_code_keeps_its_source_alone():
         assert set(vars(c)) == {"field", "n", "k", "d_claim", "provenance", "source"}
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_words_from_at_are_not_packed_again(q, monkeypatch):
+    # at keeps the packed rows its view is unpacked from, as iteration
+    # does: a code listed from at's words packs none of them again
+    import cdckit.subspace as subspace
+    from cdckit.constructions import recipe_10_4_5
+    code = recipe_10_4_5(2)[0] if q == 2 else lifted_mrd(3, 4, 2, 2)
+    idx = range(0, code.size, max(1, code.size // 2000))
+    words = [code.at(i) for i in idx]
+    calls = []
+    monkeypatch.setattr(subspace, "pack_rows", lambda *args: calls.append(args))
+    listed = Cdc(code.field, code.n, code.k, code.d_claim, words=words)
+    assert calls == [] and listed.size == len(words)
+    assert [listed.packed_at(x) for x in range(len(words))] == [code.packed_at(i) for i in idx]
+    assert all(type(v) is int for v in listed.packed_at(0))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_a_gf2_word_list_holds_its_array_from_construction(q):
+    # over GF(2) the gathers' array is built with the code, so its first
+    # gather or export reads the same array as the next; over GF(3), where
+    # nothing gathers, the words stay tuples until the array is asked for
+    code = lifted_mrd(q, 6, 3, 4)
+    listed = Cdc(code.field, code.n, code.k, code.d_claim, words=list(code))
+    assert (vars(listed.source)["_array"] is not None) == (q == 2)
+    assert listed.source.array.tolist() == [list(w) for w in code.iter_packed()]
+
+
 def test_packed_gf2_words_must_be_in_rref():
     # 1100|0100 spans the same plane as 1000|0100: an array word not in RREF
     # is refused, so no subspace is listed twice under two row sets

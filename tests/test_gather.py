@@ -16,6 +16,7 @@ from cdckit.codefile import HEADER_KEYS, dumps
 from cdckit.constructions import (CompositionProfile, MinusSource, UnionSource, multiblock_linkage,
                                   recipe_10_4_5, recipe_12_4_4_thm, recipe_8_4_4)
 from cdckit.gf import field_new
+from cdckit.linalg import BATCH
 from cdckit.rankmetric import (coset_partition, gabidulin_mrd, nested_subcode,
                                rank_filtered)
 
@@ -84,7 +85,39 @@ def _sources():
                                                        np.uint8)),
         "re-embedded": lambda: recipe_12_4_4_thm(2)[0].source.parts[1],
         **{case: partial(_packed, *spec) for case, spec in PACKED_DTYPES.items()},
+        **{case: partial(_union, case) for case in UNION_SHAPES},
+        "product, one-word factor first": lambda: ProductSource(
+            F2, [_single_full(2, 3).source, gabidulin_mrd(2, 3, 3, 2)], (3, 3)),
+        "product, one-word factor last": lambda: ProductSource(
+            F2, [gabidulin_mrd(2, 3, 3, 2), _single_full(2, 3).source], (3, 3)),
+        "product, rank-filtered factor": lambda: ProductSource(  # 50 words a head word
+            F2, [_heads(6, 3, 3), rank_filtered(gabidulin_mrd(2, 3, 3, 1), 1)], (6, 3)),
+        "product, listed head past BATCH": lambda: ProductSource(
+            F2, [_heads(8, 4, 5000), gabidulin_mrd(2, 4, 2, 2)], (8, 2)),
+        "product, reduced, one-word last": lambda: ProductSource(  # linkage block 2 of 3
+            F2, [rank_filtered(mrd44, 2), _single_full(2, 4).source], (4, 4), reduce=True),
     }
+
+
+def _union(case):
+    """A union of unequal parts over F_2^7 with its largest part, a
+    product, first, in the middle or last; two equal parts; a union nested
+    in a union; and a MinusSource part."""
+    big = ProductSource(F2, [_single_full(2, 3).source, gabidulin_mrd(2, 3, 4, 2)], (3, 4))
+    small = ListSource(F2, 7, islice(lifted_mrd(2, 7, 3, 4).iter_packed(), 40))
+    tail = nested_subcode(gabidulin_mrd(2, 3, 7, 1), 3)
+    return {
+        "union, largest first": lambda: UnionSource([big, small, tail]),
+        "union, largest in the middle": lambda: UnionSource([small, big, tail]),
+        "union, largest last": lambda: UnionSource([tail, small, big]),
+        "union, two equal parts": lambda: UnionSource([big, MinusSource(big, [])]),
+        "union, nested": lambda: UnionSource([small, UnionSource([tail, big]), small]),
+        "union, minus part": lambda: UnionSource([small, MinusSource(big, [0, 7, 255])]),
+    }[case]()
+
+
+UNION_SHAPES = ["union, largest first", "union, largest in the middle", "union, largest last",
+                "union, two equal parts", "union, nested", "union, minus part"]
 
 
 CASES = sorted(_sources())
@@ -193,3 +226,37 @@ def test_views_over_a_handle_stream_and_export(handle, view):
     assert np.concatenate(list(src.packed_blocks())).tolist() == [list(w) for w in words]
     body = dumps(Cdc(F2, 7, 3, 2, stream=src), order="generation").splitlines()[len(HEADER_KEYS):]
     assert body == ["|".join(format(r, "07b") for r in w) for w in words]
+
+
+@pytest.mark.parametrize("case", UNION_SHAPES)
+def test_union_gathers_every_index_in_any_order(case):
+    # each part's words land at their rows whichever part is the largest,
+    # which is gathered at every index and overwritten where another part is
+    src = _union(case)
+    idx = np.random.default_rng(len(case)).permutation(np.repeat(np.arange(src.size), 2))
+    assert src.packed_at_batch(idx).tolist() == [list(src.packed_at(i)) for i in idx.tolist()]
+
+
+def test_listed_head_past_batch_streams_every_head_word():
+    # the block stream gathers BATCH head words at a time: the second gather
+    # starts at head word BATCH, word 16 BATCH of the product
+    src = _sources()["product, listed head past BATCH"]()
+    streamed = np.concatenate(list(src.packed_blocks()))
+    assert streamed.tolist() == src.packed_at_batch(np.arange(src.size)).tolist()
+    for i in (0, 16 * BATCH - 1, 16 * BATCH, src.size - 1):
+        assert streamed[i].tolist() == list(src.packed_at(i))
+
+
+@pytest.mark.parametrize("case", [*UNION_SHAPES, "product, listed head past BATCH",
+                                  "product, one-word factor last", "product, reduced"])
+def test_out_of_range_index_raises_before_any_part_is_gathered(case, monkeypatch):
+    src = _sources()[case]()
+
+    def refuse(*_):
+        raise AssertionError("a part was gathered")
+
+    for part in getattr(src, "parts", None) or src.factors:
+        monkeypatch.setattr(part, "packed_at_batch", refuse)
+    for bad in ([0, src.size], [-1, 3], [src.size + 5]):
+        with pytest.raises(IndexError):
+            src.packed_at_batch(np.array(bad, dtype=np.int64))

@@ -147,6 +147,28 @@ def test_rank_bits_batch_empty():
     assert rank_bits_batch(np.zeros((0, 4), dtype=np.uint64), 4).shape == (0,)
 
 
+@pytest.mark.parametrize("ncols", [8, 16, 32, 64])
+def test_rank_bits_batch_of_two_operands(ncols):
+    # the pair path of the distance checks: the rows of below, a (B, b)
+    # array or one (1, b) row block, are written under each matrix of rows
+    # straight into the work rows; random stacks with shared rows as well
+    rng = np.random.default_rng(ncols)
+    top = np.uint64((1 << ncols) - 1)
+    for a, b in ((4, 4), (3, 5), (1, 1), (6, 2)):
+        rows = rng.integers(0, top, (500, a), dtype=np.uint64, endpoint=True)
+        below = rng.integers(0, top, (500, b), dtype=np.uint64, endpoint=True)
+        below[::3, 0] = rows[::3, 0]  # a repeated row
+        one = below[:1]
+        want = [rank_bits(x + y, ncols) for x, y in zip(rows.tolist(), below.tolist())]
+        assert rank_bits_batch(rows, ncols, below).tolist() == want
+        assert rank_bits_batch(rows, ncols, one).tolist() == \
+            [rank_bits(x + one[0].tolist(), ncols) for x in rows.tolist()]
+        assert rank_bits_batch(rows, ncols, np.broadcast_to(one, below.shape)).tolist() == \
+            rank_bits_batch(rows, ncols, one).tolist()
+        for tail in (below[:0], one):  # empty batches
+            assert rank_bits_batch(rows[:0], ncols, tail).shape == (0,)
+
+
 def _rref_batch_agrees_with_scalar(rows, ncols):
     batch = np.array(rows, dtype=np.uint64).reshape(len(rows), -1)
     got, ranks = rref_bits_batch(batch, ncols)

@@ -305,6 +305,86 @@ def test_sampled_report_from_a_file_pinned():
     _assert_close_report(code)
 
 
+# a union of three listed parts over F_2^6: the largest, in the middle, the
+# 64 words R(I | M) of a lifted MRD code and <e0, e1, e3>, the others
+# <e0, e1, e4> and then <e0, e2, e3> and <e3, e4, e5>.  The first three
+# planted words meet R(I | 0) = <e0, e1, e2> and each other in planes.
+# SHA-256 of the sampled report minus wall_time, taken with the union
+# gather that sorted the indices by part
+PLANTED_REPORT_SHA = "c21977979809a15deffbb7603d99abbd373aec0eae845cb508591edd61057f7d"
+
+
+def _planted_code():
+    from cdckit.cdc import _lifted
+    from cdckit.constructions import UnionSource
+    from cdckit.rankmetric import gabidulin_mrd
+    f = field_new(2, 1)
+
+    def unit(*cols):
+        return Subspace(f, 6, [tuple(int(c == j) for c in range(6)) for j in cols]).packed_rows()
+
+    largest = ListSource(f, 6, [*_lifted(2, gabidulin_mrd(2, 3, 3, 2)).iter_packed(),
+                                unit(0, 1, 3)])
+    src = UnionSource([ListSource(f, 6, [unit(0, 1, 4)]), largest,
+                       ListSource(f, 6, [unit(0, 2, 3), unit(3, 4, 5)])])
+    return Cdc(f, 6, 3, 4, stream=src)
+
+
+def test_sampled_report_with_planted_words_pinned():
+    code = _planted_code()
+    assert code.source.largest == 1
+    report = _without_time(sampled_check(code, 10000, seed=5))
+    assert len(report["violations"]) == 68 and report["min_distance_found"] == 2
+    assert hashlib.sha256(json.dumps(report).encode()).hexdigest() == PLANTED_REPORT_SHA
+
+
+# SHA-256 of the 30,000-pair, seed-1 sampled reports minus wall_time of two
+# recipe streams, taken with the union gather that sorted the indices by
+# part: as built (no violation; the reports of both codes read alike), and
+# claiming 2k, which lists every sampled pair of distance below 2k
+RECIPE_REPORT_SHA = {
+    ("12_4_4_thm", "built"): "dd9331e3fe10aec696697e24e904dd80b4f8fa3bb26f5c947aa5ed86ec910c79",
+    ("12_4_4_thm", "2k"): "15c249e5408c8a7a27dca7f09a1979057e81ed0ce31bb8dd624f1030a63cce90",
+    ("10_4_5", "built"): "dd9331e3fe10aec696697e24e904dd80b4f8fa3bb26f5c947aa5ed86ec910c79",
+    ("10_4_5", "2k"): "bf52121234a3303eab71b3f0c40e8648219f6fac39190e66ea5e1c7ae7892722",
+}
+
+
+@pytest.mark.parametrize("name, claim", sorted(RECIPE_REPORT_SHA))
+def test_sampled_recipe_reports_pinned(name, claim):
+    from cdckit.constructions import RECIPES
+    code, _ = RECIPES[name](2)
+    if claim == "2k":
+        code = Cdc(code.field, code.n, code.k, 2 * code.k, stream=code.source)
+    report = _without_time(sampled_check(code, 30000, seed=1))
+    assert report["min_distance_found"] == 4
+    assert hashlib.sha256(json.dumps(report).encode()).hexdigest() == \
+        RECIPE_REPORT_SHA[name, claim]
+
+
+# SHA-256 of the int64 bytes of meet_dims with word 17 of the listed
+# (8, 4; 4) code: over every word and over every 7th, of that code and of
+# the streamed lifted MRD (8, 4; 4) code; taken with the stacked rank path
+MEET_DIMS_SHA = {
+    ("listed", "all"): "b3add7f920b5d5a8cd32905decedd4959f985c4b2760a06be2bb38d7bccc09c0",
+    ("listed", "every 7th"): "9a50112bddc31e0d41cb1a20144eb23d44062f9f700df68317404f782fa3b652",
+    ("streamed", "all"): "1444bb43f63692a5c55dc4a57d66e161cb6766e40b0f607b894b3b810e6eefa0",
+    ("streamed", "every 7th"): "9b9ff8cafcf17b28d60acccede04e8f6b7a1f6954a2d1ce5b0dd3727cf2ebb2c",
+}
+
+
+@pytest.mark.parametrize("kind", ["listed", "streamed"])
+def test_meet_dims_pinned(kind):
+    listed, _ = recipe_8_4_4(2)
+    code = listed if kind == "listed" else lifted_mrd(2, 8, 4, 4)
+    assert code.materialized == (kind == "listed")
+    w = listed.packed_at(17)
+    for which, idx in (("all", None), ("every 7th", np.arange(0, code.size, 7))):
+        got = meet_dims(code, w, idx)
+        assert got.dtype == np.int64 and len(got) == (code.size if idx is None else len(idx))
+        assert hashlib.sha256(got.tobytes()).hexdigest() == MEET_DIMS_SHA[kind, which]
+
+
 def test_sampled_check_q3_takes_the_rank_path():
     from cdckit.subspace import distance
     words = list(lifted_mrd(3, 4, 2, 2))
