@@ -26,15 +26,20 @@ The writer gathers lines from cached digit tables as bytes, which export
 writes and write_code decodes; a canonical export sorts one uint64 key
 per word and decodes the words from the keys a chunk at a time.  The
 reader takes the body as bytes.  A chunk laid out as the writer lays it
-out is checked against a line template and packed in a few numpy passes;
-any other chunk is first rewritten line by line into that layout.  Words
-already in RREF skip elimination.  The words fill one (N, k) array of the
-narrowest unsigned dtype holding n bits (a cdc.PackedSource), sized from
-the body's length.  While their one-key sort keys rise, as in every
-canonical file, no word repeats and only the last key is kept; any other
-body is screened by one sort of a 64-bit key per word.  Other fields, and
-n > 64, go line by line through Subspace.parse and Subspace.serialize;
-the reader keeps each word's packed rows alone, in a cdc.ListSource.
+out is checked against a line template tiled over _TILE = 64 lines, so
+numpy loops over a tile, not a line (the lines after the last whole tile
+take one line of it), and packed in a few numpy passes; any other chunk
+is first rewritten line by line into that layout.  Words already in RREF,
+by linalg.in_rref's running OR of the rows above each row, skip
+elimination.  The words fill one (N, k) array of the narrowest unsigned
+dtype holding n bits (a cdc.PackedSource), sized from the body's length.
+While their one-key sort keys rise, as in every canonical file, no word
+repeats and only the last key is kept; any other body is screened by
+sorting one key per word in slices of at most about _SLICE keys, which
+holds a byte a word and one slice's words and keys besides the words.
+Other fields, and n > 64, go line by line through Subspace.parse and
+Subspace.serialize; the reader keeps each word's packed rows alone, in a
+cdc.ListSource.
 """
 
 from __future__ import annotations
@@ -54,7 +59,10 @@ from .verify import full_pairwise_check
 HEADER_KEYS = ("Q", "P", "E", "MOD", "N", "K", "D", "COUNT", "ORDER", "PROV")
 _SORT_CAP = 10 ** 6
 _CHUNK = 1 << 19  # body bytes per chunk of the packed path: its passes stay in L2
+_TILE = 64  # lines per pass of the reader's line template
 _SPACE = bytes(c for c in range(128) if chr(c).isspace())  # what str.strip strips of ASCII
+_SLICE = 1 << 21  # keys the duplicate screen sorts at once, at most about
+_BLOCK = 1 << 14  # words the duplicate screen groups at once, at most 2^16
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd: multiplying by it permutes uint64
 
 
@@ -265,12 +273,14 @@ def _read_packed(fh, first, n, k):
     step = max(_CHUNK // width, 1) * width  # bytes
     template = np.frombuffer((("0" * n + "|") * k)[:-1].encode() + b"\n", np.uint8)
     mask = np.where(template == ord("0"), 0xFE, 0xFF).astype(np.uint8)  # digits may be 0 or 1
+    template, mask = np.tile(template, _TILE), np.tile(mask, _TILE)
     start = fh.tell() - len(first)  # the body from its first line
     # a word line takes width - 1 bytes and a '\n' unless it is the last
     words = np.empty(((fh.seek(0, _io.SEEK_END) - start + 1) // width, k),
                      np.min_scalar_type((1 << n) - 1))
     fh.seek(start)
-    out = np.empty((2, step // width, width), np.uint8)  # reused: fresh arrays fault pages in
+    # reused: fresh arrays fault pages in; whole tiles keep each plane 8-byte aligned
+    out = np.empty((2, -(-step // width // _TILE) * _TILE, width), np.uint8)
     filled, error = 0, None
     rising, last = _one_key(n, k), 0  # a word of rank k >= 1 has a key above 0
     chunk = fh.read(step)
@@ -286,18 +296,20 @@ def _read_packed(fh, first, n, k):
                 line = lines[cut].decode("ascii", "backslashreplace")
                 error = DimensionMismatchError(f"bad codeword {line!r} for n={n}, k={k}, q=2")
         del chunk  # its lines are in x: one chunk's bytes at a time
-        rows = _pack(x[:cut], n, words.dtype).T
-        if not in_rref(rows.T, n).all():
+        rows = _pack(x[:cut], n, words.dtype)
+        cols = np.ascontiguousarray(rows.T)  # row j of every word in one run
+        if not in_rref(cols, n).all():
             rows, ranks = rref_bits_batch(rows, n)
             low = np.flatnonzero(ranks < k)
             if low.size:
                 i = low[0]
-                line = (x[i] ^ template)[:-1].tobytes().decode()
+                line = (x[i] ^ template[:width])[:-1].tobytes().decode()
                 error = DimensionMismatchError(
                     f"codeword {line!r} has dimension {ranks[i]}, header says {k}")
                 rows = rows[:i]
+            cols = rows.T
         if rising and len(rows):
-            keys = sort_keys(rows, n)[0]
+            keys = sort_keys(cols.T, n)[0]
             rising = last < keys[0] and bool((keys[:-1] < keys[1:]).all())
             last = keys[-1]
         words[filled:filled + len(rows)] = rows
@@ -313,40 +325,55 @@ def _read_packed(fh, first, n, k):
 
 
 def _parse(buf, template, mask, out):
-    """buf as lines of len(template) bytes XORed with the template, so the
-    digits of a valid line are 0 and 1 and its separators 0; and the number
-    of leading lines that are valid (-1 when buf ends in a partial line).
-    Both passes go to the (2, m, len(template)) out when m lines hold buf."""
-    if len(buf) % len(template):
+    """buf as lines of w bytes XORed with the line template, so the digits of
+    a valid line are 0 and 1 and its separators 0; and the number of leading
+    lines that are valid (-1 when buf ends in a partial line).  template and
+    mask span _TILE lines: each whole tile takes one pass, so that numpy loops
+    over a tile, not a line, and the lines after the last tile take the first
+    line of both.  Both passes go to the (2, m, w) out when m lines hold buf."""
+    width = len(template) // _TILE
+    if len(buf) % width:
         return None, -1
-    lines = np.frombuffer(buf, np.uint8).reshape(-1, len(template))
-    if len(lines) > out.shape[1]:
-        out = np.empty((2, *lines.shape), np.uint8)
-    x = np.bitwise_xor(lines, template, out=out[0, :len(lines)])
-    bad = np.bitwise_and(x, mask, out=out[1, :len(lines)])
-    if not bad.any():
+    lines = np.frombuffer(buf, np.uint8).reshape(-1, width)
+    if len(lines) > out.shape[1]:  # whole tiles keep the second plane 8-byte aligned
+        out = np.empty((2, -(-len(lines) // _TILE) * _TILE, width), np.uint8)
+    x, bad = out[0, :len(lines)], out[1, :len(lines)]
+    t = len(lines) - len(lines) % _TILE
+    for lo, hi, span in ((0, t, len(template)), (t, len(lines), width)):
+        np.bitwise_xor(lines[lo:hi].reshape(-1, span), template[:span], out=x[lo:hi].reshape(-1, span))
+        np.bitwise_and(x[lo:hi].reshape(-1, span), mask[:span], out=bad[lo:hi].reshape(-1, span))
+    flat = bad.reshape(-1)  # read as 64-bit words, then the last few bytes
+    wide = len(flat) - len(flat) % 8
+    if not flat[:wide].view(np.uint64).any() and not flat[wide:].any():
         return x, len(x)
     return x, int(np.argmax(bad.any(axis=1)))
 
 
 def _pack(x, n, dtype):
-    """The rows of m parsed lines as a (k, m) array of dtype, row j of every
-    word in one run.  The 0/1 bytes become one bitstream of n + 1 bits per
-    row, so each 8 rows take n + 1 bytes; row t of such a group is read
-    from the big-endian 64 bits at its byte (and the next byte when
-    n > 57), at the same offset in every group."""
+    """The words of m parsed lines as a C-contiguous (m, k) array of dtype,
+    as the reader's word array holds them.  The 0/1 bytes become one
+    bitstream of n + 1 bits per row, so each 8 rows take n + 1 bytes; row t
+    of such a group is read from the big-endian 32 bits at its byte (64 bits
+    when n > 25, and the next byte too when n > 57), at the same offset in
+    every group."""
     k = x.shape[1] // (n + 1)
     groups = -(-len(x) * k // 8)
     bits = np.zeros((groups + 1) * (n + 1) + 8, np.uint8)  # room for every window
     bits[:-(-x.size // 8)] = np.packbits(x.reshape(-1))
+    size = 4 if n <= 25 else 8  # bytes of a window, which a row's bits start in
+    word = np.dtype(f"u{size}").type
     rows = np.empty((groups, 8), dtype)
     for t in range(8):
         at, shift = divmod(t * (n + 1), 8)
-        row = np.ndarray(groups, ">u8", bits, at, n + 1).astype(np.uint64) << np.uint64(shift)
+        row = np.ndarray(groups, f">u{size}", bits, at, n + 1).astype(word)
         if n > 57:
-            row |= bits[at + 8::n + 1][:groups] >> np.uint64(8 - shift)
-        rows[:, t] = row >> np.uint64(64 - n)
-    return rows.reshape(-1)[:len(x) * k].reshape(-1, k).T.copy()
+            row <<= word(shift)
+            row |= bits[at + 8::n + 1][:groups] >> word(8 - shift)
+            shift = 0
+        row >>= word(8 * size - n - shift)
+        row &= word((1 << n) - 1)
+        rows[:, t] = row
+    return rows.reshape(-1)[:len(x) * k].reshape(-1, k)
 
 
 def _key_words(keys, n, k):
@@ -374,22 +401,66 @@ def _one_key(n, k):
 
 
 def _word_keys(words, n):
-    """One uint64 key per packed RREF word: its sort key when that is one
-    key, equal exactly when the words are, else the _mix of its rows."""
+    """One unsigned key per packed RREF word of a C-contiguous (m, k) array,
+    equal exactly when the words are unless it is the _mix of its rows: the
+    word's bytes as one integer when they are 1, 2, 4 or 8 (a view of
+    words), else its uint64 sort key when that is one key, else the mix."""
+    size = words.shape[1] * words.itemsize
+    if size in (1, 2, 4, 8):  # a view of words
+        return words.view(f"u{size}").reshape(-1)
     return sort_keys(words, n)[0] if _one_key(n, words.shape[1]) else _mix(words)
+
+
+def _regroup(block, part, back=False):
+    """Put the rows of block (at most 2^16) in place in the order of their
+    slices part (each below 2^16), or, back=True, undo that; return the
+    sorted slice-and-place word of each row: part << 16 | place."""
+    order = part.astype(np.uint32) << np.uint32(16)
+    order |= np.arange(len(part), dtype=np.uint32)
+    order.sort()  # one uint32 sort: several times faster than a stable argsort
+    places = order & np.uint32(0xFFFF)
+    if back:
+        places[places.copy()] = np.arange(len(places), dtype=np.uint32)
+    block[...] = np.take(block, places, axis=0)
+    return order
 
 
 def _first_repeat(words, n):
     """The index of the first packed word equal to an earlier one, or None.
-    One sort of 64-bit keys screens the words; only the words whose key
-    repeats are compared exactly, by a stable sort that keeps file order."""
-    keys = _word_keys(words, n)
-    keys.sort()
-    shared = keys[1:][keys[1:] == keys[:-1]]
-    del keys
+    A _word_keys key per word screens the words in 2^b slices (b >= 1) of
+    at most about _SLICE keys, so that the screen holds one slice's words
+    and keys and a byte a word, not a key per word.  A word's slice is the
+    top b bits of its key times _MIX.  A pass over blocks of _BLOCK words
+    groups each block by slice in place; each slice then gathers its groups
+    into one reused array and sorts their keys, and a last pass puts the
+    blocks back in file order.  Only the words whose key repeats in its
+    slice are compared exactly, by a stable sort that keeps file order."""
+    if len(words) < 2:
+        return None
+    bits = max((len(words) - 1).bit_length() - _SLICE.bit_length() + 1, 1)
+    blocks = [(words[lo:lo + _BLOCK], slice(lo, lo + _BLOCK)) for lo in range(0, len(words), _BLOCK)]
+    part = np.empty(len(words), np.min_scalar_type((1 << bits) - 1))
+    starts = np.empty((len(blocks), (1 << bits) + 1), np.int64)  # of each slice in each block
+    edges = np.arange((1 << bits) + 1, dtype=np.uint32) << np.uint32(16)
+    for b, (block, at) in enumerate(blocks):
+        part[at] = _word_keys(block, n) * _MIX >> np.uint64(64 - bits)
+        starts[b] = np.searchsorted(_regroup(block, part[at]), edges)
+    sizes = (starts[:, 1:] - starts[:, :-1]).sum(axis=0).tolist()
+    rows = np.empty((max(sizes), words.shape[1]), words.dtype)  # one slice's words, reused
+    shared = [np.zeros(0, np.uint64)]
+    for s, size in enumerate(sizes):
+        mine = np.concatenate([block[lo:hi] for (block, _), (lo, hi)
+                               in zip(blocks, starts[:, s:s + 2].tolist())], out=rows[:size])
+        keys = _word_keys(mine, n)
+        keys.sort()  # may sort mine's own bytes: rows is only a buffer
+        shared.append(keys[1:][keys[1:] == keys[:-1]])
+    del rows, keys
+    for block, at in blocks:
+        _regroup(block, part[at], back=True)
+    shared = np.concatenate(shared)
     if not shared.size:
         return None
-    hit = np.flatnonzero(np.isin(_word_keys(words, n), shared))
+    hit = np.flatnonzero(np.concatenate([np.isin(_word_keys(block, n), shared) for block, _ in blocks]))
     keys = np.array(sort_keys(words[hit], n))
     order = np.lexsort(keys[::-1])
     keys = keys[:, order]

@@ -200,7 +200,13 @@ def rank_bits(rows, n) -> int:
 
 def _leading_bits(x, ncols):
     """The highest set bit of each ncols-bit entry of x (0 stays 0), in x's
-    dtype, which Python-int shifts keep: smear it to bit 0, keep the top one."""
+    dtype.  Up to 24 bits a float32 holds an entry exactly, and clearing its
+    mantissa leaves the leading bit; wider entries, in shifts that keep the
+    dtype, smear it to bit 0 and keep the top one."""
+    if ncols <= 24:
+        f = x.astype(np.float32)
+        f.view(np.uint32)[...] &= np.uint32(0xFF800000)
+        return f.astype(x.dtype)
     x = x.copy()
     shift = 1
     while shift < ncols:
@@ -212,13 +218,15 @@ def _leading_bits(x, ncols):
 def in_rref(rows, n):
     """Whether each GF(2) word of a (k, m) array of n-bit rows is in RREF:
     its last row nonzero, and each row below the previous row's leading bit,
-    which no row above it has."""
+    which the running OR of the rows above it does not hold."""
     lead = _leading_bits(rows, n)
     ok = (rows[-1:] != 0).all(axis=0)
-    for j in range(1, len(rows)):
-        ok &= rows[j] < lead[j - 1]
-        for i in range(j):
-            ok &= (rows[i] & lead[j]) == 0
+    if len(rows) > 1:
+        above = rows[:-1].copy()  # row j: the OR of rows 0..j (accumulate is slow on axis 0)
+        for j in range(1, len(above)):
+            above[j] |= above[j - 1]
+        ok &= (rows[1:] < lead[:-1]).all(axis=0)
+        ok &= np.bitwise_or.reduce(above & lead[1:], axis=0) == 0
     return ok
 
 

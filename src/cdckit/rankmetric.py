@@ -200,8 +200,9 @@ class GabidulinHandle(RankCodeHandle):
     def packed_at_batch(self, idx):
         """One XOR-table row per index-bit group (indices stay below 2^63)."""
         idx = checked_indices(idx, self.size)
-        words = np.zeros((len(idx), self.m), dtype=np.uint64)
-        for shift, table in zip(range(0, 63, TABLE_BITS), self._xor_tables()):
+        low, *high = self._xor_tables()
+        words = np.take(low, idx & (len(low) - 1), axis=0)
+        for shift, table in zip(range(TABLE_BITS, 63, TABLE_BITS), high):
             words ^= np.take(table, (idx >> shift) & (len(table) - 1), axis=0)
         return words
 

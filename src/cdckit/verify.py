@@ -634,11 +634,12 @@ def sample_pairs(n_items: int, pairs: int, seed: int):
 def _unrank_pairs(t):
     """_unrank_pair over uint64 pair indices of a code of at most 2^32 words,
     where b (b - 1) and b (b + 1) stay below 2^64.  The float square root is
-    within 2^-19 of the exact one: b is off by at most one before the fix-up."""
-    b = ((1 + np.sqrt(8 * t.astype(np.float64) + 1)) // 2).astype(np.uint64)
-    b -= (b * (b - 1) // 2 > t).astype(np.uint64)
-    b += ((b + 1) * b // 2 <= t).astype(np.uint64)
-    return (t - b * (b - 1) // 2).astype(np.int64), b.astype(np.int64)
+    within 2^-19 of the exact one: b is off by at most one before the fix-up.
+    The cast truncates, which floors the positive root."""
+    b = ((np.sqrt(8 * t.astype(np.float64) + 1) + 1) * 0.5).astype(np.uint64)
+    b -= b * (b - 1) >> 1 > t
+    b += (b + 1) * b >> 1 <= t
+    return (t - (b * (b - 1) >> 1)).view(np.int64), b.view(np.int64)
 
 
 def _pair_chunks(n_items: int, pairs: int, seed: int):

@@ -768,6 +768,79 @@ def test_screen_collisions_decide_nothing(monkeypatch, tmp_path):
         import_with_subcode(parent, sub)
 
 
+@pytest.mark.parametrize("chunk", [None, 100, 150], ids=["one-chunk", "100-lines", "150-lines"])
+@pytest.mark.parametrize("bad", [64, 127, 197, 208],
+                         ids=["tile-first", "tile-last", "remainder", "last-line"])
+@pytest.mark.parametrize("edit", [
+    lambda line: line.replace("1", "2", 1),
+    lambda line: line.replace("|", ",", 1),
+    lambda line: line[:-2] + "2\n",  # in a chunk's last 4 bytes: past its whole 64-bit words
+], ids=["digit", "separator", "last-digit"])
+def test_tiled_template_names_the_first_malformed_line(monkeypatch, chunk, bad, edit):
+    # a writer-layout body of 64 * 3 + 17 lines, read in one chunk or in chunks
+    # of 100 or 150 lines: whole 64-line tiles take one template pass, the rest
+    # of a chunk the one-line template; the error is the one-line reader's
+    import cdckit.codefile as codefile
+    lines = dumps(lifted_mrd(2, 8, 4, 4), order="generation").splitlines(keepends=True)
+    body = lines[10:10 + 64 * 3 + 17]
+    for at in (bad, bad + 5)[:1 + (bad + 5 < len(body))]:  # the first malformed line decides
+        body[at] = edit(body[at])
+    text = "".join(lines[:10] + body)
+    if chunk:
+        monkeypatch.setattr(codefile, "_CHUNK", chunk * 4 * 9)  # lines of k(n + 1) = 36 bytes
+    errors = []
+    for tile in (64, 1):
+        monkeypatch.setattr(codefile, "_TILE", tile)
+        with pytest.raises(DimensionMismatchError) as info:
+            loads(text)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] and repr(body[bad].strip()) in errors[0]
+
+
+def _first_repeated_line(body):
+    """The first line equal to an earlier one (canonical lines: equal words)."""
+    seen = set()
+    for line in body:
+        if line in seen:
+            return line.strip()
+        seen.add(line)
+    return None
+
+
+@pytest.mark.parametrize("coarse", [False, True], ids=["keys", "4-valued-keys"])
+@pytest.mark.parametrize("size", [16, 1024], ids=["512-slices", "8-slices"])
+def test_sliced_screen_names_the_first_repeat(monkeypatch, coarse, size):
+    # slices of at most about 16 (or 1,024) keys: 4,096 generation-order
+    # words and five repeats are screened in 512 slices (a uint16 slice
+    # index) or 8, over blocks of 512 words, and the repeat named is the
+    # first line that a set of the lines before it holds; one repeated word
+    # is found whatever its slice; keys of 4 values collide across distinct
+    # words in every slice and decide nothing
+    import random
+    import cdckit.codefile as codefile
+    from cdckit.linalg import sort_keys
+    monkeypatch.setattr(codefile, "_SLICE", size)
+    monkeypatch.setattr(codefile, "_BLOCK", 512)
+    if coarse:
+        monkeypatch.setattr(codefile, "_word_keys",
+                            lambda words, n: sort_keys(words, n)[0] & np.uint64(3))
+    text = dumps(lifted_mrd(2, 8, 4, 4), order="generation")
+    lines = text.splitlines(keepends=True)
+    header, body = lines[:10], lines[10:]
+    assert dumps(loads(text), order="generation") == text
+    rng = random.Random(11)
+    for _ in range(4):
+        repeated = list(body)
+        for _ in range(5):  # five repeats, in file order anywhere after their first copy
+            src = rng.randrange(len(repeated))
+            repeated.insert(rng.randrange(src + 1, len(repeated) + 1), repeated[src])
+        with pytest.raises(DuplicateCodewordError, match=repr(_first_repeated_line(repeated))):
+            loads("".join(header + repeated))
+    words = loads(text).source.packed
+    for j in rng.sample(range(len(words)), 64 if size > 16 else 4):  # 8 slices: each is hit
+        assert codefile._first_repeat(np.concatenate([words, words[j:j + 1]]), 8) == len(words)
+
+
 @pytest.mark.parametrize("make", [
     lambda: dumps(lifted_mrd(2, 6, 3, 4)),  # the packed reader
     lambda: dumps(lifted_mrd(3, 4, 2, 2)),  # the per-line reader

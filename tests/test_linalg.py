@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cdckit.gf import field_new
-from cdckit.linalg import (MatrixGF, PivotVector, entry_bits, gaussian_binomial, inverse,
+from cdckit.linalg import (MatrixGF, PivotVector, entry_bits, gaussian_binomial, in_rref, inverse,
                            matmul, pack_row, pack_rows, rank_bits, rank_bits_batch,
                            rank_rows, rref, rref_bits, rref_bits_batch, spans, unpack_row,
                            unpack_rows)
@@ -212,6 +212,43 @@ def test_rref_bits_batch_random_batches():
 def test_rref_bits_batch_empty():
     got, ranks = rref_bits_batch(np.zeros((0, 4), dtype=np.uint64), 4)
     assert got.shape == (0, 4) and ranks.shape == (0,)
+
+
+def _in_rref_pairwise(word):
+    """A word's RREF test, pair by pair: the last row nonzero, each row
+    below the previous row's leading bit, and no row holding the leading
+    bit of a row below it."""
+    lead = [1 << (r.bit_length() - 1) if r else 0 for r in word]
+    if word and not word[-1]:
+        return False
+    return all(word[j] < lead[j - 1] and all(not word[i] & lead[j] for i in range(j))
+               for j in range(1, len(word)))
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (5, 1), (6, 3), (12, 4), (12, 6), (33, 5), (64, 4)])
+def test_in_rref_is_the_pairwise_rule(n, k):
+    # seeded RREF words, each also with one bit flipped, random words, and
+    # the edge cases: a zero last row, two equal leading bits, a bit above
+    # another row's pivot, and a free bit above one (still RREF)
+    rng = random.Random(n * 100 + k)
+    words = [[rng.getrandbits(n) for _ in range(k)] for _ in range(300)]
+    reduced, ranks = rref_bits_batch(np.array(words, dtype=np.uint64), n)
+    words += [w for w, r in zip(reduced.tolist(), ranks) if r == k]
+    words += [[r ^ (1 << rng.randrange(n)) * (j == at) for j, r in enumerate(w)]
+              for w in words[300:] for at in [rng.randrange(k)]]
+    pivots = [1 << (n - 1 - j) for j in range(k)]  # the RREF word [I_k | 0]
+    edges = [pivots, pivots[:-1] + [0], pivots[:-1] + [pivots[-1] | 1]]
+    if k > 1:
+        edges += [[pivots[0], pivots[0] >> 1 | pivots[0]] + pivots[2:],  # equal leading bits
+                  [pivots[0] | pivots[1]] + pivots[1:]]  # row 0 holds row 1's pivot
+    if n > k:
+        edges += [[pivots[0] | 1] + pivots[1:]]  # a free column: RREF
+    words += edges
+    rows = np.array(words, dtype=np.min_scalar_type((1 << n) - 1)).T
+    got = in_rref(np.ascontiguousarray(rows), n)
+    assert got.tolist() == [_in_rref_pairwise(w) for w in words]
+    assert [_in_rref_pairwise(w) for w in edges[:3]] == [True, False, True]
+    assert 0 < got.sum() < len(words)
 
 
 @pytest.mark.parametrize("ncols", [8, 9, 16, 17, 32, 33, 64])
